@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from typing import IO, Any
 
 import numpy as np
@@ -91,7 +92,7 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
         )
     sample.require_sides(config.cutoff)
     warnings: list[str] = []
-    kernel = KernelSpec(config.kernel, config.kernel_scale)
+    kernel = KernelSpec(config.kernel)
     h = config.h
     if h is None:
         h = rule_of_thumb_bandwidth(sample.d)
@@ -163,7 +164,7 @@ def run_rdd(config: RunConfig, sample: Sample) -> dict[str, Any]:
     """Plain local linear discontinuity with robust bias correction."""
     sample.require_sides(config.cutoff)
     warnings: list[str] = []
-    kernel = KernelSpec(config.kernel, config.kernel_scale)
+    kernel = KernelSpec(config.kernel)
     h = config.h
     if h is None:
         h = rule_of_thumb_bandwidth(sample.d)
@@ -292,27 +293,8 @@ def _build_run_config(values: dict[str, Any], need_placebo: bool) -> RunConfig:
 
 
 def _build_dgp_spec(values: dict[str, Any]) -> DgpSpec:
-    mapping: dict[str, Any] = {}
-    for key in (
-        "n",
-        "seed",
-        "tau0",
-        "cutoff",
-        "kappa",
-        "window",
-        "proxy_loading",
-        "instrument_strength",
-        "noise_z",
-        "noise_d",
-        "noise_w",
-        "noise_y",
-        "design",
-        "compliance",
-        "curvature",
-    ):
-        if values.get(key) is not None:
-            mapping[key] = values[key]
-    return DgpSpec.from_mapping(mapping)
+    names = (f.name for f in fields(DgpSpec))
+    return DgpSpec.from_mapping({k: values[k] for k in names if values.get(k) is not None})
 
 
 def _open_out(path: str | None) -> tuple[IO[str], bool]:
@@ -413,22 +395,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         values = _merged(args, _ESTIMATE_DEFAULTS)
         config = _build_run_config(values, need_placebo=True)
         if config.design == "fuzzy" and config.bindings.treatment is None:
-            config = RunConfig(
-                cutoff=config.cutoff,
-                kernel=config.kernel,
-                h=config.h,
-                b=config.b,
-                alpha=config.alpha,
-                design=config.design,
-                variance_mode=config.variance_mode,
-                bindings=ColumnBindings(
-                    running=config.bindings.running,
-                    outcome=config.bindings.outcome,
-                    treatment="a",
-                    placebo_outcomes=config.bindings.placebo_outcomes,
-                    placebo_treatments=config.bindings.placebo_treatments,
-                ),
-            )
+            config = replace(config, bindings=replace(config.bindings, treatment="a"))
         sample = _load_sample(values, config.bindings)
         _emit(dumps(run_estimate(config, sample)), values["out"])
         return 0

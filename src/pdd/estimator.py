@@ -17,16 +17,24 @@ EquivalenceBreach and means a numerical problem, not a data property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EquivalenceBreach, WeakFirstStage
 from .io import Sample
-from .kernels import KernelSpec, ScaledBasis, SidedWeights, scaled_basis, sided_weights
+from .kernels import (
+    KernelSpec,
+    ScaledBasis,
+    SidedWeights,
+    scaled_basis,
+    sided_weights,
+    support_rows,
+)
 from .local_fit import local_iv_fit, local_poly_fit
 
-#: Relative tolerance (with a unit floor) for the two computation paths.
+#: Relative tolerance (with a unit floor) for the two computation paths of the
+#: point estimate here and of the bias-corrected estimate in ``inference``.
 EQUIVALENCE_RTOL = 1e-8
 
 #: Smallest treatment discontinuity accepted as a fuzzy-design denominator.
@@ -39,9 +47,8 @@ class DiscontinuityEstimate:
 
     ``tau_pdd`` is the placebo-adjusted discontinuity; ``tau_pdd_iv_form`` is
     the same number computed through the instrumented form and is retained as
-    a diagnostic. ``tau_pdd_alt`` is the secondary two-adjustment variant
-    anchored on the marginal placebo mean; it carries no inference.
-    ``fuzzy_estimate`` and ``tau_rdd_a`` are populated by fuzzy runs only.
+    a diagnostic. ``fuzzy_estimate`` and ``tau_rdd_a`` are populated by fuzzy
+    runs only.
     """
 
     tau_rdd_y: float
@@ -50,7 +57,6 @@ class DiscontinuityEstimate:
     gamma_plus: np.ndarray
     tau_pdd: float
     tau_pdd_iv_form: float
-    tau_pdd_alt: float
     beta_plus_y0: float
     beta_minus_y0: float
     beta_plus_w0: np.ndarray
@@ -87,7 +93,10 @@ def rdd_discontinuity(
     s: np.ndarray, d: np.ndarray, cutoff: float, h: float, kernel: KernelSpec
 ) -> float:
     """Plain local linear discontinuity of ``s`` at the cutoff."""
-    w_minus, w_plus, basis = _sides(np.asarray(d, dtype=float), cutoff, h, kernel)
+    d = np.asarray(d, dtype=float)
+    rows = support_rows(d, cutoff, h, kernel)
+    s = np.asarray(s, dtype=float)[rows]
+    w_minus, w_plus, basis = _sides(d[rows], cutoff, h, kernel)
     above = local_poly_fit(s, w_plus, basis)
     below = local_poly_fit(s, w_minus, basis)
     return above.intercept - below.intercept
@@ -104,10 +113,12 @@ def estimate_sharp(
 
     Runs the per-outcome local linear fits and the per-side instrumented
     solves, assembles ``tau_pdd`` through both the decomposition form and the
-    instrumented form, and verifies that they agree.
+    instrumented form, and verifies that they agree. Only rows the kernel can
+    weight at ``h`` enter the fits.
     """
     if sample.q < 1:
         raise ValueError("placebo outcome and treatment columns are required")
+    sample = sample.take(support_rows(sample.d, cutoff, h, kernel))
     d = np.asarray(sample.d, dtype=float)
     w_minus, w_plus, basis = _sides(d, cutoff, h, kernel)
 
@@ -138,13 +149,6 @@ def estimate_sharp(
             f"disagree beyond {EQUIVALENCE_RTOL:g}"
         )
 
-    w_mean = sample.W.mean(axis=0)
-    tau_alt = (
-        tau_rdd_y
-        + float((w_mean - beta_plus_w0) @ iv_plus.gamma)
-        - float((w_mean - beta_minus_w0) @ iv_minus.gamma)
-    )
-
     return DiscontinuityEstimate(
         tau_rdd_y=tau_rdd_y,
         tau_rdd_w=tau_rdd_w,
@@ -152,7 +156,6 @@ def estimate_sharp(
         gamma_plus=iv_plus.gamma,
         tau_pdd=tau_dec,
         tau_pdd_iv_form=tau_iv,
-        tau_pdd_alt=tau_alt,
         beta_plus_y0=fit_y_plus.intercept,
         beta_minus_y0=fit_y_minus.intercept,
         beta_plus_w0=beta_plus_w0,
@@ -178,24 +181,4 @@ def estimate_fuzzy(
         raise WeakFirstStage(
             f"treatment discontinuity {tau_a:.3e} is too small to divide by"
         )
-    return DiscontinuityEstimate(
-        tau_rdd_y=point.tau_rdd_y,
-        tau_rdd_w=point.tau_rdd_w,
-        gamma_minus=point.gamma_minus,
-        gamma_plus=point.gamma_plus,
-        tau_pdd=point.tau_pdd,
-        tau_pdd_iv_form=point.tau_pdd_iv_form,
-        tau_pdd_alt=point.tau_pdd_alt,
-        beta_plus_y0=point.beta_plus_y0,
-        beta_minus_y0=point.beta_minus_y0,
-        beta_plus_w0=point.beta_plus_w0,
-        beta_minus_w0=point.beta_minus_w0,
-        alpha_plus_0=point.alpha_plus_0,
-        alpha_minus_0=point.alpha_minus_0,
-        n_left=point.n_left,
-        n_right=point.n_right,
-        schur_rcond_left=point.schur_rcond_left,
-        schur_rcond_right=point.schur_rcond_right,
-        tau_rdd_a=tau_a,
-        fuzzy_estimate=point.tau_pdd / tau_a,
-    )
+    return replace(point, tau_rdd_a=tau_a, fuzzy_estimate=point.tau_pdd / tau_a)

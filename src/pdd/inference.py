@@ -13,6 +13,12 @@ Two implementation paths produce the bias-corrected estimate: a componentwise
 one (explicit curvature and bias scalars per outcome) and a single stacked
 matrix expression. They are algebraically identical and are compared on every
 run; disagreement raises EquivalenceBreach.
+
+``bias_corrected_estimate`` and ``rdd_robust_estimate`` first cut the sample
+to the rows within ``max(h, b)`` of the cutoff (``kernels.support_rows``), so
+with the window and triangle kernels their cost grows with those rows, not
+with the sample size; the reported ``n`` and ``v_bc`` still refer to the
+whole sample. The gaussian kernel keeps every row.
 """
 
 from __future__ import annotations
@@ -23,17 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EquivalenceBreach, SingularSupport
-from .estimator import DiscontinuityEstimate, estimate_sharp
+from .estimator import EQUIVALENCE_RTOL, DiscontinuityEstimate, estimate_sharp
 from .io import Sample
-from .kernels import KernelSpec, scaled_basis, sided_weights
+from .kernels import KernelSpec, scaled_basis, sided_weights, support_rows
 from .local_fit import (
     GRAM_RCOND_MIN,
+    _require_distinct_support,
     local_poly_fit,
     reciprocal_condition,
 )
-
-#: Relative tolerance (unit floor) for the two bias-correction paths.
-EQUIVALENCE_RTOL = 1e-8
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
 RULE_OF_THUMB_CONSTANT = 1.84
@@ -205,7 +209,7 @@ def side_correction_from_weights(
     h = weights_main.bandwidth
     b = weights_bias.bandwidth
 
-    _require_distinct(weights_main, basis_main, 2)
+    _require_distinct_support(weights_main, basis_main, 2)
     krows1 = basis_main.rows * weights_main.weights[:, None]
     gram1_raw = krows1.T @ basis_main.rows
     if reciprocal_condition(gram1_raw) < GRAM_RCOND_MIN:
@@ -217,7 +221,7 @@ def side_correction_from_weights(
     u2_raw = krows1.T @ (u * u)
     curvature_load = float(e0_row @ u2_raw)
 
-    _require_distinct(weights_bias, basis_bias, 3)
+    _require_distinct_support(weights_bias, basis_bias, 3)
     krows2 = basis_bias.rows * weights_bias.weights[:, None]
     gram2_raw = krows2.T @ basis_bias.rows
     if reciprocal_condition(gram2_raw) < GRAM_RCOND_MIN:
@@ -250,16 +254,6 @@ def side_correction_from_weights(
     )
 
 
-def _require_distinct(weights, basis, needed: int) -> None:
-    pos = weights.positive
-    distinct = int(np.unique(basis.rows[pos, 1]).size) if pos.any() else 0
-    if distinct < needed:
-        raise SingularSupport(
-            f"{distinct} distinct running-variable values with positive weight on "
-            f"the {weights.side} side; need at least {needed}"
-        )
-
-
 def correction_matrix(corr: SideCorrection) -> np.ndarray:
     """The literal (2, n) per-side correction matrix.
 
@@ -282,11 +276,15 @@ def _stacked_matrix_estimate(
     S: np.ndarray,
     combo: np.ndarray,
 ) -> float:
-    """Bias-corrected estimate through the single stacked matrix expression."""
+    """Bias-corrected estimate through the single stacked matrix expression.
+
+    The stacked per-outcome fits ``kron(I_width, P) @ vec(S)`` are formed as
+    ``vec(P @ S)``, the same numbers without the ``(2 width, n width)``
+    Kronecker matrix.
+    """
     n, width = S.shape
     p = correction_matrix(corr_plus) - correction_matrix(corr_minus)
-    stacked = np.kron(np.eye(width), p) @ S.reshape(-1, order="F")
-    stacked /= n * corr_plus.bandwidth
+    stacked = (p @ S).reshape(-1, order="F") / (n * corr_plus.bandwidth)
     svec = np.zeros(2 * width)
     svec[0::2] = combo
     return float(svec @ stacked)
@@ -298,8 +296,13 @@ def robust_variance(
     corr_minus: SideCorrection,
     combo: np.ndarray,
     variance_mode: str = "paper",
+    n: int | None = None,
 ) -> float:
     """Variance of the combined bias-corrected statistic, scaled by ``n * h``.
+
+    ``n`` is the size of the sample the rows of ``S`` were cut from; it
+    defaults to the rows of ``S``. Rows outside every kernel support add
+    nothing to the sum, so cutting them leaves the variance unchanged.
 
     Sum of one quadratic form per side; cross-side terms vanish exactly
     because the two weight supports are disjoint. Each side uses a diagonal
@@ -319,7 +322,8 @@ def robust_variance(
             raise ValueError(f"unknown variance mode {variance_mode!r}")
         per_outcome = (corr.weight_row**2) @ (resid**2)
         total += float((combo**2) @ per_outcome)
-    n = S.shape[0]
+    if n is None:
+        n = S.shape[0]
     return n * corr_plus.bandwidth * total
 
 
@@ -373,6 +377,7 @@ def _finish(
     alpha: float,
     variance_mode: str,
     point: DiscontinuityEstimate | None,
+    n: int,
 ) -> RobustEstimate:
     tau_bc_components = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
     tau_bc_matrix = _stacked_matrix_estimate(corr_plus, corr_minus, S, combo)
@@ -382,8 +387,7 @@ def _finish(
             f"componentwise bias correction {tau_bc_components!r} and stacked matrix "
             f"form {tau_bc_matrix!r} disagree beyond {EQUIVALENCE_RTOL:g}"
         )
-    v_bc = robust_variance(S, corr_plus, corr_minus, combo, variance_mode)
-    n = S.shape[0]
+    v_bc = robust_variance(S, corr_plus, corr_minus, combo, variance_mode, n)
     se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
     degenerate = not v_bc > 0.0
     z = normal_quantile(1.0 - alpha / 2.0)
@@ -428,13 +432,15 @@ def bias_corrected_estimate(
     side, combines them with the left-side instrumented weights, and verifies
     the result against the stacked matrix expression.
     """
+    n = sample.n
+    sample = sample.take(support_rows(sample.d, cutoff, max(h, b), kernel))
     point = estimate_sharp(sample, cutoff, h, kernel)
     S = np.column_stack([sample.y, sample.W])
     combo = np.concatenate([[1.0], -point.gamma_minus])
     corr_plus = side_correction(sample.d, S, cutoff, h, b, kernel, "right")
     corr_minus = side_correction(sample.d, S, cutoff, h, b, kernel, "left")
     return _finish(
-        point.tau_pdd, combo, corr_plus, corr_minus, S, alpha, variance_mode, point
+        point.tau_pdd, combo, corr_plus, corr_minus, S, alpha, variance_mode, point, n
     )
 
 
@@ -454,9 +460,13 @@ def rdd_robust_estimate(
     outcome alone, and the variance reduces to the standard robust variance of
     the bias-corrected discontinuity.
     """
-    S = np.asarray(y, dtype=float)[:, None]
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    rows = support_rows(d, cutoff, max(h, b), kernel)
+    S = np.asarray(y, dtype=float)[rows][:, None]
+    d = d[rows]
     combo = np.array([1.0])
     corr_plus = side_correction(d, S, cutoff, h, b, kernel, "right")
     corr_minus = side_correction(d, S, cutoff, h, b, kernel, "left")
     tau = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
-    return _finish(tau, combo, corr_plus, corr_minus, S, alpha, variance_mode, None)
+    return _finish(tau, combo, corr_plus, corr_minus, S, alpha, variance_mode, None, n)

@@ -53,6 +53,17 @@ class Sample:
     def q(self) -> int:
         return int(self.W.shape[1])
 
+    def take(self, rows) -> Sample:
+        """The same sample restricted to ``rows`` (an index array or a slice)."""
+        return Sample(
+            d=self.d[rows],
+            y=self.y[rows],
+            W=self.W[rows],
+            Z=self.Z[rows],
+            a=None if self.a is None else self.a[rows],
+            dropped_rows=self.dropped_rows,
+        )
+
     def require_sides(self, cutoff: float) -> None:
         """Check there are at least 2 distinct d values strictly on each side."""
         left = np.unique(self.d[self.d < cutoff]).size
@@ -208,7 +219,6 @@ class RunConfig:
 
     cutoff: float
     kernel: str = "triangle"
-    kernel_scale: float = 1.0
     h: float | None = None
     b: float | None = None
     alpha: float = 0.05

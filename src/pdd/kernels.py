@@ -6,6 +6,12 @@ estimator output is invariant to rescaling all weights by a positive constant.
 
 The cutoff point itself belongs to the right side: right-side weights use
 ``d >= cutoff`` and left-side weights use ``d < cutoff``.
+
+The window and triangle kernels weight only rows with ``|d - cutoff| <= h``.
+Every estimator entry point first cuts its sample to those rows with
+``support_rows``, so for these kernels the cost of a fit grows with the rows
+within ``max(h, b)`` of the cutoff, not with the sample size. The gaussian
+kernel has no finite support and keeps every row.
 """
 
 from __future__ import annotations
@@ -61,6 +67,24 @@ def kernel_value(kernel: KernelSpec, u):
     return float(out) if out.ndim == 0 else out
 
 
+def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
+    """Index of the rows a one-sided weight at any bandwidth up to ``reach``
+    can make positive.
+
+    Uses the compact kernels' own support test, ``|d - cutoff| / reach <= 1``.
+    Correctly rounded division is monotone in the divisor, so every row inside
+    the support at a bandwidth ``h <= reach`` is kept, and a fit on the kept
+    rows equals the fit on all of them up to summation order. The gaussian
+    kernel keeps every row: the result is then ``slice(None)``, which indexes
+    without copying.
+    """
+    if not reach > 0:
+        raise ValueError("bandwidth must be positive")
+    if kernel.kind == "gaussian":
+        return slice(None)
+    return np.flatnonzero(np.abs(np.asarray(d, dtype=float) - cutoff) / reach <= 1.0)
+
+
 @dataclass(frozen=True)
 class SidedWeights:
     """Kernel weights restricted to one side of the cutoff.
@@ -95,15 +119,14 @@ def sided_weights(
     """Build one-sided kernel weights at bandwidth ``h``.
 
     Raises SingularSupport when fewer than ``min_positive`` observations get a
-    strictly positive weight (the bandwidth is too small for the side).
+    strictly positive weight (the bandwidth is too small for the side); an
+    empty ``d``, such as a sample cut to an empty window, gets none.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     d = np.asarray(d, dtype=float)
-    if d.size == 0:
-        raise ValueError("running variable is empty")
     on_side = d >= cutoff if side == "right" else d < cutoff
     w = np.zeros(d.shape, dtype=float)
     if on_side.any():

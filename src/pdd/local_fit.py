@@ -87,7 +87,6 @@ class IvFit:
     alpha0: float
     alpha1_scaled: float
     gamma: np.ndarray
-    system_rcond: float
     schur_rcond: float
     n_effective: int
 
@@ -100,8 +99,18 @@ def _check_alignment(weights: SidedWeights, basis: ScaledBasis) -> None:
 
 
 def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis, needed: int) -> None:
-    pos = weights.positive
-    distinct = np.unique(basis.rows[pos, 1]).size if pos.any() else 0
+    """Raise SingularSupport unless ``needed`` distinct running-variable
+    values carry positive weight.
+
+    ``needed`` is a basis dimension, 2 or 3, so distinct values are counted
+    only up to three, in linear time and without a sort: equal extremes give
+    one, and a value strictly between them a third.
+    """
+    u = basis.rows[weights.positive, 1]
+    distinct = 0
+    if u.size:
+        lo, hi = u.min(), u.max()
+        distinct = 1 if lo == hi else 3 if np.any((u > lo) & (u < hi)) else 2
     if distinct < needed:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
@@ -215,15 +224,13 @@ def local_iv_fit(
             f"weak placebo proxy on the {weights.side} side "
             f"(Schur complement rcond={schur_rcond:.3e})"
         )
-    system = np.block([[a, b], [c, dm]])
     rhs = np.concatenate([rw.T @ y, zw.T @ y])
-    nu = np.linalg.solve(system, rhs)
+    nu = np.linalg.solve(np.block([[a, b], [c, dm]]), rhs)
     return IvFit(
         side=weights.side,
         alpha0=float(nu[0]),
         alpha1_scaled=float(nu[1]),
         gamma=nu[2:].copy(),
-        system_rcond=reciprocal_condition(system),
         schur_rcond=schur_rcond,
         n_effective=weights.n_positive,
     )

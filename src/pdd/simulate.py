@@ -25,7 +25,7 @@ standard discontinuity. The adjustment weights' population value is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 import numpy as np
@@ -84,52 +84,19 @@ class DgpSpec:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_mapping(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "seed": self.seed,
-            "tau0": self.tau0,
-            "cutoff": self.cutoff,
-            "kappa": self.kappa,
-            "window": self.window,
-            "proxy_loading": self.proxy_loading,
-            "instrument_strength": self.instrument_strength,
-            "noise_z": self.noise_z,
-            "noise_d": self.noise_d,
-            "noise_w": self.noise_w,
-            "noise_y": self.noise_y,
-            "design": self.design,
-            "compliance": self.compliance,
-            "curvature": self.curvature,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str | float | int]) -> "DgpSpec":
-        kwargs: dict[str, Any] = {}
-        for name, caster in (
-            ("n", int),
-            ("seed", int),
-            ("tau0", float),
-            ("cutoff", float),
-            ("kappa", float),
-            ("window", float),
-            ("proxy_loading", float),
-            ("instrument_strength", float),
-            ("noise_z", float),
-            ("noise_d", float),
-            ("noise_w", float),
-            ("noise_y", float),
-            ("design", str),
-            ("compliance", float),
-            ("curvature", float),
-        ):
-            if name in mapping:
-                kwargs[name] = caster(mapping[name])
         unknown = set(mapping) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        if "n" not in kwargs or "seed" not in kwargs:
+        if "n" not in mapping or "seed" not in mapping:
             raise ValueError("a scenario needs at least 'n' and 'seed'")
-        return cls(**kwargs)
+        casters = {"int": int, "float": float, "str": str}
+        return cls(
+            **{f.name: casters[f.type](mapping[f.name]) for f in fields(cls) if f.name in mapping}
+        )
 
 
 def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,13 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdd
 from pdd import (
+    EquivalenceBreach,
     KernelSpec,
     Sample,
+    SingularSupport,
     bias_corrected_estimate,
     confidence_interval,
+    estimate_fuzzy,
+    estimate_sharp,
     kernel_value,
     normal_quantile,
+    rdd_discontinuity,
     rdd_robust_estimate,
     robust_variance,
     rule_of_thumb_bandwidth,
@@ -19,7 +26,9 @@ from pdd import (
     second_derivative,
     side_correction,
     sided_weights,
+    write_csv,
 )
+from pdd.cli import main
 from pdd.inference import correction_matrix
 from conftest import random_dataset
 
@@ -322,3 +331,152 @@ def test_s_weights_reproduce_estimate(rng):
     stacked[0::2] = plus.intercepts_bc - minus.intercepts_bc
     stacked[1::2] = 0.0
     assert_allclose(float(est.s_weights @ stacked), est.tau_pdd_bc, rtol=1e-12)
+
+
+# --------------------------------------------------- locality of the fits
+
+CUTOFF = 0.3
+BANDWIDTH_PAIRS = ((0.4, 0.6), (0.5, 0.5), (0.6, 0.4))
+
+
+def _local_sample(rng, cutoff=CUTOFF):
+    sample = _dense_sample(rng)
+    return Sample(d=sample.d + cutoff, y=sample.y, W=sample.W, Z=sample.Z)
+
+
+def _with_rows(sample, d, value):
+    extra = np.full(d.shape[0], float(value))
+    return Sample(
+        d=np.concatenate([sample.d, d]),
+        y=np.concatenate([sample.y, extra]),
+        W=np.concatenate([sample.W, extra[:, None]]),
+        Z=np.concatenate([sample.Z, extra[:, None]]),
+    )
+
+
+def _far_rows(rng, reach, n=50):
+    dist = rng.uniform(1.01 * reach, 3.0 * reach, n)
+    return CUTOFF + np.where(np.arange(n) % 2 == 0, dist, -dist)
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle"])
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_rows_beyond_the_window_change_nothing(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    far = _with_rows(sample, _far_rows(rng, max(h, b)), 1e6)
+    base = bias_corrected_estimate(sample, CUTOFF, h, b, kernel)
+    wide = bias_corrected_estimate(far, CUTOFF, h, b, kernel)
+    for name in ("tau_pdd", "tau_pdd_bc", "se"):
+        assert_allclose(getattr(wide, name), getattr(base, name), rtol=1e-12, err_msg=name)
+    assert (wide.n_left, wide.n_right) == (base.n_left, base.n_right)
+    assert (base.n, wide.n) == (sample.n, far.n)
+    assert_allclose(wide.v_bc, base.v_bc * far.n / sample.n, rtol=1e-12)
+
+    rdd_base = rdd_robust_estimate(sample.d, sample.y, CUTOFF, h, b, kernel)
+    rdd_wide = rdd_robust_estimate(far.d, far.y, CUTOFF, h, b, kernel)
+    for name in ("tau_pdd", "tau_pdd_bc", "se"):
+        assert_allclose(getattr(rdd_wide, name), getattr(rdd_base, name), rtol=1e-12)
+    assert (rdd_wide.n_left, rdd_wide.n_right) == (rdd_base.n_left, rdd_base.n_right)
+    assert rdd_wide.n == far.n
+    assert_allclose(rdd_wide.v_bc, rdd_base.v_bc * far.n / sample.n, rtol=1e-12)
+
+
+@pytest.mark.parametrize("h,b", ((0.5, 0.75), (0.75, 0.5)))
+def test_rows_on_the_window_edge_are_kept(rng, h, b):
+    # cutoff, h and b are dyadic, so |d - c| / h == 1 holds exactly on the
+    # edge rows and the window kernel gives them full weight
+    cutoff = 0.25
+    sample = _local_sample(rng, cutoff)
+    base = bias_corrected_estimate(sample, cutoff, h, b, WINDOW)
+    for edge in (h, b):
+        edged = _with_rows(sample, np.array([cutoff - edge, cutoff + edge]), 5.0)
+        est = bias_corrected_estimate(edged, cutoff, h, b, WINDOW)
+        assert abs(est.tau_pdd_bc - base.tau_pdd_bc) > 1e-6
+        if edge == h:
+            assert abs(est.tau_pdd - base.tau_pdd) > 1e-6
+            assert (est.n_left, est.n_right) == (base.n_left + 1, base.n_right + 1)
+        rdd = rdd_robust_estimate(edged.d, edged.y, cutoff, h, b, WINDOW)
+        rdd_base = rdd_robust_estimate(sample.d, sample.y, cutoff, h, b, WINDOW)
+        assert abs(rdd.tau_pdd_bc - rdd_base.tau_pdd_bc) > 1e-6
+
+
+def test_gaussian_kernel_keeps_every_row(rng):
+    gaussian = KernelSpec("gaussian")
+    h, b = 0.4, 0.6
+    sample = _local_sample(rng)
+    far = _with_rows(sample, _far_rows(rng, max(h, b)), 10.0)
+    base = bias_corrected_estimate(sample, CUTOFF, h, b, gaussian)
+    wide = bias_corrected_estimate(far, CUTOFF, h, b, gaussian)
+    assert abs(wide.tau_pdd - base.tau_pdd) > 1e-6
+    assert abs(wide.tau_pdd_bc - base.tau_pdd_bc) > 1e-6
+    assert wide.n_left + wide.n_right == far.n
+    rdd_base = rdd_robust_estimate(sample.d, sample.y, CUTOFF, h, b, gaussian)
+    rdd_wide = rdd_robust_estimate(far.d, far.y, CUTOFF, h, b, gaussian)
+    assert abs(rdd_wide.tau_pdd_bc - rdd_base.tau_pdd_bc) > 1e-6
+
+
+def test_empty_or_thin_window_is_singular_support(rng, tmp_path, capsys):
+    sample = _local_sample(rng)
+    a = (sample.d >= CUTOFF).astype(float)
+    fuzzy = Sample(d=sample.d, y=sample.y, W=sample.W, Z=sample.Z, a=a)
+    # a window holding one row on each side is as singular as an empty one
+    thin = _with_rows(sample, np.array([CUTOFF - 1e-7, CUTOFF + 1e-7]), 1.0)
+    for data, h in ((sample, 1e-9), (thin, 2e-7)):
+        for kind in ("window", "triangle"):
+            kernel = KernelSpec(kind)
+            calls = (
+                lambda: bias_corrected_estimate(data, CUTOFF, h, h, kernel),
+                lambda: rdd_robust_estimate(data.d, data.y, CUTOFF, h, h, kernel),
+                lambda: estimate_sharp(data, CUTOFF, h, kernel),
+                lambda: rdd_discontinuity(data.y, data.d, CUTOFF, h, kernel),
+                lambda: estimate_fuzzy(fuzzy, CUTOFF, h, kernel),
+            )
+            for call in calls:
+                with pytest.raises(SingularSupport):
+                    call()
+
+    path = tmp_path / "sample.csv"
+    with path.open("w", newline="") as fh:
+        write_csv(fuzzy, fh)
+    common = ["--data", str(path), "--cutoff", str(CUTOFF), "--bandwidth", "1e-9"]
+    placebo = ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
+    for argv in (
+        ["estimate", *common, *placebo],
+        ["estimate", *common, *placebo, "--design", "fuzzy"],
+        ["rdd", *common],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out)["error"] == "singular_support"
+
+
+# ---------------------------------------------------- equivalence checks
+
+
+def test_both_equivalence_checks_raise_on_a_perturbed_path(rng, monkeypatch):
+    sample = _dense_sample(rng)
+    bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
+
+    real_iv = pdd.estimator.local_iv_fit
+
+    def shifted_iv(*args):
+        fit = real_iv(*args)
+        return replace(fit, alpha0=fit.alpha0 + 1e-6) if fit.side == "right" else fit
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.estimator, "local_iv_fit", shifted_iv)
+        with pytest.raises(EquivalenceBreach, match="instrumented form"):
+            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
+
+    real_matrix = pdd.inference.correction_matrix
+
+    def scaled_matrix(corr):
+        return real_matrix(corr) * (1.0 + 1e-6)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.inference, "correction_matrix", scaled_matrix)
+        with pytest.raises(EquivalenceBreach, match="stacked matrix"):
+            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
+        with pytest.raises(EquivalenceBreach, match="stacked matrix"):
+            rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE)

@@ -115,10 +115,15 @@ def test_singular_support_too_few_points():
 
 
 def test_singular_support_quadratic_needs_three():
-    d = np.array([0.1, 0.1, 0.4, 0.4])
+    d = np.array([0.4, 0.1, 0.4, 0.1])
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW, degree=2)
-    with pytest.raises(SingularSupport):
+    with pytest.raises(SingularSupport, match="^2 distinct"):
         local_poly_fit(np.ones(4), w, basis)
+    # a third value strictly between the extremes is enough
+    d = np.append(d, 0.25)
+    w, basis = _setup(d, 0.0, 1.0, "right", WINDOW, degree=2)
+    fit = local_poly_fit(1.0 + d + d * d, w, basis)
+    assert_allclose(fit.coef_scaled, [1.0, 1.0, 1.0], rtol=1e-10)
 
 
 def test_iv_equals_joint_ols_when_instrument_is_regressor(rng):
