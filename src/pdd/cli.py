@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from typing import IO, Any
@@ -450,6 +451,22 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    If stdout is closed early (``pdd simulate | head``), the run stops with
+    exit code 3 and writes nothing more: stdout is pointed at the null
+    device so that the interpreter's final flush cannot fail again.
+    """
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -14,6 +16,10 @@ from .kernels import KERNEL_KINDS
 
 DESIGNS = ("sharp", "fuzzy")
 VARIANCE_MODES = ("paper", "fitted")
+
+#: Rows per chunk in ``load_csv`` and ``write_csv``: each chunk is converted
+#: a whole column at a time, and only one chunk of cell strings is held.
+CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -65,13 +71,20 @@ class Sample:
         )
 
     def require_sides(self, cutoff: float) -> None:
-        """Check there are at least 2 distinct d values strictly on each side."""
-        left = np.unique(self.d[self.d < cutoff]).size
-        right = np.unique(self.d[self.d > cutoff]).size
-        if left < 2 or right < 2:
+        """Check there are at least 2 distinct d values strictly on each side.
+
+        A side has two distinct values exactly when it is non-empty and its
+        minimum is below its maximum, so no sort is needed.
+        """
+        short = [
+            side
+            for side, d in (("left", self.d[self.d < cutoff]), ("right", self.d[self.d > cutoff]))
+            if not (d.size and d.min() < d.max())
+        ]
+        if short:
             raise EmptyAfterFiltering(
                 f"need at least 2 distinct running-variable values strictly on each "
-                f"side of {cutoff}; found {left} left, {right} right"
+                f"side of {cutoff}; fewer found on the {' and '.join(short)} side"
             )
 
 
@@ -98,8 +111,14 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
     """Read a header-ed CSV into a Sample.
 
     Rows with a missing or non-numeric value in any bound column are dropped
-    and counted. Structural problems (no header, a data row shorter than the
-    header) raise ParseError with the row location.
+    and counted; a data row shorter than the header, or a blank line, counts
+    as such a row. Structural problems (no header, a data row wider than the
+    header, a malformed or oversized field, input that is not UTF-8) raise
+    ParseError with the data row location.
+
+    Rows are read ``CHUNK_ROWS`` at a time and each bound column of a chunk
+    is converted with one ``float`` pass; only a column holding a cell that
+    ``float`` rejects is converted again cell by cell.
     """
     if len(bindings.placebo_outcomes) != len(bindings.placebo_treatments):
         raise ValueError("placebo outcome and treatment column lists must have equal length")
@@ -115,8 +134,8 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
             header = next(reader)
         except StopIteration:
             raise ParseError("file is empty; a header row is required") from None
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV header: {exc}") from exc
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise _malformed(exc, None) from exc
         header = [name.strip() for name in header]
         index: dict[str, int] = {}
         for pos, name in enumerate(header):
@@ -124,41 +143,44 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
         for name in bindings.used():
             if name not in index:
                 raise MissingColumn(f"column {name!r} not found in header {header}")
-        used = bindings.used()
-        columns: dict[str, list[float]] = {name: [] for name in used}
+        positions = {name: index[name] for name in bindings.used()}
+        parts: dict[str, list[np.ndarray]] = {name: [] for name in positions}
         dropped = 0
-        for rownum, row in enumerate(reader, start=1):
+        rows_read = 0
+        while True:
+            chunk: list[list[str]] = []
             try:
-                if len(row) > len(header):
-                    raise ParseError(
-                        f"row {rownum} has {len(row)} fields but the header has {len(header)}",
-                        row=rownum,
-                    )
-            except csv.Error as exc:  # pragma: no cover - csv reader errors are rare
-                raise ParseError(f"malformed CSV at row {rownum}: {exc}", row=rownum) from exc
-            values: dict[str, float] = {}
-            ok = True
-            for name in used:
-                pos = index[name]
-                cell = row[pos].strip() if pos < len(row) else ""
-                if not cell:
-                    ok = False
-                    break
-                try:
-                    value = float(cell)
-                except ValueError:
-                    ok = False
-                    break
-                if not math.isfinite(value):
-                    ok = False
-                    break
-                values[name] = value
-            if not ok:
-                dropped += 1
-                continue
-            for name in used:
-                columns[name].append(values[name])
-        if not columns[bindings.running]:
+                chunk.extend(itertools.islice(reader, CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # ``extend`` keeps the rows read before the failing one.
+                raise _malformed(exc, rows_read + len(chunk) + 1) from exc
+            if not chunk:
+                break
+            if max(map(len, chunk)) > len(header):
+                offset = next(i for i, row in enumerate(chunk) if len(row) > len(header))
+                rownum = rows_read + offset + 1
+                raise ParseError(
+                    f"row {rownum} has {len(chunk[offset])} fields "
+                    f"but the header has {len(header)}",
+                    row=rownum,
+                )
+            rows_read += len(chunk)
+            if min(map(len, chunk)) < len(header):
+                # A short row or a blank line: its missing cells are empty, so it is dropped.
+                chunk = [row + [""] * (len(header) - len(row)) for row in chunk]
+            values = {
+                name: _to_floats(list(map(operator.itemgetter(pos), chunk)))
+                for name, pos in positions.items()
+            }
+            keep = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
+            dropped += len(chunk) - int(np.count_nonzero(keep))
+            for name, v in values.items():
+                parts[name].append(v[keep])
+        columns = {
+            name: np.concatenate(chunks) if chunks else np.empty(0)
+            for name, chunks in parts.items()
+        }
+        if not columns[bindings.running].size:
             raise EmptyAfterFiltering(
                 f"no usable rows after dropping {dropped} incomplete rows"
             )
@@ -166,29 +188,58 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
         if close:
             fh.close()
 
-    def col(name: str) -> np.ndarray:
-        return np.asarray(columns[name], dtype=float)
-
     q = len(bindings.placebo_outcomes)
-    n = col(bindings.running).shape[0]
+    n = columns[bindings.running].shape[0]
     W = (
-        np.column_stack([col(name) for name in bindings.placebo_outcomes])
+        np.column_stack([columns[name] for name in bindings.placebo_outcomes])
         if q
         else np.empty((n, 0))
     )
     Z = (
-        np.column_stack([col(name) for name in bindings.placebo_treatments])
+        np.column_stack([columns[name] for name in bindings.placebo_treatments])
         if q
         else np.empty((n, 0))
     )
     return Sample(
-        d=col(bindings.running),
-        y=col(bindings.outcome),
+        d=columns[bindings.running],
+        y=columns[bindings.outcome],
         W=W,
         Z=Z,
-        a=col(bindings.treatment) if bindings.treatment else None,
+        a=columns[bindings.treatment] if bindings.treatment else None,
         dropped_rows=dropped,
     )
+
+
+def _malformed(exc: csv.Error | UnicodeDecodeError, row: int | None) -> ParseError:
+    """The ParseError for a failure to read data row ``row`` (None: the header).
+
+    A decoding failure names no row: text is decoded a block ahead of the
+    row being split, so the row being read is not where the bad byte is.
+    """
+    if isinstance(exc, UnicodeDecodeError):
+        return ParseError(f"input is not valid UTF-8: {exc}")
+    if row is None:
+        return ParseError(f"malformed CSV header: {exc}")
+    return ParseError(f"malformed CSV at row {row}: {exc}", row=row)
+
+
+def _to_floats(cells: list[str]) -> np.ndarray:
+    """Parse one column of a chunk; a cell ``float`` rejects becomes NaN.
+
+    ``float`` strips surrounding whitespace itself, so a padded number parses
+    and an empty or blank cell is rejected.
+    """
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return np.array([_float_or_nan(cell) for cell in cells], dtype=float)
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def write_csv(sample: Sample, out: IO[str]) -> None:
@@ -196,21 +247,21 @@ def write_csv(sample: Sample, out: IO[str]) -> None:
 
     Column names follow the simulator convention (d, y, w1..wq, z1..zq, and a
     when present), so the output round-trips through ``load_csv`` losslessly.
+    Numbers and these names never need quoting, so rows are joined directly,
+    ``CHUNK_ROWS`` rows per write.
     """
-    writer = csv.writer(out, lineterminator="\n")
     header = ["d", "y"]
     header += [f"w{j + 1}" for j in range(sample.q)]
     header += [f"z{j + 1}" for j in range(sample.q)]
+    columns = [sample.d, sample.y, *sample.W.T, *sample.Z.T]
     if sample.a is not None:
         header.append("a")
-    writer.writerow(header)
-    for i in range(sample.n):
-        row = [format(sample.d[i], ".17g"), format(sample.y[i], ".17g")]
-        row += [format(sample.W[i, j], ".17g") for j in range(sample.q)]
-        row += [format(sample.Z[i, j], ".17g") for j in range(sample.q)]
-        if sample.a is not None:
-            row.append(format(sample.a[i], ".17g"))
-        writer.writerow(row)
+        columns.append(sample.a)
+    out.write(",".join(header) + "\n")
+    fmt = "{:.17g}".format
+    for start in range(0, sample.n, CHUNK_ROWS):
+        cells = [map(fmt, col[start : start + CHUNK_ROWS].tolist()) for col in columns]
+        out.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass(frozen=True)

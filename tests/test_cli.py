@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdd
 from pdd.cli import dumps, main
@@ -280,3 +285,93 @@ def test_simulate_warns_nothing_and_is_loadable(tmp_path):
         str(path), pdd.ColumnBindings(placebo_outcomes=("w1",), placebo_treatments=("z1",))
     )
     assert sample.n == 50
+
+
+def test_exit_code_3_on_oversized_field(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("d,y,w1,z1\n0.1,1,2,3\n0.2," + "9" * 200_000 + ",2,3\n")
+    proc = run_cli(*estimate_args(path))
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "parse_error" and "row 2" in doc["detail"]
+    assert proc.stderr == ""
+
+
+def test_exit_code_3_on_non_utf8_input(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"d,y,w1,z1\n0.1,1,2,3\n0.2,caf\xe9,2,3\n")
+    proc = run_cli(*estimate_args(path))
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "parse_error" and "UTF-8" in doc["detail"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate"])
+def test_closed_stdout_exits_3_without_traceback(sim_csv, command):
+    # simulate fails while writing; estimate's small document fails at the final
+    # flush, and would fail again at exit, if stdout is buffered as it is by default
+    args = ("simulate", "--n", "20000") if command == "simulate" else estimate_args(sim_csv)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pdd", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    head = proc.stdout.read(10 if command == "simulate" else 0)
+    proc.stdout.close()
+    code = proc.wait(timeout=60)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head == (b"d,y,w1,z1\n" if command == "simulate" else b"")
+    assert code == 3 and err == b""
+
+
+def _csv_body(rnd, n_rows, odd_rows):
+    rows = [
+        ",".join(repr(rnd.uniform(-2.0, 2.0)) for _ in range(4)) for _ in range(n_rows)
+    ]
+    for pos, row in odd_rows:
+        rows.insert(pos, row)
+    return "\n".join(rows)
+
+
+ODD_CELL = st.sampled_from(["", "0", "1", "-1", "nan", "inf", "1e308", "5e-324", "x", '"'])
+CSV_TEXT = st.one_of(
+    st.text(alphabet="0123456789.-e,\n \"x", max_size=400),
+    st.builds(
+        _csv_body,
+        st.randoms(use_true_random=False),
+        st.integers(0, 80),
+        st.lists(st.tuples(st.integers(0, 80), st.lists(ODD_CELL, max_size=5).map(",".join))),
+    ),
+).map(lambda body: "d,y,w1,z1\n" + body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.one_of(st.binary(max_size=300), CSV_TEXT.map(str.encode)),
+    command=st.sampled_from(["estimate", "rdd", "fuzzy"]),
+    bandwidth=st.sampled_from([None, "0.5", "2"]),
+)
+def test_any_input_bytes_keep_the_exit_code_contract(tmp_path_factory, data, command, bandwidth):
+    path = tmp_path_factory.mktemp("fuzz") / "in.csv"
+    path.write_bytes(data)
+    if command == "rdd":
+        argv = ["rdd", "--data", str(path), "--cutoff", "0"]
+    else:
+        argv = list(estimate_args(path))
+        if command == "fuzzy":
+            argv += ["--design", "fuzzy", "--treatment", "w1"]
+    if bandwidth is not None:
+        argv += ["--bandwidth", bandwidth]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 64)
+    text = out.getvalue()
+    if code == 64:
+        assert text == ""
+    else:
+        doc = json.loads(text)  # exactly one document: trailing data would raise
+        assert ("error" in doc) == (code != 0)
