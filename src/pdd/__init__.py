@@ -9,6 +9,7 @@ from .errors import (
     EmptyAfterFiltering,
     EquivalenceBreach,
     MissingColumn,
+    NonFiniteResult,
     ParseError,
     PddError,
     SingularSupport,
@@ -73,6 +74,7 @@ __all__ = [
     "LocalFit",
     "McReport",
     "MissingColumn",
+    "NonFiniteResult",
     "ParseError",
     "PddError",
     "RobustEstimate",

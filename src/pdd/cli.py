@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     EmptyAfterFiltering,
     MissingColumn,
+    NonFiniteResult,
     ParseError,
     PddError,
 )
@@ -31,6 +32,8 @@ from .inference import (
     rule_of_thumb_bandwidth,
 )
 from .io import (
+    DESIGNS,
+    VARIANCE_MODES,
     ColumnBindings,
     RunConfig,
     Sample,
@@ -38,8 +41,8 @@ from .io import (
     parse_config_file,
     write_csv,
 )
-from .kernels import KernelSpec
-from .simulate import DgpSpec, monte_carlo, simulate
+from .kernels import KERNEL_KINDS, KernelSpec
+from .simulate import DGP_DESIGNS, DgpSpec, monte_carlo, simulate
 
 #: Schur-complement reciprocal condition below this draws a warning (the hard
 #: failure threshold is two orders of magnitude lower).
@@ -64,8 +67,8 @@ def format_number(value: Any) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     v = float(value)
-    if math.isnan(v) or math.isinf(v):
-        raise ValueError("non-finite number in JSON output")
+    if not math.isfinite(v):
+        raise NonFiniteResult("non-finite number in JSON output")
     return format(v, ".17g")
 
 
@@ -215,23 +218,21 @@ _ESTIMATE_DEFAULTS: dict[str, Any] = {
     "out": None,
 }
 
+#: Every scenario field not given falls through to ``DgpSpec``'s default.
 _SIM_DEFAULTS: dict[str, Any] = {
+    **{f.name: None for f in fields(DgpSpec)},
     "n": 1000,
     "seed": 0,
-    "tau0": 1.0,
-    "cutoff": 0.0,
-    "kappa": 0.0,
-    "window": 0.5,
-    "proxy_loading": 1.0,
-    "instrument_strength": 1.0,
-    "noise_z": None,
-    "noise_d": None,
-    "noise_w": None,
-    "noise_y": None,
-    "design": "sharp",
-    "compliance": 0.6,
-    "curvature": 1.0,
     "out": None,
+}
+
+_MC_DEFAULTS: dict[str, Any] = {
+    **_SIM_DEFAULTS,
+    **{
+        key: _ESTIMATE_DEFAULTS[key]
+        for key in ("kernel", "bandwidth", "bias_bandwidth", "alpha", "variance_mode")
+    },
+    "reps": None,
 }
 
 
@@ -326,11 +327,11 @@ def _add_estimate_flags(sub: argparse.ArgumentParser, with_placebo: bool) -> Non
         sub.add_argument(
             "--placebo-treatments", dest="placebo_treatments", help="comma list of columns"
         )
-    sub.add_argument("--kernel", choices=("window", "triangle", "gaussian"))
+    sub.add_argument("--kernel", choices=KERNEL_KINDS)
     sub.add_argument("--bandwidth", type=float, help="main bandwidth h")
     sub.add_argument("--bias-bandwidth", dest="bias_bandwidth", type=float, help="bias bandwidth b")
     sub.add_argument("--alpha", type=float, help="interval level (default 0.05)")
-    sub.add_argument("--variance-mode", dest="variance_mode", choices=("paper", "fitted"))
+    sub.add_argument("--variance-mode", dest="variance_mode", choices=VARIANCE_MODES)
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--out", help="write the result here instead of stdout")
 
@@ -348,7 +349,7 @@ def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise-d", dest="noise_d", type=float)
     sub.add_argument("--noise-w", dest="noise_w", type=float)
     sub.add_argument("--noise-y", dest="noise_y", type=float)
-    sub.add_argument("--design", choices=("sharp", "fuzzy_homogeneous"))
+    sub.add_argument("--design", choices=DGP_DESIGNS)
     sub.add_argument("--compliance", type=float)
     sub.add_argument("--curvature", type=float)
     sub.add_argument("--config", help="flat key=value file; flags override it")
@@ -361,7 +362,7 @@ def _make_parser() -> _Parser:
 
     est = sub.add_parser("estimate", help="placebo-adjusted discontinuity estimate")
     _add_estimate_flags(est, with_placebo=True)
-    est.add_argument("--design", choices=("sharp", "fuzzy"))
+    est.add_argument("--design", choices=DESIGNS)
 
     rdd = sub.add_parser("rdd", help="plain local linear discontinuity")
     _add_estimate_flags(rdd, with_placebo=False)
@@ -372,11 +373,11 @@ def _make_parser() -> _Parser:
     mc = sub.add_parser("mc", help="Monte Carlo report for a simulated scenario")
     _add_dgp_flags(mc)
     mc.add_argument("--reps", type=int, help="number of replications")
-    mc.add_argument("--kernel", choices=("window", "triangle", "gaussian"))
+    mc.add_argument("--kernel", choices=KERNEL_KINDS)
     mc.add_argument("--bandwidth", type=float)
     mc.add_argument("--bias-bandwidth", dest="bias_bandwidth", type=float)
     mc.add_argument("--alpha", type=float)
-    mc.add_argument("--variance-mode", dest="variance_mode", choices=("paper", "fitted"))
+    mc.add_argument("--variance-mode", dest="variance_mode", choices=VARIANCE_MODES)
     return parser
 
 
@@ -420,18 +421,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 out.close()
         return 0
     if args.command == "mc":
-        defaults = dict(_SIM_DEFAULTS)
-        defaults.update(
-            {
-                "reps": None,
-                "kernel": "triangle",
-                "bandwidth": None,
-                "bias_bandwidth": None,
-                "alpha": 0.05,
-                "variance_mode": "paper",
-            }
-        )
-        values = _merged(args, defaults)
+        values = _merged(args, _MC_DEFAULTS)
         if values["reps"] is None:
             raise _Usage("--reps is required")
         spec = _build_dgp_spec(values)

@@ -23,6 +23,12 @@ class EquivalenceBreach(PddError):
     property of the data alone."""
 
 
+class NonFiniteResult(PddError):
+    """A bandwidth, variance or reported number overflowed, underflowed to
+    zero, or is undefined, because the data hold values at the ends of the
+    floating-point range."""
+
+
 class WeakFirstStage(PddError):
     """The treatment discontinuity at the cutoff is too close to zero to
     serve as a denominator in a fuzzy design."""
@@ -35,14 +41,12 @@ class MissingColumn(PddError):
 class ParseError(PddError):
     """The input file is structurally malformed.
 
-    Carries the 1-based data row number and, when known, the offending
-    column name.
+    Carries the 1-based data row number when known.
     """
 
-    def __init__(self, message: str, row: int | None = None, column: str | None = None):
+    def __init__(self, message: str, row: int | None = None):
         super().__init__(message)
         self.row = row
-        self.column = column
 
 
 class EmptyAfterFiltering(PddError):

@@ -17,6 +17,7 @@ EquivalenceBreach and means a numerical problem, not a data property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -102,8 +103,16 @@ def rdd_discontinuity(
     return above.intercept - below.intercept
 
 
-def _relative_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _require_equivalent(a: float, b: float, first: str, second: str) -> None:
+    """Raise EquivalenceBreach unless paths ``first`` and ``second`` agree:
+    ``|a - b| <= EQUIVALENCE_RTOL * max(1, |a|, |b|)`` with a finite gap, so
+    that a NaN or infinite value never agrees.
+    """
+    gap = abs(a - b)
+    if not (math.isfinite(gap) and gap <= EQUIVALENCE_RTOL * max(1.0, abs(a), abs(b))):
+        raise EquivalenceBreach(
+            f"{first} {a!r} and {second} {b!r} disagree beyond {EQUIVALENCE_RTOL:g}"
+        )
 
 
 def estimate_sharp(
@@ -143,11 +152,7 @@ def estimate_sharp(
         - iv_minus.alpha0
         - float(beta_plus_w0 @ iv_minus.gamma)
     )
-    if _relative_gap(tau_dec, tau_iv) > EQUIVALENCE_RTOL:
-        raise EquivalenceBreach(
-            f"decomposition form {tau_dec!r} and instrumented form {tau_iv!r} "
-            f"disagree beyond {EQUIVALENCE_RTOL:g}"
-        )
+    _require_equivalent(tau_dec, tau_iv, "decomposition form", "instrumented form")
 
     return DiscontinuityEstimate(
         tau_rdd_y=tau_rdd_y,

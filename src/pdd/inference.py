@@ -28,16 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquivalenceBreach, SingularSupport
-from .estimator import EQUIVALENCE_RTOL, DiscontinuityEstimate, estimate_sharp
+from .errors import NonFiniteResult
+from .estimator import DiscontinuityEstimate, _require_equivalent, estimate_sharp
 from .io import Sample
 from .kernels import KernelSpec, scaled_basis, sided_weights, support_rows
-from .local_fit import (
-    GRAM_RCOND_MIN,
-    _require_distinct_support,
-    local_poly_fit,
-    reciprocal_condition,
-)
+from .local_fit import _weighted_design, local_poly_fit
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
 RULE_OF_THUMB_CONSTANT = 1.84
@@ -111,13 +106,18 @@ def rule_of_thumb_bandwidth(d: np.ndarray) -> float:
     """Fallback bandwidth ``1.84 * sd(d) * n^(-1/5)``.
 
     A dispersion-scaled rule, not an optimality claim; pass an explicit
-    bandwidth to override it.
+    bandwidth to override it. Raises NonFiniteResult when ``sd(d)``
+    overflows or underflows to zero, as it can with values at the ends of
+    the floating-point range.
     """
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     if n < 2:
         raise ValueError("need at least two observations for the bandwidth rule")
-    return RULE_OF_THUMB_CONSTANT * float(np.std(d, ddof=1)) * n ** (-0.2)
+    h = RULE_OF_THUMB_CONSTANT * float(np.std(d, ddof=1)) * n ** (-0.2)
+    if not 0.0 < h < math.inf:
+        raise NonFiniteResult(f"rule-of-thumb bandwidth {h!r} is not positive and finite")
+    return h
 
 
 def second_derivative(s, weights, basis) -> float:
@@ -204,16 +204,11 @@ def side_correction_from_weights(
         raise ValueError("need a degree-1 main basis and a degree-2 bias basis")
     if weights_main.side != weights_bias.side:
         raise ValueError("weights were built for different sides")
-    side = weights_main.side
     n = S.shape[0]
     h = weights_main.bandwidth
     b = weights_bias.bandwidth
 
-    _require_distinct_support(weights_main, basis_main, 2)
-    krows1 = basis_main.rows * weights_main.weights[:, None]
-    gram1_raw = krows1.T @ basis_main.rows
-    if reciprocal_condition(gram1_raw) < GRAM_RCOND_MIN:
-        raise SingularSupport(f"singular local linear design on the {side} side")
+    krows1, gram1_raw, _ = _weighted_design(weights_main, basis_main)
     coef = np.linalg.solve(gram1_raw, krows1.T @ S)  # (2, q+1) scaled coefficients
     e0_row = np.linalg.solve(gram1_raw, np.array([1.0, 0.0]))
     weight_row_linear = krows1 @ e0_row
@@ -221,11 +216,7 @@ def side_correction_from_weights(
     u2_raw = krows1.T @ (u * u)
     curvature_load = float(e0_row @ u2_raw)
 
-    _require_distinct_support(weights_bias, basis_bias, 3)
-    krows2 = basis_bias.rows * weights_bias.weights[:, None]
-    gram2_raw = krows2.T @ basis_bias.rows
-    if reciprocal_condition(gram2_raw) < GRAM_RCOND_MIN:
-        raise SingularSupport(f"singular local quadratic design on the {side} side")
+    krows2, gram2_raw, _ = _weighted_design(weights_bias, basis_bias)
     e2_row = np.linalg.solve(gram2_raw, np.array([0.0, 0.0, 1.0]))
     quad_row = krows2 @ e2_row  # maps s -> scaled quadratic coefficient b^2 m2
     curvatures = 2.0 * (S.T @ quad_row) / b**2
@@ -233,7 +224,7 @@ def side_correction_from_weights(
     intercepts = coef[0].copy()
 
     return SideCorrection(
-        side=side,
+        side=weights_main.side,
         n=n,
         n_effective=weights_main.n_positive,
         bandwidth=float(h),
@@ -274,20 +265,17 @@ def _stacked_matrix_estimate(
     corr_plus: SideCorrection,
     corr_minus: SideCorrection,
     S: np.ndarray,
-    combo: np.ndarray,
+    s_weights: np.ndarray,
 ) -> float:
     """Bias-corrected estimate through the single stacked matrix expression.
 
     The stacked per-outcome fits ``kron(I_width, P) @ vec(S)`` are formed as
     ``vec(P @ S)``, the same numbers without the ``(2 width, n width)``
-    Kronecker matrix.
+    Kronecker matrix; ``s_weights`` selects and combines their intercepts.
     """
-    n, width = S.shape
     p = correction_matrix(corr_plus) - correction_matrix(corr_minus)
-    stacked = (p @ S).reshape(-1, order="F") / (n * corr_plus.bandwidth)
-    svec = np.zeros(2 * width)
-    svec[0::2] = combo
-    return float(svec @ stacked)
+    stacked = (p @ S).reshape(-1, order="F") / (S.shape[0] * corr_plus.bandwidth)
+    return float(s_weights @ stacked)
 
 
 def robust_variance(
@@ -369,37 +357,48 @@ def confidence_interval(est: RobustEstimate, alpha: float) -> tuple[float, float
 
 
 def _finish(
-    tau: float,
-    combo: np.ndarray,
-    corr_plus: SideCorrection,
-    corr_minus: SideCorrection,
+    d: np.ndarray,
     S: np.ndarray,
+    combo: np.ndarray,
+    cutoff: float,
+    h: float,
+    b: float,
+    kernel: KernelSpec,
     alpha: float,
     variance_mode: str,
     point: DiscontinuityEstimate | None,
     n: int,
 ) -> RobustEstimate:
-    tau_bc_components = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
-    tau_bc_matrix = _stacked_matrix_estimate(corr_plus, corr_minus, S, combo)
-    gap = abs(tau_bc_components - tau_bc_matrix)
-    if gap > EQUIVALENCE_RTOL * max(1.0, abs(tau_bc_components), abs(tau_bc_matrix)):
-        raise EquivalenceBreach(
-            f"componentwise bias correction {tau_bc_components!r} and stacked matrix "
-            f"form {tau_bc_matrix!r} disagree beyond {EQUIVALENCE_RTOL:g}"
-        )
-    v_bc = robust_variance(S, corr_plus, corr_minus, combo, variance_mode, n)
-    se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
-    degenerate = not v_bc > 0.0
-    z = normal_quantile(1.0 - alpha / 2.0)
+    """Bias-correct both sides of the window-cut rows ``d``/``S``, check the
+    componentwise result against the stacked matrix form, and attach the
+    variance and interval; raise NonFiniteResult if the variance is not finite.
+    Without a point estimate, ``tau_pdd`` is the plain jump of ``S[:, 0]``.
+    """
+    corr_plus = side_correction(d, S, cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(d, S, cutoff, h, b, kernel, "left")
+    jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
+    tau = jump if point is None else point.tau_pdd
     s_weights = np.zeros(2 * combo.shape[0])
     s_weights[0::2] = combo
+    tau_bc = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
+    _require_equivalent(
+        tau_bc,
+        _stacked_matrix_estimate(corr_plus, corr_minus, S, s_weights),
+        "componentwise bias correction",
+        "stacked matrix form",
+    )
+    v_bc = robust_variance(S, corr_plus, corr_minus, combo, variance_mode, n)
+    if not math.isfinite(v_bc):
+        raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
+    se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
+    z = normal_quantile(1.0 - alpha / 2.0)
     return RobustEstimate(
         tau_pdd=tau,
-        tau_pdd_bc=tau_bc_components,
+        tau_pdd_bc=tau_bc,
         v_bc=v_bc,
         se=se,
-        ci_lower=tau_bc_components - z * se,
-        ci_upper=tau_bc_components + z * se,
+        ci_lower=tau_bc - z * se,
+        ci_upper=tau_bc + z * se,
         alpha=alpha,
         h=corr_plus.bandwidth,
         b=corr_plus.bias_bandwidth,
@@ -407,7 +406,7 @@ def _finish(
         n_left=corr_minus.n_effective,
         n_right=corr_plus.n_effective,
         s_weights=s_weights,
-        degenerate_ci=degenerate,
+        degenerate_ci=not v_bc > 0.0,
         variance_mode=variance_mode,
         bias_plus=corr_plus.bias,
         bias_minus=corr_minus.bias,
@@ -437,10 +436,8 @@ def bias_corrected_estimate(
     point = estimate_sharp(sample, cutoff, h, kernel)
     S = np.column_stack([sample.y, sample.W])
     combo = np.concatenate([[1.0], -point.gamma_minus])
-    corr_plus = side_correction(sample.d, S, cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(sample.d, S, cutoff, h, b, kernel, "left")
     return _finish(
-        point.tau_pdd, combo, corr_plus, corr_minus, S, alpha, variance_mode, point, n
+        sample.d, S, combo, cutoff, h, b, kernel, alpha, variance_mode, point, n
     )
 
 
@@ -464,9 +461,5 @@ def rdd_robust_estimate(
     n = d.shape[0]
     rows = support_rows(d, cutoff, max(h, b), kernel)
     S = np.asarray(y, dtype=float)[rows][:, None]
-    d = d[rows]
     combo = np.array([1.0])
-    corr_plus = side_correction(d, S, cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(d, S, cutoff, h, b, kernel, "left")
-    tau = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
-    return _finish(tau, combo, corr_plus, corr_minus, S, alpha, variance_mode, None, n)
+    return _finish(d[rows], S, combo, cutoff, h, b, kernel, alpha, variance_mode, None, n)

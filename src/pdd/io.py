@@ -300,6 +300,7 @@ def parse_config_file(source: str | IO[str]) -> dict[str, str]:
     Blank lines and lines starting with ``#`` are ignored. Keys match the
     long CLI flag names (without the leading dashes, dashes or underscores
     both accepted). Values are kept as strings; the CLI does the typing.
+    A line without ``=`` or text that is not UTF-8 raises ParseError.
     """
     close = False
     if isinstance(source, str):
@@ -317,6 +318,8 @@ def parse_config_file(source: str | IO[str]) -> dict[str, str]:
                 raise ParseError(f"config line {lineno} is not 'key = value': {line!r}")
             key, _, value = line.partition("=")
             out[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"config file is not valid UTF-8: {exc}") from exc
     finally:
         if close:
             fh.close()

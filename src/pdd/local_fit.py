@@ -91,31 +91,50 @@ class IvFit:
     n_effective: int
 
 
-def _check_alignment(weights: SidedWeights, basis: ScaledBasis) -> None:
-    if weights.weights.shape[0] != basis.rows.shape[0]:
-        raise ValueError("weights and basis were built from different samples")
-    if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
-        raise ValueError("weights and basis use different bandwidth or cutoff")
-
-
-def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis, needed: int) -> None:
-    """Raise SingularSupport unless ``needed`` distinct running-variable
+def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None:
+    """Raise SingularSupport unless ``degree + 1`` distinct running-variable
     values carry positive weight.
 
-    ``needed`` is a basis dimension, 2 or 3, so distinct values are counted
-    only up to three, in linear time and without a sort: equal extremes give
-    one, and a value strictly between them a third.
+    The degree is 1 or 2, so distinct values are counted only up to three,
+    in linear time and without a sort: equal extremes give one, and a value
+    strictly between them a third.
     """
     u = basis.rows[weights.positive, 1]
     distinct = 0
     if u.size:
         lo, hi = u.min(), u.max()
         distinct = 1 if lo == hi else 3 if np.any((u > lo) & (u < hi)) else 2
-    if distinct < needed:
+    if distinct <= basis.degree:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
-            f"the {weights.side} side; need at least {needed}"
+            f"the {weights.side} side; need at least {basis.degree + 1}"
         )
+
+
+def _weighted_design(
+    weights: SidedWeights, basis: ScaledBasis
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The checked weighted design of one side: ``(K R, R'KR, rcond)``.
+
+    Raises ValueError if weights and basis come from different samples,
+    bandwidths or cutoffs, and SingularSupport if the support is too thin or
+    ``R'KR`` has reciprocal condition below ``GRAM_RCOND_MIN``.
+    """
+    if weights.weights.shape[0] != basis.rows.shape[0]:
+        raise ValueError("weights and basis were built from different samples")
+    if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
+        raise ValueError("weights and basis use different bandwidth or cutoff")
+    # a helper of its own, so its row copies are freed before K R is built
+    _require_distinct_support(weights, basis)
+    krows = basis.rows * weights.weights[:, None]
+    gram_raw = krows.T @ basis.rows
+    rcond = reciprocal_condition(gram_raw)
+    if rcond < GRAM_RCOND_MIN:
+        shape = "linear" if basis.degree == 1 else "quadratic"
+        raise SingularSupport(
+            f"singular local {shape} design on the {weights.side} side (rcond={rcond:.3e})"
+        )
+    return krows, gram_raw, rcond
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -133,24 +152,13 @@ def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> 
         positive weight, or if the Gram matrix is numerically singular
         (reciprocal condition below ``GRAM_RCOND_MIN``).
     """
-    _check_alignment(weights, basis)
-    s = np.asarray(s, dtype=float)
-    _require_distinct_support(weights, basis, basis.degree + 1)
-    w = weights.weights
-    rw = basis.rows * w[:, None]
-    gram_raw = rw.T @ basis.rows
-    rcond = reciprocal_condition(gram_raw)
-    if rcond < GRAM_RCOND_MIN:
-        raise SingularSupport(
-            f"singular local design on the {weights.side} side (rcond={rcond:.3e})"
-        )
-    coef = np.linalg.solve(gram_raw, rw.T @ s)
-    n = w.shape[0]
+    krows, gram_raw, rcond = _weighted_design(weights, basis)
+    coef = np.linalg.solve(gram_raw, krows.T @ np.asarray(s, dtype=float))
     return LocalFit(
         side=weights.side,
         degree=basis.degree,
         coef_scaled=coef,
-        gram=gram_raw / (n * weights.bandwidth),
+        gram=gram_raw / (krows.shape[0] * weights.bandwidth),
         gram_rcond=rcond,
         n_effective=weights.n_positive,
     )
@@ -184,7 +192,6 @@ def local_iv_fit(
         reciprocal condition below ``SCHUR_RCOND_MIN``; the placebo treatment
         is then too weak a proxy to support the adjustment.
     """
-    _check_alignment(weights, basis)
     if basis.degree != 1:
         raise ValueError("the instrumented solve uses a degree-1 basis")
     y = np.asarray(y, dtype=float)
@@ -204,19 +211,11 @@ def local_iv_fit(
             f"{weights.n_positive} observations with positive weight on the "
             f"{weights.side} side; the instrumented solve needs at least {2 + q}"
         )
-    _require_distinct_support(weights, basis, 2)
-
-    w = weights.weights
-    rw = basis.rows * w[:, None]
-    zw = Z * w[:, None]
-    a = rw.T @ basis.rows  # R'KR, 2x2
+    rw, a, _ = _weighted_design(weights, basis)  # K R and R'KR, 2x2
+    zw = Z * weights.weights[:, None]
     b = rw.T @ W  # R'KW, 2xq
     c = zw.T @ basis.rows  # Z'KR, qx2
     dm = zw.T @ W  # Z'KW, qxq
-    if reciprocal_condition(a) < GRAM_RCOND_MIN:
-        raise SingularSupport(
-            f"singular local design on the {weights.side} side of the instrumented solve"
-        )
     schur = dm - c @ np.linalg.solve(a, b)
     schur_rcond = _schur_rcond(schur, dm)
     if schur_rcond < SCHUR_RCOND_MIN:

@@ -40,6 +40,9 @@ from .kernels import KernelSpec
 #: use base_seed + replication index.
 TRUTH_SEED_OFFSET = 1_000_003
 
+#: Scenario designs ``DgpSpec`` accepts.
+DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -75,7 +78,7 @@ class DgpSpec:
             raise ValueError("manipulation window must be positive")
         if self.proxy_loading == 0:
             raise ValueError("proxy loading must be nonzero")
-        if self.design not in ("sharp", "fuzzy_homogeneous"):
+        if self.design not in DGP_DESIGNS:
             raise ValueError("design must be 'sharp' or 'fuzzy_homogeneous'")
         if not 0.0 < self.compliance <= 1.0:
             raise ValueError("compliance jump must lie in (0, 1]")

@@ -1,10 +1,12 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,6 +133,8 @@ def test_seventeen_digit_serialisation_roundtrips():
     values = [0.1, 1.0 / 3.0, 1e-17, 123456.789012345678, 2.0]
     text = dumps({"values": values})
     assert json.loads(text)["values"] == values
+    with pytest.raises(pdd.NonFiniteResult):
+        dumps({"values": [1.0, math.inf]})
 
 
 def test_q_zero_rejected_for_estimate(sim_csv):
@@ -185,6 +189,48 @@ def test_exit_code_2_on_estimation_failure(sim_csv):
     doc = json.loads(proc.stdout)
     assert doc["error"] == "singular_support"
     assert "detail" in doc
+
+
+def _extreme_outcome_csv(path, y_of):
+    # 200 rows on both sides of the cutoff with a healthy placebo pair
+    rng = np.random.default_rng(5)
+    d = rng.uniform(-1.0, 1.0, 200)
+    w = rng.standard_normal((200, 1))
+    sample = pdd.Sample(d=d, y=y_of(rng), W=w, Z=w + 0.3 * rng.standard_normal((200, 1)))
+    with path.open("w", newline="") as fh:
+        pdd.write_csv(sample, fh)
+    return path
+
+
+@pytest.mark.parametrize(
+    "y_of,error",
+    [
+        # the estimates themselves overflow to NaN: an equivalence check fails closed
+        (lambda rng: np.where(rng.random(200) < 0.5, 1e308, -1e308), "equivalence_breach"),
+        # the estimates are finite, only the variance overflows
+        (lambda rng: rng.standard_normal(200) * 1e160, "non_finite_result"),
+    ],
+    ids=["estimates_overflow", "variance_overflows"],
+)
+@pytest.mark.parametrize("command", ["rdd", "estimate"])
+def test_non_finite_result_exits_2_with_one_document(tmp_path, capsys, y_of, error, command):
+    path = _extreme_outcome_csv(tmp_path / "extreme.csv", y_of)
+    argv = ["--data", str(path), "--cutoff", "0", "--bandwidth", "0.5"]
+    if command == "estimate":
+        argv += ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
+    with np.errstate(all="ignore"):
+        code = main([command, *argv])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == error
+
+
+def test_exit_code_3_on_non_utf8_config(tmp_path, sim_csv):
+    config = tmp_path / "latin1.conf"
+    config.write_bytes(b"cutoff = 0\n# caf\xe9\n")
+    proc = run_cli(*estimate_args(sim_csv, "--config", str(config)))
+    assert proc.returncode == 3, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["error"] == "parse_error" and "UTF-8" in doc["detail"]
 
 
 def test_exit_code_3_on_io_failure():
@@ -368,10 +414,7 @@ def test_any_input_bytes_keep_the_exit_code_contract(tmp_path_factory, data, com
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3, 64)
-    text = out.getvalue()
-    if code == 64:
-        assert text == ""
-    else:
-        doc = json.loads(text)  # exactly one document: trailing data would raise
-        assert ("error" in doc) == (code != 0)
+    # the flags are always valid, so 64 (bad flags) is never right
+    assert code in (0, 2, 3), err.getvalue()
+    doc = json.loads(out.getvalue())  # exactly one document: trailing data would raise
+    assert ("error" in doc) == (code != 0)

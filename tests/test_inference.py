@@ -10,6 +10,7 @@ import pdd
 from pdd import (
     EquivalenceBreach,
     KernelSpec,
+    NonFiniteResult,
     Sample,
     SingularSupport,
     bias_corrected_estimate,
@@ -63,6 +64,14 @@ def test_rule_of_thumb_bandwidth():
     d = np.linspace(-3.0, 3.0, 500)
     expected = 1.84 * np.std(d, ddof=1) * 500 ** (-0.2)
     assert_allclose(rule_of_thumb_bandwidth(d), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d", [[1e308, 1e308, -1e308, -1e308, 0.5], [-2e-323, -1e-323, 1e-323, 2e-323]]
+)
+def test_rule_of_thumb_bandwidth_that_overflows_or_underflows_is_non_finite(d):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteResult, match="rule-of-thumb"):
+        rule_of_thumb_bandwidth(np.array(d))
 
 
 # ---------------------------------------------------- second derivative
@@ -480,3 +489,42 @@ def test_both_equivalence_checks_raise_on_a_perturbed_path(rng, monkeypatch):
             bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
         with pytest.raises(EquivalenceBreach, match="stacked matrix"):
             rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE)
+
+
+def test_both_equivalence_checks_fail_closed_on_nan(rng, monkeypatch):
+    # NaN fails every comparison, so a gap test written as "gap > tol" would
+    # let a path that returns NaN through
+    sample = _dense_sample(rng)
+    real_iv = pdd.estimator.local_iv_fit
+
+    def nan_iv(*args):
+        fit = real_iv(*args)
+        return replace(fit, alpha0=math.nan) if fit.side == "right" else fit
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.estimator, "local_iv_fit", nan_iv)
+        with pytest.raises(EquivalenceBreach, match="instrumented form nan"):
+            estimate_sharp(sample, 0.0, 0.5, TRIANGLE)
+
+    real_matrix = pdd.inference.correction_matrix
+
+    def nan_matrix(corr):
+        return real_matrix(corr) * math.nan
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.inference, "correction_matrix", nan_matrix)
+        with pytest.raises(EquivalenceBreach, match="stacked matrix form nan"):
+            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
+        with pytest.raises(EquivalenceBreach, match="stacked matrix form nan"):
+            rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE)
+
+
+def test_variance_overflow_is_a_non_finite_result(rng):
+    sample = _dense_sample(rng)
+    # 1e160 keeps the estimates finite, but squared residuals overflow
+    big = replace(sample, y=sample.y * 1e160)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteResult, match="variance"):
+            bias_corrected_estimate(big, 0.0, 0.5, 0.7, TRIANGLE)
+        with pytest.raises(NonFiniteResult, match="variance"):
+            rdd_robust_estimate(big.d, big.y, 0.0, 0.5, 0.7, TRIANGLE)

@@ -10,6 +10,7 @@ from pdd import (
     local_poly_fit,
     residualize,
     scaled_basis,
+    side_correction_from_weights,
     sided_weights,
 )
 
@@ -124,6 +125,34 @@ def test_singular_support_quadratic_needs_three():
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW, degree=2)
     fit = local_poly_fit(1.0 + d + d * d, w, basis)
     assert_allclose(fit.coef_scaled, [1.0, 1.0, 1.0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize(
+    "caller", ["local_poly_fit", "local_iv_fit", "correction_linear", "correction_quadratic"]
+)
+def test_near_singular_gram_names_side_and_degree(rng, caller, side):
+    if caller == "correction_quadratic":
+        # the linear design at h sees spread rows; the quadratic one at b only
+        # three values 1e-6 apart
+        u = np.concatenate([0.01 + 1e-6 * np.arange(3), np.linspace(0.1, 0.9, 9)])
+        h, b, degree = 1.0, 0.02, "quadratic"
+    else:
+        # two values 1e-9 apart pass the distinct-support count, but leave
+        # R'KR singular to rounding
+        u = 0.5 + 1e-9 * np.tile([0.0, 1.0], 3)
+        h, b, degree = 1.0, 1.0, "linear"
+    d = u if side == "right" else -u
+    w_h, basis1 = _setup(d, 0.0, h, side)
+    S = rng.standard_normal((d.size, 2))
+    with pytest.raises(SingularSupport, match=rf"{degree} design on the {side} side \(rcond="):
+        if caller == "local_poly_fit":
+            local_poly_fit(S[:, 0], w_h, basis1)
+        elif caller == "local_iv_fit":
+            local_iv_fit(S[:, 0], S[:, 1], S[:, 1] + 0.5, w_h, basis1)
+        else:
+            w_b, basis2 = _setup(d, 0.0, b, side, degree=2)
+            side_correction_from_weights(S, w_h, basis1, w_b, basis2)
 
 
 def test_iv_equals_joint_ols_when_instrument_is_regressor(rng):
