@@ -42,7 +42,7 @@ from .io import (
     write_csv,
 )
 from .kernels import KERNEL_KINDS, KernelSpec
-from .simulate import DGP_DESIGNS, DgpSpec, monte_carlo, simulate
+from .simulate import DGP_DESIGNS, FIELD_CASTERS, DgpSpec, monte_carlo, simulate
 
 #: Schur-complement reciprocal condition below this draws a warning (the hard
 #: failure threshold is two orders of magnitude lower).
@@ -250,11 +250,9 @@ def _merged(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any
             out[key] = from_file[key]
         else:
             out[key] = default
-    unknown = set(from_file) - set(defaults) - {"reps"}
+    unknown = set(from_file) - set(defaults)
     if unknown:
         raise _Usage(f"unknown config keys: {sorted(unknown)}")
-    if "reps" in from_file and hasattr(args, "reps") and args.reps is None:
-        out["reps"] = from_file["reps"]
     return out
 
 
@@ -327,31 +325,24 @@ def _add_estimate_flags(sub: argparse.ArgumentParser, with_placebo: bool) -> Non
         sub.add_argument(
             "--placebo-treatments", dest="placebo_treatments", help="comma list of columns"
         )
+    _add_fit_flags(sub)
+    sub.add_argument("--config", help="flat key=value file; flags override it")
+    sub.add_argument("--out", help="write the result here instead of stdout")
+
+
+def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kernel", choices=KERNEL_KINDS)
     sub.add_argument("--bandwidth", type=float, help="main bandwidth h")
     sub.add_argument("--bias-bandwidth", dest="bias_bandwidth", type=float, help="bias bandwidth b")
     sub.add_argument("--alpha", type=float, help="interval level (default 0.05)")
     sub.add_argument("--variance-mode", dest="variance_mode", choices=VARIANCE_MODES)
-    sub.add_argument("--config", help="flat key=value file; flags override it")
-    sub.add_argument("--out", help="write the result here instead of stdout")
 
 
 def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--tau0", type=float)
-    sub.add_argument("--cutoff", type=float)
-    sub.add_argument("--kappa", type=float)
-    sub.add_argument("--window", type=float)
-    sub.add_argument("--proxy-loading", dest="proxy_loading", type=float)
-    sub.add_argument("--instrument-strength", dest="instrument_strength", type=float)
-    sub.add_argument("--noise-z", dest="noise_z", type=float)
-    sub.add_argument("--noise-d", dest="noise_d", type=float)
-    sub.add_argument("--noise-w", dest="noise_w", type=float)
-    sub.add_argument("--noise-y", dest="noise_y", type=float)
-    sub.add_argument("--design", choices=DGP_DESIGNS)
-    sub.add_argument("--compliance", type=float)
-    sub.add_argument("--curvature", type=float)
+    for f in fields(DgpSpec):
+        flag = "--" + f.name.replace("_", "-")
+        choices = DGP_DESIGNS if f.name == "design" else None
+        sub.add_argument(flag, dest=f.name, type=FIELD_CASTERS[f.type], choices=choices)
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--out", help="write the output here instead of stdout")
 
@@ -373,11 +364,7 @@ def _make_parser() -> _Parser:
     mc = sub.add_parser("mc", help="Monte Carlo report for a simulated scenario")
     _add_dgp_flags(mc)
     mc.add_argument("--reps", type=int, help="number of replications")
-    mc.add_argument("--kernel", choices=KERNEL_KINDS)
-    mc.add_argument("--bandwidth", type=float)
-    mc.add_argument("--bias-bandwidth", dest="bias_bandwidth", type=float)
-    mc.add_argument("--alpha", type=float)
-    mc.add_argument("--variance-mode", dest="variance_mode", choices=VARIANCE_MODES)
+    _add_fit_flags(mc)
     return parser
 
 
@@ -464,7 +451,10 @@ def _run(argv: list[str] | None) -> int:
         print(f"pdd: {exc}", file=sys.stderr)
         return 64
     try:
-        return _dispatch(args)
+        # every non-finite result already fails closed with exit 2 and one
+        # JSON document, so numpy's floating-point warnings add nothing
+        with np.errstate(all="ignore"):
+            return _dispatch(args)
     except _Usage as exc:
         print(f"pdd: {exc}", file=sys.stderr)
         return 64

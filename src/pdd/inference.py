@@ -10,8 +10,10 @@ intervals stay valid at bandwidths that would leave a plain local linear fit
 with first-order bias.
 
 Two implementation paths produce the bias-corrected estimate: a componentwise
-one (explicit curvature and bias scalars per outcome) and a single stacked
-matrix expression. They are algebraically identical and are compared on every
+one (explicit curvature and bias scalars per outcome) and the stacked matrix
+form, which applies the intercept row of each side's literal (2, n) correction
+matrix, built with explicit inverses of the normalised moment matrices, to the
+outcome columns. They are algebraically identical and are compared on every
 run; disagreement raises EquivalenceBreach.
 
 ``bias_corrected_estimate`` and ``rdd_robust_estimate`` first cut the sample
@@ -139,8 +141,11 @@ class SideCorrection:
 
     ``weight_row`` maps any outcome column to its bias-corrected intercept:
     ``weight_row @ s`` equals the local linear intercept minus the estimated
-    curvature bias. ``intercepts``, ``curvatures``, ``bias`` and
-    ``intercepts_bc`` are aligned with the outcome stack's columns.
+    curvature bias. ``matrix_row`` is row 0 of the literal correction matrix
+    (``correction_matrix``), the same map times ``n * h`` built along an
+    independent path; the stacked equivalence check applies it. ``intercepts``,
+    ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
+    outcome stack's columns.
     """
 
     side: str
@@ -153,14 +158,9 @@ class SideCorrection:
     bias: np.ndarray
     intercepts_bc: np.ndarray
     weight_row: np.ndarray
-    weight_row_linear: np.ndarray
+    matrix_row: np.ndarray
     curvature_load: float
     fitted_linear: np.ndarray
-    gram_linear: np.ndarray
-    gram_quadratic: np.ndarray
-    u2_moment: np.ndarray
-    krows_linear: np.ndarray
-    krows_quadratic: np.ndarray
 
 
 def side_correction(
@@ -234,48 +234,35 @@ def side_correction_from_weights(
         bias=bias,
         intercepts_bc=intercepts - bias,
         weight_row=weight_row_linear - (h**2 / b**2) * curvature_load * quad_row,
-        weight_row_linear=weight_row_linear,
+        matrix_row=correction_matrix(
+            krows1, gram1_raw / (n * h), u2_raw / (n * h), krows2, gram2_raw / (n * b), (h / b) ** 3
+        ),
         curvature_load=curvature_load,
         fitted_linear=basis_main.rows @ coef,
-        gram_linear=gram1_raw / (n * h),
-        gram_quadratic=gram2_raw / (n * b),
-        u2_moment=u2_raw / (n * h),
-        krows_linear=krows1,
-        krows_quadratic=krows2,
     )
 
 
-def correction_matrix(corr: SideCorrection) -> np.ndarray:
-    """The literal (2, n) per-side correction matrix.
+def correction_matrix(
+    krows_linear: np.ndarray,
+    gram_linear: np.ndarray,
+    u2_moment: np.ndarray,
+    krows_quadratic: np.ndarray,
+    gram_quadratic: np.ndarray,
+    ratio: float,
+) -> np.ndarray:
+    """Row 0 of the literal (2, n) per-side correction matrix.
 
-    Row 0 applied to an outcome column and divided by ``n * h`` gives the
-    bias-corrected intercept; assembled from the normalised moment matrices
-    with explicit inverses, deliberately not sharing arithmetic with
-    ``SideCorrection.weight_row``.
+    Applied to an outcome column and divided by ``n * h`` it gives the
+    bias-corrected intercept. Assembled from the normalised moment matrices
+    (``gram_*`` and ``u2_moment``, divided by ``n`` times their bandwidth)
+    with explicit inverses and ``ratio = (h / b)^3``, deliberately not
+    sharing arithmetic with ``SideCorrection.weight_row``. Row 1, the slope
+    row, enters no estimate and is not formed.
     """
-    g1_inv = np.linalg.inv(corr.gram_linear)
-    g2_inv = np.linalg.inv(corr.gram_quadratic)
-    ratio = (corr.bandwidth / corr.bias_bandwidth) ** 3
-    linear_part = g1_inv @ corr.krows_linear.T
-    quad_row = g2_inv[2] @ corr.krows_quadratic.T
-    return linear_part - ratio * np.outer(g1_inv @ corr.u2_moment, quad_row)
-
-
-def _stacked_matrix_estimate(
-    corr_plus: SideCorrection,
-    corr_minus: SideCorrection,
-    S: np.ndarray,
-    s_weights: np.ndarray,
-) -> float:
-    """Bias-corrected estimate through the single stacked matrix expression.
-
-    The stacked per-outcome fits ``kron(I_width, P) @ vec(S)`` are formed as
-    ``vec(P @ S)``, the same numbers without the ``(2 width, n width)``
-    Kronecker matrix; ``s_weights`` selects and combines their intercepts.
-    """
-    p = correction_matrix(corr_plus) - correction_matrix(corr_minus)
-    stacked = (p @ S).reshape(-1, order="F") / (S.shape[0] * corr_plus.bandwidth)
-    return float(s_weights @ stacked)
+    g1_inv = np.linalg.inv(gram_linear)
+    g2_inv = np.linalg.inv(gram_quadratic)
+    load = float(g1_inv[0] @ u2_moment)
+    return g1_inv[0] @ krows_linear.T - ratio * load * (g2_inv[2] @ krows_quadratic.T)
 
 
 def robust_variance(
@@ -319,11 +306,11 @@ def robust_variance(
 class RobustEstimate:
     """Bias-corrected point estimate with variance and Wald interval.
 
-    ``se`` is ``sqrt(v_bc / (n h))``. ``s_weights`` is the interleaved
-    intercept-selection vector actually applied to the stacked per-outcome
-    fits, ``(1, 0, -gamma_1, 0, ..., -gamma_q, 0)``; the variance is
-    insensitive to the sign convention because the weights enter it
-    quadratically. ``degenerate_ci`` flags a zero-variance interval.
+    ``se`` is ``sqrt(v_bc / (n h))``. ``tau_pdd_bc`` is the componentwise
+    result, checked against the stacked matrix form: the combination weights
+    ``(1, -gamma_1, ..., -gamma_q)`` applied to the difference of the two
+    sides' ``SideCorrection.matrix_row`` times the outcome columns.
+    ``degenerate_ci`` flags a zero-variance interval.
     """
 
     tau_pdd: float
@@ -338,7 +325,6 @@ class RobustEstimate:
     n: int
     n_left: int
     n_right: int
-    s_weights: np.ndarray
     degenerate_ci: bool
     variance_mode: str
     bias_plus: np.ndarray
@@ -378,12 +364,11 @@ def _finish(
     corr_minus = side_correction(d, S, cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau = jump if point is None else point.tau_pdd
-    s_weights = np.zeros(2 * combo.shape[0])
-    s_weights[0::2] = combo
     tau_bc = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
+    stacked = (corr_plus.matrix_row - corr_minus.matrix_row) @ S
     _require_equivalent(
         tau_bc,
-        _stacked_matrix_estimate(corr_plus, corr_minus, S, s_weights),
+        float(combo @ stacked) / (S.shape[0] * corr_plus.bandwidth),
         "componentwise bias correction",
         "stacked matrix form",
     )
@@ -405,7 +390,6 @@ def _finish(
         n=n,
         n_left=corr_minus.n_effective,
         n_right=corr_plus.n_effective,
-        s_weights=s_weights,
         degenerate_ci=not v_bc > 0.0,
         variance_mode=variance_mode,
         bias_plus=corr_plus.bias,

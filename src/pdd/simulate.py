@@ -43,6 +43,9 @@ TRUTH_SEED_OFFSET = 1_000_003
 #: Scenario designs ``DgpSpec`` accepts.
 DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
 
+#: Converter of each ``DgpSpec`` field type, keyed by its annotation.
+FIELD_CASTERS = {"int": int, "float": float, "str": str}
+
 
 @dataclass(frozen=True)
 class DgpSpec:
@@ -96,10 +99,8 @@ class DgpSpec:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
         if "n" not in mapping or "seed" not in mapping:
             raise ValueError("a scenario needs at least 'n' and 'seed'")
-        casters = {"int": int, "float": float, "str": str}
-        return cls(
-            **{f.name: casters[f.type](mapping[f.name]) for f in fields(cls) if f.name in mapping}
-        )
+        cast = {f.name: FIELD_CASTERS[f.type] for f in fields(cls)}
+        return cls(**{key: cast[key](value) for key, value in mapping.items()})
 
 
 def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:

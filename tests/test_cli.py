@@ -213,15 +213,15 @@ def _extreme_outcome_csv(path, y_of):
     ids=["estimates_overflow", "variance_overflows"],
 )
 @pytest.mark.parametrize("command", ["rdd", "estimate"])
-def test_non_finite_result_exits_2_with_one_document(tmp_path, capsys, y_of, error, command):
+def test_non_finite_result_exits_2_with_one_document(tmp_path, y_of, error, command):
     path = _extreme_outcome_csv(tmp_path / "extreme.csv", y_of)
     argv = ["--data", str(path), "--cutoff", "0", "--bandwidth", "0.5"]
     if command == "estimate":
         argv += ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
-    with np.errstate(all="ignore"):
-        code = main([command, *argv])
-    assert code == 2
-    assert json.loads(capsys.readouterr().out)["error"] == error
+    proc = run_cli(command, *argv)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == error
+    assert proc.stderr == ""  # no numpy floating-point warnings
 
 
 def test_exit_code_3_on_non_utf8_config(tmp_path, sim_csv):
@@ -276,6 +276,24 @@ def test_config_file_merging(tmp_path, sim_csv):
     bad = tmp_path / "bad.conf"
     bad.write_text("cutoff = 0\nwat = 1\n")
     assert run_cli("estimate", "--data", str(sim_csv), "--config", str(bad)).returncode == 64
+
+
+def test_reps_in_a_config_file_is_known_only_to_mc(tmp_path, sim_csv):
+    config = tmp_path / "reps.conf"
+    config.write_text("cutoff = 0\nreps = 5\n")
+    for argv in (
+        estimate_args(sim_csv, "--config", str(config)),
+        ("rdd", "--data", str(sim_csv), "--config", str(config)),
+        ("simulate", "--n", "50", "--seed", "1", "--config", str(config)),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 64, argv
+        assert "unknown config keys: ['reps']" in proc.stderr
+    mc_config = tmp_path / "mc.conf"
+    mc_config.write_text("n = 600\nseed = 3\nreps = 3\n")
+    proc = run_cli("mc", "--config", str(mc_config))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["reps"] == 3
 
 
 def test_variance_mode_flag(sim_csv):

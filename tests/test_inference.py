@@ -18,6 +18,7 @@ from pdd import (
     estimate_fuzzy,
     estimate_sharp,
     kernel_value,
+    local_poly_fit,
     normal_quantile,
     rdd_discontinuity,
     rdd_robust_estimate,
@@ -30,7 +31,6 @@ from pdd import (
     write_csv,
 )
 from pdd.cli import main
-from pdd.inference import correction_matrix
 from conftest import random_dataset
 
 TRIANGLE = KernelSpec("triangle")
@@ -147,14 +147,12 @@ def test_side_correction_components(rng):
     sample = _dense_sample(rng)
     S = np.column_stack([sample.y, sample.W])
     corr = side_correction(sample.d, S, 0.0, 0.5, 0.7, TRIANGLE, "right")
-    # weight rows reproduce the componentwise numbers
-    assert_allclose(corr.weight_row_linear @ S, corr.intercepts, rtol=1e-10)
+    # the weight row reproduces the componentwise numbers
     assert_allclose(corr.weight_row @ S, corr.intercepts_bc, rtol=1e-9)
     assert_allclose(corr.intercepts - corr.bias, corr.intercepts_bc, rtol=1e-12)
-    # literal matrix path agrees with the weight rows
-    p = correction_matrix(corr)
+    # the literal matrix row agrees with the weight row
     assert_allclose(
-        p[0] / (corr.n * corr.bandwidth), corr.weight_row, rtol=1e-9, atol=1e-12
+        corr.matrix_row / (corr.n * corr.bandwidth), corr.weight_row, rtol=1e-9, atol=1e-12
     )
 
 
@@ -165,11 +163,17 @@ def test_weight_row_structure_at_equal_bandwidths(rng):
     sample = _dense_sample(rng)
     S = np.column_stack([sample.y, sample.W])
     corr = side_correction(sample.d, S, 0.0, 0.6, 0.6, TRIANGLE, "right")
-    gram2_raw = corr.gram_quadratic * corr.n * corr.bias_bandwidth
-    quad_row = corr.krows_quadratic @ np.linalg.solve(gram2_raw, [0.0, 0.0, 1.0])
-    rebuilt = corr.weight_row_linear - corr.curvature_load * quad_row
-    assert_allclose(corr.weight_row, rebuilt, rtol=1e-12)
-    assert_allclose(corr.weight_row_linear @ S, corr.intercepts, rtol=1e-10)
+    w = sided_weights(sample.d, 0.0, 0.6, "right", TRIANGLE)
+
+    def coefficient_row(degree, k):
+        # weights mapping any outcome column to coefficient k of the local fit
+        basis = scaled_basis(sample.d, 0.0, 0.6, degree)
+        return np.array([local_poly_fit(e, w, basis).coef_scaled[k] for e in np.eye(sample.n)])
+
+    linear_row = coefficient_row(1, 0)
+    rebuilt = linear_row - corr.curvature_load * coefficient_row(2, 2)
+    assert_allclose(corr.weight_row, rebuilt, rtol=1e-12, atol=1e-15)
+    assert_allclose(linear_row @ S, corr.intercepts, rtol=1e-10)
 
 
 def test_correction_reduces_bias_on_simulated_scenario():
@@ -305,7 +309,6 @@ def test_rdd_variance_matches_single_column_stack(rng):
     plus = side_correction(d, S, 0.0, 0.6, 0.8, TRIANGLE, "right")
     minus = side_correction(d, S, 0.0, 0.6, 0.8, TRIANGLE, "left")
     assert_allclose(est.v_bc, robust_variance(S, plus, minus, np.array([1.0])), rtol=1e-12)
-    assert_allclose(est.s_weights, [1.0, 0.0])
 
 
 def test_fitted_variance_mode_differs_but_close(rng):
@@ -328,18 +331,6 @@ def test_confidence_interval_reference():
     assert_allclose(hi32, 0.994458, atol=5e-7)  # one-sigma width
     with pytest.raises(ValueError):
         confidence_interval(synthetic, 1.5)
-
-
-def test_s_weights_reproduce_estimate(rng):
-    sample = _dense_sample(rng)
-    est = bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE)
-    S = np.column_stack([sample.y, sample.W])
-    plus = side_correction(sample.d, S, 0.0, 0.5, 0.7, TRIANGLE, "right")
-    minus = side_correction(sample.d, S, 0.0, 0.5, 0.7, TRIANGLE, "left")
-    stacked = np.empty(2 * S.shape[1])
-    stacked[0::2] = plus.intercepts_bc - minus.intercepts_bc
-    stacked[1::2] = 0.0
-    assert_allclose(float(est.s_weights @ stacked), est.tau_pdd_bc, rtol=1e-12)
 
 
 # --------------------------------------------------- locality of the fits
@@ -480,8 +471,8 @@ def test_both_equivalence_checks_raise_on_a_perturbed_path(rng, monkeypatch):
 
     real_matrix = pdd.inference.correction_matrix
 
-    def scaled_matrix(corr):
-        return real_matrix(corr) * (1.0 + 1e-6)
+    def scaled_matrix(*args):
+        return real_matrix(*args) * (1.0 + 1e-6)
 
     with monkeypatch.context() as patch:
         patch.setattr(pdd.inference, "correction_matrix", scaled_matrix)
@@ -508,8 +499,8 @@ def test_both_equivalence_checks_fail_closed_on_nan(rng, monkeypatch):
 
     real_matrix = pdd.inference.correction_matrix
 
-    def nan_matrix(corr):
-        return real_matrix(corr) * math.nan
+    def nan_matrix(*args):
+        return real_matrix(*args) * math.nan
 
     with monkeypatch.context() as patch:
         patch.setattr(pdd.inference, "correction_matrix", nan_matrix)
