@@ -26,12 +26,9 @@ from .inference import (
     RobustEstimate,
     SideCorrection,
     bias_corrected_estimate,
-    confidence_interval,
-    normal_quantile,
     rdd_robust_estimate,
     robust_variance,
     rule_of_thumb_bandwidth,
-    second_derivative,
     side_correction,
     side_correction_from_weights,
 )
@@ -56,7 +53,6 @@ from .local_fit import (
     LocalFit,
     local_iv_fit,
     local_poly_fit,
-    residualize,
 )
 from .simulate import DgpSpec, DgpTruth, McReport, dgp_truth, monte_carlo, simulate
 
@@ -87,7 +83,6 @@ __all__ = [
     "WeakFirstStage",
     "WeakInstrument",
     "bias_corrected_estimate",
-    "confidence_interval",
     "dgp_truth",
     "estimate_fuzzy",
     "estimate_sharp",
@@ -96,15 +91,12 @@ __all__ = [
     "local_iv_fit",
     "local_poly_fit",
     "monte_carlo",
-    "normal_quantile",
     "parse_config_file",
     "rdd_discontinuity",
     "rdd_robust_estimate",
-    "residualize",
     "robust_variance",
     "rule_of_thumb_bandwidth",
     "scaled_basis",
-    "second_derivative",
     "side_correction",
     "side_correction_from_weights",
     "sided_weights",

@@ -87,6 +87,17 @@ def dumps(obj: Any) -> str:
     raise TypeError(f"cannot serialise {type(obj)!r}")
 
 
+def _bandwidths(config: RunConfig, sample: Sample, warnings: list[str]) -> tuple[float, float]:
+    """The run's ``(h, b)``: ``h`` falls back to the rule of thumb, with a
+    warning, and ``b`` to ``h``.
+    """
+    h = config.h
+    if h is None:
+        h = rule_of_thumb_bandwidth(sample.d)
+        warnings.append(f"no bandwidth given; using rule of thumb h={h:.6g}")
+    return h, config.b if config.b is not None else h
+
+
 def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
     """Run a placebo-adjusted estimation and assemble the result document."""
     if sample.q < 1:
@@ -97,25 +108,17 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
     sample.require_sides(config.cutoff)
     warnings: list[str] = []
     kernel = KernelSpec(config.kernel)
-    h = config.h
-    if h is None:
-        h = rule_of_thumb_bandwidth(sample.d)
-        warnings.append(f"no bandwidth given; using rule of thumb h={h:.6g}")
-    b = config.b if config.b is not None else h
+    h, b = _bandwidths(config, sample, warnings)
+    if config.design == "fuzzy" and sample.a is None:
+        raise ValueError("fuzzy design requires a treatment column binding")
 
-    if config.design == "fuzzy":
-        if sample.a is None:
-            raise ValueError("fuzzy design requires a treatment column binding")
-        point = estimate_fuzzy(sample, config.cutoff, h, kernel)
-    else:
-        point = None
-
+    # the robust fit runs first: it rejects a bad alpha or b before any fit
     robust = bias_corrected_estimate(
         sample, config.cutoff, h, b, kernel, config.alpha, config.variance_mode
     )
-    sharp_point = robust.point
-    if point is None:
-        point = sharp_point
+    point = robust.point
+    if config.design == "fuzzy":
+        point = estimate_fuzzy(sample, config.cutoff, h, kernel)
 
     for side, rcond, n_side in (
         ("left", point.schur_rcond_left, point.n_left),
@@ -169,11 +172,7 @@ def run_rdd(config: RunConfig, sample: Sample) -> dict[str, Any]:
     sample.require_sides(config.cutoff)
     warnings: list[str] = []
     kernel = KernelSpec(config.kernel)
-    h = config.h
-    if h is None:
-        h = rule_of_thumb_bandwidth(sample.d)
-        warnings.append(f"no bandwidth given; using rule of thumb h={h:.6g}")
-    b = config.b if config.b is not None else h
+    h, b = _bandwidths(config, sample, warnings)
     robust = rdd_robust_estimate(
         sample.d, sample.y, config.cutoff, h, b, kernel, config.alpha, config.variance_mode
     )

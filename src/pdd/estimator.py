@@ -58,10 +58,6 @@ class DiscontinuityEstimate:
     gamma_plus: np.ndarray
     tau_pdd: float
     tau_pdd_iv_form: float
-    beta_plus_y0: float
-    beta_minus_y0: float
-    beta_plus_w0: np.ndarray
-    beta_minus_w0: np.ndarray
     alpha_plus_0: float
     alpha_minus_0: float
     n_left: int
@@ -70,15 +66,6 @@ class DiscontinuityEstimate:
     schur_rcond_right: float
     tau_rdd_a: float | None = None
     fuzzy_estimate: float | None = None
-
-    @property
-    def q(self) -> int:
-        return int(self.tau_rdd_w.shape[0])
-
-    @property
-    def estimate(self) -> float:
-        """Headline estimate: the fuzzy ratio when present, else tau_pdd."""
-        return self.fuzzy_estimate if self.fuzzy_estimate is not None else self.tau_pdd
 
 
 def _sides(
@@ -161,10 +148,6 @@ def estimate_sharp(
         gamma_plus=iv_plus.gamma,
         tau_pdd=tau_dec,
         tau_pdd_iv_form=tau_iv,
-        beta_plus_y0=fit_y_plus.intercept,
-        beta_minus_y0=fit_y_minus.intercept,
-        beta_plus_w0=beta_plus_w0,
-        beta_minus_w0=beta_minus_w0,
         alpha_plus_0=iv_plus.alpha0,
         alpha_minus_0=iv_minus.alpha0,
         n_left=w_minus.n_positive,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,74 +35,10 @@ from .errors import NonFiniteResult
 from .estimator import DiscontinuityEstimate, _require_equivalent, estimate_sharp
 from .io import Sample
 from .kernels import KernelSpec, scaled_basis, sided_weights, support_rows
-from .local_fit import _weighted_design, local_poly_fit
+from .local_fit import _weighted_design
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
 RULE_OF_THUMB_CONSTANT = 1.84
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile via a rational approximation.
-
-    Initial value from the Acklam lower/central/upper rational fits, then one
-    Halley refinement against the exact cdf (``math.erfc``); absolute accuracy
-    is far below the documented 1e-8 requirement.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("quantile argument must lie strictly between 0 and 1")
-    a = (
-        -3.969683028665376e01,
-        2.209460984245205e02,
-        -2.759285104469687e02,
-        1.383577518672690e02,
-        -3.066479806614716e01,
-        2.506628277459239e00,
-    )
-    b = (
-        -5.447609879822406e01,
-        1.615858368580409e02,
-        -1.556989798598866e02,
-        6.680131188771972e01,
-        -1.328068155288572e01,
-    )
-    c = (
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e00,
-        -2.549732539343734e00,
-        4.374664141464968e00,
-        2.938163982698783e00,
-    )
-    d = (
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e00,
-        3.754408661907416e00,
-    )
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if abs(x) < 37.0:  # beyond this the cdf underflows; the raw fit suffices
-        err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-        u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-        x -= u / (1.0 + x * u / 2.0)
-    return x
 
 
 def rule_of_thumb_bandwidth(d: np.ndarray) -> float:
@@ -122,19 +59,6 @@ def rule_of_thumb_bandwidth(d: np.ndarray) -> float:
     return h
 
 
-def second_derivative(s, weights, basis) -> float:
-    """Second derivative of the conditional mean at the cutoff.
-
-    Local quadratic fit at the basis bandwidth; returns twice the scaled
-    quadratic coefficient divided by the bandwidth squared. Exact on
-    quadratic data through the weighted support.
-    """
-    if basis.degree != 2:
-        raise ValueError("curvature estimation needs a degree-2 basis")
-    fit = local_poly_fit(s, weights, basis)
-    return 2.0 * float(fit.coef_scaled[2]) / basis.bandwidth**2
-
-
 @dataclass(frozen=True)
 class SideCorrection:
     """Per-side bias-correction ingredients for a stack of outcome columns.
@@ -148,11 +72,9 @@ class SideCorrection:
     outcome stack's columns.
     """
 
-    side: str
     n: int
     n_effective: int
     bandwidth: float
-    bias_bandwidth: float
     intercepts: np.ndarray
     curvatures: np.ndarray
     bias: np.ndarray
@@ -224,11 +146,9 @@ def side_correction_from_weights(
     intercepts = coef[0].copy()
 
     return SideCorrection(
-        side=weights_main.side,
         n=n,
         n_effective=weights_main.n_positive,
         bandwidth=float(h),
-        bias_bandwidth=float(b),
         intercepts=intercepts,
         curvatures=curvatures,
         bias=bias,
@@ -319,27 +239,25 @@ class RobustEstimate:
     se: float
     ci_lower: float
     ci_upper: float
-    alpha: float
-    h: float
-    b: float
     n: int
     n_left: int
     n_right: int
     degenerate_ci: bool
-    variance_mode: str
-    bias_plus: np.ndarray
-    bias_minus: np.ndarray
-    curvature_plus: np.ndarray
-    curvature_minus: np.ndarray
     point: DiscontinuityEstimate | None = None
 
 
-def confidence_interval(est: RobustEstimate, alpha: float) -> tuple[float, float]:
-    """Wald interval around the bias-corrected estimate at level ``1 - alpha``."""
+def _require_valid_alpha_and_b(alpha: float, h: float, b: float) -> None:
+    """Raise ValueError unless ``0 < alpha < 1`` and ``b >= h / 10``.
+
+    Outside (0, 1) the normal quantile of ``1 - alpha/2`` is undefined or
+    negative, which would invert the interval; a bias bandwidth far below
+    ``h`` leaves a curvature estimate too noisy to use. Both entry points
+    check this before any fit, so a bad value fails whatever the data.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    return est.tau_pdd_bc - z * est.se, est.tau_pdd_bc + z * est.se
+    if b < h / 10.0:
+        raise ValueError("bias bandwidth below h/10 is not supported")
 
 
 def _finish(
@@ -376,7 +294,7 @@ def _finish(
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return RobustEstimate(
         tau_pdd=tau,
         tau_pdd_bc=tau_bc,
@@ -384,18 +302,10 @@ def _finish(
         se=se,
         ci_lower=tau_bc - z * se,
         ci_upper=tau_bc + z * se,
-        alpha=alpha,
-        h=corr_plus.bandwidth,
-        b=corr_plus.bias_bandwidth,
         n=n,
         n_left=corr_minus.n_effective,
         n_right=corr_plus.n_effective,
         degenerate_ci=not v_bc > 0.0,
-        variance_mode=variance_mode,
-        bias_plus=corr_plus.bias,
-        bias_minus=corr_minus.bias,
-        curvature_plus=corr_plus.curvatures,
-        curvature_minus=corr_minus.curvatures,
         point=point,
     )
 
@@ -415,6 +325,7 @@ def bias_corrected_estimate(
     side, combines them with the left-side instrumented weights, and verifies
     the result against the stacked matrix expression.
     """
+    _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
     sample = sample.take(support_rows(sample.d, cutoff, max(h, b), kernel))
     point = estimate_sharp(sample, cutoff, h, kernel)
@@ -441,6 +352,7 @@ def rdd_robust_estimate(
     outcome alone, and the variance reduces to the standard robust variance of
     the bias-corrected discontinuity.
     """
+    _require_valid_alpha_and_b(alpha, h, b)
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
     rows = support_rows(d, cutoff, max(h, b), kernel)

@@ -286,8 +286,6 @@ class RunConfig:
             raise ValueError("bandwidth must be positive")
         if self.b is not None and not self.b > 0:
             raise ValueError("bias bandwidth must be positive")
-        if self.h is not None and self.b is not None and self.b < self.h / 10.0:
-            raise ValueError("bias bandwidth below h/10 is not supported")
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.variance_mode not in VARIANCE_MODES:

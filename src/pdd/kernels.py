@@ -24,28 +24,20 @@ from .errors import SingularSupport
 
 KERNEL_KINDS = ("window", "triangle", "gaussian")
 
-#: Relative weight below which an observation does not count as effective
-#: support. Only binding for the gaussian kernel, whose weights never reach
-#: exactly zero.
-EFFECTIVE_SUPPORT_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel selected by name.
+    """A kernel selected by name, one of ``KERNEL_KINDS``.
 
-    ``scale`` is the gaussian width parameter; it is ignored by the compact
-    window and triangle kernels.
+    Every kernel has unit width; the bandwidth alone sets how far a weight
+    reaches.
     """
 
     kind: str = "triangle"
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kind!r}; choose from {KERNEL_KINDS}")
-        if not self.scale > 0:
-            raise ValueError("kernel scale must be positive")
 
 
 def kernel_value(kernel: KernelSpec, u):
@@ -53,7 +45,8 @@ def kernel_value(kernel: KernelSpec, u):
 
     window:   1 on [0, 1], 0 beyond.
     triangle: 1 - u on [0, 1], 0 beyond.
-    gaussian: exp(-u^2 / (2*scale)) / sqrt(2*pi*scale), positive everywhere.
+    gaussian: exp(-u^2 / 2) / sqrt(2*pi), the standard normal density,
+              positive everywhere.
     """
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0):
@@ -63,7 +56,7 @@ def kernel_value(kernel: KernelSpec, u):
     elif kernel.kind == "triangle":
         out = np.where(arr <= 1.0, 1.0 - arr, 0.0)
     else:
-        out = np.exp(-(arr * arr) / (2.0 * kernel.scale)) / np.sqrt(2.0 * np.pi * kernel.scale)
+        out = np.exp(-(arr * arr) / 2.0) / np.sqrt(2.0 * np.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -89,11 +82,8 @@ def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec)
 class SidedWeights:
     """Kernel weights restricted to one side of the cutoff.
 
-    ``weights[i] = (1/h) * 1{side condition} * K(|d_i - cutoff| / h)``.
-
-    ``n_positive`` counts strictly positive weights; ``n_effective`` counts
-    weights above ``EFFECTIVE_SUPPORT_RTOL`` times the largest weight, which
-    differs from ``n_positive`` only for the gaussian kernel.
+    ``weights[i] = (1/h) * 1{side condition} * K(|d_i - cutoff| / h)``;
+    ``n_positive`` counts the strictly positive ones.
     """
 
     side: str
@@ -101,7 +91,6 @@ class SidedWeights:
     bandwidth: float
     weights: np.ndarray
     n_positive: int
-    n_effective: int
 
     @property
     def positive(self) -> np.ndarray:
@@ -133,8 +122,6 @@ def sided_weights(
         u = np.abs(d[on_side] - cutoff) / h
         w[on_side] = kernel_value(kernel, u) / h
     n_positive = int(np.count_nonzero(w > 0.0))
-    w_max = w.max() if n_positive else 0.0
-    n_effective = int(np.count_nonzero(w > EFFECTIVE_SUPPORT_RTOL * w_max)) if n_positive else 0
     if min_positive is not None and n_positive < min_positive:
         raise SingularSupport(
             f"{n_positive} observations with positive weight on the {side} side "
@@ -146,7 +133,6 @@ def sided_weights(
         bandwidth=float(h),
         weights=w,
         n_positive=n_positive,
-        n_effective=n_effective,
     )
 
 
@@ -154,19 +140,15 @@ def sided_weights(
 class ScaledBasis:
     """Polynomial design rows in the bandwidth-scaled coordinate.
 
-    Row i is ``(1, u_i, ..., u_i^degree)`` with ``u_i = (d_i - cutoff) / h``.
-    The scaling matrix ``diag(1, h, ..., h^degree)`` maps scaled coefficients
-    back to raw-coordinate polynomial coefficients.
+    Row i is ``(1, u_i, ..., u_i^degree)`` with ``u_i = (d_i - cutoff) / h``,
+    so coefficient j of a fit on these rows is ``h^j`` times the
+    raw-coordinate coefficient.
     """
 
     degree: int
     cutoff: float
     bandwidth: float
     rows: np.ndarray
-
-    @property
-    def scaling(self) -> np.ndarray:
-        return np.diag(self.bandwidth ** np.arange(self.degree + 1, dtype=float))
 
 
 def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledBasis:

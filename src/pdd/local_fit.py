@@ -1,8 +1,7 @@
-"""Weighted local polynomial least squares, the local instrumented solve, and
-residualisation.
+"""Weighted local polynomial least squares and the local instrumented solve.
 
-All three operations share the same ingredients: one-sided kernel weights and
-the bandwidth-scaled polynomial basis. Linear systems are small and dense
+Both operations share the same ingredients: one-sided kernel weights and the
+bandwidth-scaled polynomial basis. Linear systems are small and dense
 ((p+1) or (2+q) dimensional) and are solved by a pivoted direct factorisation;
 singularity is detected through the reciprocal condition number of the moment
 matrices rather than through solver failure.
@@ -56,18 +55,12 @@ class LocalFit:
 
     ``coef_scaled`` holds ``(intercept, h * slope, ..., h^p * p-th coefficient)``:
     entry 0 is the fitted value at the cutoff and entry j is the j-th
-    raw-coordinate coefficient multiplied by ``h^j``.
-
-    ``gram`` is the scaled moment matrix ``(1/(n h)) R' K R`` of the fit; it is
-    symmetric positive definite whenever the fit succeeds.
+    raw-coordinate coefficient multiplied by ``h^j``. ``gram_rcond`` is the
+    reciprocal condition number of the fit's moment matrix ``R' K R``.
     """
 
-    side: str
-    degree: int
     coef_scaled: np.ndarray
-    gram: np.ndarray
     gram_rcond: float
-    n_effective: int
 
     @property
     def intercept(self) -> float:
@@ -78,17 +71,14 @@ class LocalFit:
 class IvFit:
     """One-sided local instrumented solve.
 
-    ``alpha0`` is the running-variable-only intercept at the cutoff,
-    ``alpha1_scaled`` the slope coefficient multiplied by the bandwidth, and
+    ``alpha0`` is the running-variable-only intercept at the cutoff and
     ``gamma`` the coefficients on the placebo outcome columns.
     """
 
     side: str
     alpha0: float
-    alpha1_scaled: float
     gamma: np.ndarray
     schur_rcond: float
-    n_effective: int
 
 
 def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None:
@@ -154,14 +144,7 @@ def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> 
     """
     krows, gram_raw, rcond = _weighted_design(weights, basis)
     coef = np.linalg.solve(gram_raw, krows.T @ np.asarray(s, dtype=float))
-    return LocalFit(
-        side=weights.side,
-        degree=basis.degree,
-        coef_scaled=coef,
-        gram=gram_raw / (krows.shape[0] * weights.bandwidth),
-        gram_rcond=rcond,
-        n_effective=weights.n_positive,
-    )
+    return LocalFit(coef_scaled=coef, gram_rcond=rcond)
 
 
 def local_iv_fit(
@@ -228,21 +211,6 @@ def local_iv_fit(
     return IvFit(
         side=weights.side,
         alpha0=float(nu[0]),
-        alpha1_scaled=float(nu[1]),
         gamma=nu[2:].copy(),
         schur_rcond=schur_rcond,
-        n_effective=weights.n_positive,
     )
-
-
-def residualize(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> np.ndarray:
-    """Residuals of ``s`` from the one-sided local linear fit.
-
-    Entries with zero weight are returned as exact zeros; use
-    ``weights.positive`` to tell flagged zeros from genuine zero residuals.
-    The returned vector is weight-orthogonal to the basis columns:
-    ``sum_i w_i * rows_i * resid_i == 0`` up to rounding.
-    """
-    fit = local_poly_fit(s, weights, basis)
-    fitted = basis.rows @ fit.coef_scaled
-    return np.where(weights.positive, np.asarray(s, dtype=float) - fitted, 0.0)

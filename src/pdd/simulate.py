@@ -159,8 +159,6 @@ class DgpTruth:
     tau0: float
     gamma_minus_true: float
     confounding_jump: float
-    oracle_n: int
-    bin_width: float
 
 
 def dgp_truth(
@@ -193,8 +191,6 @@ def dgp_truth(
         tau0=spec.tau0,
         gamma_minus_true=1.0 / spec.proxy_loading,
         confounding_jump=jump,
-        oracle_n=oracle_n,
-        bin_width=bin_width,
     )
 
 

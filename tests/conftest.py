@@ -29,6 +29,22 @@ def random_dataset(rng: np.random.Generator, n: int = 200, q: int = 1) -> Sample
     return Sample(d=d, y=y, W=W, Z=Z)
 
 
+def residualize(s: np.ndarray, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Residuals of ``s`` from its weighted least-squares fit on ``rows``.
+
+    An oracle that shares no code with ``pdd``: ``np.linalg.lstsq`` on the
+    positively weighted rows, each scaled by the root of its weight. Rows
+    with zero weight get a residual of exactly zero.
+    """
+    s = np.asarray(s, dtype=float)
+    keep = w > 0.0
+    root = np.sqrt(w[keep])
+    coef, *_ = np.linalg.lstsq(rows[keep] * root[:, None], s[keep] * root, rcond=None)
+    resid = np.zeros_like(s)
+    resid[keep] = s[keep] - rows[keep] @ coef
+    return resid
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

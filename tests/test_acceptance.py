@@ -23,17 +23,15 @@ from pdd import (
     local_iv_fit,
     monte_carlo,
     rdd_robust_estimate,
-    residualize,
     robust_variance,
     rule_of_thumb_bandwidth,
     scaled_basis,
-    second_derivative,
     side_correction,
     side_correction_from_weights,
     sided_weights,
     simulate,
 )
-from conftest import random_dataset
+from conftest import random_dataset, residualize
 from test_inference import brute_force_variance
 
 TRIANGLE = KernelSpec("triangle")
@@ -67,9 +65,9 @@ def test_criterion_1_decomposition_equivalence():
         basis = scaled_basis(sample.d, 0.0, h, 1)
         fit = local_iv_fit(sample.y, sample.W, sample.Z, weights, basis)
         W_perp = np.column_stack(
-            [residualize(sample.W[:, j], weights, basis) for j in range(q)]
+            [residualize(sample.W[:, j], weights.weights, basis.rows) for j in range(q)]
         )
-        y_perp = residualize(sample.y, weights, basis)
+        y_perp = residualize(sample.y, weights.weights, basis.rows)
         zw = sample.Z * weights.weights[:, None]
         oracle = np.linalg.solve(zw.T @ W_perp, zw.T @ y_perp)
         gamma_gap = float(
@@ -98,7 +96,8 @@ def test_criterion_2_polynomial_exactness():
     # local quadratic reproduces degree-2 curvature
     w2 = sided_weights(d, 0.0, 1.0, "right", TRIANGLE)
     basis2 = scaled_basis(d, 0.0, 1.0, 2)
-    curv_err = abs(second_derivative(0.5 + d - 3.0 * d * d, w2, basis2) + 6.0)
+    quad = pdd.local_poly_fit(0.5 + d - 3.0 * d * d, w2, basis2).coef_scaled[2]
+    curv_err = abs(2.0 * quad / basis2.bandwidth**2 + 6.0)
     # bias-corrected estimator recovers a jump on quadratic-mean data exactly
     dd = rng.uniform(-1.0, 1.0, 400)
     y = 0.9 * (dd >= 0.0) + 0.8 * dd + 1.5 * dd * dd

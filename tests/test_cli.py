@@ -255,6 +255,20 @@ def test_exit_code_64_on_bad_flags(sim_csv):
     assert (
         run_cli(*estimate_args(sim_csv, "--alpha", "7")).returncode == 64
     )  # invalid value
+    # a bias bandwidth below h/10, with h from the rule of thumb (about 0.45
+    # here) or so small that every fit would fail, and a level outside (0, 1)
+    # in mc, which builds no RunConfig
+    tiny = ("--bandwidth", "1e-9", "--bias-bandwidth", "1e-11")
+    for argv in (
+        estimate_args(sim_csv, "--bias-bandwidth", "0.02"),
+        estimate_args(sim_csv, *tiny),
+        estimate_args(sim_csv, *tiny, "--design", "fuzzy", "--treatment", "w1"),
+        ("rdd", "--data", str(sim_csv), "--cutoff", "0", "--bias-bandwidth", "0.02"),
+        ("mc", "--n", "2000", "--seed", "1", "--kappa", "4", "--reps", "5", "--alpha", "1.5"),
+        ("mc", "--n", "2000", "--seed", "1", "--reps", "2", "--bias-bandwidth", "0.02"),
+    ):
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (64, ""), argv
 
 
 def test_config_file_merging(tmp_path, sim_csv):

@@ -66,7 +66,9 @@ def test_zero_placebo_jump_reduces_to_plain_rdd(rng):
 def test_identity_tau_rdd_y(rng):
     sample = random_dataset(rng, n=240, q=2)
     est = estimate_sharp(sample, 0.0, 0.8, TRIANGLE)
-    assert_allclose(est.tau_rdd_y, est.beta_plus_y0 - est.beta_minus_y0, rtol=1e-12)
+    assert_allclose(
+        est.tau_rdd_y, rdd_discontinuity(sample.y, sample.d, 0.0, 0.8, TRIANGLE), rtol=1e-12
+    )
     assert_allclose(
         est.tau_pdd,
         est.tau_rdd_y - float(est.tau_rdd_w @ est.gamma_minus),

@@ -13,19 +13,18 @@ from pdd import (
     NonFiniteResult,
     Sample,
     SingularSupport,
+    DgpSpec,
     bias_corrected_estimate,
-    confidence_interval,
     estimate_fuzzy,
     estimate_sharp,
     kernel_value,
     local_poly_fit,
-    normal_quantile,
+    monte_carlo,
     rdd_discontinuity,
     rdd_robust_estimate,
     robust_variance,
     rule_of_thumb_bandwidth,
     scaled_basis,
-    second_derivative,
     side_correction,
     sided_weights,
     write_csv,
@@ -40,24 +39,34 @@ WINDOW = KernelSpec("window")
 # ---------------------------------------------------------------- quantile
 
 
+def _noisy_rdd(alpha):
+    rng = np.random.default_rng(7)
+    d = rng.uniform(-1.0, 1.0, 400)
+    y = 0.8 * (d >= 0.0) + d + 0.5 * rng.standard_normal(400)
+    return rdd_robust_estimate(d, y, 0.0, 0.6, 0.8, TRIANGLE, alpha)
+
+
 def test_normal_quantile_reference_values():
-    assert_allclose(normal_quantile(0.975), 1.959963985, atol=1e-8)
-    assert_allclose(normal_quantile(0.995), 2.575829304, atol=1e-8)
-    assert_allclose(normal_quantile(0.5), 0.0, atol=1e-12)
-    assert_allclose(normal_quantile(0.84), 0.994457883, atol=1e-8)
-    assert_allclose(normal_quantile(1e-6), -4.753424309, atol=1e-7)
+    # the Wald interval's half-width in units of se is the normal quantile
+    # at 1 - alpha/2
+    for alpha, z in (
+        (0.05, 1.959963985),
+        (0.01, 2.575829304),
+        (0.32, 0.994457883),
+        (2e-6, 4.753424309),
+    ):
+        est = _noisy_rdd(alpha)
+        assert est.se > 0.0
+        assert_allclose((est.ci_upper - est.tau_pdd_bc) / est.se, z, atol=1e-8)
 
 
 def test_normal_quantile_symmetry_and_roundtrip():
-    for p in (0.001, 0.025, 0.2, 0.6, 0.97, 0.9999):
-        z = normal_quantile(p)
-        assert_allclose(z, -normal_quantile(1.0 - p), atol=1e-12)
-        cdf = 0.5 * math.erfc(-z / math.sqrt(2.0))
-        assert_allclose(cdf, p, atol=1e-12)
-    with pytest.raises(ValueError):
-        normal_quantile(0.0)
-    with pytest.raises(ValueError):
-        normal_quantile(1.0)
+    for alpha in (0.002, 0.05, 0.4, 0.94, 0.9998):
+        est = _noisy_rdd(alpha)
+        upper = est.ci_upper - est.tau_pdd_bc
+        assert_allclose(upper, est.tau_pdd_bc - est.ci_lower, rtol=1e-14)
+        z = upper / est.se
+        assert_allclose(0.5 * math.erfc(-z / math.sqrt(2.0)), 1.0 - alpha / 2.0, atol=1e-12)
 
 
 def test_rule_of_thumb_bandwidth():
@@ -75,6 +84,8 @@ def test_rule_of_thumb_bandwidth_that_overflows_or_underflows_is_non_finite(d):
 
 
 # ---------------------------------------------------- second derivative
+# The second derivative at the cutoff is twice the scaled quadratic
+# coefficient of the local quadratic fit, divided by b^2.
 
 
 def test_second_derivative_quadratic_exact():
@@ -82,7 +93,8 @@ def test_second_derivative_quadratic_exact():
     s = 1.0 + d + 4.0 * d * d
     w = sided_weights(d, 0.0, 0.9, "right", TRIANGLE)
     basis = scaled_basis(d, 0.0, 0.9, 2)
-    assert_allclose(second_derivative(s, w, basis), 8.0, rtol=1e-8)
+    curvature = 2.0 * local_poly_fit(s, w, basis).coef_scaled[2] / 0.9**2
+    assert_allclose(curvature, 8.0, rtol=1e-8)
 
 
 def test_second_derivative_linear_is_zero():
@@ -90,7 +102,7 @@ def test_second_derivative_linear_is_zero():
     s = 2.0 - 3.0 * d
     w = sided_weights(d, 0.0, 0.9, "right", TRIANGLE)
     basis = scaled_basis(d, 0.0, 0.9, 2)
-    assert abs(second_derivative(s, w, basis)) < 1e-10
+    assert abs(2.0 * local_poly_fit(s, w, basis).coef_scaled[2] / 0.9**2) < 1e-10
 
 
 def test_second_derivative_cubic_oracle():
@@ -101,7 +113,7 @@ def test_second_derivative_cubic_oracle():
     s = d**3
     w = sided_weights(d, 0.0, 1.0, "right", WINDOW)
     basis = scaled_basis(d, 0.0, 1.0, 2)
-    assert_allclose(second_derivative(s, w, basis), 3.3, rtol=1e-12)
+    assert_allclose(2.0 * local_poly_fit(s, w, basis).coef_scaled[2], 3.3, rtol=1e-12)
 
 
 # ------------------------------------------------------- bias correction
@@ -320,17 +332,33 @@ def test_fitted_variance_mode_differs_but_close(rng):
     assert_allclose(fitted.tau_pdd_bc, paper.tau_pdd_bc, rtol=1e-12)
 
 
-def test_confidence_interval_reference():
-    est = rdd_robust_estimate(
-        np.linspace(-1, 1, 80), np.linspace(-1, 1, 80) * 0.5, 0.0, 0.8, 0.8, TRIANGLE
-    )
-    synthetic = replace(est, tau_pdd_bc=0.0, se=1.0)
-    lo, hi = confidence_interval(synthetic, 0.05)
-    assert_allclose((lo, hi), (-1.959964, 1.959964), atol=5e-7)
-    lo32, hi32 = confidence_interval(synthetic, 0.32)
-    assert_allclose(hi32, 0.994458, atol=5e-7)  # one-sigma width
-    with pytest.raises(ValueError):
-        confidence_interval(synthetic, 1.5)
+def test_confidence_interval_reference(rng):
+    sample = _dense_sample(rng)
+    est = bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, alpha=0.05)
+    assert_allclose(est.ci_upper - est.tau_pdd_bc, 1.959964 * est.se, rtol=5e-7)
+    assert_allclose(est.tau_pdd_bc - est.ci_lower, 1.959964 * est.se, rtol=5e-7)
+    # both entry points reject a level outside (0, 1) instead of inverting
+    # the interval
+    for alpha in (0.0, 1.0, 1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE, alpha=alpha)
+
+
+def test_bias_bandwidth_below_a_tenth_of_h_is_rejected(rng):
+    sample = _dense_sample(rng)
+    for call in (
+        lambda b: bias_corrected_estimate(sample, 0.0, 0.5, b, TRIANGLE),
+        lambda b: rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, b, TRIANGLE),
+        lambda b: monte_carlo(DgpSpec(n=2000, seed=1, kappa=4.0), 2, 1, TRIANGLE, 0.5, b),
+    ):
+        with pytest.raises(ValueError, match="h/10"):
+            call(0.049)
+        call(0.05)
+    # with h from the rule of thumb, as in every rep of a default study
+    with pytest.raises(ValueError, match="h/10"):
+        monte_carlo(DgpSpec(n=2000, seed=1, kappa=4.0), 2, 1, b=0.02)
 
 
 # --------------------------------------------------- locality of the fits

@@ -146,9 +146,6 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(cutoff=0.0, h=-1.0)
     with pytest.raises(ValueError):
-        RunConfig(cutoff=0.0, h=1.0, b=0.05)  # below h/10 sanity floor
-    RunConfig(cutoff=0.0, h=1.0, b=0.1)
-    with pytest.raises(ValueError):
         RunConfig(cutoff=0.0, design="kink")
     with pytest.raises(ValueError):
         RunConfig(cutoff=0.0, variance_mode="hc3")

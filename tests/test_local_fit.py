@@ -8,11 +8,11 @@ from pdd import (
     WeakInstrument,
     local_iv_fit,
     local_poly_fit,
-    residualize,
     scaled_basis,
     side_correction_from_weights,
     sided_weights,
 )
+from conftest import residualize
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -63,22 +63,22 @@ def test_five_point_residuals_oracle():
     d = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
     s = np.array([1.0, 2.0, 2.0, 3.0, 5.0])
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW)
-    resid = residualize(s, w, basis)
+    resid = residualize(s, w.weights, basis.rows)
     assert_allclose(resid, [0.2, 0.3, -0.6, -0.5, 0.6], rtol=1e-12, atol=1e-12)
 
 
 def test_residualize_linear_and_constant_are_zero():
     d = np.linspace(0.01, 0.9, 15)
     w, basis = _setup(d, 0.0, 1.0, "right", TRIANGLE)
-    assert_allclose(residualize(1.5 - 2.0 * d, w, basis), 0.0, atol=1e-12)
-    assert_allclose(residualize(np.full(15, 3.3), w, basis), 0.0, atol=1e-12)
+    assert_allclose(residualize(1.5 - 2.0 * d, w.weights, basis.rows), 0.0, atol=1e-12)
+    assert_allclose(residualize(np.full(15, 3.3), w.weights, basis.rows), 0.0, atol=1e-12)
 
 
 def test_residualize_zero_weight_entries_flagged_zero():
     d = np.array([-0.5, -0.2, 0.1, 0.2, 0.3])
     s = np.array([10.0, -3.0, 1.0, 4.0, 2.0])
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW)
-    resid = residualize(s, w, basis)
+    resid = residualize(s, w.weights, basis.rows)
     assert resid[0] == 0.0 and resid[1] == 0.0
     assert not w.positive[0] and not w.positive[1]
 
@@ -90,7 +90,7 @@ def test_weighted_residual_orthogonality(rng):
         side = "left" if trial % 2 else "right"
         kernel = (WINDOW, TRIANGLE, KernelSpec("gaussian"))[trial % 3]
         w, basis = _setup(d, 0.0, rng.uniform(0.3, 1.0), side, kernel)
-        resid = residualize(s, w, basis)
+        resid = residualize(s, w.weights, basis.rows)
         moments = (basis.rows * w.weights[:, None]).T @ resid
         scale = max(1.0, float(np.abs(s).max()))
         assert np.all(np.abs(moments) < 1e-10 * scale)
@@ -100,12 +100,10 @@ def test_gram_is_spd_and_reported():
     d = np.linspace(0.05, 1.0, 12)
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW)
     fit = local_poly_fit(d * 2.0, w, basis)
-    eigenvalues = np.linalg.eigvalsh(fit.gram)
-    assert np.all(eigenvalues > 0.0)
-    expected = (basis.rows * w.weights[:, None]).T @ basis.rows / (12 * 1.0)
-    assert_allclose(fit.gram, expected, rtol=1e-12)
+    gram = (basis.rows * w.weights[:, None]).T @ basis.rows
+    assert np.all(np.linalg.eigvalsh(gram) > 0.0)
+    assert_allclose(fit.gram_rcond, 1.0 / np.linalg.cond(gram), rtol=1e-12)
     assert 0.0 < fit.gram_rcond <= 1.0
-    assert fit.n_effective == 12
 
 
 def test_singular_support_too_few_points():
@@ -165,7 +163,7 @@ def test_iv_equals_joint_ols_when_instrument_is_regressor(rng):
     X = np.column_stack([basis.rows, W])
     Xw = X * w.weights[:, None]
     ols = np.linalg.solve(Xw.T @ X, Xw.T @ y)
-    assert_allclose([fit.alpha0, fit.alpha1_scaled], ols[:2], rtol=1e-10)
+    assert_allclose(fit.alpha0, ols[0], rtol=1e-10)
     assert_allclose(fit.gamma, ols[2:], rtol=1e-10)
 
 
@@ -179,13 +177,12 @@ def test_iv_exact_on_noiseless_partially_linear_data(rng):
     w, basis = _setup(d, 0.0, h, "right", TRIANGLE)
     fit = local_iv_fit(y, W[:, None], Z[:, None], w, basis)
     assert_allclose(fit.alpha0, 1.0, rtol=1e-9)
-    assert_allclose(fit.alpha1_scaled, 2.0 * h, rtol=1e-9)
     assert_allclose(fit.gamma, [3.0], rtol=1e-9)
 
 
 def test_six_point_iv_oracle():
     # Window kernel, h=1: the 3x3 stacked system solved exactly (rationals
-    # 530834/701945, 64894/140389, 145890/140389).
+    # 530834/701945 for alpha0 and 145890/140389 for gamma).
     d = np.array([0.05, 0.15, 0.3, 0.45, 0.6, 0.8])
     y = np.array([1.2, 0.7, 1.9, 2.4, 1.1, 3.0])
     W = np.array([0.5, -0.2, 0.9, 1.4, 0.1, 1.8])[:, None]
@@ -193,7 +190,6 @@ def test_six_point_iv_oracle():
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW)
     fit = local_iv_fit(y, W, Z, w, basis)
     assert_allclose(fit.alpha0, 0.7562330382009986, rtol=1e-12)
-    assert_allclose(fit.alpha1_scaled, 0.4622441929210978, rtol=1e-12)
     assert_allclose(fit.gamma, [1.039183981650984], rtol=1e-12)
 
 
@@ -205,10 +201,12 @@ def test_iv_solves_first_order_condition(rng):
     y = rng.standard_normal(n)
     w, basis = _setup(d, 0.0, 0.8, "left", TRIANGLE)
     fit = local_iv_fit(y, W, Z, w, basis)
-    nu = np.concatenate([[fit.alpha0, fit.alpha1_scaled], fit.gamma])
-    resid = y - basis.rows @ nu[:2] - W @ nu[2:]
-    stacked = np.column_stack([basis.rows, Z])
-    moments = (stacked * w.weights[:, None]).T @ resid
+    # the intercept moment fixes the slope; the slope and instrument moments
+    # then hold only if alpha0 and gamma solve the system
+    u = basis.rows[:, 1]
+    partial = y - fit.alpha0 - W @ fit.gamma
+    slope = (w.weights @ partial) / (w.weights @ u)
+    moments = (np.column_stack([u, Z]) * w.weights[:, None]).T @ (partial - slope * u)
     assert np.all(np.abs(moments) < 1e-9)
 
 
@@ -224,9 +222,9 @@ def test_gamma_block_matches_residualized_formula(rng):
         w, basis = _setup(d, 0.0, h, "left", TRIANGLE)
         fit = local_iv_fit(y, W, Z, w, basis)
         W_perp = np.column_stack(
-            [residualize(W[:, j], w, basis) for j in range(2)]
+            [residualize(W[:, j], w.weights, basis.rows) for j in range(2)]
         )
-        y_perp = residualize(y, w, basis)
+        y_perp = residualize(y, w.weights, basis.rows)
         lhs = (Z * w.weights[:, None]).T @ W_perp
         rhs = (Z * w.weights[:, None]).T @ y_perp
         oracle = np.linalg.solve(lhs, rhs)
