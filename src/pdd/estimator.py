@@ -68,13 +68,34 @@ class DiscontinuityEstimate:
     fuzzy_estimate: float | None = None
 
 
+def _cut(
+    sample: Sample, cutoff: float, reach: float, kernel: KernelSpec
+) -> tuple[Sample, int]:
+    """``sample`` cut to the rows within ``reach`` of the cutoff, left side
+    first (``kernels.support_rows``), and the number of its left rows. A
+    sample already in that form is returned as it is, without a copy.
+    """
+    rows, k = support_rows(sample.d, cutoff, reach, kernel)
+    if rows.size == sample.n and (k == 0 or rows[k - 1] == k - 1):
+        return sample, k
+    return sample.take(rows), k
+
+
 def _sides(
-    d: np.ndarray, cutoff: float, h: float, kernel: KernelSpec
-) -> tuple[SidedWeights, SidedWeights, ScaledBasis]:
+    d: np.ndarray, k: int, cutoff: float, h: float, kernel: KernelSpec
+) -> tuple[tuple[SidedWeights, ScaledBasis], tuple[SidedWeights, ScaledBasis]]:
+    """Weights and basis of each side of rows ``d`` whose first ``k`` are the
+    left side: ``((left weights, left basis), (right weights, right basis))``.
+    One basis is built and each side reads a view of its own rows.
+    """
     basis = scaled_basis(d, cutoff, h, degree=1)
-    w_minus = sided_weights(d, cutoff, h, "left", kernel, min_positive=2)
-    w_plus = sided_weights(d, cutoff, h, "right", kernel, min_positive=2)
-    return w_minus, w_plus, basis
+    left, right = slice(None, k), slice(k, None)
+    w_minus = sided_weights(d[left], cutoff, h, "left", kernel, min_positive=2)
+    w_plus = sided_weights(d[right], cutoff, h, "right", kernel, min_positive=2)
+    return (
+        (w_minus, replace(basis, rows=basis.rows[left])),
+        (w_plus, replace(basis, rows=basis.rows[right])),
+    )
 
 
 def rdd_discontinuity(
@@ -82,11 +103,11 @@ def rdd_discontinuity(
 ) -> float:
     """Plain local linear discontinuity of ``s`` at the cutoff."""
     d = np.asarray(d, dtype=float)
-    rows = support_rows(d, cutoff, h, kernel)
+    rows, k = support_rows(d, cutoff, h, kernel)
     s = np.asarray(s, dtype=float)[rows]
-    w_minus, w_plus, basis = _sides(d[rows], cutoff, h, kernel)
-    above = local_poly_fit(s, w_plus, basis)
-    below = local_poly_fit(s, w_minus, basis)
+    (w_minus, basis_minus), (w_plus, basis_plus) = _sides(d[rows], k, cutoff, h, kernel)
+    above = local_poly_fit(s[k:], w_plus, basis_plus)
+    below = local_poly_fit(s[:k], w_minus, basis_minus)
     return above.intercept - below.intercept
 
 
@@ -110,25 +131,29 @@ def estimate_sharp(
     Runs the per-outcome local linear fits and the per-side instrumented
     solves, assembles ``tau_pdd`` through both the decomposition form and the
     instrumented form, and verifies that they agree. Only rows the kernel can
-    weight at ``h`` enter the fits.
+    weight at ``h`` enter the fits, and each side's fits read only its own
+    rows. A sample already cut at ``h`` by ``_cut`` is not copied again.
     """
     if sample.q < 1:
         raise ValueError("placebo outcome and treatment columns are required")
-    sample = sample.take(support_rows(sample.d, cutoff, h, kernel))
-    d = np.asarray(sample.d, dtype=float)
-    w_minus, w_plus, basis = _sides(d, cutoff, h, kernel)
+    sample, k = _cut(sample, cutoff, h, kernel)
+    (w_minus, basis_minus), (w_plus, basis_plus) = _sides(sample.d, k, cutoff, h, kernel)
+    plus, minus = sample.take(slice(k, None)), sample.take(slice(None, k))
 
-    fit_y_plus = local_poly_fit(sample.y, w_plus, basis)
-    fit_y_minus = local_poly_fit(sample.y, w_minus, basis)
+    fit_y_plus = local_poly_fit(plus.y, w_plus, basis_plus)
+    fit_y_minus = local_poly_fit(minus.y, w_minus, basis_minus)
     beta_plus_w0 = np.array(
-        [local_poly_fit(sample.W[:, j], w_plus, basis).intercept for j in range(sample.q)]
+        [local_poly_fit(plus.W[:, j], w_plus, basis_plus).intercept for j in range(sample.q)]
     )
     beta_minus_w0 = np.array(
-        [local_poly_fit(sample.W[:, j], w_minus, basis).intercept for j in range(sample.q)]
+        [
+            local_poly_fit(minus.W[:, j], w_minus, basis_minus).intercept
+            for j in range(sample.q)
+        ]
     )
 
-    iv_plus = local_iv_fit(sample.y, sample.W, sample.Z, w_plus, basis)
-    iv_minus = local_iv_fit(sample.y, sample.W, sample.Z, w_minus, basis)
+    iv_plus = local_iv_fit(plus.y, plus.W, plus.Z, w_plus, basis_plus)
+    iv_minus = local_iv_fit(minus.y, minus.W, minus.Z, w_minus, basis_minus)
 
     tau_rdd_y = fit_y_plus.intercept - fit_y_minus.intercept
     tau_rdd_w = beta_plus_w0 - beta_minus_w0

@@ -17,10 +17,12 @@ outcome columns. They are algebraically identical and are compared on every
 run; disagreement raises EquivalenceBreach.
 
 ``bias_corrected_estimate`` and ``rdd_robust_estimate`` first cut the sample
-to the rows within ``max(h, b)`` of the cutoff (``kernels.support_rows``), so
-with the window and triangle kernels their cost grows with those rows, not
-with the sample size; the reported ``n`` and ``v_bc`` still refer to the
-whole sample. The gaussian kernel keeps every row.
+to the rows within ``max(h, b)`` of the cutoff, left side first
+(``kernels.support_rows``), and each side's correction, stacked check and
+variance term read only that side's rows. With the window and triangle
+kernels the cost grows with the rows near the cutoff, not with the sample
+size; the gaussian kernel keeps every row, so each side costs about n/2 rows.
+The reported ``n`` and ``v_bc`` still refer to the whole sample.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NonFiniteResult
-from .estimator import DiscontinuityEstimate, _require_equivalent, estimate_sharp
+from .estimator import DiscontinuityEstimate, _cut, _require_equivalent, estimate_sharp
 from .io import Sample
 from .kernels import KernelSpec, scaled_basis, sided_weights, support_rows
 from .local_fit import _weighted_design
@@ -186,29 +188,34 @@ def correction_matrix(
 
 
 def robust_variance(
-    S: np.ndarray,
+    S_plus: np.ndarray,
+    S_minus: np.ndarray,
     corr_plus: SideCorrection,
     corr_minus: SideCorrection,
     combo: np.ndarray,
+    n: int,
     variance_mode: str = "paper",
-    n: int | None = None,
 ) -> float:
     """Variance of the combined bias-corrected statistic, scaled by ``n * h``.
 
-    ``n`` is the size of the sample the rows of ``S`` were cut from; it
-    defaults to the rows of ``S``. Rows outside every kernel support add
-    nothing to the sum, so cutting them leaves the variance unchanged.
+    ``S_plus`` and ``S_minus`` are the outcome rows each side's correction
+    was built from, and ``n`` is the size of the sample they were cut from.
+    Rows outside every kernel support add nothing to the sum, so cutting
+    them leaves the variance unchanged.
 
-    Sum of one quadratic form per side; cross-side terms vanish exactly
-    because the two weight supports are disjoint. Each side uses a diagonal
-    residual matrix: in ``paper`` mode the residual of observation i for
-    outcome s is that outcome minus the side's bias-corrected cutoff
-    intercept; in ``fitted`` mode it is the outcome minus the side's local
-    linear fitted value at d_i (a sensitivity-analysis alternative).
+    Sum of one quadratic form per side over that side's rows; cross-side
+    terms vanish exactly because the two weight supports are disjoint (a
+    correction built on the whole sample weighs the other side's rows by
+    exactly 0, so the whole ``S`` may be passed for both sides). Each side
+    uses a diagonal residual matrix: in ``paper`` mode the residual of
+    observation i for outcome s is that outcome minus the side's
+    bias-corrected cutoff intercept; in ``fitted`` mode it is the outcome
+    minus the side's local linear fitted value at d_i (a sensitivity-analysis
+    alternative).
     Cross-covariances between outcome columns are omitted by construction.
     """
     total = 0.0
-    for corr in (corr_plus, corr_minus):
+    for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus)):
         if variance_mode == "paper":
             resid = S - corr.intercepts_bc[None, :]
         elif variance_mode == "fitted":
@@ -217,8 +224,6 @@ def robust_variance(
             raise ValueError(f"unknown variance mode {variance_mode!r}")
         per_outcome = (corr.weight_row**2) @ (resid**2)
         total += float((combo**2) @ per_outcome)
-    if n is None:
-        n = S.shape[0]
     return n * corr_plus.bandwidth * total
 
 
@@ -263,6 +268,7 @@ def _require_valid_alpha_and_b(alpha: float, h: float, b: float) -> None:
 def _finish(
     d: np.ndarray,
     S: np.ndarray,
+    k: int,
     combo: np.ndarray,
     cutoff: float,
     h: float,
@@ -273,24 +279,29 @@ def _finish(
     point: DiscontinuityEstimate | None,
     n: int,
 ) -> RobustEstimate:
-    """Bias-correct both sides of the window-cut rows ``d``/``S``, check the
-    componentwise result against the stacked matrix form, and attach the
-    variance and interval; raise NonFiniteResult if the variance is not finite.
-    Without a point estimate, ``tau_pdd`` is the plain jump of ``S[:, 0]``.
+    """Bias-correct both sides of the window-cut rows ``d``/``S``, whose first
+    ``k`` rows are the left side, check the componentwise result against the
+    stacked matrix form, and attach the variance and interval; raise
+    NonFiniteResult if the variance is not finite. Each side reads only its
+    own rows. Without a point estimate, ``tau_pdd`` is the plain jump of
+    ``S[:, 0]``.
     """
-    corr_plus = side_correction(d, S, cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(d, S, cutoff, h, b, kernel, "left")
+    plus, minus = slice(k, None), slice(None, k)
+    corr_plus = side_correction(d[plus], S[plus], cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(d[minus], S[minus], cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau = jump if point is None else point.tau_pdd
     tau_bc = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
-    stacked = (corr_plus.matrix_row - corr_minus.matrix_row) @ S
+    # a side's matrix row is n * h times its weight row, n its own row count
+    right = (corr_plus.matrix_row @ S[plus]) / corr_plus.n
+    left = (corr_minus.matrix_row @ S[minus]) / corr_minus.n
     _require_equivalent(
         tau_bc,
-        float(combo @ stacked) / (S.shape[0] * corr_plus.bandwidth),
+        float(combo @ (right - left)) / h,
         "componentwise bias correction",
         "stacked matrix form",
     )
-    v_bc = robust_variance(S, corr_plus, corr_minus, combo, variance_mode, n)
+    v_bc = robust_variance(S[plus], S[minus], corr_plus, corr_minus, combo, n, variance_mode)
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
@@ -327,12 +338,12 @@ def bias_corrected_estimate(
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
-    sample = sample.take(support_rows(sample.d, cutoff, max(h, b), kernel))
+    sample, k = _cut(sample, cutoff, max(h, b), kernel)
     point = estimate_sharp(sample, cutoff, h, kernel)
     S = np.column_stack([sample.y, sample.W])
     combo = np.concatenate([[1.0], -point.gamma_minus])
     return _finish(
-        sample.d, S, combo, cutoff, h, b, kernel, alpha, variance_mode, point, n
+        sample.d, S, k, combo, cutoff, h, b, kernel, alpha, variance_mode, point, n
     )
 
 
@@ -355,7 +366,7 @@ def rdd_robust_estimate(
     _require_valid_alpha_and_b(alpha, h, b)
     d = np.asarray(d, dtype=float)
     n = d.shape[0]
-    rows = support_rows(d, cutoff, max(h, b), kernel)
+    rows, k = support_rows(d, cutoff, max(h, b), kernel)
     S = np.asarray(y, dtype=float)[rows][:, None]
     combo = np.array([1.0])
-    return _finish(d[rows], S, combo, cutoff, h, b, kernel, alpha, variance_mode, None, n)
+    return _finish(d[rows], S, k, combo, cutoff, h, b, kernel, alpha, variance_mode, None, n)

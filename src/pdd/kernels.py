@@ -7,11 +7,13 @@ estimator output is invariant to rescaling all weights by a positive constant.
 The cutoff point itself belongs to the right side: right-side weights use
 ``d >= cutoff`` and left-side weights use ``d < cutoff``.
 
-The window and triangle kernels weight only rows with ``|d - cutoff| <= h``.
-Every estimator entry point first cuts its sample to those rows with
-``support_rows``, so for these kernels the cost of a fit grows with the rows
-within ``max(h, b)`` of the cutoff, not with the sample size. The gaussian
-kernel has no finite support and keeps every row.
+Every estimator entry point first cuts its sample with ``support_rows`` to
+the rows a kernel can weight, left side first, and each side's pass (weights,
+basis, fits, bias correction and variance) then reads only that side's
+contiguous rows. The window and triangle kernels weight only rows with
+``|d - cutoff| <= h``, so their cost grows with the rows within ``max(h, b)``
+of the cutoff, not with the sample size. The gaussian kernel has no finite
+support and partitions every row, so each side's pass reads about n/2 rows.
 """
 
 from __future__ import annotations
@@ -61,21 +63,30 @@ def kernel_value(kernel: KernelSpec, u):
 
 
 def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
-    """Index of the rows a one-sided weight at any bandwidth up to ``reach``
-    can make positive.
+    """The rows a one-sided weight at any bandwidth up to ``reach`` can make
+    positive, partitioned by side: ``(rows, k)``.
 
-    Uses the compact kernels' own support test, ``|d - cutoff| / reach <= 1``.
+    ``rows`` indexes the left rows (``d < cutoff``) first and then the right
+    rows, each side in its original order, and ``k`` counts the left rows, so
+    ``rows[:k]`` and ``rows[k:]`` are the two sides. The compact kernels keep
+    the rows passing their own support test, ``|d - cutoff| / reach <= 1``.
     Correctly rounded division is monotone in the divisor, so every row inside
     the support at a bandwidth ``h <= reach`` is kept, and a fit on the kept
     rows equals the fit on all of them up to summation order. The gaussian
-    kernel keeps every row: the result is then ``slice(None)``, which indexes
-    without copying.
+    kernel keeps every row. The partition is the identity exactly when
+    ``rows.size == len(d)`` and either ``k == 0`` or ``rows[k - 1] == k - 1``.
     """
     if not reach > 0:
         raise ValueError("bandwidth must be positive")
+    d = np.asarray(d, dtype=float)
     if kernel.kind == "gaussian":
-        return slice(None)
-    return np.flatnonzero(np.abs(np.asarray(d, dtype=float) - cutoff) / reach <= 1.0)
+        left = d < cutoff
+        sides = (np.flatnonzero(left), np.flatnonzero(~left))
+    else:
+        near = np.flatnonzero(np.abs(d - cutoff) / reach <= 1.0)
+        left = d[near] < cutoff
+        sides = (near[left], near[~left])
+    return np.concatenate(sides), sides[0].size
 
 
 @dataclass(frozen=True)
@@ -117,10 +128,8 @@ def sided_weights(
         raise ValueError("bandwidth must be positive")
     d = np.asarray(d, dtype=float)
     on_side = d >= cutoff if side == "right" else d < cutoff
-    w = np.zeros(d.shape, dtype=float)
-    if on_side.any():
-        u = np.abs(d[on_side] - cutoff) / h
-        w[on_side] = kernel_value(kernel, u) / h
+    w = kernel_value(kernel, np.abs(d - cutoff) / h) / h
+    w[~on_side] = 0.0  # a no-op on the one side's rows the estimators pass
     n_positive = int(np.count_nonzero(w > 0.0))
     if min_positive is not None and n_positive < min_positive:
         raise SingularSupport(
@@ -158,6 +167,11 @@ def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledB
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     d = np.asarray(d, dtype=float)
-    u = (d - cutoff) / h
-    rows = np.column_stack([u**j for j in range(degree + 1)])
+    rows = np.empty((d.shape[0], degree + 1))
+    rows[:, 0] = 1.0
+    u = rows[:, 1]
+    np.subtract(d, cutoff, out=u)
+    u /= h
+    if degree == 2:
+        np.multiply(u, u, out=rows[:, 2])
     return ScaledBasis(degree=degree, cutoff=float(cutoff), bandwidth=float(h), rows=rows)

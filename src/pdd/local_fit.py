@@ -86,14 +86,17 @@ def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None
     values carry positive weight.
 
     The degree is 1 or 2, so distinct values are counted only up to three,
-    in linear time and without a sort: equal extremes give one, and a value
-    strictly between them a third.
+    in linear time, without a sort and without gathering the positively
+    weighted rows: equal extremes give one, and a value strictly between
+    them a third.
     """
-    u = basis.rows[weights.positive, 1]
+    u = basis.rows[:, 1]
+    positive = weights.positive
     distinct = 0
-    if u.size:
-        lo, hi = u.min(), u.max()
-        distinct = 1 if lo == hi else 3 if np.any((u > lo) & (u < hi)) else 2
+    if weights.n_positive:
+        lo = np.min(u, where=positive, initial=np.inf)
+        hi = np.max(u, where=positive, initial=-np.inf)
+        distinct = 1 if lo == hi else 3 if np.any((u > lo) & (u < hi) & positive) else 2
     if distinct <= basis.degree:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
@@ -114,7 +117,7 @@ def _weighted_design(
         raise ValueError("weights and basis were built from different samples")
     if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
         raise ValueError("weights and basis use different bandwidth or cutoff")
-    # a helper of its own, so its row copies are freed before K R is built
+    # a helper of its own, so its masks are freed before K R is built
     _require_distinct_support(weights, basis)
     krows = basis.rows * weights.weights[:, None]
     gram_raw = krows.T @ basis.rows

@@ -32,7 +32,11 @@ import numpy as np
 
 from .errors import PddError
 from .estimator import estimate_fuzzy
-from .inference import bias_corrected_estimate, rule_of_thumb_bandwidth
+from .inference import (
+    _require_valid_alpha_and_b,
+    bias_corrected_estimate,
+    rule_of_thumb_bandwidth,
+)
 from .io import Sample
 from .kernels import KernelSpec
 
@@ -290,7 +294,9 @@ def monte_carlo(
     """Replicate simulate-and-estimate ``reps`` times and aggregate.
 
     Replication r draws with seed ``base_seed + r``. Estimator failures are
-    counted, not fatal. Aggregation runs in replication order, so the report
+    counted, not fatal; an ``alpha`` outside (0, 1) or a bias bandwidth below
+    a tenth of ``h`` raises ValueError before the replication's first fit,
+    whatever the design. Aggregation runs in replication order, so the report
     is deterministic given the base seed.
     """
     if reps < 1:
@@ -312,6 +318,7 @@ def monte_carlo(
         try:
             h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
             b_r = b if b is not None else h_r
+            _require_valid_alpha_and_b(alpha, h_r, b_r)
             if fuzzy:
                 point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel)
                 estimates.append(point.fuzzy_estimate)

@@ -195,7 +195,7 @@ def test_criterion_7_variance_oracle():
             h, b = 0.8, 1.0
             plus = side_correction(sample.d, S, 0.0, h, b, TRIANGLE, "right")
             minus = side_correction(sample.d, S, 0.0, h, b, TRIANGLE, "left")
-            fast = robust_variance(S, plus, minus, combo)
+            fast = robust_variance(S, S, plus, minus, combo, len(S))
             brute = brute_force_variance(sample.d, S, 0.0, h, b, TRIANGLE, combo)
             worst = max(worst, abs(fast - brute) / brute)
     ok = worst <= 1e-10
@@ -232,8 +232,8 @@ def test_criterion_8_invariance_suite():
     ):
         if not np.allclose(base, scaled, rtol=1e-8):
             failures.append(f"kernel scaling changed {name}")
-    v_base = robust_variance(S, base_sides[0], base_sides[1], combo)
-    v_scaled = robust_variance(S, scaled_sides[0], scaled_sides[1], combo)
+    v_base = robust_variance(S, S, base_sides[0], base_sides[1], combo, len(S))
+    v_scaled = robust_variance(S, S, scaled_sides[0], scaled_sides[1], combo, len(S))
     if abs(v_base - v_scaled) > 1e-8 * v_base:
         failures.append("kernel scaling changed the variance")
 

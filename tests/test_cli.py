@@ -257,8 +257,10 @@ def test_exit_code_64_on_bad_flags(sim_csv):
     )  # invalid value
     # a bias bandwidth below h/10, with h from the rule of thumb (about 0.45
     # here) or so small that every fit would fail, and a level outside (0, 1)
-    # in mc, which builds no RunConfig
+    # in mc, which builds no RunConfig, for the sharp and the fuzzy design
     tiny = ("--bandwidth", "1e-9", "--bias-bandwidth", "1e-11")
+    fuzzy_mc = ("mc", "--n", "2000", "--seed", "1", "--kappa", "4", "--reps", "3",
+                "--design", "fuzzy_homogeneous")  # fmt: skip
     for argv in (
         estimate_args(sim_csv, "--bias-bandwidth", "0.02"),
         estimate_args(sim_csv, *tiny),
@@ -266,6 +268,8 @@ def test_exit_code_64_on_bad_flags(sim_csv):
         ("rdd", "--data", str(sim_csv), "--cutoff", "0", "--bias-bandwidth", "0.02"),
         ("mc", "--n", "2000", "--seed", "1", "--kappa", "4", "--reps", "5", "--alpha", "1.5"),
         ("mc", "--n", "2000", "--seed", "1", "--reps", "2", "--bias-bandwidth", "0.02"),
+        (*fuzzy_mc, "--alpha", "1.5"),
+        (*fuzzy_mc, "--bandwidth", "0.5", "--bias-bandwidth", "0.02"),
     ):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (64, ""), argv

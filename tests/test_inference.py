@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,8 @@ from pdd import (
     write_csv,
 )
 from pdd.cli import main
+from pdd.estimator import _cut
+from pdd.kernels import support_rows
 from conftest import random_dataset
 
 TRIANGLE = KernelSpec("triangle")
@@ -264,7 +267,7 @@ def test_variance_brute_force_oracle(rng):
         combo = np.concatenate([[1.0], rng.uniform(-1.0, 1.0, q)])
         plus = side_correction(sample.d, S, 0.0, h, b, TRIANGLE, "right")
         minus = side_correction(sample.d, S, 0.0, h, b, TRIANGLE, "left")
-        fast = robust_variance(S, plus, minus, combo)
+        fast = robust_variance(S, S, plus, minus, combo, len(S))
         brute = brute_force_variance(sample.d, S, 0.0, h, b, TRIANGLE, combo)
         assert_allclose(fast, brute, rtol=1e-10)
 
@@ -274,7 +277,7 @@ def test_variance_zero_for_constant_outcomes():
     S = np.full((60, 2), 3.0)
     plus = side_correction(d, S, 0.0, 0.7, 0.7, TRIANGLE, "right")
     minus = side_correction(d, S, 0.0, 0.7, 0.7, TRIANGLE, "left")
-    v = robust_variance(S, plus, minus, np.array([1.0, -0.5]))
+    v = robust_variance(S, S, plus, minus, np.array([1.0, -0.5]), len(S))
     assert_allclose(v, 0.0, atol=1e-20)
 
 
@@ -320,7 +323,8 @@ def test_rdd_variance_matches_single_column_stack(rng):
     S = y[:, None]
     plus = side_correction(d, S, 0.0, 0.6, 0.8, TRIANGLE, "right")
     minus = side_correction(d, S, 0.0, 0.6, 0.8, TRIANGLE, "left")
-    assert_allclose(est.v_bc, robust_variance(S, plus, minus, np.array([1.0])), rtol=1e-12)
+    v = robust_variance(S, S, plus, minus, np.array([1.0]), len(S))
+    assert_allclose(est.v_bc, v, rtol=1e-12)
 
 
 def test_fitted_variance_mode_differs_but_close(rng):
@@ -359,6 +363,23 @@ def test_bias_bandwidth_below_a_tenth_of_h_is_rejected(rng):
     # with h from the rule of thumb, as in every rep of a default study
     with pytest.raises(ValueError, match="h/10"):
         monte_carlo(DgpSpec(n=2000, seed=1, kappa=4.0), 2, 1, b=0.02)
+
+
+def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkeypatch):
+    spec = DgpSpec(n=2000, seed=1, kappa=4.0, design="fuzzy_homogeneous")
+
+    def no_fit(*args):
+        raise AssertionError("a fit ran before the check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules["pdd.simulate"], "estimate_fuzzy", no_fit)
+        with pytest.raises(ValueError, match="alpha"):
+            monte_carlo(spec, 3, 1, alpha=1.5)
+        with pytest.raises(ValueError, match="h/10"):
+            monte_carlo(spec, 3, 1, h=0.5, b=0.02)
+        with pytest.raises(ValueError, match="h/10"):
+            monte_carlo(spec, 3, 1, b=0.02)  # h from the rule of thumb
+    assert monte_carlo(spec, 2, 1, h=0.5, b=0.05).n_failed == 0
 
 
 # --------------------------------------------------- locality of the fits
@@ -442,6 +463,119 @@ def test_gaussian_kernel_keeps_every_row(rng):
     rdd_base = rdd_robust_estimate(sample.d, sample.y, CUTOFF, h, b, gaussian)
     rdd_wide = rdd_robust_estimate(far.d, far.y, CUTOFF, h, b, gaussian)
     assert abs(rdd_wide.tau_pdd_bc - rdd_base.tau_pdd_bc) > 1e-6
+
+
+# ------------------------------------------ one pass per side of the cutoff
+
+KINDS = ("window", "triangle", "gaussian")
+
+
+def _partition_rows(rng, reach, cutoff=CUTOFF):
+    """Rows in the support, at the cutoff, beyond ``reach``, and on the last
+    floating-point value either side of ``cutoff +- reach`` that the compact
+    kernels' test ``|d - cutoff| / reach <= 1`` keeps, with the first value
+    past it that the test drops; returns ``d`` and the mask of kept rows."""
+    inner = cutoff + rng.uniform(-reach, reach, 40)
+    edges, past = [], []
+    for sign in (-1.0, 1.0):
+        edge = cutoff + sign * reach
+        while abs(edge - cutoff) / reach > 1.0:
+            edge = np.nextafter(edge, cutoff)
+        while abs(np.nextafter(edge, sign * np.inf) - cutoff) / reach <= 1.0:
+            edge = np.nextafter(edge, sign * np.inf)
+        edges.append(edge)
+        past.append(np.nextafter(edge, sign * np.inf))
+    far = _far_rows(rng, reach, 10)
+    d = np.concatenate([inner, [cutoff, cutoff], edges, past, far])
+    kept = np.arange(d.size) < inner.size + 4
+    order = rng.permutation(d.size)
+    return d[order], kept[order]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_support_rows_put_the_left_side_first_in_order(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    d, kept = _partition_rows(rng, max(h, b))
+    rows, k = support_rows(d, CUTOFF, max(h, b), kernel)
+    keep = np.ones(d.size, bool) if kind == "gaussian" else kept
+    left = np.flatnonzero(keep & (d < CUTOFF))
+    right = np.flatnonzero(keep & (d >= CUTOFF))
+    assert k == left.size
+    np.testing.assert_array_equal(rows[:k], left)
+    np.testing.assert_array_equal(rows[k:], right)
+    # rows exactly at the cutoff are on the right; ``kept`` holds the last
+    # value on each edge, and the first value past it is dropped
+    assert np.count_nonzero(d[rows[k:]] == CUTOFF) == 2
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_cut_skips_the_copy_only_for_a_sample_already_partitioned(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    cut, k = _cut(sample, CUTOFF, max(h, b), kernel)
+    assert cut is not sample
+    again, k_again = _cut(cut, CUTOFF, max(h, b), kernel)
+    assert again is cut and k_again == k
+    inner, _ = _cut(cut, CUTOFF, min(h, b), kernel)
+    assert (inner is cut) == (kind == "gaussian" or h == b)
+
+
+ROBUST_FIELDS = (
+    "tau_pdd", "tau_pdd_bc", "v_bc", "se", "ci_lower", "ci_upper", "n_left", "n_right"
+)  # fmt: skip
+
+
+def _every_output(sample, kernel, h, b):
+    """The outputs of the three entry points on ``sample``, by name."""
+    out = {}
+    for mode in ("paper", "fitted"):
+        est = bias_corrected_estimate(sample, CUTOFF, h, b, kernel, variance_mode=mode)
+        out.update({f"{mode} {name}": getattr(est, name) for name in ROBUST_FIELDS})
+        out[f"{mode} gamma_minus"] = est.point.gamma_minus[0]
+    rdd = rdd_robust_estimate(sample.d, sample.y, CUTOFF, h, b, kernel)
+    out.update({f"rdd {name}": getattr(rdd, name) for name in ROBUST_FIELDS})
+    fuzzy = estimate_fuzzy(sample, CUTOFF, h, kernel)
+    for name in ("fuzzy_estimate", "tau_rdd_a", "tau_pdd", "n_left", "n_right"):
+        out[f"fuzzy {name}"] = getattr(fuzzy, name)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_shuffling_the_rows_moves_no_output(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    d, _ = _partition_rows(rng, max(h, b))
+    sample = _with_rows(sample, d, 0.5)
+    a = rng.random(sample.n) < 0.2 + 0.6 * (sample.d >= CUTOFF)
+    sample = replace(sample, a=a.astype(float))
+    base = _every_output(sample, kernel, h, b)
+    shuffled = _every_output(sample.take(rng.permutation(sample.n)), kernel, h, b)
+    for name, value in base.items():
+        gap = abs(shuffled[name] - value) / max(abs(value), 1e-300)
+        assert gap <= 1e-12, (name, value, shuffled[name])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_side_correction_on_one_side_equals_the_full_sample_call(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    d, _ = _partition_rows(rng, max(h, b))
+    sample = _with_rows(sample, d, 0.5)
+    S = np.column_stack([sample.y, sample.W])
+    for side, on_side in (("left", sample.d < CUTOFF), ("right", sample.d >= CUTOFF)):
+        full = side_correction(sample.d, S, CUTOFF, h, b, kernel, side)
+        own = side_correction(sample.d[on_side], S[on_side], CUTOFF, h, b, kernel, side)
+        assert np.all(full.weight_row[~on_side] == 0.0)
+        scale = np.abs(own.weight_row).max()
+        assert_allclose(
+            own.weight_row, full.weight_row[on_side], rtol=1e-12, atol=1e-12 * scale
+        )
+        assert_allclose(own.intercepts_bc, full.intercepts_bc, rtol=1e-12)
+        assert own.n_effective == full.n_effective
 
 
 def test_empty_or_thin_window_is_singular_support(rng, tmp_path, capsys):
