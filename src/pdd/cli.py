@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import IO, Any
 
 import numpy as np
@@ -200,100 +200,47 @@ def run_rdd(config: RunConfig, sample: Sample) -> dict[str, Any]:
     }
 
 
-_ESTIMATE_DEFAULTS: dict[str, Any] = {
-    "cutoff": None,
-    "running": "d",
-    "outcome": "y",
-    "treatment": None,
-    "placebo_outcomes": None,
-    "placebo_treatments": None,
-    "kernel": "triangle",
-    "bandwidth": None,
-    "bias_bandwidth": None,
-    "alpha": 0.05,
-    "design": "sharp",
-    "variance_mode": "paper",
-    "data": None,
-    "out": None,
-}
-
-#: Every scenario field not given falls through to ``DgpSpec``'s default.
-_SIM_DEFAULTS: dict[str, Any] = {
-    **{f.name: None for f in fields(DgpSpec)},
-    "n": 1000,
-    "seed": 0,
-    "out": None,
-}
-
-_MC_DEFAULTS: dict[str, Any] = {
-    **_SIM_DEFAULTS,
-    **{
-        key: _ESTIMATE_DEFAULTS[key]
-        for key in ("kernel", "bandwidth", "bias_bandwidth", "alpha", "variance_mode")
-    },
-    "reps": None,
-}
+def _given(**values: Any) -> dict[str, Any]:
+    """The options somebody set; the rest fall through to library defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
-def _merged(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """Resolve option values: explicit flag, then config file, then default."""
-    from_file: dict[str, str] = {}
-    if getattr(args, "config", None):
-        from_file = parse_config_file(args.config)
-    out: dict[str, Any] = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            out[key] = flag_value
-        elif key in from_file:
-            out[key] = from_file[key]
-        else:
-            out[key] = default
-    unknown = set(from_file) - set(defaults)
-    if unknown:
-        raise _Usage(f"unknown config keys: {sorted(unknown)}")
-    return out
+def _split_names(raw: str | None) -> tuple[str, ...]:
+    return tuple(name.strip() for name in (raw or "").split(",") if name.strip())
 
 
-def _split_names(raw: Any) -> tuple[str, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, (list, tuple)):
-        return tuple(raw)
-    return tuple(name.strip() for name in str(raw).split(",") if name.strip())
-
-
-def _build_run_config(values: dict[str, Any], need_placebo: bool) -> RunConfig:
-    if values["cutoff"] is None:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The settings of an ``estimate`` or ``rdd`` run. ``rdd`` has no
+    treatment, placebo or design flags, so it binds only ``d`` and ``y``.
+    """
+    if args.cutoff is None:
         raise _Usage("--cutoff is required")
-    placebo_w = _split_names(values["placebo_outcomes"])
-    placebo_z = _split_names(values["placebo_treatments"])
-    if need_placebo and (not placebo_w or not placebo_z):
+    placebo_w = _split_names(getattr(args, "placebo_outcomes", None))
+    placebo_z = _split_names(getattr(args, "placebo_treatments", None))
+    if args.command == "estimate" and (not placebo_w or not placebo_z):
         raise _Usage("--placebo-outcomes and --placebo-treatments are required")
     if len(placebo_w) != len(placebo_z):
         raise _Usage("placebo outcome and treatment lists must have equal length")
+    design = getattr(args, "design", None)
     bindings = ColumnBindings(
-        running=str(values["running"]),
-        outcome=str(values["outcome"]),
-        treatment=str(values["treatment"]) if values["treatment"] else None,
+        **_given(running=args.running, outcome=args.outcome),
+        treatment=getattr(args, "treatment", None) or ("a" if design == "fuzzy" else None),
         placebo_outcomes=placebo_w,
         placebo_treatments=placebo_z,
     )
     return RunConfig(
-        cutoff=float(values["cutoff"]),
-        kernel=str(values["kernel"]),
-        h=float(values["bandwidth"]) if values["bandwidth"] is not None else None,
-        b=float(values["bias_bandwidth"]) if values["bias_bandwidth"] is not None else None,
-        alpha=float(values["alpha"]),
-        design=str(values["design"]),
-        variance_mode=str(values["variance_mode"]),
+        cutoff=args.cutoff,
+        h=args.bandwidth,
+        b=args.bias_bandwidth,
         bindings=bindings,
+        **_given(
+            kernel=args.kernel, alpha=args.alpha, design=design, variance_mode=args.variance_mode
+        ),
     )
 
 
-def _build_dgp_spec(values: dict[str, Any]) -> DgpSpec:
-    names = (f.name for f in fields(DgpSpec))
-    return DgpSpec.from_mapping({k: values[k] for k in names if values.get(k) is not None})
+def _dgp_spec(args: argparse.Namespace) -> DgpSpec:
+    return DgpSpec(**_given(**{f.name: getattr(args, f.name) for f in fields(DgpSpec)}))
 
 
 def _open_out(path: str | None) -> tuple[IO[str], bool]:
@@ -302,22 +249,21 @@ def _open_out(path: str | None) -> tuple[IO[str], bool]:
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _load_sample(values: dict[str, Any], bindings: ColumnBindings) -> Sample:
-    data = values["data"]
+def _load_sample(data: str | None, bindings: ColumnBindings) -> Sample:
     if data is None:
         raise _Usage("--data is required")
     if data == "-":
         return load_csv(sys.stdin, bindings)
-    return load_csv(str(data), bindings)
+    return load_csv(data, bindings)
 
 
-def _add_estimate_flags(sub: argparse.ArgumentParser, with_placebo: bool) -> None:
+def _add_estimate_flags(sub: argparse.ArgumentParser, placebo_adjusted: bool) -> None:
     sub.add_argument("--data", help="input CSV ('-' for stdin)")
     sub.add_argument("--cutoff", type=float, help="cutoff of the running variable")
     sub.add_argument("--running", help="running-variable column (default d)")
     sub.add_argument("--outcome", help="outcome column (default y)")
-    sub.add_argument("--treatment", help="treatment column (fuzzy designs)")
-    if with_placebo:
+    if placebo_adjusted:
+        sub.add_argument("--treatment", help="treatment column (fuzzy designs)")
         sub.add_argument(
             "--placebo-outcomes", dest="placebo_outcomes", help="comma list of columns"
         )
@@ -344,6 +290,7 @@ def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(flag, dest=f.name, type=FIELD_CASTERS[f.type], choices=choices)
     sub.add_argument("--config", help="flat key=value file; flags override it")
     sub.add_argument("--out", help="write the output here instead of stdout")
+    sub.set_defaults(n=1000, seed=0)
 
 
 def _make_parser() -> _Parser:
@@ -351,11 +298,11 @@ def _make_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="placebo-adjusted discontinuity estimate")
-    _add_estimate_flags(est, with_placebo=True)
+    _add_estimate_flags(est, placebo_adjusted=True)
     est.add_argument("--design", choices=DESIGNS)
 
     rdd = sub.add_parser("rdd", help="plain local linear discontinuity")
-    _add_estimate_flags(rdd, with_placebo=False)
+    _add_estimate_flags(rdd, placebo_adjusted=False)
 
     sim = sub.add_parser("simulate", help="emit a simulated CSV sample")
     _add_dgp_flags(sim)
@@ -365,6 +312,27 @@ def _make_parser() -> _Parser:
     mc.add_argument("--reps", type=int, help="number of replications")
     _add_fit_flags(mc)
     return parser
+
+
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``, reading each ``key = value`` line of a ``--config``
+    file as the flag ``--key=value`` placed before the command line's own
+    flags: file values get the same types, choices and errors as flags, and
+    a flag given on the command line wins. A key must be the dest of one of
+    the subcommand's own flags, spelt out in full.
+    """
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    from_file = parse_config_file(args.config)
+    unknown = set(from_file) - (set(vars(args)) - {"command", "config"})
+    if unknown:
+        raise _Usage(f"unknown config keys: {sorted(unknown)}")
+    # the top-level parser has no option that takes a value, so the first
+    # occurrence of the command's name is the command
+    at = argv.index(args.command) + 1
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in from_file.items()]
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -379,27 +347,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "estimate":
-        values = _merged(args, _ESTIMATE_DEFAULTS)
-        config = _build_run_config(values, need_placebo=True)
-        if config.design == "fuzzy" and config.bindings.treatment is None:
-            config = replace(config, bindings=replace(config.bindings, treatment="a"))
-        sample = _load_sample(values, config.bindings)
-        _emit(dumps(run_estimate(config, sample)), values["out"])
-        return 0
-    if args.command == "rdd":
-        values = _merged(args, _ESTIMATE_DEFAULTS)
-        values["placebo_outcomes"] = values["placebo_treatments"] = None
-        values["design"] = "sharp"
-        config = _build_run_config(values, need_placebo=False)
-        sample = _load_sample(values, config.bindings)
-        _emit(dumps(run_rdd(config, sample)), values["out"])
+    if args.command in ("estimate", "rdd"):
+        config = _run_config(args)
+        sample = _load_sample(args.data, config.bindings)
+        run = run_estimate if args.command == "estimate" else run_rdd
+        _emit(dumps(run(config, sample)), args.out)
         return 0
     if args.command == "simulate":
-        values = _merged(args, _SIM_DEFAULTS)
-        spec = _build_dgp_spec(values)
-        sample = simulate(spec)
-        out, close = _open_out(values["out"])
+        sample = simulate(_dgp_spec(args))
+        out, close = _open_out(args.out)
         try:
             write_csv(sample, out)
         finally:
@@ -407,21 +363,19 @@ def _dispatch(args: argparse.Namespace) -> int:
                 out.close()
         return 0
     if args.command == "mc":
-        values = _merged(args, _MC_DEFAULTS)
-        if values["reps"] is None:
+        if args.reps is None:
             raise _Usage("--reps is required")
-        spec = _build_dgp_spec(values)
+        spec = _dgp_spec(args)
         report = monte_carlo(
             spec,
-            reps=int(values["reps"]),
+            reps=args.reps,
             base_seed=spec.seed,
-            kernel=KernelSpec(str(values["kernel"])),
-            h=float(values["bandwidth"]) if values["bandwidth"] is not None else None,
-            b=float(values["bias_bandwidth"]) if values["bias_bandwidth"] is not None else None,
-            alpha=float(values["alpha"]),
-            variance_mode=str(values["variance_mode"]),
+            kernel=KernelSpec(args.kernel) if args.kernel else None,
+            h=args.bandwidth,
+            b=args.bias_bandwidth,
+            **_given(alpha=args.alpha, variance_mode=args.variance_mode),
         )
-        _emit(dumps(report.to_mapping()), values["out"])
+        _emit(dumps(report.to_mapping()), args.out)
         return 0
     raise _Usage(f"unknown command {args.command!r}")  # pragma: no cover
 
@@ -443,13 +397,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = _make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except _Usage as exc:
-        print(f"pdd: {exc}", file=sys.stderr)
-        return 64
-    try:
+        args = _parse(_make_parser(), argv)
         # every non-finite result already fails closed with exit 2 and one
         # JSON document, so numpy's floating-point warnings add nothing
         with np.errstate(all="ignore"):

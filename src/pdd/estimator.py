@@ -90,8 +90,8 @@ def _sides(
     """
     basis = scaled_basis(d, cutoff, h, degree=1)
     left, right = slice(None, k), slice(k, None)
-    w_minus = sided_weights(d[left], cutoff, h, "left", kernel, min_positive=2)
-    w_plus = sided_weights(d[right], cutoff, h, "right", kernel, min_positive=2)
+    w_minus = sided_weights(d[left], cutoff, h, "left", kernel)
+    w_plus = sided_weights(d[right], cutoff, h, "right", kernel)
     return (
         (w_minus, replace(basis, rows=basis.rows[left])),
         (w_plus, replace(basis, rows=basis.rows[right])),

@@ -101,9 +101,9 @@ def side_correction(
     ``S`` stacks the outcome columns, target first, shape (n, 1 + q).
     """
     d = np.asarray(d, dtype=float)
-    w_h = sided_weights(d, cutoff, h, side, kernel, min_positive=2)
+    w_h = sided_weights(d, cutoff, h, side, kernel)
     basis1 = scaled_basis(d, cutoff, h, 1)
-    w_b = sided_weights(d, cutoff, b, side, kernel, min_positive=3)
+    w_b = sided_weights(d, cutoff, b, side, kernel)
     basis2 = scaled_basis(d, cutoff, b, 2)
     return side_correction_from_weights(S, w_h, basis1, w_b, basis2)
 
@@ -252,17 +252,26 @@ class RobustEstimate:
 
 
 def _require_valid_alpha_and_b(alpha: float, h: float, b: float) -> None:
-    """Raise ValueError unless ``0 < alpha < 1`` and ``b >= h / 10``.
+    """Raise ValueError unless ``0 < alpha < 1``, ``1 - alpha/2 < 1``,
+    ``b >= h / 10`` and ``0 < h, b < inf``.
 
     Outside (0, 1) the normal quantile of ``1 - alpha/2`` is undefined or
-    negative, which would invert the interval; a bias bandwidth far below
-    ``h`` leaves a curvature estimate too noisy to use. Both entry points
-    check this before any fit, so a bad value fails whatever the data.
+    negative, which would invert the interval, and below about 1.1e-16
+    ``1 - alpha/2`` rounds to 1, whose quantile is infinite; a bias bandwidth
+    far below ``h`` leaves a curvature estimate too noisy to use, and an
+    infinite bandwidth gives every row zero weight. Both entry points check
+    this before any fit, so a bad value fails whatever the data.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValueError(f"alpha {alpha!r} is so small that 1 - alpha/2 rounds to 1")
     if b < h / 10.0:
         raise ValueError("bias bandwidth below h/10 is not supported")
+    if not (h > 0.0 and b > 0.0):
+        raise ValueError("bandwidth must be positive")
+    if not (h < math.inf and b < math.inf):
+        raise ValueError("bandwidth must be finite")
 
 
 def _finish(

@@ -290,6 +290,13 @@ class RunConfig:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.variance_mode not in VARIANCE_MODES:
             raise ValueError(f"variance mode must be one of {VARIANCE_MODES}")
+        for name, value in (
+            ("cutoff", self.cutoff),
+            ("bandwidth", self.h),
+            ("bias bandwidth", self.b),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 def parse_config_file(source: str | IO[str]) -> dict[str, str]:

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSupport
-
 KERNEL_KINDS = ("window", "triangle", "gaussian")
 
 
@@ -109,18 +107,13 @@ class SidedWeights:
 
 
 def sided_weights(
-    d: np.ndarray,
-    cutoff: float,
-    h: float,
-    side: str,
-    kernel: KernelSpec,
-    min_positive: int | None = None,
+    d: np.ndarray, cutoff: float, h: float, side: str, kernel: KernelSpec
 ) -> SidedWeights:
     """Build one-sided kernel weights at bandwidth ``h``.
 
-    Raises SingularSupport when fewer than ``min_positive`` observations get a
-    strictly positive weight (the bandwidth is too small for the side); an
-    empty ``d``, such as a sample cut to an empty window, gets none.
+    A side with too few positively weighted observations for a fit, such as
+    an empty ``d`` from a sample cut to an empty window, is rejected by the
+    fit's support check (``local_fit._require_distinct_support``).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -130,18 +123,12 @@ def sided_weights(
     on_side = d >= cutoff if side == "right" else d < cutoff
     w = kernel_value(kernel, np.abs(d - cutoff) / h) / h
     w[~on_side] = 0.0  # a no-op on the one side's rows the estimators pass
-    n_positive = int(np.count_nonzero(w > 0.0))
-    if min_positive is not None and n_positive < min_positive:
-        raise SingularSupport(
-            f"{n_positive} observations with positive weight on the {side} side "
-            f"(need at least {min_positive}); bandwidth {h} is too small"
-        )
     return SidedWeights(
         side=side,
         cutoff=float(cutoff),
         bandwidth=float(h),
         weights=w,
-        n_positive=n_positive,
+        n_positive=int(np.count_nonzero(w > 0.0)),
     )
 
 

@@ -100,7 +100,8 @@ def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None
     if distinct <= basis.degree:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
-            f"the {weights.side} side; need at least {basis.degree + 1}"
+            f"the {weights.side} side; need at least {basis.degree + 1}, so "
+            f"bandwidth {weights.bandwidth} is too small"
         )
 
 

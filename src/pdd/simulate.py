@@ -25,6 +25,7 @@ standard discontinuity. The adjustment weights' population value is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
@@ -92,19 +93,12 @@ class DgpSpec:
         for name in ("noise_z", "noise_d", "noise_w", "noise_y"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
     def to_mapping(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_mapping(cls, mapping: dict[str, str | float | int]) -> "DgpSpec":
-        unknown = set(mapping) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        if "n" not in mapping or "seed" not in mapping:
-            raise ValueError("a scenario needs at least 'n' and 'seed'")
-        cast = {f.name: FIELD_CASTERS[f.type] for f in fields(cls)}
-        return cls(**{key: cast[key](value) for key, value in mapping.items()})
 
 
 def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pdd
-from pdd.cli import dumps, main
+from pdd.cli import _make_parser, dumps, main
 
 SHARP_KEYS = [
     "estimate",
@@ -270,6 +270,16 @@ def test_exit_code_64_on_bad_flags(sim_csv):
         ("mc", "--n", "2000", "--seed", "1", "--reps", "2", "--bias-bandwidth", "0.02"),
         (*fuzzy_mc, "--alpha", "1.5"),
         (*fuzzy_mc, "--bandwidth", "0.5", "--bias-bandwidth", "0.02"),
+        # rdd fits only d and y, so it has no treatment flag to bind a column
+        ("rdd", "--data", str(sim_csv), "--cutoff", "0", "--treatment", "a"),
+        # non-finite values, and a level whose 1 - alpha/2 rounds to 1
+        estimate_args(sim_csv, "--cutoff", "nan"),
+        estimate_args(sim_csv, "--bandwidth", "inf"),
+        estimate_args(sim_csv, "--alpha", "1e-17"),
+        ("simulate", "--n", "50", "--cutoff", "nan"),
+        ("simulate", "--n", "50", "--noise-y", "nan"),
+        ("mc", "--n", "600", "--seed", "1", "--reps", "2", "--tau0", "nan"),
+        ("mc", "--n", "600", "--seed", "1", "--reps", "2", "--bandwidth", "inf"),
     ):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (64, ""), argv
@@ -312,6 +322,131 @@ def test_reps_in_a_config_file_is_known_only_to_mc(tmp_path, sim_csv):
     proc = run_cli("mc", "--config", str(mc_config))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["reps"] == 3
+
+
+def _flag_cases():
+    """``(command, dest, flag, choices)`` of every option of every subcommand
+    but ``--config``."""
+    (commands,) = [a.choices for a in _make_parser()._actions if a.dest == "command"]
+    return [
+        pytest.param(
+            command, action.dest, action.option_strings[0], action.choices,
+            id=f"{command}-{action.dest}",
+        )  # fmt: skip
+        for command, sub in commands.items()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
+
+
+#: Two valid values of each option without choices: the first is the one a
+#: run uses, the second one that an explicit flag overrides.
+OPTION_VALUES = {
+    "cutoff": ("0.05", "0.1"),
+    "running": ("d", "z1"),
+    "outcome": ("y", "w1"),
+    "treatment": ("a", "w1"),
+    "placebo_outcomes": ("w1", "z1"),
+    "placebo_treatments": ("z1", "w1"),
+    "bandwidth": ("0.6", "0.4"),
+    "bias_bandwidth": ("0.7", "0.5"),
+    "alpha": ("0.1", "0.2"),
+    "reps": ("3", "2"),
+    "n": ("300", "400"),
+    "seed": ("5", "6"),
+    "tau0": ("2", "0.5"),
+    "kappa": ("2", "1"),
+    "window": ("0.3", "0.4"),
+    "proxy_loading": ("2", "0.5"),
+    "instrument_strength": ("0.8", "1.2"),
+    "noise_z": ("0.5", "0.1"),
+    "noise_d": ("0.6", "0.9"),
+    "noise_w": ("0.7", "0.2"),
+    "noise_y": ("0.9", "0.3"),
+    "compliance": ("0.8", "0.5"),
+    "curvature": ("0.5", "2"),
+}
+
+#: The options each subcommand needs to run.
+REQUIRED = {
+    "estimate": ("data", "cutoff", "placebo_outcomes", "placebo_treatments"),
+    "rdd": ("data", "cutoff"),
+    "simulate": ("n",),
+    "mc": ("n", "reps"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzzy_csvs(tmp_path_factory):
+    paths = []
+    for seed in (3, 4):
+        path = tmp_path_factory.mktemp("config") / "fuzzy.csv"
+        spec = pdd.DgpSpec(n=2000, seed=seed, kappa=4.0, design="fuzzy_homogeneous")
+        with path.open("w", newline="") as fh:
+            pdd.write_csv(pdd.simulate(spec), fh)
+        paths.append(str(path))
+    return paths
+
+
+def _run_in_process(argv, out_path):
+    """``(exit code, stdout, stderr, bytes written to out_path)`` of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    written = out_path.read_bytes() if out_path.exists() else None
+    if written is not None:
+        out_path.unlink()
+    return code, out.getvalue(), err.getvalue(), written
+
+
+@pytest.mark.parametrize("command,dest,flag,choices", _flag_cases())
+def test_a_config_value_acts_as_its_flag(tmp_path, fuzzy_csvs, command, dest, flag, choices):
+    out_path = tmp_path / "out.txt"
+    values = {
+        **OPTION_VALUES,
+        "data": tuple(fuzzy_csvs),
+        "out": (str(out_path), str(tmp_path / "other.txt")),
+    }
+    value, other = (choices[-1], choices[0]) if choices else values[dest]
+    base = [arg for name in REQUIRED[command] if name != dest
+            for arg in ("--" + name.replace("_", "-"), values[name][0])]  # fmt: skip
+    config = tmp_path / "run.conf"
+
+    def run(*argv, line=None):
+        if line is not None:
+            config.write_text(line + "\n")
+            argv = ("--config", str(config), *argv)
+        code, out, _, written = _run_in_process([command, *base, *argv], out_path)
+        return code, out, written
+
+    by_flag = run(flag, value)
+    assert by_flag[0] == 0
+    assert run(line=f"{dest} = {value}") == by_flag
+    assert run(flag, value, line=f"{dest} = {other}") == by_flag
+
+
+def test_config_lines_without_a_valid_flag_exit_64(tmp_path, fuzzy_csvs):
+    data = ["--data", fuzzy_csvs[0], "--cutoff", "0"]
+    placebo = ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
+    config = tmp_path / "bad.conf"
+    for argv, line, message in (
+        (["estimate", *data, *placebo], "config = other.conf", "unknown config keys: ['config']"),
+        (["estimate", *data, *placebo], "band = 0.5", "unknown config keys: ['band']"),
+        (["mc", "--reps", "2"], "band = 0.5", "unknown config keys: ['band']"),
+        (["rdd", *data], "placebo-outcomes = w1", "unknown config keys: ['placebo_outcomes']"),
+        (["rdd", *data], "placebo_treatments = z1", "unknown config keys: ['placebo_treatments']"),
+        (["rdd", *data], "design = fuzzy", "unknown config keys: ['design']"),
+        (["rdd", *data], "treatment = a", "unknown config keys: ['treatment']"),
+        # values are checked as flags are, also where a flag overrides them
+        (["estimate", *data, *placebo], "kernel = epanechnikov", "invalid choice"),
+        (["estimate", *data, *placebo, "--alpha", "0.1"], "alpha = x", "invalid float"),
+        (["simulate"], "n = 1.5", "invalid int"),
+        (["simulate"], "noise_y = nan", "noise_y must be finite"),
+    ):
+        config.write_text(line + "\n")
+        code, out, err, _ = _run_in_process([*argv, "--config", str(config)], tmp_path / "none")
+        assert (code, out) == (64, ""), (argv, line)
+        assert message in err, (line, err)
 
 
 def test_variance_mode_flag(sim_csv):

@@ -352,13 +352,23 @@ def test_confidence_interval_reference(rng):
 
 def test_bias_bandwidth_below_a_tenth_of_h_is_rejected(rng):
     sample = _dense_sample(rng)
+    spec = DgpSpec(n=2000, seed=1, kappa=4.0)
     for call in (
-        lambda b: bias_corrected_estimate(sample, 0.0, 0.5, b, TRIANGLE),
-        lambda b: rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, b, TRIANGLE),
-        lambda b: monte_carlo(DgpSpec(n=2000, seed=1, kappa=4.0), 2, 1, TRIANGLE, 0.5, b),
+        lambda b, h=0.5, alpha=0.05: bias_corrected_estimate(sample, 0.0, h, b, TRIANGLE, alpha),
+        lambda b, h=0.5, alpha=0.05: rdd_robust_estimate(
+            sample.d, sample.y, 0.0, h, b, TRIANGLE, alpha
+        ),
+        lambda b, h=0.5, alpha=0.05: monte_carlo(spec, 2, 1, TRIANGLE, h, b, alpha),
     ):
         with pytest.raises(ValueError, match="h/10"):
             call(0.049)
+        # an infinite bandwidth, and a level whose 1 - alpha/2 rounds to 1
+        with pytest.raises(ValueError, match="finite"):
+            call(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            call(math.inf, h=math.inf)
+        with pytest.raises(ValueError, match="alpha"):
+            call(0.5, alpha=1e-17)
         call(0.05)
     # with h from the rule of thumb, as in every rep of a default study
     with pytest.raises(ValueError, match="h/10"):

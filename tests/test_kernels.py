@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pdd import KernelSpec, SingularSupport, kernel_value, scaled_basis, sided_weights
+from pdd import (
+    KernelSpec,
+    SingularSupport,
+    kernel_value,
+    local_poly_fit,
+    scaled_basis,
+    sided_weights,
+)
 
 
 def test_closed_forms():
@@ -88,9 +95,11 @@ def test_effective_support_counts_gaussian():
 
 
 def test_min_positive_raises():
+    # the one right-side row lies beyond h, so the fit sees no support
     d = np.array([-1.0, -2.0, 1.0])
-    with pytest.raises(SingularSupport):
-        sided_weights(d, 0.0, 0.5, "right", KernelSpec("triangle"), min_positive=2)
+    w = sided_weights(d, 0.0, 0.5, "right", KernelSpec("triangle"))
+    with pytest.raises(SingularSupport, match="^0 distinct.*bandwidth 0.5 is too small"):
+        local_poly_fit(np.ones(3), w, scaled_basis(d, 0.0, 0.5, degree=1))
 
 
 def test_basis_rows_and_scaling():

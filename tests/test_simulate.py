@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -43,15 +44,15 @@ def test_spec_validation():
         DgpSpec(n=10, seed=1, compliance=0.0)
     with pytest.raises(ValueError):
         DgpSpec(n=10, seed=1, noise_w=-0.5)
+    for field, value in (("cutoff", math.nan), ("noise_y", math.nan), ("tau0", math.inf),
+                         ("kappa", math.inf), ("curvature", -math.inf)):  # fmt: skip
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DgpSpec(n=10, seed=1, **{field: value})
 
 
 def test_mapping_roundtrip():
     spec = DgpSpec(n=50, seed=9, kappa=2.0, design="fuzzy_homogeneous", compliance=0.4)
-    assert DgpSpec.from_mapping(spec.to_mapping()) == spec
-    with pytest.raises(ValueError):
-        DgpSpec.from_mapping({"n": 10, "seed": 1, "bogus": 2})
-    with pytest.raises(ValueError):
-        DgpSpec.from_mapping({"n": 10})
+    assert DgpSpec(**spec.to_mapping()) == spec
 
 
 def test_sharp_treatment_is_step():
