@@ -2,8 +2,11 @@
 
 The CLI is a thin shell over the library: every number in the JSON output is
 the library value serialised with 17 significant digits, enough to round-trip
-a double exactly. Exit codes: 0 when a result document was produced, 2 for
+a double exactly. ``rdd`` runs the ``estimate`` path on a sample without
+placebo columns. Exit codes: 0 when a result document was produced, 2 for
 estimation failures, 3 for I/O failures, 64 for bad flags or bad flag values.
+A bad level or bandwidth exits 64 before the data are read, except a bias
+bandwidth below a tenth of the rule-of-thumb h, which needs the data.
 """
 
 from __future__ import annotations
@@ -26,11 +29,7 @@ from .errors import (
     PddError,
 )
 from .estimator import estimate_fuzzy
-from .inference import (
-    bias_corrected_estimate,
-    rdd_robust_estimate,
-    rule_of_thumb_bandwidth,
-)
+from .inference import bias_corrected_estimate, rule_of_thumb_bandwidth
 from .io import (
     DESIGNS,
     VARIANCE_MODES,
@@ -99,32 +98,32 @@ def _bandwidths(config: RunConfig, sample: Sample, warnings: list[str]) -> tuple
 
 
 def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
-    """Run a placebo-adjusted estimation and assemble the result document."""
-    if sample.q < 1:
-        raise ValueError(
-            "placebo outcome and treatment columns are required; "
-            "use the 'rdd' subcommand for a plain discontinuity"
-        )
+    """Run an estimation and assemble the result document.
+
+    A sample without placebo columns, which ``rdd`` loads, gives the plain
+    robust discontinuity of the outcome: design ``rdd``, no ``tau_rdd_w``,
+    ``gamma_minus`` or ``gamma_plus``, and no weak-proxy warnings.
+    """
     sample.require_sides(config.cutoff)
     warnings: list[str] = []
     kernel = KernelSpec(config.kernel)
     h, b = _bandwidths(config, sample, warnings)
-    if config.design == "fuzzy" and sample.a is None:
+    fuzzy = config.design == "fuzzy"
+    if fuzzy and sample.a is None:
         raise ValueError("fuzzy design requires a treatment column binding")
 
-    # the robust fit runs first: it rejects a bad alpha or b before any fit
+    # the robust fit runs first: it rejects a b below a tenth of the
+    # rule-of-thumb h before any fit
     robust = bias_corrected_estimate(
         sample, config.cutoff, h, b, kernel, config.alpha, config.variance_mode
     )
-    point = robust.point
-    if config.design == "fuzzy":
-        point = estimate_fuzzy(sample, config.cutoff, h, kernel)
+    point = estimate_fuzzy(sample, config.cutoff, h, kernel) if fuzzy else robust.point
 
     for side, rcond, n_side in (
-        ("left", point.schur_rcond_left, point.n_left),
-        ("right", point.schur_rcond_right, point.n_right),
+        ("left", None if point is None else point.schur_rcond_left, robust.n_left),
+        ("right", None if point is None else point.schur_rcond_right, robust.n_right),
     ):
-        if rcond < WEAK_INSTRUMENT_WARN:
+        if rcond is not None and rcond < WEAK_INSTRUMENT_WARN:
             warnings.append(
                 f"weak placebo proxy on the {side} side (Schur rcond={rcond:.3e})"
             )
@@ -132,7 +131,7 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
             warnings.append(f"only {n_side} effective observations on the {side} side")
 
     doc: dict[str, Any] = {}
-    if config.design == "fuzzy":
+    if fuzzy:
         doc["estimate"] = point.fuzzy_estimate
         doc["estimate_bc"] = robust.tau_pdd_bc / point.tau_rdd_a
         doc["se"] = None
@@ -150,54 +149,24 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
         if robust.degenerate_ci:
             warnings.append("zero estimated variance; the interval is degenerate")
     doc["alpha"] = config.alpha
-    doc["tau_rdd_y"] = point.tau_rdd_y
-    doc["tau_rdd_w"] = list(point.tau_rdd_w)
-    doc["gamma_minus"] = list(point.gamma_minus)
-    doc["gamma_plus"] = list(point.gamma_plus)
+    if point is None:
+        doc["tau_rdd_y"] = robust.tau_pdd
+    else:
+        doc["tau_rdd_y"] = point.tau_rdd_y
+        doc["tau_rdd_w"] = list(point.tau_rdd_w)
+        doc["gamma_minus"] = list(point.gamma_minus)
+        doc["gamma_plus"] = list(point.gamma_plus)
     doc["h"] = h
     doc["b"] = b
     doc["kernel"] = config.kernel
-    doc["n_left"] = point.n_left
-    doc["n_right"] = point.n_right
-    doc["design"] = config.design
-    if config.design == "fuzzy":
+    doc["n_left"] = robust.n_left
+    doc["n_right"] = robust.n_right
+    doc["design"] = "rdd" if point is None else config.design
+    if fuzzy:
         doc["first_stage"] = point.tau_rdd_a
     doc["warnings"] = warnings
     doc["dropped_rows"] = sample.dropped_rows
     return doc
-
-
-def run_rdd(config: RunConfig, sample: Sample) -> dict[str, Any]:
-    """Plain local linear discontinuity with robust bias correction."""
-    sample.require_sides(config.cutoff)
-    warnings: list[str] = []
-    kernel = KernelSpec(config.kernel)
-    h, b = _bandwidths(config, sample, warnings)
-    robust = rdd_robust_estimate(
-        sample.d, sample.y, config.cutoff, h, b, kernel, config.alpha, config.variance_mode
-    )
-    for side, n_side in (("left", robust.n_left), ("right", robust.n_right)):
-        if n_side < SMALL_SIDE_WARN:
-            warnings.append(f"only {n_side} effective observations on the {side} side")
-    if robust.degenerate_ci:
-        warnings.append("zero estimated variance; the interval is degenerate")
-    return {
-        "estimate": robust.tau_pdd,
-        "estimate_bc": robust.tau_pdd_bc,
-        "se": robust.se,
-        "ci_lower": robust.ci_lower,
-        "ci_upper": robust.ci_upper,
-        "alpha": config.alpha,
-        "tau_rdd_y": robust.tau_pdd,
-        "h": h,
-        "b": b,
-        "kernel": config.kernel,
-        "n_left": robust.n_left,
-        "n_right": robust.n_right,
-        "design": "rdd",
-        "warnings": warnings,
-        "dropped_rows": sample.dropped_rows,
-    }
 
 
 def _given(**values: Any) -> dict[str, Any]:
@@ -224,7 +193,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     design = getattr(args, "design", None)
     bindings = ColumnBindings(
         **_given(running=args.running, outcome=args.outcome),
-        treatment=getattr(args, "treatment", None) or ("a" if design == "fuzzy" else None),
+        # only the fuzzy design reads the treatment column
+        treatment=(args.treatment or "a") if design == "fuzzy" else None,
         placebo_outcomes=placebo_w,
         placebo_treatments=placebo_z,
     )
@@ -350,8 +320,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command in ("estimate", "rdd"):
         config = _run_config(args)
         sample = _load_sample(args.data, config.bindings)
-        run = run_estimate if args.command == "estimate" else run_rdd
-        _emit(dumps(run(config, sample)), args.out)
+        _emit(dumps(run_estimate(config, sample)), args.out)
         return 0
     if args.command == "simulate":
         sample = simulate(_dgp_spec(args))

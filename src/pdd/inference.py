@@ -16,13 +16,16 @@ matrix, built with explicit inverses of the normalised moment matrices, to the
 outcome columns. They are algebraically identical and are compared on every
 run; disagreement raises EquivalenceBreach.
 
-``bias_corrected_estimate`` and ``rdd_robust_estimate`` first cut the sample
+``bias_corrected_estimate`` is the one robust path. It first cuts the sample
 to the rows within ``max(h, b)`` of the cutoff, left side first
 (``kernels.support_rows``), and each side's correction, stacked check and
 variance term read only that side's rows. With the window and triangle
 kernels the cost grows with the rows near the cutoff, not with the sample
 size; the gaussian kernel keeps every row, so each side costs about n/2 rows.
-The reported ``n`` and ``v_bc`` still refer to the whole sample.
+The reported ``n`` and ``v_bc`` still refer to the whole sample. A sample
+without placebo columns leaves nothing to adjust for, and the result is the
+robust bias-corrected discontinuity of Calonico, Cattaneo & Titiunik (2014);
+``rdd_robust_estimate`` is that case for bare ``d`` and ``y`` columns.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import numpy as np
 
 from .errors import NonFiniteResult
 from .estimator import DiscontinuityEstimate, _cut, _require_equivalent, estimate_sharp
-from .io import Sample
-from .kernels import KernelSpec, scaled_basis, sided_weights, support_rows
+from .io import Sample, _require_valid_alpha_and_b
+from .kernels import KernelSpec, scaled_basis, sided_weights
 from .local_fit import _weighted_design
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
@@ -71,7 +74,9 @@ class SideCorrection:
     (``correction_matrix``), the same map times ``n * h`` built along an
     independent path; the stacked equivalence check applies it. ``intercepts``,
     ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
-    outcome stack's columns.
+    outcome stack's columns. ``basis_rows @ coef`` gives each outcome's local
+    linear fitted values on the side's rows, which only the ``fitted``
+    variance mode reads, so they are not formed here.
     """
 
     n: int
@@ -84,7 +89,8 @@ class SideCorrection:
     weight_row: np.ndarray
     matrix_row: np.ndarray
     curvature_load: float
-    fitted_linear: np.ndarray
+    coef: np.ndarray
+    basis_rows: np.ndarray
 
 
 def side_correction(
@@ -160,7 +166,8 @@ def side_correction_from_weights(
             krows1, gram1_raw / (n * h), u2_raw / (n * h), krows2, gram2_raw / (n * b), (h / b) ** 3
         ),
         curvature_load=curvature_load,
-        fitted_linear=basis_main.rows @ coef,
+        coef=coef,
+        basis_rows=basis_main.rows,
     )
 
 
@@ -219,7 +226,7 @@ def robust_variance(
         if variance_mode == "paper":
             resid = S - corr.intercepts_bc[None, :]
         elif variance_mode == "fitted":
-            resid = S - corr.fitted_linear
+            resid = S - corr.basis_rows @ corr.coef
         else:
             raise ValueError(f"unknown variance mode {variance_mode!r}")
         per_outcome = (corr.weight_row**2) @ (resid**2)
@@ -251,55 +258,40 @@ class RobustEstimate:
     point: DiscontinuityEstimate | None = None
 
 
-def _require_valid_alpha_and_b(alpha: float, h: float, b: float) -> None:
-    """Raise ValueError unless ``0 < alpha < 1``, ``1 - alpha/2 < 1``,
-    ``b >= h / 10`` and ``0 < h, b < inf``.
-
-    Outside (0, 1) the normal quantile of ``1 - alpha/2`` is undefined or
-    negative, which would invert the interval, and below about 1.1e-16
-    ``1 - alpha/2`` rounds to 1, whose quantile is infinite; a bias bandwidth
-    far below ``h`` leaves a curvature estimate too noisy to use, and an
-    infinite bandwidth gives every row zero weight. Both entry points check
-    this before any fit, so a bad value fails whatever the data.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if not 1.0 - alpha / 2.0 < 1.0:
-        raise ValueError(f"alpha {alpha!r} is so small that 1 - alpha/2 rounds to 1")
-    if b < h / 10.0:
-        raise ValueError("bias bandwidth below h/10 is not supported")
-    if not (h > 0.0 and b > 0.0):
-        raise ValueError("bandwidth must be positive")
-    if not (h < math.inf and b < math.inf):
-        raise ValueError("bandwidth must be finite")
-
-
-def _finish(
-    d: np.ndarray,
-    S: np.ndarray,
-    k: int,
-    combo: np.ndarray,
+def bias_corrected_estimate(
+    sample: Sample,
     cutoff: float,
     h: float,
     b: float,
     kernel: KernelSpec,
-    alpha: float,
-    variance_mode: str,
-    point: DiscontinuityEstimate | None,
-    n: int,
+    alpha: float = 0.05,
+    variance_mode: str = "paper",
 ) -> RobustEstimate:
-    """Bias-correct both sides of the window-cut rows ``d``/``S``, whose first
-    ``k`` rows are the left side, check the componentwise result against the
-    stacked matrix form, and attach the variance and interval; raise
-    NonFiniteResult if the variance is not finite. Each side reads only its
-    own rows. Without a point estimate, ``tau_pdd`` is the plain jump of
-    ``S[:, 0]``.
+    """Placebo-adjusted estimate with robust bias correction and variance.
+
+    Cuts the sample to the rows within ``max(h, b)`` of the cutoff, left side
+    first, bias-corrects the target and placebo discontinuities componentwise
+    per side (each side reading only its own rows), combines them with the
+    left-side instrumented weights, verifies the result against the stacked
+    matrix expression and attaches the variance and interval; raises
+    NonFiniteResult if the variance is not finite.
+
+    A sample without placebo columns (``q == 0``) has nothing to adjust for:
+    the result is the plain local linear jump of ``y`` with the same bias
+    correction, variance and check, and ``point`` is None.
     """
+    _require_valid_alpha_and_b(alpha, h, b)
+    n = sample.n
+    sample, k = _cut(sample, cutoff, max(h, b), kernel)
+    point = estimate_sharp(sample, cutoff, h, kernel) if sample.q else None
+    S = np.column_stack([sample.y, sample.W])
+    gamma = np.empty(0) if point is None else point.gamma_minus
+    combo = np.concatenate([[1.0], -gamma])
+
     plus, minus = slice(k, None), slice(None, k)
-    corr_plus = side_correction(d[plus], S[plus], cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(d[minus], S[minus], cutoff, h, b, kernel, "left")
+    corr_plus = side_correction(sample.d[plus], S[plus], cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(sample.d[minus], S[minus], cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
-    tau = jump if point is None else point.tau_pdd
     tau_bc = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
     # a side's matrix row is n * h times its weight row, n its own row count
     right = (corr_plus.matrix_row @ S[plus]) / corr_plus.n
@@ -316,7 +308,7 @@ def _finish(
     se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return RobustEstimate(
-        tau_pdd=tau,
+        tau_pdd=jump if point is None else point.tau_pdd,
         tau_pdd_bc=tau_bc,
         v_bc=v_bc,
         se=se,
@@ -330,32 +322,6 @@ def _finish(
     )
 
 
-def bias_corrected_estimate(
-    sample: Sample,
-    cutoff: float,
-    h: float,
-    b: float,
-    kernel: KernelSpec,
-    alpha: float = 0.05,
-    variance_mode: str = "paper",
-) -> RobustEstimate:
-    """Placebo-adjusted estimate with robust bias correction and variance.
-
-    Bias-corrects the target and placebo discontinuities componentwise per
-    side, combines them with the left-side instrumented weights, and verifies
-    the result against the stacked matrix expression.
-    """
-    _require_valid_alpha_and_b(alpha, h, b)
-    n = sample.n
-    sample, k = _cut(sample, cutoff, max(h, b), kernel)
-    point = estimate_sharp(sample, cutoff, h, kernel)
-    S = np.column_stack([sample.y, sample.W])
-    combo = np.concatenate([[1.0], -point.gamma_minus])
-    return _finish(
-        sample.d, S, k, combo, cutoff, h, b, kernel, alpha, variance_mode, point, n
-    )
-
-
 def rdd_robust_estimate(
     d: np.ndarray,
     y: np.ndarray,
@@ -366,16 +332,10 @@ def rdd_robust_estimate(
     alpha: float = 0.05,
     variance_mode: str = "paper",
 ) -> RobustEstimate:
-    """Plain local linear discontinuity with robust bias correction.
-
-    The no-placebo degenerate case: the combination weights select the target
-    outcome alone, and the variance reduces to the standard robust variance of
-    the bias-corrected discontinuity.
+    """Plain local linear discontinuity with robust bias correction:
+    ``bias_corrected_estimate`` on ``d`` and ``y`` with no placebo columns.
     """
-    _require_valid_alpha_and_b(alpha, h, b)
     d = np.asarray(d, dtype=float)
-    n = d.shape[0]
-    rows, k = support_rows(d, cutoff, max(h, b), kernel)
-    S = np.asarray(y, dtype=float)[rows][:, None]
-    combo = np.array([1.0])
-    return _finish(d[rows], S, k, combo, cutoff, h, b, kernel, alpha, variance_mode, None, n)
+    none = np.empty((d.shape[0], 0))
+    sample = Sample(d, np.asarray(y, dtype=float), W=none, Z=none)
+    return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha, variance_mode)

@@ -280,23 +280,41 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.h is not None and not self.h > 0:
-            raise ValueError("bandwidth must be positive")
-        if self.b is not None and not self.b > 0:
-            raise ValueError("bias bandwidth must be positive")
+        _require_valid_alpha_and_b(self.alpha, self.h, self.b)
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
         if self.variance_mode not in VARIANCE_MODES:
             raise ValueError(f"variance mode must be one of {VARIANCE_MODES}")
-        for name, value in (
-            ("cutoff", self.cutoff),
-            ("bandwidth", self.h),
-            ("bias bandwidth", self.b),
-        ):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.cutoff):
+            raise ValueError("cutoff must be finite")
+
+
+def _require_valid_alpha_and_b(alpha: float, h: float | None, b: float | None) -> None:
+    """Raise ValueError unless ``0 < alpha < 1``, ``1 - alpha/2 < 1``,
+    ``b >= h / 10`` and ``0 < h, b < inf``. A bandwidth given as None, one
+    the rule of thumb has yet to set, is not checked.
+
+    Outside (0, 1) the normal quantile of ``1 - alpha/2`` is undefined or
+    negative, which would invert the interval, and below about 1.1e-16
+    ``1 - alpha/2`` rounds to 1, whose quantile is infinite; a bias bandwidth
+    far below ``h`` leaves a curvature estimate too noisy to use, and an
+    infinite bandwidth gives every row zero weight. ``RunConfig`` checks this
+    before any data is read, and the robust entry points and ``monte_carlo``
+    before any fit, so a bad value fails whatever the data.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if not 1.0 - alpha / 2.0 < 1.0:
+        raise ValueError(f"alpha {alpha!r} is so small that 1 - alpha/2 rounds to 1")
+    if h is not None and b is not None and b < h / 10.0:
+        raise ValueError("bias bandwidth below h/10 is not supported")
+    given = [(name, v) for name, v in (("bandwidth", h), ("bias bandwidth", b)) if v is not None]
+    for name, value in given:
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive")
+    for name, value in given:
+        if not value < math.inf:
+            raise ValueError(f"{name} must be finite")
 
 
 def parse_config_file(source: str | IO[str]) -> dict[str, str]:

@@ -33,12 +33,8 @@ import numpy as np
 
 from .errors import PddError
 from .estimator import estimate_fuzzy
-from .inference import (
-    _require_valid_alpha_and_b,
-    bias_corrected_estimate,
-    rule_of_thumb_bandwidth,
-)
-from .io import Sample
+from .inference import bias_corrected_estimate, rule_of_thumb_bandwidth
+from .io import Sample, _require_valid_alpha_and_b
 from .kernels import KernelSpec
 
 #: Seed offset separating the oracle stream from replication streams, which

@@ -183,6 +183,25 @@ def test_fuzzy_design_output(tmp_path):
     assert list(doc.keys()) == SHARP_KEYS[:-2] + ["first_stage", "warnings", "dropped_rows"]
 
 
+def test_sharp_estimate_does_not_bind_the_treatment_column(tmp_path):
+    # only the fuzzy design reads the treatment column, so a sharp run keeps
+    # the rows where it is blank
+    spec = pdd.DgpSpec(n=4000, seed=5, kappa=4.0, design="fuzzy_homogeneous")
+    text = io.StringIO()
+    pdd.write_csv(pdd.simulate(spec), text)
+    header, *rows = text.getvalue().splitlines()
+    assert header.endswith(",a")
+    blank = np.random.default_rng(0).random(len(rows)) < 0.3
+    rows = [row.rsplit(",", 1)[0] + "," if cut else row for row, cut in zip(rows, blank)]
+    path = tmp_path / "blank_a.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    base = run_cli(*estimate_args(path, "--bandwidth", "0.5"))
+    assert base.returncode == 0, base.stderr
+    assert json.loads(base.stdout)["dropped_rows"] == 0
+    bound = run_cli(*estimate_args(path, "--bandwidth", "0.5", "--treatment", "a"))
+    assert (bound.returncode, bound.stdout) == (0, base.stdout)
+
+
 def test_exit_code_2_on_estimation_failure(sim_csv):
     proc = run_cli(*estimate_args(sim_csv, "--bandwidth", "1e-9"))
     assert proc.returncode == 2
@@ -249,6 +268,7 @@ def test_exit_code_3_on_missing_column(tmp_path):
 
 
 def test_exit_code_64_on_bad_flags(sim_csv):
+    missing = sim_csv.parent / "missing.csv"
     assert run_cli("estimate", "--data", str(sim_csv)).returncode == 64  # no cutoff
     assert run_cli("estimate", "--nonsense").returncode == 64
     assert run_cli("bogus-command").returncode == 64
@@ -280,6 +300,9 @@ def test_exit_code_64_on_bad_flags(sim_csv):
         ("simulate", "--n", "50", "--noise-y", "nan"),
         ("mc", "--n", "600", "--seed", "1", "--reps", "2", "--tau0", "nan"),
         ("mc", "--n", "600", "--seed", "1", "--reps", "2", "--bandwidth", "inf"),
+        # rejected before the CSV is read, so a missing file is never opened
+        estimate_args(missing, "--alpha", "1e-17"),
+        estimate_args(missing, "--bandwidth", "1", "--bias-bandwidth", "0.05"),
     ):
         proc = run_cli(*argv)
         assert (proc.returncode, proc.stdout) == (64, ""), argv

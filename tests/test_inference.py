@@ -588,6 +588,21 @@ def test_side_correction_on_one_side_equals_the_full_sample_call(rng, kind, h, b
         assert own.n_effective == full.n_effective
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_a_sample_without_placebo_columns_gives_the_plain_jump(rng, kind, h, b):
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    none = np.empty((sample.n, 0))
+    plain = Sample(d=sample.d, y=sample.y, W=none, Z=none)
+    est = bias_corrected_estimate(plain, CUTOFF, h, b, kernel)
+    assert est.point is None
+    jump = rdd_discontinuity(sample.y, sample.d, CUTOFF, h, kernel)
+    assert_allclose(est.tau_pdd, jump, rtol=1e-12)
+    with pytest.raises(ValueError, match="placebo"):
+        estimate_sharp(plain, CUTOFF, h, kernel)
+
+
 def test_empty_or_thin_window_is_singular_support(rng, tmp_path, capsys):
     sample = _local_sample(rng)
     a = (sample.d >= CUTOFF).astype(float)
