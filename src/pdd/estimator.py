@@ -28,6 +28,7 @@ from .kernels import (
     KernelSpec,
     ScaledBasis,
     SidedWeights,
+    left_count_if_cut,
     scaled_basis,
     sided_weights,
     support_rows,
@@ -73,11 +74,13 @@ def _cut(
 ) -> tuple[Sample, int]:
     """``sample`` cut to the rows within ``reach`` of the cutoff, left side
     first (``kernels.support_rows``), and the number of its left rows. A
-    sample already in that form is returned as it is, without a copy.
+    sample already in that form is returned as it is, without a copy and
+    without building the partition.
     """
-    rows, k = support_rows(sample.d, cutoff, reach, kernel)
-    if rows.size == sample.n and (k == 0 or rows[k - 1] == k - 1):
+    k = left_count_if_cut(sample.d, cutoff, reach, kernel)
+    if k is not None:
         return sample, k
+    rows, k = support_rows(sample.d, cutoff, reach, kernel)
     return sample.take(rows), k
 
 

@@ -284,7 +284,9 @@ def bias_corrected_estimate(
     n = sample.n
     sample, k = _cut(sample, cutoff, max(h, b), kernel)
     point = estimate_sharp(sample, cutoff, h, kernel) if sample.q else None
-    S = np.column_stack([sample.y, sample.W])
+    S = np.empty((sample.n, 1 + sample.q), order="F")  # column-major, as the basis
+    S[:, 0] = sample.y
+    S[:, 1:] = sample.W
     gamma = np.empty(0) if point is None else point.gamma_minus
     combo = np.concatenate([[1.0], -gamma])
 

@@ -14,11 +14,21 @@ contiguous rows. The window and triangle kernels weight only rows with
 ``|d - cutoff| <= h``, so their cost grows with the rows within ``max(h, b)``
 of the cutoff, not with the sample size. The gaussian kernel has no finite
 support and partitions every row, so each side's pass reads about n/2 rows.
+A sample already in that form is recognised by ``left_count_if_cut`` before
+any partition is built, so an entry point that receives a cut sample does not
+cut it again.
+
+Every per-row design array of a fit is stored column by column (Fortran
+order), starting with ``scaled_basis``: the per-side row views, ``K R`` and
+the moment products inherit that layout. A design has only 2 or 3 columns,
+so with rows stored contiguously numpy's inner loop for a weighted product
+such as ``rows * w[:, None]`` would cover 2-3 elements per row; with columns
+stored contiguously it runs down whole columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,7 +66,10 @@ def kernel_value(kernel: KernelSpec, u):
     elif kernel.kind == "triangle":
         out = np.where(arr <= 1.0, 1.0 - arr, 0.0)
     else:
-        out = np.exp(-(arr * arr) / 2.0) / np.sqrt(2.0 * np.pi)
+        out = np.multiply(arr, arr, out=np.empty_like(arr))  # the rest runs in place
+        out *= -0.5
+        np.exp(out, out=out)
+        out /= np.sqrt(2.0 * np.pi)
     return float(out) if out.ndim == 0 else out
 
 
@@ -74,17 +87,45 @@ def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec)
     kernel keeps every row. The partition is the identity exactly when
     ``rows.size == len(d)`` and either ``k == 0`` or ``rows[k - 1] == k - 1``.
     """
-    if not reach > 0:
-        raise ValueError("bandwidth must be positive")
+    _require_positive(reach)
     d = np.asarray(d, dtype=float)
     if kernel.kind == "gaussian":
         left = d < cutoff
         sides = (np.flatnonzero(left), np.flatnonzero(~left))
     else:
-        near = np.flatnonzero(np.abs(d - cutoff) / reach <= 1.0)
+        near = np.flatnonzero(_within_reach(d, cutoff, reach))
         left = d[near] < cutoff
         sides = (near[left], near[~left])
     return np.concatenate(sides), sides[0].size
+
+
+def left_count_if_cut(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
+    """``k`` when ``support_rows(d, cutoff, reach, kernel)`` is the identity
+    partition ``(arange(len(d)), k)``, and None otherwise.
+
+    One ``d < cutoff`` pass tells whether the left rows come first; only if
+    they do are the compact kernels' support tests run, on every row. That
+    costs a fraction of building the partition and finding it unchanged.
+    """
+    _require_positive(reach)
+    d = np.asarray(d, dtype=float)
+    left = d < cutoff
+    k = int(np.count_nonzero(left))
+    if not left[:k].all():
+        return None
+    if kernel.kind != "gaussian" and not _within_reach(d, cutoff, reach).all():
+        return None
+    return k
+
+
+def _within_reach(d: np.ndarray, cutoff: float, reach: float) -> np.ndarray:
+    """The compact kernels' support test, ``|d - cutoff| / reach <= 1``."""
+    return np.abs(d - cutoff) / reach <= 1.0
+
+
+def _require_positive(h: float) -> None:
+    if not h > 0:
+        raise ValueError("bandwidth must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,7 +133,10 @@ class SidedWeights:
     """Kernel weights restricted to one side of the cutoff.
 
     ``weights[i] = (1/h) * 1{side condition} * K(|d_i - cutoff| / h)``;
-    ``n_positive`` counts the strictly positive ones.
+    ``n_positive`` counts the strictly positive ones. ``_designs`` holds the
+    checked weighted designs built from these weights, one per basis object
+    (``local_fit._weighted_design``); it is neither compared nor printed, and
+    ``dataclasses.replace`` starts a copy with none.
     """
 
     side: str
@@ -100,6 +144,7 @@ class SidedWeights:
     bandwidth: float
     weights: np.ndarray
     n_positive: int
+    _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def positive(self) -> np.ndarray:
@@ -117,11 +162,14 @@ def sided_weights(
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    _require_positive(h)
     d = np.asarray(d, dtype=float)
     on_side = d >= cutoff if side == "right" else d < cutoff
-    w = kernel_value(kernel, np.abs(d - cutoff) / h) / h
+    u = np.subtract(d, cutoff)
+    np.abs(u, out=u)
+    u /= h
+    w = kernel_value(kernel, u)
+    w /= h
     w[~on_side] = 0.0  # a no-op on the one side's rows the estimators pass
     return SidedWeights(
         side=side,
@@ -138,7 +186,10 @@ class ScaledBasis:
 
     Row i is ``(1, u_i, ..., u_i^degree)`` with ``u_i = (d_i - cutoff) / h``,
     so coefficient j of a fit on these rows is ``h^j`` times the
-    raw-coordinate coefficient.
+    raw-coordinate coefficient. ``rows`` is stored column by column, so each
+    column, and each column of a view of some rows, has unit stride: the
+    per-row products of a fit then run down whole columns instead of over
+    2-3 elements per row.
     """
 
     degree: int
@@ -151,10 +202,9 @@ def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledB
     """Build the scaled polynomial basis of the given degree (1 or 2)."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    _require_positive(h)
     d = np.asarray(d, dtype=float)
-    rows = np.empty((d.shape[0], degree + 1))
+    rows = np.empty((d.shape[0], degree + 1), order="F")
     rows[:, 0] = 1.0
     u = rows[:, 1]
     np.subtract(d, cutoff, out=u)

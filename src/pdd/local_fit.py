@@ -5,6 +5,12 @@ bandwidth-scaled polynomial basis. Linear systems are small and dense
 ((p+1) or (2+q) dimensional) and are solved by a pivoted direct factorisation;
 singularity is detected through the reciprocal condition number of the moment
 matrices rather than through solver failure.
+
+There is one checked weighted design ``(K R, R'KR, rcond)`` per pair of
+weights and basis: ``_weighted_design`` keeps it on the weights, keyed by the
+basis object, once the support and conditioning checks pass. The outcome
+fits and the instrumented solve of one side share it, so ``K R``, the
+support check and the SVD are computed once per side, not once per fit.
 """
 
 from __future__ import annotations
@@ -112,8 +118,13 @@ def _weighted_design(
 
     Raises ValueError if weights and basis come from different samples,
     bandwidths or cutoffs, and SingularSupport if the support is too thin or
-    ``R'KR`` has reciprocal condition below ``GRAM_RCOND_MIN``.
+    ``R'KR`` has reciprocal condition below ``GRAM_RCOND_MIN``. A design that
+    passes is kept on ``weights`` and returned again for the same basis
+    object; the entry holds the basis, so its id is not reused meanwhile.
     """
+    entry = weights._designs.get(id(basis))
+    if entry is not None:
+        return entry[1]
     if weights.weights.shape[0] != basis.rows.shape[0]:
         raise ValueError("weights and basis were built from different samples")
     if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
@@ -128,7 +139,9 @@ def _weighted_design(
         raise SingularSupport(
             f"singular local {shape} design on the {weights.side} side (rcond={rcond:.3e})"
         )
-    return krows, gram_raw, rcond
+    design = (krows, gram_raw, rcond)
+    weights._designs[id(basis)] = (basis, design)
+    return design
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:

@@ -706,3 +706,36 @@ def test_variance_overflow_is_a_non_finite_result(rng):
             bias_corrected_estimate(big, 0.0, 0.5, 0.7, TRIANGLE)
         with pytest.raises(NonFiniteResult, match="variance"):
             rdd_robust_estimate(big.d, big.y, 0.0, 0.5, 0.7, TRIANGLE)
+
+
+# ------------------------------------------------------- moment accuracy
+
+
+def _long_double_jump(d, y, h, kind):
+    """Local linear jump of ``y`` at cutoff 0 from the normal equations,
+    with the weights and scaled coordinate formed in float64 as the fit forms
+    them and every moment summed and solved in long double.
+    """
+    ld = np.longdouble
+    intercepts = []
+    for on_side in (d >= 0.0, d < 0.0):
+        u = np.abs(d[on_side]) / h
+        w = ((u <= 1.0) if kind == "window" else np.where(u <= 1.0, 1.0 - u, 0.0)) / h
+        x = (d[on_side] / h).astype(ld)
+        w, s = w.astype(ld), y[on_side].astype(ld)
+        m0, m1, m2 = np.sum(w), np.sum(w * x), np.sum(w * x * x)
+        r0, r1 = np.sum(w * s), np.sum(w * x * s)
+        intercepts.append((m2 * r0 - m1 * r1) / (m0 * m2 - m1 * m1))
+    return intercepts[0] - intercepts[1]
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than float64 here"
+)
+@pytest.mark.parametrize("kind", ["window", "triangle"])
+def test_million_row_jump_matches_a_long_double_reference(kind):
+    sample = pdd.simulate(DgpSpec(n=1_000_000, seed=7, kappa=4))
+    h = rule_of_thumb_bandwidth(sample.d)
+    est = bias_corrected_estimate(sample, 0.0, h, h, KernelSpec(kind))
+    reference = _long_double_jump(sample.d, sample.y, h, kind)
+    assert abs(est.point.tau_rdd_y - reference) <= 1e-12 * abs(reference)

@@ -113,3 +113,49 @@ def test_basis_rows_and_scaling():
         scaled_basis(d, 0.5, 2.0, degree=3)
     with pytest.raises(ValueError):
         scaled_basis(d, 0.5, 0.0, degree=1)
+
+
+def _unit_column_stride(a):
+    return a.strides[0] == a.itemsize
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_basis_rows_are_stored_column_by_column(rng, degree):
+    d = rng.uniform(-1.0, 1.0, 50)
+    rows = scaled_basis(d, 0.0, 0.5, degree).rows
+    assert rows.flags.f_contiguous and _unit_column_stride(rows)
+    for view in (rows[:20], rows[20:]):
+        assert _unit_column_stride(view)
+
+
+def test_side_views_and_weighted_design_keep_the_column_layout(rng):
+    from pdd.estimator import _sides
+    from pdd.local_fit import _weighted_design
+
+    d = np.sort(rng.uniform(-1.0, 1.0, 80))
+    k = int(np.count_nonzero(d < 0.0))
+    for weights, basis in _sides(d, k, 0.0, 0.8, KernelSpec("triangle")):
+        assert _unit_column_stride(basis.rows)
+        krows, _, _ = _weighted_design(weights, basis)
+        assert krows.flags.f_contiguous
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
+def test_left_count_if_cut_agrees_with_the_partition(rng, kind):
+    from pdd.kernels import left_count_if_cut, support_rows
+
+    kernel = KernelSpec(kind)
+    d = np.concatenate([rng.uniform(-2.0, 2.0, 40), [0.0, -0.5, 0.5, 1e6, -1e6]])
+    for reach in (0.5, 3.0):
+        rows, k = support_rows(d, 0.0, reach, kernel)
+        cut = d[rows]
+        assert left_count_if_cut(cut, 0.0, reach, kernel) == k
+        for trial in range(5):
+            shuffled = cut[rng.permutation(cut.size)]
+            again, k_again = support_rows(shuffled, 0.0, reach, kernel)
+            identity = again.size == shuffled.size and (k == 0 or again[k - 1] == k - 1)
+            assert (left_count_if_cut(shuffled, 0.0, reach, kernel) == k) == identity
+        assert left_count_if_cut(d, 0.0, reach, kernel) is None
+    assert left_count_if_cut(np.empty(0), 0.0, 1.0, kernel) == 0
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        left_count_if_cut(d, 0.0, 0.0, kernel)

@@ -260,3 +260,75 @@ def test_kernel_scaling_leaves_fit_invariant(rng):
     base = local_poly_fit(s, w, basis)
     other = local_poly_fit(s, scaled, basis)
     assert_allclose(base.coef_scaled, other.coef_scaled, rtol=1e-12)
+
+
+def test_one_estimate_sharp_checks_one_gram_per_side(rng, monkeypatch):
+    import pdd.local_fit
+    from conftest import random_dataset
+    from pdd import estimate_sharp
+
+    calls = []
+    real = pdd.local_fit.reciprocal_condition
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(pdd.local_fit, "reciprocal_condition", counted)
+    sample = random_dataset(rng, n=300, q=1)
+    estimate_sharp(sample, 0.0, 0.8, TRIANGLE)
+    # the y fit, the W fit and the instrumented solve of a side share one design
+    assert calls == [(2, 2), (2, 2)]
+
+
+def test_the_design_is_kept_for_the_same_basis_object_only(rng):
+    from pdd.local_fit import _weighted_design
+
+    d = rng.uniform(0.0, 1.0, 40)
+    s = rng.standard_normal(40)
+    w, basis = _setup(d, 0.0, 0.7, "right", TRIANGLE)
+    first = _weighted_design(w, basis)
+    assert _weighted_design(w, basis) is first
+    twin = scaled_basis(d, 0.0, 0.7, 1)
+    rebuilt = _weighted_design(w, twin)
+    assert rebuilt is not first
+    for a, b in zip(rebuilt, first):
+        np.testing.assert_array_equal(a, b)
+    assert_allclose(local_poly_fit(s, w, twin).coef_scaled, local_poly_fit(s, w, basis).coef_scaled)
+
+
+def test_a_cached_design_does_not_hide_a_mismatched_basis(rng):
+    d = rng.uniform(0.0, 1.0, 40)
+    s = rng.standard_normal(40)
+    w, basis = _setup(d, 0.0, 0.7, "right", TRIANGLE)
+    local_poly_fit(s, w, basis)
+    with pytest.raises(ValueError, match="different bandwidth or cutoff"):
+        local_poly_fit(s, w, scaled_basis(d, 0.0, 0.6, 1))
+    with pytest.raises(ValueError, match="different bandwidth or cutoff"):
+        local_poly_fit(s, w, scaled_basis(d, 0.1, 0.7, 1))
+    with pytest.raises(ValueError, match="different samples"):
+        local_poly_fit(s[:30], w, scaled_basis(d[:30], 0.0, 0.7, 1))
+
+
+def test_a_failed_check_keeps_no_design_and_a_copy_starts_empty(rng):
+    from dataclasses import replace
+
+    d = np.array([0.1, 0.1, 0.1, 0.5])
+    w, basis = _setup(d, 0.0, 0.3, "right", TRIANGLE)  # one distinct value in h
+    for _ in range(2):
+        with pytest.raises(SingularSupport):
+            local_poly_fit(np.ones(4), w, basis)
+    assert not w._designs
+    d = rng.uniform(0.0, 1.0, 40)
+    s = rng.standard_normal(40)
+    w, basis = _setup(d, 0.0, 0.7, "right", TRIANGLE)
+    local_poly_fit(s, w, basis)
+    thinned = replace(w, weights=np.where(d < 0.5, w.weights, 0.0))
+    fresh = sided_weights(d, 0.0, 0.7, "right", TRIANGLE)
+    fresh = replace(fresh, weights=np.where(d < 0.5, fresh.weights, 0.0))
+    np.testing.assert_array_equal(
+        local_poly_fit(s, thinned, basis).coef_scaled, local_poly_fit(s, fresh, basis).coef_scaled
+    )
+    # the kept designs are neither compared nor printed
+    assert replace(w) == w and w._designs and not replace(w)._designs
+    assert "_designs" not in repr(w)
