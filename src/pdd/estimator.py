@@ -17,7 +17,6 @@ EquivalenceBreach and means a numerical problem, not a data property.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -114,13 +113,22 @@ def rdd_discontinuity(
     return above.intercept - below.intercept
 
 
-def _require_equivalent(a: float, b: float, first: str, second: str) -> None:
-    """Raise EquivalenceBreach unless paths ``first`` and ``second`` agree:
+def _agree(a, b):
+    """Whether two computation paths agree, elementwise:
     ``|a - b| <= EQUIVALENCE_RTOL * max(1, |a|, |b|)`` with a finite gap, so
     that a NaN or infinite value never agrees.
     """
-    gap = abs(a - b)
-    if not (math.isfinite(gap) and gap <= EQUIVALENCE_RTOL * max(1.0, abs(a), abs(b))):
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap, which fails
+        gap = np.abs(np.subtract(a, b))
+    bound = EQUIVALENCE_RTOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    return np.isfinite(gap) & (gap <= bound)
+
+
+def _require_equivalent(a: float, b: float, first: str, second: str) -> None:
+    """Raise EquivalenceBreach unless paths ``first`` and ``second`` agree
+    (``_agree``).
+    """
+    if not _agree(a, b):
         raise EquivalenceBreach(
             f"{first} {a!r} and {second} {b!r} disagree beyond {EQUIVALENCE_RTOL:g}"
         )

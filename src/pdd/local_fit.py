@@ -31,16 +31,17 @@ GRAM_RCOND_MIN = 1e-12
 SCHUR_RCOND_MIN = 1e-10
 
 
-def reciprocal_condition(m: np.ndarray) -> float:
-    """Reciprocal 2-norm condition number of a small dense matrix."""
+def reciprocal_condition(m: np.ndarray):
+    """Reciprocal 2-norm condition number of a small dense matrix, or an
+    array of them for a stack of matrices ``(..., k, k)``.
+    """
     s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+    return _smallest_over(s, s[..., 0])
 
 
-def _schur_rcond(schur: np.ndarray, cross_raw: np.ndarray) -> float:
-    """Scale-aware reciprocal condition of the instrumented cross-moment.
+def _schur_rcond(schur: np.ndarray, cross_raw: np.ndarray):
+    """Scale-aware reciprocal condition of the instrumented cross-moment, or
+    an array of them for stacks of matrices.
 
     The smallest singular value of the Schur complement is measured against
     the larger of its own top singular value and that of the unresidualised
@@ -49,10 +50,15 @@ def _schur_rcond(schur: np.ndarray, cross_raw: np.ndarray) -> float:
     """
     s = np.linalg.svd(np.asarray(schur, dtype=float), compute_uv=False)
     raw = np.linalg.svd(np.asarray(cross_raw, dtype=float), compute_uv=False)
-    scale = max(float(s[0]), float(raw[0]))
-    if scale == 0.0:
-        return 0.0
-    return float(s[-1] / scale)
+    return _smallest_over(s, np.maximum(s[..., 0], raw[..., 0]))
+
+
+def _smallest_over(s: np.ndarray, scale: np.ndarray):
+    """The smallest singular value ``s[..., -1]`` over ``scale``, 0 where the
+    scale is not positive; a float for one matrix.
+    """
+    out = np.divide(s[..., -1], scale, out=np.zeros(np.shape(scale)), where=scale > 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,26 @@ import numpy as np
 
 from .errors import PddError
 from .estimator import estimate_fuzzy
-from .inference import bias_corrected_estimate, rule_of_thumb_bandwidth
-from .io import Sample, _require_valid_alpha_and_b
-from .kernels import KernelSpec
+from .inference import _fit_block, bias_corrected_estimate, rule_of_thumb_bandwidth
+from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
+from .kernels import KernelSpec, support_rows
 
 #: Seed offset separating the oracle stream from replication streams, which
 #: use base_seed + replication index.
 TRUTH_SEED_OFFSET = 1_000_003
+
+#: Rows of cut samples that ``monte_carlo`` gathers before it fits the
+#: gathered replications together. A fixed budget, so the block's working
+#: memory stays bounded whatever ``reps`` and ``n``; larger blocks gained no
+#: speed at n = 5000 and cost more memory.
+BLOCK_ROWS = 4096
+
+#: Most cut rows of a replication that joins a block. A larger cut is fitted
+#: alone by ``bias_corrected_estimate``: the per-call cost a block shares is
+#: then a small part of its fit, and a block of one such cut was no faster
+#: (gaussian kernel, n = 20000), while its working memory grows with the cut.
+#: So a block never holds more than ``BLOCK_ROWS + SOLO_ROWS`` rows.
+SOLO_ROWS = 4 * BLOCK_ROWS
 
 #: Scenario designs ``DgpSpec`` accepts.
 DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
@@ -262,7 +275,7 @@ class McReport:
         return out
 
 
-def _summary(values: list[float], tau0: float) -> tuple[float, float, float, float]:
+def _summary(values: np.ndarray, tau0: float) -> tuple[float, float, float, float]:
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     bias = mean - tau0
@@ -284,58 +297,69 @@ def monte_carlo(
     """Replicate simulate-and-estimate ``reps`` times and aggregate.
 
     Replication r draws with seed ``base_seed + r``. Estimator failures are
-    counted, not fatal; an ``alpha`` outside (0, 1) or a bias bandwidth below
-    a tenth of ``h`` raises ValueError before the replication's first fit,
-    whatever the design. Aggregation runs in replication order, so the report
-    is deterministic given the base seed.
+    counted, not fatal. An unknown ``variance_mode``, an ``alpha`` outside
+    (0, 1) or a given bias bandwidth below a tenth of ``h`` raises ValueError
+    before the first draw, whatever the design; a bias bandwidth below a
+    tenth of a rule-of-thumb ``h`` raises before that replication's fit.
+    Aggregation runs in replication order, so the report is deterministic
+    given the base seed.
+
+    Each replication of the sharp design draws its sample, takes its
+    bandwidths and cuts the sample to the rows within ``max(h, b)`` of the
+    cutoff; the cut rows join a block, and once a block holds
+    ``BLOCK_ROWS`` rows all its replications are fitted in one moment pass
+    (``inference._fit_block``). A replication that fails a check there is
+    refitted alone by ``bias_corrected_estimate``, which decides whether it
+    fails. So the per-replication cost is the draw, the bandwidth and the
+    cut, and the fits cost once per block. The row budget bounds the
+    block's working memory whatever ``reps`` and ``n``: a cut of more than
+    ``SOLO_ROWS`` rows is fitted alone, so a block never holds more than
+    ``BLOCK_ROWS + SOLO_ROWS`` rows. The fuzzy design is still fitted one
+    replication at a time.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    _require_valid_variance_mode(variance_mode)
+    _require_valid_alpha_and_b(alpha, h, b)
     kernel = kernel or KernelSpec()
-    estimates: list[float] = []
-    estimates_bc: list[float] = []
-    ses: list[float] = []
-    covered: list[bool] = []
-    naive: list[float] = []
-    first_stage: list[float] = []
-    hs: list[float] = []
-    bs: list[float] = []
-    n_failed = 0
     fuzzy = spec.design == "fuzzy_homogeneous"
+    # per kept replication: estimate, naive estimate, h, b, then the first
+    # stage (fuzzy) or the bias-corrected estimate, se and coverage (sharp)
+    results: dict[int, tuple[float, ...]] = {}
+    block: list[tuple[int, Sample, int, float, float]] = []
+    block_rows = 0
     for r in range(reps):
-        rep_spec = replace(spec, seed=base_seed + r)
-        sample = simulate(rep_spec)
+        sample = simulate(replace(spec, seed=base_seed + r))
         try:
             h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
             b_r = b if b is not None else h_r
             _require_valid_alpha_and_b(alpha, h_r, b_r)
-            if fuzzy:
-                point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel)
-                estimates.append(point.fuzzy_estimate)
-                first_stage.append(point.tau_rdd_a)
-                naive.append(point.tau_rdd_y / point.tau_rdd_a)
-            else:
-                robust = bias_corrected_estimate(
-                    sample, spec.cutoff, h_r, b_r, kernel, alpha, variance_mode
-                )
-                estimates.append(robust.tau_pdd)
-                estimates_bc.append(robust.tau_pdd_bc)
-                ses.append(robust.se)
-                covered.append(robust.ci_lower <= spec.tau0 <= robust.ci_upper)
-                naive.append(robust.point.tau_rdd_y)
-            hs.append(h_r)
-            bs.append(b_r)
+            point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel) if fuzzy else None
         except PddError:
-            n_failed += 1
-    if not estimates:
+            continue
+        if point is not None:
+            naive = point.tau_rdd_y / point.tau_rdd_a
+            results[r] = (point.fuzzy_estimate, naive, h_r, b_r, point.tau_rdd_a)
+            continue
+        rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
+        block.append((r, sample.take(rows), k, h_r, b_r))
+        block_rows += rows.size
+        if block_rows >= BLOCK_ROWS:
+            results.update(_fit_replications(block, spec, kernel, alpha, variance_mode))
+            block, block_rows = [], 0
+    if block:
+        results.update(_fit_replications(block, spec, kernel, alpha, variance_mode))
+    if not results:
         raise PddError(f"all {reps} replications failed")
 
+    columns = zip(*(results[r] for r in sorted(results)))
+    estimates, naive, hs, bs, *rest = (np.array(column, dtype=float) for column in columns)
     mean, bias, rmse, sd = _summary(estimates, spec.tau0)
     naive_mean, naive_bias, naive_rmse, naive_sd = _summary(naive, spec.tau0)
     report = McReport(
         design=spec.design,
         reps=reps,
-        n_failed=n_failed,
+        n_failed=reps - len(results),
         tau0=spec.tau0,
         base_seed=base_seed,
         mean_h=float(np.mean(hs)),
@@ -352,7 +376,9 @@ def monte_carlo(
         spec=spec.to_mapping(),
     )
     if fuzzy:
+        (first_stage,) = rest
         return replace(report, mean_first_stage=float(np.mean(first_stage)))
+    estimates_bc, ses, covered = rest
     mean_bc, bias_bc, rmse_bc, sd_bc = _summary(estimates_bc, spec.tau0)
     return replace(
         report,
@@ -363,3 +389,57 @@ def monte_carlo(
         mean_se=float(np.mean(ses)),
         coverage=float(np.mean(covered)),
     )
+
+
+def _fit_replications(
+    block: list[tuple[int, Sample, int, float, float]],
+    spec: DgpSpec,
+    kernel: KernelSpec,
+    alpha: float,
+    variance_mode: str,
+) -> dict[int, tuple[float, ...]]:
+    """Fit a block of sharp replications ``(r, cut sample, k, h, b)``.
+
+    Returns, for each replication that did not fail, its estimate, naive
+    discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
+    whether the interval covers ``tau0``. Replications with rows on both
+    sides and at most ``SOLO_ROWS`` rows are fitted together by
+    ``inference._fit_block``; the rest, and every replication that fails a
+    check there, by ``bias_corrected_estimate``.
+    """
+    batched = [(r, cut, k, h, b) for r, cut, k, h, b in block if 0 < k < cut.n <= SOLO_ROWS]
+    fitted = {}
+    if batched:
+        reps, cuts, ks, hs, bs = zip(*batched)
+        ok, *values = _fit_block(
+            list(zip(cuts, ks)),
+            spec.cutoff,
+            np.array(hs),
+            np.array(bs),
+            kernel,
+            spec.n,
+            alpha,
+            variance_mode,
+        )
+        for i in np.flatnonzero(ok):
+            fitted[reps[i]] = tuple(column[i] for column in values)
+    out = {}
+    for r, cut, _, h_r, b_r in block:
+        if r not in fitted:
+            try:
+                robust = bias_corrected_estimate(
+                    cut, spec.cutoff, h_r, b_r, kernel, alpha, variance_mode
+                )
+            except PddError:
+                continue
+            fitted[r] = (
+                robust.tau_pdd,
+                robust.point.tau_rdd_y,
+                robust.tau_pdd_bc,
+                robust.se,
+                robust.ci_lower,
+                robust.ci_upper,
+            )  # in the order _fit_block returns them
+        tau, naive, tau_bc, se, lower, upper = fitted[r]
+        out[r] = (tau, naive, h_r, b_r, tau_bc, se, lower <= spec.tau0 <= upper)
+    return out

@@ -286,7 +286,7 @@ def test_criterion_8_invariance_suite():
 
 
 def test_criterion_9_determinism(tmp_path):
-    def pipeline(tag: str) -> tuple[bytes, bytes]:
+    def pipeline(tag: str) -> tuple[bytes, bytes, bytes]:
         csv_path = tmp_path / f"{tag}.csv"
         sim = subprocess.run(
             [
@@ -305,13 +305,22 @@ def test_criterion_9_determinism(tmp_path):
             capture_output=True,
         )
         assert est.returncode == 0, est.stderr
-        return csv_path.read_bytes(), est.stdout
+        mc = subprocess.run(
+            [
+                sys.executable, "-m", "pdd", "mc",
+                "--n", "2500", "--seed", "77", "--kappa", "4", "--reps", "30",
+            ],
+            capture_output=True,
+        )
+        assert mc.returncode == 0, mc.stderr
+        return csv_path.read_bytes(), est.stdout, mc.stdout
 
     first = pipeline("a")
     second = pipeline("b")
-    ok = first[0] == second[0] and first[1] == second[1]
+    ok = first == second
     _report(
         "9 determinism",
         ok,
-        f"{len(first[0])} CSV bytes and {len(first[1])} JSON bytes identical",
+        f"{len(first[0])} CSV bytes, {len(first[1])} estimate and {len(first[2])} mc JSON "
+        "bytes identical",
     )

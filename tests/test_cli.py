@@ -493,6 +493,21 @@ def test_mc_subcommand_runs():
     assert doc["spec"]["kappa"] == 2
 
 
+@pytest.mark.parametrize("kernel", ["triangle", "gaussian"])
+def test_mc_stdout_does_not_depend_on_the_blas_thread_count(kernel):
+    # the batched fits sum every moment with fixed-order segment sums, not
+    # BLAS products, so no thread count can change their rounding
+    argv = ["mc", "--n", "5000", "--seed", "7", "--kappa", "4", "--reps", "20",
+            "--kernel", kernel]  # fmt: skip
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "pdd", *argv], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_main_callable_directly(tmp_path, capsys):
     # keep one in-process invocation for coverage of the entry point
     path = tmp_path / "t.csv"

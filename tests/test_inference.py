@@ -392,6 +392,20 @@ def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkey
     assert monte_carlo(spec, 2, 1, h=0.5, b=0.05).n_failed == 0
 
 
+def test_unknown_variance_mode_is_rejected_before_any_cut(rng, monkeypatch):
+    sample = _dense_sample(rng)
+
+    def no_cut(*args):
+        raise AssertionError("the sample was cut before the check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.inference, "_cut", no_cut)
+        with pytest.raises(ValueError, match="variance mode"):
+            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, variance_mode="bogus")
+        with pytest.raises(ValueError, match="variance mode"):
+            rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE, 0.05, "hc3")
+
+
 # --------------------------------------------------- locality of the fits
 
 CUTOFF = 0.3

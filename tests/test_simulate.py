@@ -1,20 +1,26 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdd
 from pdd import (
     DgpSpec,
     KernelSpec,
     PddError,
+    bias_corrected_estimate,
     dgp_truth,
     estimate_sharp,
     monte_carlo,
     rule_of_thumb_bandwidth,
     simulate,
 )
+from conftest import random_dataset
+
+MC = sys.modules["pdd.simulate"]  # the module; ``pdd.simulate`` is the function
 
 
 def test_determinism_bit_identical():
@@ -155,6 +161,181 @@ def test_monte_carlo_counts_failures():
         monte_carlo(spec, reps=3, base_seed=1, h=1e-9)
     with pytest.raises(ValueError):
         monte_carlo(spec, reps=0, base_seed=1)
+
+
+def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, mode="paper", skip=()):
+    """The sharp report's numbers from a plain loop of ``simulate`` and
+    ``bias_corrected_estimate``, one replication at a time.
+    """
+    kept = []
+    for r in range(reps):
+        sample = simulate(replace(spec, seed=base_seed + r))
+        try:
+            h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
+            b_r = b if b is not None else h_r
+            if r in skip:
+                continue
+            est = bias_corrected_estimate(sample, spec.cutoff, h_r, b_r, kernel, 0.05, mode)
+        except PddError:
+            continue
+        covered = est.ci_lower <= spec.tau0 <= est.ci_upper
+        kept.append((est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, covered, h_r, b_r))
+    est, naive, est_bc, se, covered, hs, bs = map(np.array, zip(*kept))
+    out = {"reps": reps, "n_failed": reps - len(kept), "coverage": float(np.mean(covered))}
+    for names, values in (
+        (("mean_estimate", "bias", "rmse", "sd"), est),
+        (("naive_mean", "naive_bias", "naive_rmse", "naive_sd"), naive),
+        (("mean_estimate_bc", "bias_bc", "rmse_bc", "sd_bc"), est_bc),
+    ):
+        out.update(zip(names, MC._summary(values, spec.tau0)))
+    out.update(mean_se=float(np.mean(se)), mean_h=float(np.mean(hs)), mean_b=float(np.mean(bs)))
+    return out
+
+
+def _assert_report_matches(report, expected, rtol=1e-12):
+    for name in ("reps", "n_failed", "coverage"):
+        assert getattr(report, name) == expected[name], name
+    for name, want in expected.items():
+        got = getattr(report, name)
+        assert abs(got - want) <= rtol * max(1.0, abs(got), abs(want)), (name, got, want)
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
+@pytest.mark.parametrize("mode", ["paper", "fitted"])
+@pytest.mark.parametrize("b_over_h", [None, 1.5, 0.7])
+def test_batched_report_equals_a_per_replication_loop(kind, mode, b_over_h):
+    # 20 replications span several blocks with the compact kernels
+    spec = DgpSpec(n=2000, seed=0, kappa=4.0)
+    kernel = KernelSpec(kind)
+    h, b = (None, None) if b_over_h is None else (0.45, 0.45 * b_over_h)
+    report = monte_carlo(spec, 20, 31, kernel, h, b, variance_mode=mode)
+    _assert_report_matches(report, _per_rep_report(spec, 20, 31, kernel, h, b, mode))
+
+
+@pytest.mark.parametrize("h, n_failed", [(0.05, 46), (0.1, 20)])
+def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(h, n_failed):
+    spec = DgpSpec(n=200, seed=0, kappa=4.0)
+    report = monte_carlo(spec, 50, 0, h=h)
+    assert report.n_failed == n_failed
+    # the kept replications fit 3-6 rows on a side, a quadratic through as
+    # few as 3 points, so two algebraically equal paths part by up to about
+    # 1e-11 there; at healthy sizes the bound is 1e-12
+    expected = _per_rep_report(spec, 50, 0, KernelSpec(), h=h)
+    _assert_report_matches(report, expected, rtol=1e-10)
+
+
+def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
+    # the block's stacked form is off for replication 2's right side only,
+    # and the single fit's is off for every sample, so that replication is
+    # refitted alone, fails there and is counted; the rest are untouched
+    spec = DgpSpec(n=2000, seed=0, kappa=4.0)
+    real_rows = pdd.inference._correction_rows
+    real_matrix = pdd.inference.correction_matrix
+
+    def shifted_rows(*args):
+        linear, quadratic = real_rows(*args)
+        linear = linear.copy()
+        linear[2 * 2 + 1] *= 1.0 + 1e-6
+        return linear, quadratic
+
+    with monkeypatch.context() as patch:
+        patch.setattr(pdd.inference, "_correction_rows", shifted_rows)
+        patch.setattr(
+            pdd.inference, "correction_matrix", lambda *a: real_matrix(*a) * (1.0 + 1e-6)
+        )
+        report = monte_carlo(spec, 6, 31)
+    assert report.n_failed == 1
+    expected = _per_rep_report(spec, 6, 31, KernelSpec(), skip={2})
+    expected["n_failed"] = 1
+    _assert_report_matches(report, expected)
+
+
+def test_block_size_moves_no_output_beyond_rounding(monkeypatch):
+    spec = DgpSpec(n=2000, seed=0, kappa=4.0)
+    blocks = []
+    real_block = MC._fit_block
+
+    def recorded(cuts, *args):
+        blocks.append([sample.n for sample, _ in cuts])
+        return real_block(cuts, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MC, "_fit_block", recorded)
+        patch.setattr(MC, "BLOCK_ROWS", 1)  # one replication per block
+        alone = monte_carlo(spec, 12, 3)
+        assert [len(block) for block in blocks] == [1] * 12
+        blocks.clear()
+        patch.setattr(MC, "BLOCK_ROWS", 1500)
+        together = monte_carlo(spec, 12, 3)
+        # a block is fitted as soon as it reaches the budget, never later
+        assert 1 < len(blocks) < 12
+        assert all(sum(block[:-1]) < 1500 <= sum(block) for block in blocks[:-1])
+        assert sum(blocks[-1][:-1]) < 1500
+        cuts = sorted(n for block in blocks for n in block)
+        blocks.clear()
+        patch.setattr(MC, "SOLO_ROWS", cuts[6])  # the larger cuts are fitted alone
+        solo = monte_carlo(spec, 12, 3)
+    assert sorted(n for block in blocks for n in block) == [n for n in cuts if n <= cuts[6]]
+    expected = {name: getattr(alone, name) for name in _per_rep_report(spec, 12, 3, KernelSpec())}
+    _assert_report_matches(together, expected)
+    _assert_report_matches(solo, expected)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch):
+    rng = np.random.default_rng(5)
+    good = [random_dataset(rng, n=300, q=q) for _ in range(3)]
+    base = random_dataset(rng, n=300, q=q)
+    bad = [
+        replace(base, y=base.y * 1e160),  # the variance overflows
+        replace(base, Z=np.where(base.d[:, None] < 0.0, 0.0, base.Z)),  # no instrument on the left
+        replace(base, d=np.round(base.d, 1)),  # 2 distinct values per side within h
+    ]
+    samples = good[:2] + bad + good[2:]
+    kernel = KernelSpec("triangle")
+    h = np.array([0.5, 0.6, 0.5, 0.5, 0.15, 0.7])
+    b = np.array([0.5, 0.9, 0.5, 0.5, 0.15, 0.6])
+    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    compared = []
+    real_agree = pdd.inference._agree
+
+    def recorded(a, b):
+        compared.append((a, b))
+        return real_agree(a, b)
+
+    monkeypatch.setattr(pdd.inference, "_agree", recorded)
+    ok, tau, naive, tau_bc, se, lower, upper = pdd.inference._fit_block(
+        cuts, 0.0, h, b, kernel, 300, 0.05, "paper"
+    )
+    assert ok.tolist() == [True, True, False, False, False, True]
+    # both equivalence checks ran, each over every replication of the block
+    checked = [value for pair in compared for value in pair if value is tau or value is tau_bc]
+    assert len(compared) == 2 and {id(value) for value in checked} == {id(tau), id(tau_bc)}
+    for i, sample in enumerate(samples):
+        if not ok[i]:
+            with np.errstate(all="ignore"), pytest.raises(PddError):
+                bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel)
+            continue
+        est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel)
+        want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
+        got = (tau[i], naive[i], tau_bc[i], se[i], lower[i], upper[i])
+        assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
+def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(monkeypatch, design):
+    spec = DgpSpec(n=2000, seed=0, kappa=4.0, design=design)
+
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn before the check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MC, "simulate", no_draw)
+        with pytest.raises(ValueError, match="variance mode"):
+            monte_carlo(spec, reps=3, base_seed=0, variance_mode="bogus")
+        with pytest.raises(ValueError, match="alpha"):
+            monte_carlo(spec, reps=3, base_seed=0, alpha=1.5)
+    assert monte_carlo(spec, reps=3, base_seed=0, variance_mode="fitted").reps == 3
 
 
 def test_monte_carlo_kappa_zero_adjustment_vanishes():
