@@ -47,7 +47,8 @@ from .simulate import DGP_DESIGNS, FIELD_CASTERS, DgpSpec, monte_carlo, simulate
 #: failure threshold is two orders of magnitude lower).
 WEAK_INSTRUMENT_WARN = 1e-6
 
-#: Effective per-side sample size below which a warning is emitted.
+#: Kish effective sample size ``(sum w)^2 / sum w^2`` of a side's kernel
+#: weights at h below which a warning is emitted.
 SMALL_SIDE_WARN = 30
 
 
@@ -119,16 +120,16 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
     )
     point = estimate_fuzzy(sample, config.cutoff, h, kernel) if fuzzy else robust.point
 
-    for side, rcond, n_side in (
-        ("left", None if point is None else point.schur_rcond_left, robust.n_left),
-        ("right", None if point is None else point.schur_rcond_right, robust.n_right),
+    for side, rcond, kish in (
+        ("left", None if point is None else point.schur_rcond_left, robust.kish_left),
+        ("right", None if point is None else point.schur_rcond_right, robust.kish_right),
     ):
         if rcond is not None and rcond < WEAK_INSTRUMENT_WARN:
             warnings.append(
                 f"weak placebo proxy on the {side} side (Schur rcond={rcond:.3e})"
             )
-        if n_side < SMALL_SIDE_WARN:
-            warnings.append(f"only {n_side} effective observations on the {side} side")
+        if kish < SMALL_SIDE_WARN:
+            warnings.append(f"only {kish:.1f} effective observations on the {side} side")
 
     doc: dict[str, Any] = {}
     if fuzzy:

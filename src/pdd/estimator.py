@@ -151,35 +151,23 @@ def estimate_sharp(
     (w_minus, basis_minus), (w_plus, basis_plus) = _sides(sample.d, k, cutoff, h, kernel)
     plus, minus = sample.take(slice(k, None)), sample.take(slice(None, k))
 
-    fit_y_plus = local_poly_fit(plus.y, w_plus, basis_plus)
-    fit_y_minus = local_poly_fit(minus.y, w_minus, basis_minus)
-    beta_plus_w0 = np.array(
-        [local_poly_fit(plus.W[:, j], w_plus, basis_plus).intercept for j in range(sample.q)]
+    # the intercepts of y and of each placebo outcome column
+    beta_plus, beta_minus = (
+        np.array([local_poly_fit(s, w, basis).intercept for s in (side.y, *side.W.T)])
+        for side, w, basis in ((plus, w_plus, basis_plus), (minus, w_minus, basis_minus))
     )
-    beta_minus_w0 = np.array(
-        [
-            local_poly_fit(minus.W[:, j], w_minus, basis_minus).intercept
-            for j in range(sample.q)
-        ]
-    )
-
     iv_plus = local_iv_fit(plus.y, plus.W, plus.Z, w_plus, basis_plus)
     iv_minus = local_iv_fit(minus.y, minus.W, minus.Z, w_minus, basis_minus)
 
-    tau_rdd_y = fit_y_plus.intercept - fit_y_minus.intercept
-    tau_rdd_w = beta_plus_w0 - beta_minus_w0
-    tau_dec = tau_rdd_y - float(tau_rdd_w @ iv_minus.gamma)
-    tau_iv = (
-        iv_plus.alpha0
-        + float(beta_plus_w0 @ iv_plus.gamma)
-        - iv_minus.alpha0
-        - float(beta_plus_w0 @ iv_minus.gamma)
+    tau_rdd, tau_dec, tau_iv = _point_forms(
+        beta_plus, beta_minus, iv_plus.alpha0, iv_minus.alpha0, iv_plus.gamma, iv_minus.gamma
     )
+    tau_dec, tau_iv = float(tau_dec), float(tau_iv)
     _require_equivalent(tau_dec, tau_iv, "decomposition form", "instrumented form")
 
     return DiscontinuityEstimate(
-        tau_rdd_y=tau_rdd_y,
-        tau_rdd_w=tau_rdd_w,
+        tau_rdd_y=float(tau_rdd[0]),
+        tau_rdd_w=tau_rdd[1:],
         gamma_minus=iv_minus.gamma,
         gamma_plus=iv_plus.gamma,
         tau_pdd=tau_dec,
@@ -191,6 +179,20 @@ def estimate_sharp(
         schur_rcond_left=iv_minus.schur_rcond,
         schur_rcond_right=iv_plus.schur_rcond,
     )
+
+
+def _point_forms(beta_plus, beta_minus, alpha0_plus, alpha0_minus, gamma_plus, gamma_minus):
+    """``(tau_rdd, tau_dec, tau_iv)`` of one sample or a stack of samples:
+    the per-outcome discontinuities and the decomposition and instrumented
+    forms of ``tau_pdd``. ``beta_*`` hold each side's intercepts of ``y``
+    and the placebo outcomes, ``(..., 1 + q)``; ``alpha0_*`` and ``gamma_*``
+    are the sides' instrumented solves.
+    """
+    tau_rdd = beta_plus - beta_minus
+    tau_dec = tau_rdd[..., 0] - np.vecdot(tau_rdd[..., 1:], gamma_minus)
+    tau_iv = alpha0_plus + np.vecdot(beta_plus[..., 1:], gamma_plus) - alpha0_minus
+    tau_iv -= np.vecdot(beta_plus[..., 1:], gamma_minus)
+    return tau_rdd, tau_dec, tau_iv
 
 
 def estimate_fuzzy(

@@ -2,45 +2,30 @@
 
 Per side of the cutoff, the local linear intercept of every outcome column is
 debiased by an estimated curvature term: a local quadratic fit at the bias
-bandwidth ``b`` estimates the second derivative of the conditional mean at the
-cutoff, and half of ``h^2`` times that curvature (propagated through the local
-linear moment matrices) is subtracted from the intercept. The variance of the
-combined, bias-corrected statistic uses the full correction weights, so Wald
-intervals stay valid at bandwidths that would leave a plain local linear fit
-with first-order bias.
+bandwidth ``b`` estimates the second derivative of the conditional mean at
+the cutoff, and half of ``h^2`` times that curvature (propagated through the
+local linear moment matrices) is subtracted from the intercept. The variance
+of the combined statistic uses the full correction weights, so Wald intervals
+stay valid at bandwidths that would leave a plain local linear fit with
+first-order bias. Without placebo columns the result is the robust
+bias-corrected discontinuity of Calonico, Cattaneo & Titiunik (2014).
 
-Two implementation paths produce the bias-corrected estimate: a componentwise
-one (explicit curvature and bias scalars per outcome) and the stacked matrix
-form, which applies the intercept row of each side's literal (2, n) correction
-matrix, built with explicit inverses of the normalised moment matrices, to the
-outcome columns. They are algebraically identical and are compared on every
-run; disagreement raises EquivalenceBreach.
+Two paths give the bias-corrected estimate and are compared on every run
+(EquivalenceBreach): the componentwise one solves the moment systems
+(``_linear_side``, ``_quadratic_row``, ``_curvature_bias``), and the stacked
+one applies row 0 of each side's literal correction matrix, built from
+explicit inverses (``correction_matrix``, the one place an inverse is taken).
+``_interval`` holds the standard error and the Wald interval, and
+``estimator._point_forms`` the two forms of the point estimate.
 
-``bias_corrected_estimate`` is the one robust path. It first cuts the sample
-to the rows within ``max(h, b)`` of the cutoff, left side first
-(``kernels.support_rows``), and each side's correction, stacked check and
-variance term read only that side's rows. With the window and triangle
-kernels the cost grows with the rows near the cutoff, not with the sample
-size; the gaussian kernel keeps every row, so each side costs about n/2 rows.
-The reported ``n`` and ``v_bc`` still refer to the whole sample. A sample
-without placebo columns leaves nothing to adjust for, and the result is the
-robust bias-corrected discontinuity of Calonico, Cattaneo & Titiunik (2014);
-``rdd_robust_estimate`` is that case for bare ``d`` and ``y`` columns.
-
-``monte_carlo`` fits the sharp design in blocks. Each replication still
-costs its draw, its bandwidth and its cut; the cut rows of several
-replications are then fitted together by ``_fit_block``, which forms every
-moment of ``estimate_sharp``, ``side_correction`` and ``robust_variance`` as
-a segment sum over the concatenated rows and solves all the replications'
-small systems as one stack, so the fits cost once per block rather than
-once per replication. A block holds about ``simulate.BLOCK_ROWS`` rows, a
-fixed budget that bounds its memory whatever the number of replications
-and the sample size; a replication whose cut holds more than
-``simulate.SOLO_ROWS`` rows is fitted alone. Both equivalence checks and
-every support and conditioning check run there too, vectorised, and a
-replication that fails any of them is refitted by
-``bias_corrected_estimate``, which decides whether it fails. The fuzzy
-design is still fitted one replication at a time.
+Each formula from the moments on is written once, for one side or a stack of
+sides ``(..., k, k)``, and serves two callers. ``bias_corrected_estimate``
+cuts the sample to the rows within ``max(h, b)`` of the cutoff, left side
+first (``kernels.support_rows``), and builds each side's moments with BLAS
+products over that side's rows; ``n`` and ``v_bc`` still refer to the whole
+sample. ``_fit_block``, which ``simulate.monte_carlo`` calls, builds the
+moments of many replications' cut samples as segment sums over their
+concatenated rows and passes the stacks to the same helpers.
 """
 
 from __future__ import annotations
@@ -52,12 +37,22 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NonFiniteResult
-from .estimator import DiscontinuityEstimate, _agree, _cut, _require_equivalent, estimate_sharp
+from .estimator import (
+    DiscontinuityEstimate,
+    _agree,
+    _cut,
+    _point_forms,
+    _require_equivalent,
+    estimate_sharp,
+)
 from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
-from .kernels import KernelSpec, kernel_value, scaled_basis, sided_weights
+from .kernels import KernelSpec, _offsets, _weights_at, scaled_basis, sided_weights
 from .local_fit import (
     GRAM_RCOND_MIN,
     SCHUR_RCOND_MIN,
+    _distinct_support,
+    _joint_solve,
+    _schur_complement,
     _schur_rcond,
     _weighted_design,
     reciprocal_condition,
@@ -96,12 +91,14 @@ class SideCorrection:
     independent path; the stacked equivalence check applies it. ``intercepts``,
     ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
     outcome stack's columns. ``basis_rows @ coef`` gives each outcome's local
-    linear fitted values on the side's rows, which only the ``fitted``
-    variance mode reads, so they are not formed here.
+    linear fitted values, which only the ``fitted`` variance mode forms.
+    ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
+    is their Kish effective sample size ``(sum w)^2 / sum w^2``.
     """
 
     n: int
     n_effective: int
+    kish_size: float
     bandwidth: float
     intercepts: np.ndarray
     curvatures: np.ndarray
@@ -160,59 +157,95 @@ def side_correction_from_weights(
     b = weights_bias.bandwidth
 
     krows1, gram1_raw, _ = _weighted_design(weights_main, basis_main)
-    coef = np.linalg.solve(gram1_raw, krows1.T @ S)  # (2, q+1) scaled coefficients
-    e0_row = np.linalg.solve(gram1_raw, np.array([1.0, 0.0]))
-    weight_row_linear = krows1 @ e0_row
     u = basis_main.rows[:, 1]
     u2_raw = krows1.T @ (u * u)
-    curvature_load = float(e0_row @ u2_raw)
-
+    coef, e0_row, curvature_load = _linear_side(gram1_raw, krows1.T @ S, u2_raw)
     krows2, gram2_raw, _ = _weighted_design(weights_bias, basis_bias)
-    e2_row = np.linalg.solve(gram2_raw, np.array([0.0, 0.0, 1.0]))
-    quad_row = krows2 @ e2_row  # maps s -> scaled quadratic coefficient b^2 m2
-    curvatures = 2.0 * (S.T @ quad_row) / b**2
-    bias = 0.5 * h**2 * curvature_load * curvatures
+    quad_row = krows2 @ _quadratic_row(gram2_raw)  # maps s -> scaled quadratic coefficient b^2 m2
+    curvatures, bias = _curvature_bias(S.T @ quad_row, h, b, curvature_load)
     intercepts = coef[0].copy()
+    nh, nb = n * h, n * b
+    stacked = correction_matrix(gram1_raw / nh, u2_raw / nh, gram2_raw / nb, (h / b) ** 3)
 
     return SideCorrection(
         n=n,
         n_effective=weights_main.n_positive,
+        kish_size=_kish_size(weights_main),
         bandwidth=float(h),
         intercepts=intercepts,
         curvatures=curvatures,
         bias=bias,
         intercepts_bc=intercepts - bias,
-        weight_row=weight_row_linear - (h**2 / b**2) * curvature_load * quad_row,
-        matrix_row=correction_matrix(
-            krows1, gram1_raw / (n * h), u2_raw / (n * h), krows2, gram2_raw / (n * b), (h / b) ** 3
-        ),
-        curvature_load=curvature_load,
+        weight_row=krows1 @ e0_row - (h**2 / b**2) * curvature_load * quad_row,
+        matrix_row=krows1 @ stacked[:2] - krows2 @ stacked[2:],
+        curvature_load=float(curvature_load),
         coef=coef,
         basis_rows=basis_main.rows,
     )
 
 
+def _kish_size(weights) -> float:
+    """Kish size ``(sum w)^2 / sum w^2``, exactly the count for equal weights (window)."""
+    w, n = weights.weights, weights.n_positive
+    return float(n if np.count_nonzero(w == w.max()) == n else w.sum() ** 2 / (w @ w))
+
+
+def _linear_side(
+    gram: np.ndarray, rks: np.ndarray, rku2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """From ``R'KR``, ``R'KS`` and ``R'K u^2`` at ``h``: the outcomes' scaled
+    coefficients, the intercept row ``e0' (R'KR)^{-1}`` and the curvature
+    load ``e0' (R'KR)^{-1} R'K u^2``. The row has a solve of its own, as
+    LAPACK rounds a one-column solve unlike a column of a wider one.
+    """
+    coef = np.linalg.solve(gram, rks)
+    e0_row = np.linalg.solve(gram, [[1.0], [0.0]])[..., 0]
+    return coef, e0_row, np.vecdot(e0_row, rku2)
+
+
+def _quadratic_row(gram: np.ndarray) -> np.ndarray:
+    """The row ``e2' (R'KR)^{-1}`` at ``b``: applied to ``R'K s`` it gives
+    the scaled quadratic coefficient ``b^2 m2`` of an outcome ``s``.
+    """
+    return np.linalg.solve(gram, [[0.0], [0.0], [1.0]])[..., 0]
+
+
+def _curvature_bias(scaled_m2, h, b, load) -> tuple[np.ndarray, np.ndarray]:
+    """Each outcome's curvature ``2 m2`` from its ``b^2 m2`` and its bias
+    ``h^2 / 2 * load * curvature``; ``h``, ``b`` and ``load`` broadcast
+    against the outcomes.
+    """
+    curvatures = 2.0 * scaled_m2 / b**2
+    return curvatures, 0.5 * h**2 * load * curvatures
+
+
 def correction_matrix(
-    krows_linear: np.ndarray,
     gram_linear: np.ndarray,
     u2_moment: np.ndarray,
-    krows_quadratic: np.ndarray,
     gram_quadratic: np.ndarray,
-    ratio: float,
+    ratio,
 ) -> np.ndarray:
-    """Row 0 of the literal (2, n) per-side correction matrix.
+    """Row 0 of the literal (2, n) per-side correction matrix as ``(..., 5)``
+    coefficients: the first two applied to the side's ``K R`` rows at ``h``
+    minus the last three applied to its ``K R`` rows at ``b``.
 
-    Applied to an outcome column and divided by ``n * h`` it gives the
-    bias-corrected intercept. Assembled from the normalised moment matrices
-    (``gram_*`` and ``u2_moment``, divided by ``n`` times their bandwidth)
-    with explicit inverses and ``ratio = (h / b)^3``, deliberately not
-    sharing arithmetic with ``SideCorrection.weight_row``. Row 1, the slope
-    row, enters no estimate and is not formed.
+    Applied to an outcome column and divided by ``n * h`` the row gives the
+    bias-corrected intercept. It is built from the normalised moments
+    (``gram_*`` and ``u2_moment`` over ``n`` times their bandwidth) with
+    explicit inverses and ``ratio = (h / b)^3``, sharing no arithmetic with
+    the componentwise path. Row 1, the slope row, enters no estimate.
     """
-    g1_inv = np.linalg.inv(gram_linear)
-    g2_inv = np.linalg.inv(gram_quadratic)
-    load = float(g1_inv[0] @ u2_moment)
-    return g1_inv[0] @ krows_linear.T - ratio * load * (g2_inv[2] @ krows_quadratic.T)
+    g1_inv = np.linalg.inv(gram_linear)[..., 0, :]
+    g2_inv = np.linalg.inv(gram_quadratic)[..., 2, :]
+    load = np.vecdot(g1_inv, u2_moment)
+    return np.concatenate([g1_inv, (ratio * load)[..., None] * g2_inv], axis=-1)
+
+
+def _interval(tau_bc, v_bc, n, h, alpha: float):
+    """``se = sqrt(v_bc / (n h))`` and the Wald interval at ``1 - alpha``."""
+    se = np.sqrt(v_bc / (n * h))
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    return se, tau_bc - z * se, tau_bc + z * se
 
 
 def robust_variance(
@@ -227,20 +260,14 @@ def robust_variance(
     """Variance of the combined bias-corrected statistic, scaled by ``n * h``.
 
     ``S_plus`` and ``S_minus`` are the outcome rows each side's correction
-    was built from, and ``n`` is the size of the sample they were cut from.
-    Rows outside every kernel support add nothing to the sum, so cutting
-    them leaves the variance unchanged.
-
-    Sum of one quadratic form per side over that side's rows; cross-side
-    terms vanish exactly because the two weight supports are disjoint (a
-    correction built on the whole sample weighs the other side's rows by
-    exactly 0, so the whole ``S`` may be passed for both sides). Each side
-    uses a diagonal residual matrix: in ``paper`` mode the residual of
-    observation i for outcome s is that outcome minus the side's
-    bias-corrected cutoff intercept; in ``fitted`` mode it is the outcome
-    minus the side's local linear fitted value at d_i (a sensitivity-analysis
-    alternative).
-    Cross-covariances between outcome columns are omitted by construction.
+    was built from, and ``n`` is the size of the sample they were cut from;
+    rows outside every kernel support add nothing. It is a sum of one
+    quadratic form per side, with a diagonal residual matrix: in ``paper``
+    mode the residual of an outcome is its value minus the side's
+    bias-corrected intercept, in ``fitted`` mode minus the side's local
+    linear fitted value at ``d_i`` (a sensitivity analysis). Cross-side
+    terms vanish, as the weight supports are disjoint, and cross-covariances
+    between outcome columns are omitted by construction.
     """
     _require_valid_variance_mode(variance_mode)
     total = 0.0
@@ -262,7 +289,10 @@ class RobustEstimate:
     result, checked against the stacked matrix form: the combination weights
     ``(1, -gamma_1, ..., -gamma_q)`` applied to the difference of the two
     sides' ``SideCorrection.matrix_row`` times the outcome columns.
-    ``degenerate_ci`` flags a zero-variance interval.
+    ``degenerate_ci`` flags a zero-variance interval. ``n_left`` and
+    ``n_right`` count each side's positive weights at ``h`` and
+    ``kish_left`` and ``kish_right`` are their Kish effective sample sizes
+    ``(sum w)^2 / sum w^2``, far below the count for the gaussian kernel.
     """
 
     tau_pdd: float
@@ -274,6 +304,8 @@ class RobustEstimate:
     n: int
     n_left: int
     n_right: int
+    kish_left: float
+    kish_right: float
     degenerate_ci: bool
     point: DiscontinuityEstimate | None = None
 
@@ -328,18 +360,19 @@ def bias_corrected_estimate(
     v_bc = robust_variance(S[plus], S[minus], corr_plus, corr_minus, combo, n, variance_mode)
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
-    se = math.sqrt(v_bc / (n * corr_plus.bandwidth))
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    se, lower, upper = map(float, _interval(tau_bc, v_bc, n, corr_plus.bandwidth, alpha))
     return RobustEstimate(
         tau_pdd=jump if point is None else point.tau_pdd,
         tau_pdd_bc=tau_bc,
         v_bc=v_bc,
         se=se,
-        ci_lower=tau_bc - z * se,
-        ci_upper=tau_bc + z * se,
+        ci_lower=lower,
+        ci_upper=upper,
         n=n,
         n_left=corr_minus.n_effective,
         n_right=corr_plus.n_effective,
+        kish_left=corr_minus.kish_size,
+        kish_right=corr_plus.kish_size,
         degenerate_ci=not v_bc > 0.0,
         point=point,
     )
@@ -377,36 +410,27 @@ def _fit_block(
 ) -> tuple[np.ndarray, ...]:
     """``bias_corrected_estimate`` of a block of samples in one moment pass.
 
-    ``cuts`` holds ``(sample, k)`` pairs, each sample already cut to the rows
-    within ``max(h, b)`` of the cutoff with its ``k`` left rows first, as
-    ``kernels.support_rows`` orders them; every sample has at least one
-    placebo pair and at least one row on each side. ``h`` and ``b`` hold each
-    sample's bandwidths and ``n`` the size of the samples they were cut from.
+    ``cuts`` holds ``(sample, k)`` pairs, each cut to the rows within
+    ``max(h, b)`` of the cutoff with its ``k`` left rows first; each has a
+    placebo pair and rows on both sides. ``h`` and ``b`` hold each sample's
+    bandwidths and ``n`` the size of the samples they were cut from.
 
-    The samples' rows are concatenated, so each side of each sample is one
-    contiguous segment, left then right. Weights, basis powers and every
-    per-row product are formed once for the whole block, every moment is a
-    segment sum (``np.add.reduceat``, in a fixed order that no BLAS thread
-    count changes), and each sample's 2x2, 3x3 and (2+q)x(2+q) systems are
-    solved as one stack. The componentwise and stacked bias corrections, the
-    point estimate's two forms and the variance follow the single-fit
-    formulas, and the stacked form again applies explicit inverses of the
-    normalised moment matrices row by row, sharing no solve with the
-    componentwise one.
+    Only what belongs to a block is here: each side of each sample is one
+    segment of the concatenated rows, every per-row product is one row of a
+    table, every moment is a segment sum (``np.add.reduceat``, in an order
+    no BLAS thread count changes), and a side that fails a check gets the
+    identity in place of its systems (``_identity_unless``). The formulas
+    and checks are the single fit's, applied to the stack of sides.
 
-    Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``,
-    arrays over the samples. ``ok`` is False for a sample that fails any
-    check of the single fit here: distinct support, a Gram or Schur
-    reciprocal condition, the count of positive weights, either equivalence
-    check or a finite variance. Its other values are then meaningless; the
-    caller refits it with ``bias_corrected_estimate``, which decides whether
-    and how it fails, so each check keeps its one definition there.
+    Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
+    over the samples. ``ok`` is False where any check of the single fit
+    fails; the caller refits those samples with ``bias_corrected_estimate``,
+    which decides whether and how they fail.
     """
     q = cuts[0][0].q
     counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     m = int(counts.sum())
-    nseg = counts.size
     left, right = slice(0, None, 2), slice(1, None, 2)
     h_seg, b_seg = np.repeat(h, 2), np.repeat(b, 2)
     # the outcome columns y, W and the placebo treatments Z, one row each
@@ -414,14 +438,12 @@ def _fit_block(
     S[0] = np.concatenate([sample.y for sample, _ in cuts])
     S[1:] = np.concatenate([sample.W for sample, _ in cuts]).T
     Z = np.ascontiguousarray(np.concatenate([sample.Z for sample, _ in cuts]).T)
-    rel = np.concatenate([sample.d for sample, _ in cuts]) - cutoff
+    d = np.concatenate([sample.d for sample, _ in cuts])
 
     def weights_and_basis(bandwidths):
-        # as sided_weights and scaled_basis form them, so each row's values match
         per_row = np.repeat(bandwidths, counts)
-        w = kernel_value(kernel, np.abs(rel) / per_row)
-        w /= per_row
-        return w, rel / per_row
+        u = _offsets(d, cutoff, per_row)
+        return _weights_at(kernel, u.copy(), per_row), u
 
     wh, u = weights_and_basis(h_seg)
     wb, v = (wh, u) if np.array_equal(h, b) else weights_and_basis(b_seg)
@@ -446,65 +468,54 @@ def _fit_block(
 
     A = mu[[[0, 1], [1, 2]]].transpose(2, 0, 1)  # R'KR at h
     G = mv[[[0, 1, 2], [1, 2, 3], [2, 3, 4]]].transpose(2, 0, 1)  # R'KR at b
-    RKS = muS.reshape(2, 1 + q, nseg).transpose(2, 0, 1)
-    ZKR = muZ.reshape(2, q, nseg).transpose(2, 1, 0)
-    ZKS = mZS.reshape(q, 1 + q, nseg).transpose(2, 0, 1)  # [Z'Ky  Z'KW]
-    GS = mvS.reshape(3, 1 + q, nseg).transpose(2, 0, 1)
+    RKS = muS.reshape(2, 1 + q, -1).transpose(2, 0, 1)
+    ZKR = muZ.reshape(2, q, -1).transpose(2, 1, 0)
+    ZKS = mZS.reshape(q, 1 + q, -1).transpose(2, 0, 1)  # [Z'Ky  Z'KW]
+    GS = mvS.reshape(3, 1 + q, -1).transpose(2, 0, 1)
+    RKu2 = mu[2:4].T
 
-    ok = (n_positive[0] >= 2 + q) & _distinct_support(u, wh, starts, counts, 2)
-    ok &= _distinct_support(v, wb, starts, counts, 3)
+    ok = n_positive[0] >= 2 + q
+    ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
+    ok &= _distinct_support(v, wb, starts, counts, 3) >= 3
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
 
-    # componentwise: local linear coefficients, intercept row, curvature
-    e0 = np.broadcast_to(np.array([[1.0], [0.0]]), (nseg, 2, 1))
-    X = np.linalg.solve(A, np.concatenate([RKS, e0], axis=2))
-    coef, e0_row = X[:, :, : 1 + q], X[:, :, -1]
-    e2 = np.broadcast_to(np.array([[0.0], [0.0], [1.0]]), (nseg, 3, 1))
-    e2_row = np.linalg.solve(G, e2)[:, :, 0]
-    load = e0_row[:, 0] * mu[2] + e0_row[:, 1] * mu[3]  # e0_row @ R'K u^2
-    curvatures = 2.0 * np.einsum("si,sij->sj", e2_row, GS) / b_seg[:, None] ** 2
-    intercepts = coef[:, 0, :]
-    intercepts_bc = intercepts - 0.5 * h_seg[:, None] ** 2 * load[:, None] * curvatures
-
-    # the instrumented solve of each side
-    D = ZKS[:, :, 1:]
-    schur, ok = _identity_unless(ok, D - ZKR @ coef[:, :, 1:])
-    D, ok = _identity_unless(ok, D)
-    ok &= _schur_rcond(schur, D) >= SCHUR_RCOND_MIN
-    joint = np.concatenate(
-        [np.concatenate([A, RKS[:, :, 1:]], axis=2), np.concatenate([ZKR, D], axis=2)], axis=1
+    coef, e0_row, load = _linear_side(A, RKS, RKu2)
+    e2_row = _quadratic_row(G)
+    _, bias = _curvature_bias(
+        np.vecdot(e2_row[:, :, None], GS, axis=1), h_seg[:, None], b_seg[:, None], load[:, None]
     )
-    joint, ok = _identity_unless(ok, joint)
-    rhs = np.concatenate([RKS[:, :, 0], ZKS[:, :, 0]], axis=1)[:, :, None]
-    nu = np.linalg.solve(joint, rhs)[:, :, 0]
-    alpha0, gamma = nu[:, 0], nu[:, 2:]
+    intercepts_bc = coef[:, 0, :] - bias
 
-    tau_rdd = intercepts[right] - intercepts[left]
-    gamma_minus, gamma_plus, beta_plus = gamma[left], gamma[right], intercepts[right, 1:]
-    tau_pdd = tau_rdd[:, 0] - (tau_rdd[:, 1:] * gamma_minus).sum(axis=1)
-    tau_iv = (
-        alpha0[right]
-        + (beta_plus * gamma_plus).sum(axis=1)
-        - alpha0[left]
-        - (beta_plus * gamma_minus).sum(axis=1)
+    # the instrumented solve of each side; a side that is not ok solves the
+    # identity, its cross-moment blocks zeroed
+    RKW, ZKW = RKS[:, :, 1:], ZKS[:, :, 1:]
+    schur, ok = _identity_unless(ok, _schur_complement(A, RKW, ZKR, ZKW))
+    ZKW, ok = _identity_unless(ok, ZKW)
+    ok &= _schur_rcond(schur, ZKW) >= SCHUR_RCOND_MIN
+    ZKW, ok = _identity_unless(ok, ZKW)
+    RKW, ZKR = (np.where(ok[:, None, None], x, 0.0) for x in (RKW, ZKR))
+    alpha0, gamma = _joint_solve(A, RKW, ZKR, ZKW, RKS[:, :, 0], ZKS[:, :, 0])
+
+    tau_rdd, tau_pdd, tau_iv = _point_forms(
+        coef[right, 0], coef[left, 0], alpha0[right], alpha0[left], gamma[right], gamma[left]
     )
-    combo = np.concatenate([np.ones((len(cuts), 1)), -gamma_minus], axis=1)
-    tau_bc = (combo * (intercepts_bc[right] - intercepts_bc[left])).sum(axis=1)
+    combo = np.concatenate([np.ones((len(cuts), 1)), -gamma[left]], axis=1)
+    tau_bc = np.vecdot(combo, intercepts_bc[right] - intercepts_bc[left])
 
-    # per-row coefficients: the stacked form's row of explicit inverses of the
-    # normalised moments (as correction_matrix), the variance's weight row
-    # (as SideCorrection.weight_row) and each outcome's residual centre
+    # per-row coefficients: the stacked form's row (correction_matrix), the
+    # variance's weight row (as SideCorrection.weight_row) and each
+    # outcome's residual centre
     nh, nb = (counts * h_seg)[:, None], (counts * b_seg)[:, None]
-    stacked_rows = _correction_rows(
-        A / nh[:, :, None], mu[2:4].T / nh, G / nb[:, :, None], (h_seg / b_seg) ** 3
+    stacked_row = correction_matrix(
+        A / nh[:, :, None], RKu2 / nh, G / nb[:, :, None], (h_seg / b_seg) ** 3
     )
     weight_quad = ((h_seg**2 / b_seg**2) * load)[:, None] * e2_row
     centre = [intercepts_bc] if variance_mode == "paper" else [coef[:, 0, :], coef[:, 1, :]]
-    per_seg = np.concatenate([*stacked_rows, e0_row, weight_quad, *centre], axis=1)
+    per_seg = np.concatenate([stacked_row, e0_row, weight_quad, *centre], axis=1)
     c = np.repeat(np.ascontiguousarray(per_seg.T), counts, axis=1)
     matrix_row = c[0] * wh + c[1] * Ku[1] - (c[2] * wb + c[3] * Kv[1] + c[4] * Kv[2])
     weight_row = c[5] * wh + c[6] * Ku[1] - (c[7] * wb + c[8] * Kv[1] + c[9] * Kv[2])
@@ -516,48 +527,12 @@ def _fit_block(
     Q[1] *= weight_row**2
     sums = np.add.reduceat(Q.reshape(2 * (1 + q), m), starts, axis=1)
     stacked, per_outcome = sums[: 1 + q].T / counts[:, None], sums[1 + q :].T
-    tau_stacked = (combo * (stacked[right] - stacked[left])).sum(axis=1) / h
-    total = (combo**2 * per_outcome[right]).sum(axis=1) + (combo**2 * per_outcome[left]).sum(
-        axis=1
-    )
-    v_bc = n * h * total
-    se = np.sqrt(v_bc / (n * h))
-    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
+    v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
+    se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)
     ok &= np.isfinite(v_bc)
-    return ok, tau_pdd, tau_rdd[:, 0], tau_bc, se, tau_bc - z * se, tau_bc + z * se
-
-
-def _correction_rows(
-    gram_linear: np.ndarray, u2_moment: np.ndarray, gram_quadratic: np.ndarray, ratio: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``correction_matrix`` for a stack of sides, as coefficients: row 0 of
-    each side's literal correction matrix is ``linear`` applied to the rows
-    of its ``K R`` at ``h`` minus ``quadratic`` applied to those of its
-    ``K R`` at ``b``. The arguments are stacks of that function's, and the
-    same explicit inverses are taken.
-    """
-    g1_inv = np.linalg.inv(gram_linear)[:, 0, :]
-    g2_inv = np.linalg.inv(gram_quadratic)[:, 2, :]
-    load = (g1_inv * u2_moment).sum(axis=1)
-    return g1_inv, (ratio * load)[:, None] * g2_inv
-
-
-def _distinct_support(
-    x: np.ndarray, w: np.ndarray, starts: np.ndarray, counts: np.ndarray, need: int
-) -> np.ndarray:
-    """Whether each segment has at least ``need`` (2 or 3) distinct values
-    of ``x`` with positive weight ``w``; the segmented form of
-    ``local_fit._require_distinct_support``.
-    """
-    positive = w > 0.0
-    lo = np.minimum.reduceat(np.where(positive, x, np.inf), starts)
-    hi = np.maximum.reduceat(np.where(positive, x, -np.inf), starts)
-    enough = lo < hi
-    if need == 3:
-        inside = positive & (x > np.repeat(lo, counts)) & (x < np.repeat(hi, counts))
-        enough &= np.logical_or.reduceat(inside, starts)
-    return enough
+    return ok, tau_pdd, tau_rdd[:, 0], tau_bc, se, lower, upper
 
 
 def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

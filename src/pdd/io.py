@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import EmptyAfterFiltering, MissingColumn, ParseError
 from .kernels import KERNEL_KINDS
+from .local_fit import _distinct_support
 
 DESIGNS = ("sharp", "fuzzy")
 VARIANCE_MODES = ("paper", "fitted")
@@ -71,15 +72,13 @@ class Sample:
         )
 
     def require_sides(self, cutoff: float) -> None:
-        """Check there are at least 2 distinct d values strictly on each side.
-
-        A side has two distinct values exactly when it is non-empty and its
-        minimum is below its maximum, so no sort is needed.
+        """Check there are at least 2 distinct d values strictly on each side,
+        with the fits' support test (``local_fit._distinct_support``).
         """
         short = [
             side
-            for side, d in (("left", self.d[self.d < cutoff]), ("right", self.d[self.d > cutoff]))
-            if not (d.size and d.min() < d.max())
+            for side, on_side in (("left", self.d < cutoff), ("right", self.d > cutoff))
+            if not (self.n and _distinct_support(self.d, on_side, [0], [self.n], 2)[0] == 2)
         ]
         if short:
             raise EmptyAfterFiltering(

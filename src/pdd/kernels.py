@@ -1,29 +1,22 @@
 """Kernel functions, one-sided locality weights, and the scaled polynomial basis.
 
-Weights keep the literal 1/h factor and are never renormalised; the moment
-matrices built downstream are defined in terms of these raw weights, and every
-estimator output is invariant to rescaling all weights by a positive constant.
-
-The cutoff point itself belongs to the right side: right-side weights use
-``d >= cutoff`` and left-side weights use ``d < cutoff``.
+Weights keep the literal 1/h factor and are never renormalised; every
+estimator output is invariant to rescaling all weights by a positive
+constant. The cutoff point belongs to the right side: right-side weights use
+``d >= cutoff`` and left-side weights ``d < cutoff``. ``_offsets`` (the
+scaled coordinate) and ``_weights_at`` (the weights) are the one formula
+behind ``scaled_basis``, ``sided_weights`` and ``inference._fit_block``.
 
 Every estimator entry point first cuts its sample with ``support_rows`` to
-the rows a kernel can weight, left side first, and each side's pass (weights,
-basis, fits, bias correction and variance) then reads only that side's
-contiguous rows. The window and triangle kernels weight only rows with
-``|d - cutoff| <= h``, so their cost grows with the rows within ``max(h, b)``
-of the cutoff, not with the sample size. The gaussian kernel has no finite
-support and partitions every row, so each side's pass reads about n/2 rows.
-A sample already in that form is recognised by ``left_count_if_cut`` before
-any partition is built, so an entry point that receives a cut sample does not
-cut it again.
+the rows a kernel can weight, left side first, and each side's pass then
+reads only its own contiguous rows: with the window and triangle kernels the
+cost grows with the rows within ``max(h, b)`` of the cutoff, not with the
+sample size; the gaussian kernel partitions every row. ``left_count_if_cut``
+recognises a sample already in that form, so it is not cut again.
 
-Every per-row design array of a fit is stored column by column (Fortran
-order), starting with ``scaled_basis``: the per-side row views, ``K R`` and
-the moment products inherit that layout. A design has only 2 or 3 columns,
-so with rows stored contiguously numpy's inner loop for a weighted product
-such as ``rows * w[:, None]`` would cover 2-3 elements per row; with columns
-stored contiguously it runs down whole columns.
+Per-row design arrays are stored column by column (Fortran order), starting
+with ``scaled_basis``, so the weighted products of a fit run down whole
+columns instead of over the 2-3 elements of a row.
 """
 
 from __future__ import annotations
@@ -158,18 +151,14 @@ def sided_weights(
 
     A side with too few positively weighted observations for a fit, such as
     an empty ``d`` from a sample cut to an empty window, is rejected by the
-    fit's support check (``local_fit._require_distinct_support``).
+    fit's support test (``local_fit._distinct_support``).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     _require_positive(h)
     d = np.asarray(d, dtype=float)
     on_side = d >= cutoff if side == "right" else d < cutoff
-    u = np.subtract(d, cutoff)
-    np.abs(u, out=u)
-    u /= h
-    w = kernel_value(kernel, u)
-    w /= h
+    w = _weights_at(kernel, _offsets(d, cutoff, h), h)
     w[~on_side] = 0.0  # a no-op on the one side's rows the estimators pass
     return SidedWeights(
         side=side,
@@ -206,9 +195,23 @@ def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledB
     d = np.asarray(d, dtype=float)
     rows = np.empty((d.shape[0], degree + 1), order="F")
     rows[:, 0] = 1.0
-    u = rows[:, 1]
-    np.subtract(d, cutoff, out=u)
-    u /= h
+    u = _offsets(d, cutoff, h, out=rows[:, 1])
     if degree == 2:
         np.multiply(u, u, out=rows[:, 2])
     return ScaledBasis(degree=degree, cutoff=float(cutoff), bandwidth=float(h), rows=rows)
+
+
+def _offsets(d: np.ndarray, cutoff: float, h, out: np.ndarray | None = None) -> np.ndarray:
+    """The scaled coordinate ``(d - cutoff) / h``; ``h`` is one or one per row."""
+    u = np.subtract(d, cutoff, out=out)
+    u /= h
+    return u
+
+
+def _weights_at(kernel: KernelSpec, u: np.ndarray, h) -> np.ndarray:
+    """The weights ``K(|u|) / h`` at scaled coordinates ``u`` (``_offsets``),
+    which it overwrites with ``|u|``, so a fit holds no second copy of them.
+    """
+    w = kernel_value(kernel, np.abs(u, out=u))
+    w /= h
+    return w

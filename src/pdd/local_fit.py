@@ -1,16 +1,17 @@
 """Weighted local polynomial least squares and the local instrumented solve.
 
-Both operations share the same ingredients: one-sided kernel weights and the
-bandwidth-scaled polynomial basis. Linear systems are small and dense
-((p+1) or (2+q) dimensional) and are solved by a pivoted direct factorisation;
-singularity is detected through the reciprocal condition number of the moment
-matrices rather than through solver failure.
+Both use one-sided kernel weights and the bandwidth-scaled polynomial basis.
+The systems are small and dense and solved by a pivoted factorisation;
+singularity is detected through reciprocal condition numbers, not through
+solver failure. ``_weighted_design`` keeps one checked design ``(K R, R'KR,
+rcond)`` per pair of weights and basis, so a side's fits share ``K R``, the
+support test and the SVD.
 
-There is one checked weighted design ``(K R, R'KR, rcond)`` per pair of
-weights and basis: ``_weighted_design`` keeps it on the weights, keyed by the
-basis object, once the support and conditioning checks pass. The outcome
-fits and the instrumented solve of one side share it, so ``K R``, the
-support check and the SVD are computed once per side, not once per fit.
+Each check and each step of the instrumented solve is written once, for one
+side or a stack of sides, and ``inference._fit_block`` calls the same
+helpers: the support test ``_distinct_support``, the conditioning tests
+``reciprocal_condition`` and ``_schur_rcond``, the Schur complement
+``_schur_complement`` and the joint system ``_joint_solve``.
 """
 
 from __future__ import annotations
@@ -93,26 +94,37 @@ class IvFit:
     schur_rcond: float
 
 
+def _distinct_support(x: np.ndarray, w: np.ndarray, starts, counts, need: int) -> np.ndarray:
+    """Distinct values of ``x`` with positive weight ``w`` in each segment of
+    ``counts[i]`` rows from ``starts[i]``, counted up to ``need`` (2 or 3).
+
+    The one support test of every fit: in linear time, without a sort and
+    without gathering the positively weighted rows, equal extremes give one
+    value and a value strictly between them a third. A segment with no
+    positive weight counts 0; every segment holds at least one row.
+    """
+    positive = w > 0.0
+    lo = np.minimum.reduceat(np.where(positive, x, np.inf), starts)
+    hi = np.maximum.reduceat(np.where(positive, x, -np.inf), starts)
+    distinct = (lo <= hi).astype(int) + (lo < hi)
+    if need == 3:
+        inside = positive & (x > np.repeat(lo, counts)) & (x < np.repeat(hi, counts))
+        distinct += (lo < hi) & np.logical_or.reduceat(inside, starts)
+    return distinct
+
+
 def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None:
     """Raise SingularSupport unless ``degree + 1`` distinct running-variable
-    values carry positive weight.
-
-    The degree is 1 or 2, so distinct values are counted only up to three,
-    in linear time, without a sort and without gathering the positively
-    weighted rows: equal extremes give one, and a value strictly between
-    them a third.
+    values carry positive weight (``_distinct_support`` on one segment).
     """
-    u = basis.rows[:, 1]
-    positive = weights.positive
+    need, w = basis.degree + 1, weights.weights
     distinct = 0
     if weights.n_positive:
-        lo = np.min(u, where=positive, initial=np.inf)
-        hi = np.max(u, where=positive, initial=-np.inf)
-        distinct = 1 if lo == hi else 3 if np.any((u > lo) & (u < hi) & positive) else 2
-    if distinct <= basis.degree:
+        distinct = int(_distinct_support(basis.rows[:, 1], w, [0], [w.shape[0]], need)[0])
+    if distinct < need:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
-            f"the {weights.side} side; need at least {basis.degree + 1}, so "
+            f"the {weights.side} side; need at least {need}, so "
             f"bandwidth {weights.bandwidth} is too small"
         )
 
@@ -222,18 +234,34 @@ def local_iv_fit(
     b = rw.T @ W  # R'KW, 2xq
     c = zw.T @ basis.rows  # Z'KR, qx2
     dm = zw.T @ W  # Z'KW, qxq
-    schur = dm - c @ np.linalg.solve(a, b)
-    schur_rcond = _schur_rcond(schur, dm)
+    schur_rcond = _schur_rcond(_schur_complement(a, b, c, dm), dm)
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(
             f"weak placebo proxy on the {weights.side} side "
             f"(Schur complement rcond={schur_rcond:.3e})"
         )
-    rhs = np.concatenate([rw.T @ y, zw.T @ y])
-    nu = np.linalg.solve(np.block([[a, b], [c, dm]]), rhs)
+    alpha0, gamma = _joint_solve(a, b, c, dm, rw.T @ y, zw.T @ y)
     return IvFit(
         side=weights.side,
-        alpha0=float(nu[0]),
-        gamma=nu[2:].copy(),
+        alpha0=float(alpha0),
+        gamma=gamma,
         schur_rcond=schur_rcond,
     )
+
+
+def _schur_complement(gram, rkw, zkr, zkw) -> np.ndarray:
+    """The Schur complement ``Z'KW - Z'KR (R'KR)^{-1} R'KW`` of the joint
+    system, for one side or a stack of sides; ``_schur_rcond`` measures it.
+    """
+    return zkw - zkr @ np.linalg.solve(gram, rkw)
+
+
+def _joint_solve(gram, rkw, zkr, zkw, rky, zky) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha0, gamma)`` of the joint system of ``local_iv_fit``, for one
+    side or a stack of sides.
+    """
+    joint = np.concatenate(
+        [np.concatenate([gram, rkw], axis=-1), np.concatenate([zkr, zkw], axis=-1)], axis=-2
+    )
+    nu = np.linalg.solve(joint, np.concatenate([rky, zky], axis=-1)[..., None])[..., 0]
+    return nu[..., 0], nu[..., 2:]

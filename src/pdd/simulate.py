@@ -41,17 +41,14 @@ from .kernels import KernelSpec, support_rows
 #: use base_seed + replication index.
 TRUTH_SEED_OFFSET = 1_000_003
 
-#: Rows of cut samples that ``monte_carlo`` gathers before it fits the
-#: gathered replications together. A fixed budget, so the block's working
-#: memory stays bounded whatever ``reps`` and ``n``; larger blocks gained no
-#: speed at n = 5000 and cost more memory.
+#: Rows of cut samples ``monte_carlo`` gathers before it fits them together:
+#: a fixed budget bounds a block's memory whatever ``reps`` and ``n``, and
+#: larger blocks gained no speed at n = 5000.
 BLOCK_ROWS = 4096
 
-#: Most cut rows of a replication that joins a block. A larger cut is fitted
-#: alone by ``bias_corrected_estimate``: the per-call cost a block shares is
-#: then a small part of its fit, and a block of one such cut was no faster
-#: (gaussian kernel, n = 20000), while its working memory grows with the cut.
-#: So a block never holds more than ``BLOCK_ROWS + SOLO_ROWS`` rows.
+#: Most cut rows of a replication that joins a block; a larger cut is fitted
+#: alone, as a block of one such cut was no faster (gaussian kernel,
+#: n = 20000) and its memory grows with the cut.
 SOLO_ROWS = 4 * BLOCK_ROWS
 
 #: Scenario designs ``DgpSpec`` accepts.
@@ -306,16 +303,11 @@ def monte_carlo(
 
     Each replication of the sharp design draws its sample, takes its
     bandwidths and cuts the sample to the rows within ``max(h, b)`` of the
-    cutoff; the cut rows join a block, and once a block holds
-    ``BLOCK_ROWS`` rows all its replications are fitted in one moment pass
-    (``inference._fit_block``). A replication that fails a check there is
-    refitted alone by ``bias_corrected_estimate``, which decides whether it
-    fails. So the per-replication cost is the draw, the bandwidth and the
-    cut, and the fits cost once per block. The row budget bounds the
-    block's working memory whatever ``reps`` and ``n``: a cut of more than
-    ``SOLO_ROWS`` rows is fitted alone, so a block never holds more than
-    ``BLOCK_ROWS + SOLO_ROWS`` rows. The fuzzy design is still fitted one
-    replication at a time.
+    cutoff. Once the cuts hold ``BLOCK_ROWS`` rows, their replications are
+    fitted in one moment pass (``inference._fit_block``); a cut of more than
+    ``SOLO_ROWS`` rows, and a replication that fails a check in the block,
+    is fitted alone by ``bias_corrected_estimate``, which decides whether it
+    fails. The fuzzy design is fitted one replication at a time.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -402,10 +394,8 @@ def _fit_replications(
 
     Returns, for each replication that did not fail, its estimate, naive
     discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
-    whether the interval covers ``tau0``. Replications with rows on both
-    sides and at most ``SOLO_ROWS`` rows are fitted together by
-    ``inference._fit_block``; the rest, and every replication that fails a
-    check there, by ``bias_corrected_estimate``.
+    whether the interval covers ``tau0``. Cuts with rows on both sides and
+    at most ``SOLO_ROWS`` rows are fitted together by ``_fit_block``.
     """
     batched = [(r, cut, k, h, b) for r, cut, k, h, b in block if 0 < k < cut.n <= SOLO_ROWS]
     fitted = {}

@@ -532,6 +532,37 @@ def test_main_callable_directly(tmp_path, capsys):
     assert list(doc.keys()) == SHARP_KEYS
 
 
+@pytest.mark.parametrize(
+    "kernel, n_sides, warned",
+    [
+        ("window", (10, 26), {"left": "10.0", "right": "26.0"}),
+        ("triangle", (10, 26), {"left": "8.1", "right": "19.0"}),
+        # every row has positive gaussian weight, but few carry much of it
+        ("gaussian", (168, 232), {"left": "17.8"}),
+    ],
+)
+def test_small_side_warning_reads_the_kish_size(tmp_path, capsys, kernel, n_sides, warned):
+    path = tmp_path / "s.csv"
+    sample = pdd.simulate(pdd.DgpSpec(n=400, seed=3, kappa=4.0))
+    with open(path, "w", newline="") as fh:
+        pdd.write_csv(sample, fh)
+    h = 0.15
+    for side, rows in (("left", sample.d < 0.0), ("right", sample.d >= 0.0)):
+        u = np.abs(sample.d[rows]) / h
+        w = {"window": u <= 1.0, "triangle": np.maximum(1.0 - u, 0.0)}.get(kernel)
+        w = np.exp(-u * u / 2) if w is None else w
+        kish = w.sum() ** 2 / (w * w).sum()  # (sum w)^2 / sum w^2, any weight scale
+        assert (kish < 30.0) == (side in warned)
+        assert f"{kish:.1f}" == warned.get(side, f"{kish:.1f}")
+    assert main([*estimate_args(path, "--kernel", kernel, "--bandwidth", str(h))]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the counts of positive weights are unchanged
+    assert (doc["n_left"], doc["n_right"]) == n_sides
+    assert doc["warnings"] == [
+        f"only {size} effective observations on the {side} side" for side, size in warned.items()
+    ]
+
+
 def test_simulate_warns_nothing_and_is_loadable(tmp_path):
     path = tmp_path / "s.csv"
     proc = run_cli("simulate", "--n", "50", "--seed", "2", "--out", str(path))

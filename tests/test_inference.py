@@ -617,6 +617,15 @@ def test_a_sample_without_placebo_columns_gives_the_plain_jump(rng, kind, h, b):
         estimate_sharp(plain, CUTOFF, h, kernel)
 
 
+@pytest.mark.parametrize("h", [0.15, 0.1, 0.7])
+def test_window_kish_size_is_the_count_exactly(rng, h):
+    # so a window side of exactly 30 rows draws no small-side warning
+    for n_left in (3, 29, 30, 31, 97):
+        d = np.concatenate([-rng.uniform(0.0, 0.9 * h, n_left), rng.uniform(0.0, 0.9 * h, 40)])
+        est = rdd_robust_estimate(d, rng.standard_normal(d.size), 0.0, h, h, WINDOW)
+        assert (est.kish_left, est.kish_right) == (n_left, 40) == (est.n_left, est.n_right)
+
+
 def test_empty_or_thin_window_is_singular_support(rng, tmp_path, capsys):
     sample = _local_sample(rng)
     a = (sample.d >= CUTOFF).astype(float)

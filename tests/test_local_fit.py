@@ -12,6 +12,7 @@ from pdd import (
     side_correction_from_weights,
     sided_weights,
 )
+from pdd.local_fit import _distinct_support
 from conftest import residualize
 
 TRIANGLE = KernelSpec("triangle")
@@ -123,6 +124,28 @@ def test_singular_support_quadratic_needs_three():
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW, degree=2)
     fit = local_poly_fit(1.0 + d + d * d, w, basis)
     assert_allclose(fit.coef_scaled, [1.0, 1.0, 1.0], rtol=1e-10)
+
+
+def test_distinct_support_counts_each_segment_up_to_need():
+    # segments: 2 positive values with a zero-weight row between them; 3
+    # values, one strictly inside; no positive weight; one repeated value;
+    # 2 positive values with a zero-weight row beyond them
+    segments = [
+        ([0.1, 0.3, 0.5, 0.1], [1.0, 0.0, 2.0, 1.0]),
+        ([0.4, 0.0, 0.2], [1.0, 1.0, 0.5]),
+        ([0.2, 0.6], [0.0, 0.0]),
+        ([0.7, 0.7, 0.7], [1.0, 3.0, 1.0]),
+        ([-0.5, -0.1, -0.9], [1.0, 1.0, 0.0]),
+    ]
+    x = np.concatenate([xs for xs, _ in segments])
+    w = np.concatenate([ws for _, ws in segments])
+    counts = np.array([len(xs) for xs, _ in segments])
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    assert _distinct_support(x, w, starts, counts, 3).tolist() == [2, 3, 0, 1, 2]
+    assert _distinct_support(x, w, starts, counts, 2).tolist() == [2, 2, 0, 1, 2]
+    # one segment at a time gives the same counts
+    for (xs, ws), want in zip(segments, [2, 3, 0, 1, 2]):
+        assert _distinct_support(np.array(xs), np.array(ws), [0], [len(xs)], 3).tolist() == [want]
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pdd
@@ -225,24 +227,19 @@ def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(h, n_failed)
 
 
 def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
-    # the block's stacked form is off for replication 2's right side only,
-    # and the single fit's is off for every sample, so that replication is
+    # the stacked form is off for replication 2's right side in the block
+    # (segment 2 * 2 + 1) and for every single fit, so that replication is
     # refitted alone, fails there and is counted; the rest are untouched
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
-    real_rows = pdd.inference._correction_rows
     real_matrix = pdd.inference.correction_matrix
 
-    def shifted_rows(*args):
-        linear, quadratic = real_rows(*args)
-        linear = linear.copy()
-        linear[2 * 2 + 1] *= 1.0 + 1e-6
-        return linear, quadratic
+    def shifted(*args):
+        coefficients = real_matrix(*args).copy()
+        coefficients[2 * 2 + 1 if coefficients.ndim == 2 else ...] *= 1.0 + 1e-6
+        return coefficients
 
     with monkeypatch.context() as patch:
-        patch.setattr(pdd.inference, "_correction_rows", shifted_rows)
-        patch.setattr(
-            pdd.inference, "correction_matrix", lambda *a: real_matrix(*a) * (1.0 + 1e-6)
-        )
+        patch.setattr(pdd.inference, "correction_matrix", shifted)
         report = monte_carlo(spec, 6, 31)
     assert report.n_failed == 1
     expected = _per_rep_report(spec, 6, 31, KernelSpec(), skip={2})
@@ -320,6 +317,49 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
         got = (tau[i], naive[i], tau_bc[i], se[i], lower[i], upper[i])
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def _with_defect(sample, defect):
+    """``sample`` with one defect a single fit rejects, or unchanged."""
+    right = sample.d >= 0.0
+    if defect == "two_values":  # the right side's quadratic fit has 2 values
+        return replace(sample, d=np.where(right, np.where(sample.d < 0.5, 0.1, 0.2), sample.d))
+    if defect == "no_instrument":  # the left side's Schur complement is 0
+        return replace(sample, Z=np.where(right[:, None], sample.Z, 0.0))
+    if defect == "overflow":  # the variance overflows
+        return replace(sample, y=sample.y * 1e160)
+    return sample
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["window", "triangle", "gaussian"]),
+    b_over_h=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
+    mode=st.sampled_from(["paper", "fitted"]),
+    defect=st.sampled_from([None, "two_values", "no_instrument", "overflow"]),
+)
+def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, defect):
+    rng = np.random.default_rng(seed)
+    samples = [random_dataset(rng, n=300, q=q) for _ in range(3)]
+    samples[1] = _with_defect(samples[1], defect)
+    kernel = KernelSpec(kind)
+    h = rng.uniform(0.25, 0.8, 3)
+    b = h * np.array(b_over_h)
+    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    ok, *values = pdd.inference._fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
+    for i, sample in enumerate(samples):
+        try:
+            with np.errstate(all="ignore"):
+                est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel, variance_mode=mode)
+        except PddError:
+            assert not ok[i]
+            continue
+        assert ok[i]
+        want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
+        for got, expected in zip((column[i] for column in values), want):
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(got), abs(expected))
 
 
 @pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
