@@ -4,7 +4,8 @@ The CLI is a thin shell over the library: every number in the JSON output is
 the library value serialised with 17 significant digits, enough to round-trip
 a double exactly. ``rdd`` runs the ``estimate`` path on a sample without
 placebo columns. Exit codes: 0 when a result document was produced, 2 for
-estimation failures, 3 for I/O failures, 64 for bad flags or bad flag values.
+estimation failures, 3 for I/O failures and for running out of memory, 64
+for bad flags or bad flag values.
 A bad level or bandwidth exits 64 before the data are read, except a bias
 bandwidth below a tenth of the rule-of-thumb h, which needs the data.
 """
@@ -380,8 +381,9 @@ def _run(argv: list[str] | None) -> int:
     except (MissingColumn, ParseError, EmptyAfterFiltering) as exc:
         print(dumps({"error": _error_code(exc), "detail": str(exc)}))
         return 3
-    except OSError as exc:
-        print(dumps({"error": "io_error", "detail": str(exc)}))
+    except (OSError, MemoryError) as exc:
+        code = "memory_error" if isinstance(exc, MemoryError) else "io_error"
+        print(dumps({"error": code, "detail": str(exc)}))
         return 3
     except PddError as exc:
         print(dumps({"error": _error_code(exc), "detail": str(exc)}))

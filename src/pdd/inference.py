@@ -12,20 +12,23 @@ bias-corrected discontinuity of Calonico, Cattaneo & Titiunik (2014).
 
 Two paths give the bias-corrected estimate and are compared on every run
 (EquivalenceBreach): the componentwise one solves the moment systems
-(``_linear_side``, ``_quadratic_row``, ``_curvature_bias``), and the stacked
-one applies row 0 of each side's literal correction matrix, built from
-explicit inverses (``correction_matrix``, the one place an inverse is taken).
+(``_side_terms``), and the stacked one applies row 0 of each side's literal
+correction matrix, built from explicit inverses (``correction_matrix``, the
+one place an inverse is taken).
 ``_interval`` holds the standard error and the Wald interval, and
 ``estimator._point_forms`` the two forms of the point estimate.
 
-Each formula from the moments on is written once, for one side or a stack of
-sides ``(..., k, k)``, and serves two callers. ``bias_corrected_estimate``
-cuts the sample to the rows within ``max(h, b)`` of the cutoff, left side
-first (``kernels.support_rows``), and builds each side's moments with BLAS
-products over that side's rows; ``n`` and ``v_bc`` still refer to the whole
-sample. ``_fit_block``, which ``simulate.monte_carlo`` calls, builds the
-moments of many replications' cut samples as segment sums over their
-concatenated rows and passes the stacks to the same helpers.
+Each formula is written once, for one side or a stack of sides ``(..., k,
+k)``, and serves two callers. Every sum over rows is a fixed-order segment
+sum of per-row products (``local_fit._sums``), so no BLAS thread count
+changes a result. ``bias_corrected_estimate`` cuts the sample to the rows
+within ``max(h, b)`` of the cutoff, left side first
+(``kernels.support_rows``), and sums each side's moments as one segment of
+that side's rows; ``n`` and ``v_bc`` still refer to the whole sample.
+``_fit_block``, which ``simulate.monte_carlo`` calls, sums the moments of
+many replications' cut samples with one segment per side of their
+concatenated rows, and passes the stacks to the same helpers. A side summed
+alone and in a block then rounds alike.
 """
 
 from __future__ import annotations
@@ -50,10 +53,16 @@ from .kernels import KernelSpec, _offsets, _weights_at, scaled_basis, sided_weig
 from .local_fit import (
     GRAM_RCOND_MIN,
     SCHUR_RCOND_MIN,
+    _chunks,
     _distinct_support,
+    _hankel,
+    _iv_moments,
     _joint_solve,
+    _power_moments,
+    _product_sums,
     _schur_complement,
     _schur_rcond,
+    _sums,
     _weighted_design,
     reciprocal_condition,
 )
@@ -85,13 +94,14 @@ class SideCorrection:
     """Per-side bias-correction ingredients for a stack of outcome columns.
 
     ``weight_row`` maps any outcome column to its bias-corrected intercept:
-    ``weight_row @ s`` equals the local linear intercept minus the estimated
-    curvature bias. ``matrix_row`` is row 0 of the literal correction matrix
+    the sum of ``weight_row * s`` is the local linear intercept minus the
+    estimated curvature bias. ``matrix_row`` is row 0 of the literal correction matrix
     (``correction_matrix``), the same map times ``n * h`` built along an
     independent path; the stacked equivalence check applies it. ``intercepts``,
     ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
-    outcome stack's columns. ``basis_rows @ coef`` gives each outcome's local
-    linear fitted values, which only the ``fitted`` variance mode forms.
+    outcome stack's columns. ``coef`` and the scaled coordinate
+    ``basis_rows[:, 1]`` give each outcome's local linear fitted values,
+    which only the ``fitted`` variance mode forms.
     ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
     is their Kish effective sample size ``(sum w)^2 / sum w^2``.
     """
@@ -152,33 +162,24 @@ def side_correction_from_weights(
         raise ValueError("need a degree-1 main basis and a degree-2 bias basis")
     if weights_main.side != weights_bias.side:
         raise ValueError("weights were built for different sides")
-    n = S.shape[0]
-    h = weights_main.bandwidth
-    b = weights_bias.bandwidth
-
-    krows1, gram1_raw, _ = _weighted_design(weights_main, basis_main)
-    u = basis_main.rows[:, 1]
-    u2_raw = krows1.T @ (u * u)
-    coef, e0_row, curvature_load = _linear_side(gram1_raw, krows1.T @ S, u2_raw)
-    krows2, gram2_raw, _ = _weighted_design(weights_bias, basis_bias)
-    quad_row = krows2 @ _quadratic_row(gram2_raw)  # maps s -> scaled quadratic coefficient b^2 m2
-    curvatures, bias = _curvature_bias(S.T @ quad_row, h, b, curvature_load)
+    n, h, b = S.shape[0], weights_main.bandwidth, weights_bias.bandwidth
+    krows1, gram1, powers1, _ = _weighted_design(weights_main, basis_main)
+    krows2, gram2, _, _ = _weighted_design(weights_bias, basis_bias)
+    rks, gs = (_product_sums(krows, S.T, [0])[0] for krows in (krows1, krows2))
+    coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, n, h, b)
     intercepts = coef[0].copy()
-    nh, nb = n * h, n * b
-    stacked = correction_matrix(gram1_raw / nh, u2_raw / nh, gram2_raw / nb, (h / b) ** 3)
-
     return SideCorrection(
         n=n,
         n_effective=weights_main.n_positive,
         kish_size=_kish_size(weights_main),
         bandwidth=float(h),
         intercepts=intercepts,
-        curvatures=curvatures,
+        curvatures=curves,
         bias=bias,
         intercepts_bc=intercepts - bias,
-        weight_row=krows1 @ e0_row - (h**2 / b**2) * curvature_load * quad_row,
-        matrix_row=krows1 @ stacked[:2] - krows2 @ stacked[2:],
-        curvature_load=float(curvature_load),
+        weight_row=_row_form(weight, krows1, krows2),
+        matrix_row=_row_form(stacked, krows1, krows2),
+        curvature_load=float(load),
         coef=coef,
         basis_rows=basis_main.rows,
     )
@@ -187,36 +188,56 @@ def side_correction_from_weights(
 def _kish_size(weights) -> float:
     """Kish size ``(sum w)^2 / sum w^2``, exactly the count for equal weights (window)."""
     w, n = weights.weights, weights.n_positive
-    return float(n if np.count_nonzero(w == w.max()) == n else w.sum() ** 2 / (w @ w))
+    if np.count_nonzero(w == w.max()) == n:
+        return float(n)
+    total, squares = _sums(lambda rows: np.stack([w[rows], w[rows] * w[rows]]), w.size, [0])[0]
+    return float(total**2 / squares)
 
 
-def _linear_side(
-    gram: np.ndarray, rks: np.ndarray, rku2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """From ``R'KR``, ``R'KS`` and ``R'K u^2`` at ``h``: the outcomes' scaled
-    coefficients, the intercept row ``e0' (R'KR)^{-1}`` and the curvature
-    load ``e0' (R'KR)^{-1} R'K u^2``. The row has a solve of its own, as
-    LAPACK rounds a one-column solve unlike a column of a wider one.
+def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
+    """From the moments of a side of ``n`` rows, or of a stack of sides, at
+    ``h`` (``R'KR``, the power sums ``K u^k`` and ``R'KS``) and at ``b``
+    (``R'KR`` and ``R'KS``): the outcomes' scaled linear coefficients, their
+    curvatures ``2 m2`` and biases ``h^2 / 2 * load * curvature``, the
+    curvature load ``e0' (R'KR)^{-1} R'K u^2``, and the coefficients
+    ``(..., 5)`` of two per-row maps (``_row_form``). One is the stacked
+    form's row (``correction_matrix``); the other is the variance's weight
+    row, the intercept row ``e0' (R'KR)^{-1}`` at ``h`` minus ``(h / b)^2``
+    times the load times the row ``e2' (R'KR)^{-1}`` at ``b``, which applied
+    to ``R'KS`` at ``b`` gives each outcome's ``b^2 m2``.
+
+    Each outcome column and each row has a solve of its own, as in
+    ``local_poly_fit``: LAPACK rounds a one-column solve unlike a column of
+    a wider one. ``n``, ``h`` and ``b`` are scalars or one per side, and
+    powers are products, so a side rounds alike alone and in a stack.
     """
-    coef = np.linalg.solve(gram, rks)
-    e0_row = np.linalg.solve(gram, [[1.0], [0.0]])[..., 0]
-    return coef, e0_row, np.vecdot(e0_row, rku2)
+    rku2 = powers1[..., 2:4]
+    coef = np.linalg.solve(gram1[..., None, :, :], np.swapaxes(rks, -1, -2)[..., None])
+    coef = np.ascontiguousarray(np.swapaxes(coef[..., 0], -1, -2))
+    e0_row = np.linalg.solve(gram1, [[1.0], [0.0]])[..., 0]
+    e2_row = np.linalg.solve(gram2, [[0.0], [0.0], [1.0]])[..., 0]
+    load = np.vecdot(e0_row, rku2)
+    hh, bb, ll, nh, nb = (np.asarray(x)[..., None] for x in (h, b, load, n * h, n * b))
+    curvatures = 2.0 * np.vecdot(e2_row[..., :, None], gs, axis=-2) / (bb * bb)
+    r = h / b
+    stacked = correction_matrix(gram1 / nh[..., None], rku2 / nh, gram2 / nb[..., None], r * r * r)
+    weight = np.concatenate([e0_row, hh * hh / (bb * bb) * ll * e2_row], axis=-1)
+    return coef, curvatures, 0.5 * (hh * hh) * ll * curvatures, load, stacked, weight
 
 
-def _quadratic_row(gram: np.ndarray) -> np.ndarray:
-    """The row ``e2' (R'KR)^{-1}`` at ``b``: applied to ``R'K s`` it gives
-    the scaled quadratic coefficient ``b^2 m2`` of an outcome ``s``.
+def _row_form(c, krows1: np.ndarray, krows2: np.ndarray) -> np.ndarray:
+    """The per-row map ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
+    + c[4] K v^2`` at ``b``, from the design rows of both fits; ``c`` holds
+    five coefficients, or five rows of one coefficient per row. It is formed
+    a chunk of rows at a time, so its temporaries stay in cache.
     """
-    return np.linalg.solve(gram, [[0.0], [0.0], [1.0]])[..., 0]
-
-
-def _curvature_bias(scaled_m2, h, b, load) -> tuple[np.ndarray, np.ndarray]:
-    """Each outcome's curvature ``2 m2`` from its ``b^2 m2`` and its bias
-    ``h^2 / 2 * load * curvature``; ``h``, ``b`` and ``load`` broadcast
-    against the outcomes.
-    """
-    curvatures = 2.0 * scaled_m2 / b**2
-    return curvatures, 0.5 * h**2 * load * curvatures
+    out = np.empty(krows1.shape[-1])
+    c = np.reshape(c, (5, -1))
+    for rows in _chunks(out.size):
+        k1, k2, cr = krows1[:, rows], krows2[:, rows], c[:, rows] if c.shape[1] > 1 else c
+        at_b = cr[2] * k2[0] + cr[3] * k2[1] + cr[4] * k2[2]
+        out[rows] = cr[0] * k1[0] + cr[1] * k1[1] - at_b
+    return out
 
 
 def correction_matrix(
@@ -239,6 +260,18 @@ def correction_matrix(
     g2_inv = np.linalg.inv(gram_quadratic)[..., 2, :]
     load = np.vecdot(g1_inv, u2_moment)
     return np.concatenate([g1_inv, (ratio * load)[..., None] * g2_inv], axis=-1)
+
+
+def _squared_residual_sums(weight_row, S, centre, starts) -> np.ndarray:
+    """Each outcome's sum of ``(weight_row * (s - centre))^2`` over each
+    segment, ``(segments, 1 + q)``, for outcome rows ``S``: a side's
+    variance terms.
+    """
+
+    def squares(rows):
+        return np.square((S[:, rows] - centre[:, rows]) * weight_row[rows])
+
+    return _sums(squares, S.shape[-1], starts)
 
 
 def _interval(tau_bc, v_bc, n, h, alpha: float):
@@ -272,12 +305,13 @@ def robust_variance(
     _require_valid_variance_mode(variance_mode)
     total = 0.0
     for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus)):
+        S = np.asarray(S).T
         if variance_mode == "paper":
-            resid = S - corr.intercepts_bc[None, :]
+            centre = np.broadcast_to(corr.intercepts_bc[:, None], S.shape)
         else:
-            resid = S - corr.basis_rows @ corr.coef
-        per_outcome = (corr.weight_row**2) @ (resid**2)
-        total += float((combo**2) @ per_outcome)
+            centre = corr.coef[0][:, None] + corr.coef[1][:, None] * corr.basis_rows[:, 1]
+        sums = _squared_residual_sums(corr.weight_row, S, centre, [0])[0]
+        total += float(np.vecdot(combo**2, sums))
     return n * corr_plus.bandwidth * total
 
 
@@ -337,27 +371,27 @@ def bias_corrected_estimate(
     n = sample.n
     sample, k = _cut(sample, cutoff, max(h, b), kernel)
     point = estimate_sharp(sample, cutoff, h, kernel) if sample.q else None
-    S = np.empty((sample.n, 1 + sample.q), order="F")  # column-major, as the basis
-    S[:, 0] = sample.y
-    S[:, 1:] = sample.W
-    gamma = np.empty(0) if point is None else point.gamma_minus
-    combo = np.concatenate([[1.0], -gamma])
+    S = np.vstack([sample.y, sample.W.T])  # one row per outcome column
+    combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
 
     plus, minus = slice(k, None), slice(None, k)
-    corr_plus = side_correction(sample.d[plus], S[plus], cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(sample.d[minus], S[minus], cutoff, h, b, kernel, "left")
+    corr_plus = side_correction(sample.d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(sample.d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
-    tau_bc = float(combo @ (corr_plus.intercepts_bc - corr_minus.intercepts_bc))
+    tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
     # a side's matrix row is n * h times its weight row, n its own row count
-    right = (corr_plus.matrix_row @ S[plus]) / corr_plus.n
-    left = (corr_minus.matrix_row @ S[minus]) / corr_minus.n
+    right, left = (
+        _product_sums(corr.matrix_row[None], S[:, rows], [0])[0, 0] / corr.n
+        for corr, rows in ((corr_plus, plus), (corr_minus, minus))
+    )
     _require_equivalent(
         tau_bc,
-        float(combo @ (right - left)) / h,
+        float(np.vecdot(combo, right - left)) / h,
         "componentwise bias correction",
         "stacked matrix form",
     )
-    v_bc = robust_variance(S[plus], S[minus], corr_plus, corr_minus, combo, n, variance_mode)
+    sides = S[:, plus].T, S[:, minus].T
+    v_bc = robust_variance(*sides, corr_plus, corr_minus, combo, n, variance_mode)
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se, lower, upper = map(float, _interval(tau_bc, v_bc, n, corr_plus.bandwidth, alpha))
@@ -415,12 +449,13 @@ def _fit_block(
     placebo pair and rows on both sides. ``h`` and ``b`` hold each sample's
     bandwidths and ``n`` the size of the samples they were cut from.
 
-    Only what belongs to a block is here: each side of each sample is one
-    segment of the concatenated rows, every per-row product is one row of a
-    table, every moment is a segment sum (``np.add.reduceat``, in an order
-    no BLAS thread count changes), and a side that fails a check gets the
-    identity in place of its systems (``_identity_unless``). The formulas
-    and checks are the single fit's, applied to the stack of sides.
+    Only what belongs to a block is here: the samples' rows are
+    concatenated, each side of each sample is one segment of them, and a
+    side that fails a check gets the identity in place of its systems
+    (``_identity_unless``). The moments, formulas and checks are the single
+    fit's, applied to the stack of sides, and each side's segment sums are
+    those of its single fit; where ``b <= h`` a sample's single fit sums the
+    same rows, so the two agree exactly.
 
     Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
     over the samples. ``ok`` is False where any check of the single fit
@@ -430,15 +465,10 @@ def _fit_block(
     q = cuts[0][0].q
     counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    m = int(counts.sum())
     left, right = slice(0, None, 2), slice(1, None, 2)
     h_seg, b_seg = np.repeat(h, 2), np.repeat(b, 2)
-    # the outcome columns y, W and the placebo treatments Z, one row each
-    S = np.empty((1 + q, m))
-    S[0] = np.concatenate([sample.y for sample, _ in cuts])
-    S[1:] = np.concatenate([sample.W for sample, _ in cuts]).T
-    Z = np.ascontiguousarray(np.concatenate([sample.Z for sample, _ in cuts]).T)
-    d = np.concatenate([sample.d for sample, _ in cuts])
+    d, y, W, Z = (np.concatenate([getattr(sample, f) for sample, _ in cuts]) for f in "dyWZ")
+    S, Z = np.vstack([y, W.T]), np.ascontiguousarray(Z.T)  # one row per column
 
     def weights_and_basis(bandwidths):
         per_row = np.repeat(bandwidths, counts)
@@ -447,47 +477,21 @@ def _fit_block(
 
     wh, u = weights_and_basis(h_seg)
     wb, v = (wh, u) if np.array_equal(h, b) else weights_and_basis(b_seg)
+    ku, mu = _power_moments(wh, u, starts, 1)
+    kv, mv = _power_moments(wb, v, starts, 2)
 
-    # one row per moment: K u^k (k <= 3), K u^k s and K u^k z (k <= 1), K z s,
-    # the bias bandwidth's K v^k (k <= 4) and K v^k s (k <= 2), and 1{K > 0}
-    sizes = (4, 2 * (1 + q), 2 * q, q * (1 + q), 5, 3 * (1 + q), 1)
-    bounds = np.cumsum((0,) + sizes)
-    P = np.empty((int(bounds[-1]), m))
-    Ku, KuS, KuZ, KZS, Kv, KvS, positive = (P[i:j] for i, j in zip(bounds[:-1], bounds[1:]))
-    for powers, w, x in ((Ku, wh, u), (Kv, wb, v)):
-        powers[0] = w
-        for k in range(1, powers.shape[0]):
-            np.multiply(powers[k - 1], x, out=powers[k])
-    np.multiply(Ku[:2, None], S, out=KuS.reshape(2, 1 + q, m))
-    np.multiply(Ku[:2, None], Z, out=KuZ.reshape(2, q, m))
-    np.multiply(KuZ[:q, None], S, out=KZS.reshape(q, 1 + q, m))
-    np.multiply(Kv[:3, None], S, out=KvS.reshape(3, 1 + q, m))
-    np.greater(wh, 0.0, out=positive[0])
-    M = np.add.reduceat(P, starts, axis=1)
-    mu, muS, muZ, mZS, mv, mvS, n_positive = (M[i:j] for i, j in zip(bounds[:-1], bounds[1:]))
-
-    A = mu[[[0, 1], [1, 2]]].transpose(2, 0, 1)  # R'KR at h
-    G = mv[[[0, 1, 2], [1, 2, 3], [2, 3, 4]]].transpose(2, 0, 1)  # R'KR at b
-    RKS = muS.reshape(2, 1 + q, -1).transpose(2, 0, 1)
-    ZKR = muZ.reshape(2, q, -1).transpose(2, 1, 0)
-    ZKS = mZS.reshape(q, 1 + q, -1).transpose(2, 0, 1)  # [Z'Ky  Z'KW]
-    GS = mvS.reshape(3, 1 + q, -1).transpose(2, 0, 1)
-    RKu2 = mu[2:4].T
-
-    ok = n_positive[0] >= 2 + q
+    ok = np.add.reduceat(wh > 0.0, starts) >= 2 + q
     ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
     ok &= _distinct_support(v, wb, starts, counts, 3) >= 3
-    A, ok = _identity_unless(ok, A)
-    G, ok = _identity_unless(ok, G)
+    A, ok = _identity_unless(ok, _hankel(mu, 1))  # R'KR at h
+    G, ok = _identity_unless(ok, _hankel(mv, 2))  # R'KR at b
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
 
-    coef, e0_row, load = _linear_side(A, RKS, RKu2)
-    e2_row = _quadratic_row(G)
-    _, bias = _curvature_bias(
-        np.vecdot(e2_row[:, :, None], GS, axis=1), h_seg[:, None], b_seg[:, None], load[:, None]
-    )
+    RKS, ZKR, ZKS = _iv_moments(ku, S, Z, starts)
+    GS = _product_sums(kv, S, starts)  # R'KS at b
+    coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
     intercepts_bc = coef[:, 0, :] - bias
 
     # the instrumented solve of each side; a side that is not ok solves the
@@ -506,27 +510,14 @@ def _fit_block(
     combo = np.concatenate([np.ones((len(cuts), 1)), -gamma[left]], axis=1)
     tau_bc = np.vecdot(combo, intercepts_bc[right] - intercepts_bc[left])
 
-    # per-row coefficients: the stacked form's row (correction_matrix), the
-    # variance's weight row (as SideCorrection.weight_row) and each
-    # outcome's residual centre
-    nh, nb = (counts * h_seg)[:, None], (counts * b_seg)[:, None]
-    stacked_row = correction_matrix(
-        A / nh[:, :, None], RKu2 / nh, G / nb[:, :, None], (h_seg / b_seg) ** 3
-    )
-    weight_quad = ((h_seg**2 / b_seg**2) * load)[:, None] * e2_row
+    # each side's coefficients repeated over its rows: the stacked form's
+    # and the weight row's, and each outcome's residual centre
     centre = [intercepts_bc] if variance_mode == "paper" else [coef[:, 0, :], coef[:, 1, :]]
-    per_seg = np.concatenate([stacked_row, e0_row, weight_quad, *centre], axis=1)
+    per_seg = np.concatenate([*row_coefs, *centre], axis=1)
     c = np.repeat(np.ascontiguousarray(per_seg.T), counts, axis=1)
-    matrix_row = c[0] * wh + c[1] * Ku[1] - (c[2] * wb + c[3] * Kv[1] + c[4] * Kv[2])
-    weight_row = c[5] * wh + c[6] * Ku[1] - (c[7] * wb + c[8] * Kv[1] + c[9] * Kv[2])
     fitted = c[10:] if variance_mode == "paper" else c[10 : 11 + q] + c[11 + q :] * u
-    Q = np.empty((2, 1 + q, m))
-    np.multiply(matrix_row, S, out=Q[0])
-    np.subtract(S, fitted, out=Q[1])
-    Q[1] *= Q[1]
-    Q[1] *= weight_row**2
-    sums = np.add.reduceat(Q.reshape(2 * (1 + q), m), starts, axis=1)
-    stacked, per_outcome = sums[: 1 + q].T / counts[:, None], sums[1 + q :].T
+    stacked = _product_sums(_row_form(c[:5], ku, kv)[None], S, starts)[:, 0] / counts[:, None]
+    per_outcome = _squared_residual_sums(_row_form(c[5:10], ku, kv), S, fitted, starts)
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
     v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)

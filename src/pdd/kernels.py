@@ -14,9 +14,10 @@ cost grows with the rows within ``max(h, b)`` of the cutoff, not with the
 sample size; the gaussian kernel partitions every row. ``left_count_if_cut``
 recognises a sample already in that form, so it is not cut again.
 
-Per-row design arrays are stored column by column (Fortran order), starting
-with ``scaled_basis``, so the weighted products of a fit run down whole
-columns instead of over the 2-3 elements of a row.
+``scaled_basis`` stores its rows column by column (Fortran order), so the
+scaled coordinate is one contiguous run of memory, as is each row of the
+fits' moment tables (``local_fit._power_moments``), which hold one kind of
+per-row product per row in the same ``(p, n)`` layout.
 """
 
 from __future__ import annotations
@@ -177,8 +178,7 @@ class ScaledBasis:
     so coefficient j of a fit on these rows is ``h^j`` times the
     raw-coordinate coefficient. ``rows`` is stored column by column, so each
     column, and each column of a view of some rows, has unit stride: the
-    per-row products of a fit then run down whole columns instead of over
-    2-3 elements per row.
+    per-row products of a fit then run down whole columns.
     """
 
     degree: int

@@ -1,11 +1,20 @@
 """Weighted local polynomial least squares and the local instrumented solve.
 
 Both use one-sided kernel weights and the bandwidth-scaled polynomial basis.
+Every moment is a sum over rows of per-row products, and every such sum is
+taken by ``_sums``: products are rows of a ``(p, n)`` table, and each
+row is summed over each segment of rows by numpy's fixed-order pairwise sum.
+No BLAS product runs over rows, so no thread count changes a moment, and a
+segment rounds the same whether it is summed alone or in a table with
+others. A single fit sums one segment per side; ``inference._fit_block``
+sums one segment per side of each sample of a Monte Carlo block, through the
+same helpers (``_power_moments``, ``_product_sums`` and ``_iv_moments``).
+
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
 solver failure. ``_weighted_design`` keeps one checked design ``(K R, R'KR,
-rcond)`` per pair of weights and basis, so a side's fits share ``K R``, the
-support test and the SVD.
+power sums, rcond)`` per pair of weights and basis, so a side's fits share
+``K R``, the support test and the SVD.
 
 Each check and each step of the instrumented solve is written once, for one
 side or a stack of sides, and ``inference._fit_block`` calls the same
@@ -30,6 +39,13 @@ GRAM_RCOND_MIN = 1e-12
 #: Reciprocal condition number below which the instrumented cross-moment
 #: (the Schur complement of the joint system) signals a weak placebo proxy.
 SCHUR_RCOND_MIN = 1e-10
+
+#: Rows a moment table is built over at once. A longer segment, which only a
+#: single fit has (a Monte Carlo block's segments hold at most
+#: ``simulate.SOLO_ROWS`` rows), is summed this many rows at a time and the
+#: chunks' sums are summed pairwise, so its table stays in cache and a fit
+#: over a million rows holds a few chunks of products.
+CHUNK_ROWS = 1 << 14
 
 
 def reciprocal_condition(m: np.ndarray):
@@ -113,32 +129,18 @@ def _distinct_support(x: np.ndarray, w: np.ndarray, starts, counts, need: int) -
     return distinct
 
 
-def _require_distinct_support(weights: SidedWeights, basis: ScaledBasis) -> None:
-    """Raise SingularSupport unless ``degree + 1`` distinct running-variable
-    values carry positive weight (``_distinct_support`` on one segment).
-    """
-    need, w = basis.degree + 1, weights.weights
-    distinct = 0
-    if weights.n_positive:
-        distinct = int(_distinct_support(basis.rows[:, 1], w, [0], [w.shape[0]], need)[0])
-    if distinct < need:
-        raise SingularSupport(
-            f"{distinct} distinct running-variable values with positive weight on "
-            f"the {weights.side} side; need at least {need}, so "
-            f"bandwidth {weights.bandwidth} is too small"
-        )
-
-
 def _weighted_design(
     weights: SidedWeights, basis: ScaledBasis
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The checked weighted design of one side: ``(K R, R'KR, rcond)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The checked weighted design of one side: ``(K R, R'KR, powers, rcond)``.
 
-    Raises ValueError if weights and basis come from different samples,
-    bandwidths or cutoffs, and SingularSupport if the support is too thin or
-    ``R'KR`` has reciprocal condition below ``GRAM_RCOND_MIN``. A design that
-    passes is kept on ``weights`` and returned again for the same basis
-    object; the entry holds the basis, so its id is not reused meanwhile.
+    ``K R`` holds the design rows ``K u^k``, k <= degree, and ``powers`` the
+    sums of ``K u^k`` for k <= degree + 2 (``_power_moments``). Raises
+    ValueError if weights and basis come from different samples, bandwidths
+    or cutoffs, and SingularSupport if the support is too thin or ``R'KR``
+    has reciprocal condition below ``GRAM_RCOND_MIN``. A design that passes
+    is kept on ``weights`` and returned again for the same basis object; the
+    entry holds the basis, so its id is not reused meanwhile.
     """
     entry = weights._designs.get(id(basis))
     if entry is not None:
@@ -147,19 +149,92 @@ def _weighted_design(
         raise ValueError("weights and basis were built from different samples")
     if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
         raise ValueError("weights and basis use different bandwidth or cutoff")
-    # a helper of its own, so its masks are freed before K R is built
-    _require_distinct_support(weights, basis)
-    krows = basis.rows * weights.weights[:, None]
-    gram_raw = krows.T @ basis.rows
-    rcond = reciprocal_condition(gram_raw)
+    need, w, u = basis.degree + 1, weights.weights, basis.rows[:, 1]
+    distinct = int(_distinct_support(u, w, [0], [w.size], need)[0]) if weights.n_positive else 0
+    if distinct < need:
+        raise SingularSupport(
+            f"{distinct} distinct running-variable values with positive weight on "
+            f"the {weights.side} side; need at least {need}, so "
+            f"bandwidth {weights.bandwidth} is too small"
+        )
+    krows, powers = _power_moments(w, u, [0], basis.degree)
+    gram = _hankel(powers[0], basis.degree)
+    rcond = reciprocal_condition(gram)
     if rcond < GRAM_RCOND_MIN:
         shape = "linear" if basis.degree == 1 else "quadratic"
         raise SingularSupport(
             f"singular local {shape} design on the {weights.side} side (rcond={rcond:.3e})"
         )
-    design = (krows, gram_raw, rcond)
+    design = (krows, gram, powers[0], rcond)
     weights._designs[id(basis)] = (basis, design)
     return design
+
+
+def _chunks(m: int) -> list[slice]:
+    """The ranges of at most ``CHUNK_ROWS`` rows that cover ``m`` rows."""
+    return [slice(i, i + CHUNK_ROWS) for i in range(0, m, CHUNK_ROWS)]
+
+
+def _sums(table, m: int, starts) -> np.ndarray:
+    """The one sum over rows of every fit: the sums over each segment of
+    ``m`` rows of the per-row products ``table(rows)``, ``(p, rows)`` or
+    ``(rows,)``, as ``(segments, p)`` or ``(segments,)``. Segment i runs
+    from row ``starts[i]`` to the next start and holds at least one row.
+
+    Each row of products is summed over a segment by numpy's pairwise sum,
+    in an order fixed by the segment's length alone, so neither the BLAS
+    thread count nor the other rows and segments of the table change it. A
+    single segment longer than ``CHUNK_ROWS`` is built and summed a chunk at
+    a time, and the chunks' sums are summed pairwise.
+    """
+    ranges = _chunks(m) if len(starts) == 1 else [slice(None)]
+    parts = [np.add.reduceat(table(rows), starts, axis=-1) for rows in ranges]
+    sums = parts[0] if len(parts) == 1 else np.add.reduce(np.stack(parts, axis=-1), axis=-1)
+    return np.ascontiguousarray(sums.T)
+
+
+def _power_moments(w: np.ndarray, u: np.ndarray, starts, degree: int):
+    """The design rows ``K R`` of a degree-``degree`` fit, ``K u^k`` for k <=
+    degree, and the sums of ``K u^k`` for k <= degree + 2 over each segment,
+    ``(segments, degree + 3)``: the Gram matrix's entries (``_hankel``) and,
+    at degree 1, ``R'K u^2``. Each power row is the one below times ``u``.
+    """
+    krows = np.empty((degree + 1, w.size))
+    krows[0] = w
+    for k in range(degree):
+        np.multiply(krows[k], u, out=krows[k + 1])
+
+    def powers(rows):  # K u^k for k <= degree + 2
+        top = krows[degree, rows] * u[rows]
+        return np.vstack([krows[:, rows], top, top * u[rows]])
+
+    return krows, _sums(powers, w.size, starts)
+
+
+def _hankel(powers: np.ndarray, degree: int) -> np.ndarray:
+    """The Gram matrices ``R'KR`` from power sums ``(..., >= 2 degree + 1)``:
+    entry (i, j) is the sum of ``K u^(i + j)``.
+    """
+    return powers[..., np.add.outer(range(degree + 1), range(degree + 1))]
+
+
+def _product_sums(a: np.ndarray, b: np.ndarray, starts) -> np.ndarray:
+    """The sums of every product ``a[i] * b[j]`` of two sets of per-row rows
+    over each segment, ``(segments, len(a), len(b))``.
+    """
+
+    def products(rows):
+        return (a[:, None, rows] * b[None, :, rows]).reshape(len(a) * len(b), -1)
+
+    return _sums(products, a.shape[-1], starts).reshape(-1, len(a), len(b))
+
+
+def _iv_moments(krows: np.ndarray, S, Z: np.ndarray, starts):
+    """``(R'KS, Z'KR, Z'KS)`` over each segment, from the design rows ``K R``,
+    the outcome rows ``S = [y, W]`` and the placebo treatment rows ``Z``.
+    """
+    pairs = (krows, S), (Z, krows), (krows[0] * Z, S)
+    return tuple(_product_sums(a, b, starts) for a, b in pairs)
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -177,9 +252,9 @@ def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> 
         positive weight, or if the Gram matrix is numerically singular
         (reciprocal condition below ``GRAM_RCOND_MIN``).
     """
-    krows, gram_raw, rcond = _weighted_design(weights, basis)
-    coef = np.linalg.solve(gram_raw, krows.T @ np.asarray(s, dtype=float))
-    return LocalFit(coef_scaled=coef, gram_rcond=rcond)
+    krows, gram, _, rcond = _weighted_design(weights, basis)
+    rks = _product_sums(krows, np.asarray(s, dtype=float)[None], [0])[0]
+    return LocalFit(coef_scaled=np.linalg.solve(gram, rks)[:, 0], gram_rcond=rcond)
 
 
 def local_iv_fit(
@@ -229,18 +304,15 @@ def local_iv_fit(
             f"{weights.n_positive} observations with positive weight on the "
             f"{weights.side} side; the instrumented solve needs at least {2 + q}"
         )
-    rw, a, _ = _weighted_design(weights, basis)  # K R and R'KR, 2x2
-    zw = Z * weights.weights[:, None]
-    b = rw.T @ W  # R'KW, 2xq
-    c = zw.T @ basis.rows  # Z'KR, qx2
-    dm = zw.T @ W  # Z'KW, qxq
-    schur_rcond = _schur_rcond(_schur_complement(a, b, c, dm), dm)
+    krows, gram, _, _ = _weighted_design(weights, basis)
+    rks, zkr, zks = (m[0] for m in _iv_moments(krows, np.vstack([y, W.T]), Z.T, [0]))
+    schur_rcond = _schur_rcond(_schur_complement(gram, rks[:, 1:], zkr, zks[:, 1:]), zks[:, 1:])
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(
             f"weak placebo proxy on the {weights.side} side "
             f"(Schur complement rcond={schur_rcond:.3e})"
         )
-    alpha0, gamma = _joint_solve(a, b, c, dm, rw.T @ y, zw.T @ y)
+    alpha0, gamma = _joint_solve(gram, rks[:, 1:], zkr, zks[:, 1:], rks[:, 0], zks[:, 0])
     return IvFit(
         side=weights.side,
         alpha0=float(alpha0),

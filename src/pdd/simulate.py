@@ -48,7 +48,9 @@ BLOCK_ROWS = 4096
 
 #: Most cut rows of a replication that joins a block; a larger cut is fitted
 #: alone, as a block of one such cut was no faster (gaussian kernel,
-#: n = 20000) and its memory grows with the cut.
+#: n = 20000) and its memory grows with the cut. Either way every moment is
+#: the same fixed-order segment sum, and no side of a batched cut is longer
+#: than ``local_fit.CHUNK_ROWS``, so it sums as in its single fit.
 SOLO_ROWS = 4 * BLOCK_ROWS
 
 #: Scenario designs ``DgpSpec`` accepts.

@@ -422,6 +422,27 @@ def _run_in_process(argv, out_path):
     return code, out.getvalue(), err.getvalue(), written
 
 
+def test_running_out_of_memory_exits_3_with_one_json_document(monkeypatch, tmp_path, sim_csv):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.24 GiB for an array with shape (300000000,)")
+
+    for name in ("simulate", "load_csv", "monte_carlo"):
+        monkeypatch.setattr(pdd.cli, name, no_memory)
+    runs = (
+        ["simulate", "--n", "300000000"],
+        ["mc", "--n", "300000000", "--reps", "2"],
+        list(estimate_args(sim_csv)),
+    )
+    for argv in runs:
+        code, out, err, _ = _run_in_process(argv, tmp_path / "none")
+        assert (code, err) == (3, ""), argv
+        assert json.loads(out) == {
+            "error": "memory_error",
+            "detail": "Unable to allocate 2.24 GiB for an array with shape (300000000,)",
+        }
+        assert out.count("\n") == 1
+
+
 @pytest.mark.parametrize("command,dest,flag,choices", _flag_cases())
 def test_a_config_value_acts_as_its_flag(tmp_path, fuzzy_csvs, command, dest, flag, choices):
     out_path = tmp_path / "out.txt"
@@ -493,19 +514,88 @@ def test_mc_subcommand_runs():
     assert doc["spec"]["kappa"] == 2
 
 
-@pytest.mark.parametrize("kernel", ["triangle", "gaussian"])
-def test_mc_stdout_does_not_depend_on_the_blas_thread_count(kernel):
-    # the batched fits sum every moment with fixed-order segment sums, not
-    # BLAS products, so no thread count can change their rounding
-    argv = ["mc", "--n", "5000", "--seed", "7", "--kappa", "4", "--reps", "20",
-            "--kernel", kernel]  # fmt: skip
+def _thread_runs():
+    """Runs whose stdout must not depend on the BLAS thread count, by id:
+    ``(data, argv)``, where ``data`` is the ``(rows, design)`` of a
+    ``simulate --seed 7 --kappa 4`` sample passed as ``--data``, or None.
+
+    Each size is the smallest tried on which the run's stdout differed
+    between one and two threads while the single fit's moments were BLAS
+    products; the ``mc-solo`` runs fit cuts of more than ``SOLO_ROWS`` rows
+    alone. The ids ``triangle`` and ``gaussian`` are batched Monte Carlo
+    runs.
+    """
+    bandwidths = ["--bandwidth", "0.4", "--bias-bandwidth", "0.6"]
+    runs = {}
+    for kernel, mc_rows in (("triangle", 150_000), ("gaussian", 30_000)):
+        mc = ["mc", "--seed", "7", "--kappa", "4", "--kernel", kernel]
+        runs[kernel] = (None, [*mc, "--n", "5000", "--reps", "20"])
+        runs[f"mc-solo-{kernel}"] = (None, [*mc, "--n", str(mc_rows), "--reps", "3", *bandwidths])
+    sizes = {"window": (60_000, 100_000), "triangle": (60_000, 80_000), "gaussian": (20_000, 70_000)}
+    for kernel, (estimate_rows, rdd_rows) in sizes.items():
+        flags = ["--cutoff", "0", "--kernel", kernel, *bandwidths]
+        placebo = ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
+        runs[f"estimate-{kernel}"] = ((estimate_rows, "sharp"), ["estimate", *flags, *placebo])
+        runs[f"fuzzy-{kernel}"] = (
+            (estimate_rows, "fuzzy_homogeneous"),
+            ["estimate", *flags, *placebo, "--design", "fuzzy"],
+        )
+        runs[f"rdd-{kernel}"] = ((rdd_rows, "sharp"), ["rdd", *flags])
+    return runs
+
+
+THREAD_RUNS = _thread_runs()
+
+#: Runs each JSON-given argv through ``main`` in one process and prints
+#: ``{id: [exit code, stdout]}``.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from pdd.cli import main
+out = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    out[name] = [code, buf.getvalue()]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def stdout_by_thread_count(tmp_path_factory):
+    """Each run of ``THREAD_RUNS``, at one and at two BLAS threads."""
+    folder = tmp_path_factory.mktemp("threads")
+    argvs = {}
+    for name, (data, argv) in THREAD_RUNS.items():
+        if data is not None:
+            path = folder / f"{data[1]}-{data[0]}.csv"
+            if not path.exists():
+                spec = pdd.DgpSpec(n=data[0], seed=7, kappa=4.0, design=data[1])
+                with path.open("w", newline="") as fh:
+                    pdd.write_csv(pdd.simulate(spec), fh)
+            argv = [*argv, "--data", str(path)]
+        argvs[name] = argv
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-m", "pdd", *argv], capture_output=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
         assert proc.returncode == 0, proc.stderr
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+        outputs.append(json.loads(proc.stdout))
+    return outputs
+
+
+@pytest.mark.parametrize("run", list(THREAD_RUNS))
+def test_mc_stdout_does_not_depend_on_the_blas_thread_count(stdout_by_thread_count, run):
+    # every moment is a fixed-order segment sum, not a BLAS product, so no
+    # thread count can change its rounding
+    one, two = (outputs[run] for outputs in stdout_by_thread_count)
+    assert one[0] == 0, one
+    assert one == two
 
 
 def test_main_callable_directly(tmp_path, capsys):

@@ -136,8 +136,9 @@ def test_side_views_and_weighted_design_keep_the_column_layout(rng):
     k = int(np.count_nonzero(d < 0.0))
     for weights, basis in _sides(d, k, 0.0, 0.8, KernelSpec("triangle")):
         assert _unit_column_stride(basis.rows)
-        krows, _, _ = _weighted_design(weights, basis)
-        assert krows.flags.f_contiguous
+        # the design rows K u^k are contiguous rows, the memory of the columns
+        krows = _weighted_design(weights, basis)[0]
+        assert krows.shape == basis.rows.shape[::-1] and krows.T.flags.f_contiguous
 
 
 @pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -340,6 +340,9 @@ def _with_defect(sample, defect):
     mode=st.sampled_from(["paper", "fitted"]),
     defect=st.sampled_from([None, "two_values", "no_instrument", "overflow"]),
 )
+# an ill-conditioned left side (Schur rcond 2.6e-4) that amplified a
+# rounding difference between the two paths' moments past the bound
+@example(seed=14519, q=2, kind="window", b_over_h=[1.0, 1.0, 1.0], mode="paper", defect=None)
 def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, defect):
     rng = np.random.default_rng(seed)
     samples = [random_dataset(rng, n=300, q=q) for _ in range(3)]
@@ -358,8 +361,17 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, def
             continue
         assert ok[i]
         want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
-        for got, expected in zip((column[i] for column in values), want):
-            assert abs(got - expected) <= 1e-12 * max(1.0, abs(got), abs(expected))
+        got = tuple(column[i] for column in values)
+        if b[i] <= h[i]:  # both paths sum the same rows in the same order
+            assert got == want
+        for value, expected in zip(got, want):
+            assert abs(value - expected) <= 1e-12 * max(1.0, abs(value), abs(expected))
+
+
+def test_a_side_of_a_batched_cut_is_summed_in_one_chunk():
+    # so its moments round as in its single fit, which sums a longer side a
+    # chunk at a time
+    assert MC.SOLO_ROWS <= pdd.local_fit.CHUNK_ROWS
 
 
 @pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
