@@ -68,19 +68,26 @@ class DiscontinuityEstimate:
     fuzzy_estimate: float | None = None
 
 
+def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
+    """``(rows, k)``: the rows within ``reach`` of the cutoff, left side first,
+    and the number of left rows (``kernels.support_rows``). ``rows`` is None
+    when ``d`` is already in that form; the partition is then not built.
+    """
+    k = left_count_if_cut(d, cutoff, reach, kernel)
+    if k is not None:
+        return None, k
+    return support_rows(d, cutoff, reach, kernel)
+
+
 def _cut(
     sample: Sample, cutoff: float, reach: float, kernel: KernelSpec
 ) -> tuple[Sample, int]:
     """``sample`` cut to the rows within ``reach`` of the cutoff, left side
-    first (``kernels.support_rows``), and the number of its left rows. A
-    sample already in that form is returned as it is, without a copy and
-    without building the partition.
+    first (``_cut_rows``), and the number of its left rows. A sample already
+    in that form is returned as it is, without a copy.
     """
-    k = left_count_if_cut(sample.d, cutoff, reach, kernel)
-    if k is not None:
-        return sample, k
-    rows, k = support_rows(sample.d, cutoff, reach, kernel)
-    return sample.take(rows), k
+    rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
+    return (sample if rows is None else sample.take(rows)), k
 
 
 def _sides(

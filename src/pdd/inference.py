@@ -23,12 +23,13 @@ k)``, and serves two callers. Every sum over rows is a fixed-order segment
 sum of per-row products (``local_fit._sums``), so no BLAS thread count
 changes a result. ``bias_corrected_estimate`` cuts the sample to the rows
 within ``max(h, b)`` of the cutoff, left side first
-(``kernels.support_rows``), and sums each side's moments as one segment of
-that side's rows; ``n`` and ``v_bc`` still refer to the whole sample.
-``_fit_block``, which ``simulate.monte_carlo`` calls, sums the moments of
-many replications' cut samples with one segment per side of their
-concatenated rows, and passes the stacks to the same helpers. A side summed
-alone and in a block then rounds alike.
+(``kernels.support_rows``), copies their outcome columns once, into the
+stack that the cut sample views (``_cut_outcomes``), and sums each side's
+moments as one segment of that side's rows; ``n`` and ``v_bc`` still refer
+to the whole sample. ``fit_block``, which ``simulate.monte_carlo`` calls,
+sums the moments of many replications' cut samples with one segment per
+side of their concatenated rows, and passes the stacks to the same helpers.
+A side summed alone and in a block then rounds alike.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import NonFiniteResult
 from .estimator import (
     DiscontinuityEstimate,
     _agree,
-    _cut,
+    _cut_rows,
     _point_forms,
     _require_equivalent,
     estimate_sharp,
@@ -54,12 +55,15 @@ from .local_fit import (
     GRAM_RCOND_MIN,
     SCHUR_RCOND_MIN,
     _chunks,
+    _design,
+    _design_rows,
     _distinct_support,
     _hankel,
     _iv_moments,
     _joint_solve,
     _power_moments,
     _product_sums,
+    _rows_of,
     _schur_complement,
     _schur_rcond,
     _sums,
@@ -163,9 +167,10 @@ def side_correction_from_weights(
     if weights_main.side != weights_bias.side:
         raise ValueError("weights were built for different sides")
     n, h, b = S.shape[0], weights_main.bandwidth, weights_bias.bandwidth
-    krows1, gram1, powers1, _ = _weighted_design(weights_main, basis_main)
-    krows2, gram2, _, _ = _weighted_design(weights_bias, basis_bias)
-    rks, gs = (_product_sums(krows, S.T, [0])[0] for krows in (krows1, krows2))
+    gram1, powers1, _ = _weighted_design(weights_main, basis_main)
+    gram2 = _weighted_design(weights_bias, basis_bias)[0]
+    design1, design2 = _design(weights_main, basis_main), _design(weights_bias, basis_bias)
+    rks, gs = (_product_sums(design, S.T, [0], n)[0] for design in (design1, design2))
     coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, n, h, b)
     intercepts = coef[0].copy()
     return SideCorrection(
@@ -177,8 +182,8 @@ def side_correction_from_weights(
         curvatures=curves,
         bias=bias,
         intercepts_bc=intercepts - bias,
-        weight_row=_row_form(weight, krows1, krows2),
-        matrix_row=_row_form(stacked, krows1, krows2),
+        weight_row=_row_form(weight, design1, design2, n),
+        matrix_row=_row_form(stacked, design1, design2, n),
         curvature_load=float(load),
         coef=coef,
         basis_rows=basis_main.rows,
@@ -225,16 +230,18 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     return coef, curvatures, 0.5 * (hh * hh) * ll * curvatures, load, stacked, weight
 
 
-def _row_form(c, krows1: np.ndarray, krows2: np.ndarray) -> np.ndarray:
+def _row_form(c, design1, design2, m: int) -> np.ndarray:
     """The per-row map ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
-    + c[4] K v^2`` at ``b``, from the design rows of both fits; ``c`` holds
-    five coefficients, or five rows of one coefficient per row. It is formed
-    a chunk of rows at a time, so its temporaries stay in cache.
+    + c[4] K v^2`` at ``b`` over ``m`` rows, from the design rows of both
+    fits (``local_fit._rows_of``); ``c`` holds five coefficients, or five
+    rows of one coefficient per row. It is formed a chunk of rows at a time,
+    so its temporaries stay in cache.
     """
-    out = np.empty(krows1.shape[-1])
+    out = np.empty(m)
     c = np.reshape(c, (5, -1))
-    for rows in _chunks(out.size):
-        k1, k2, cr = krows1[:, rows], krows2[:, rows], c[:, rows] if c.shape[1] > 1 else c
+    for rows in _chunks(m):
+        k1, k2 = _rows_of(design1, rows), _rows_of(design2, rows)
+        cr = c[:, rows] if c.shape[1] > 1 else c
         at_b = cr[2] * k2[0] + cr[3] * k2[1] + cr[4] * k2[2]
         out[rows] = cr[0] * k1[0] + cr[1] * k1[1] - at_b
     return out
@@ -369,19 +376,20 @@ def bias_corrected_estimate(
     _require_valid_alpha_and_b(alpha, h, b)
     _require_valid_variance_mode(variance_mode)
     n = sample.n
-    sample, k = _cut(sample, cutoff, max(h, b), kernel)
-    point = estimate_sharp(sample, cutoff, h, kernel) if sample.q else None
-    S = np.vstack([sample.y, sample.W.T])  # one row per outcome column
+    cut, k, S = _cut_outcomes(sample, cutoff, max(h, b), kernel)
+    point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
+    d = cut.d
+    del cut  # only the point estimate reads the cut placebo treatments
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
 
     plus, minus = slice(k, None), slice(None, k)
-    corr_plus = side_correction(sample.d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(sample.d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
+    corr_plus = side_correction(d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
     # a side's matrix row is n * h times its weight row, n its own row count
     right, left = (
-        _product_sums(corr.matrix_row[None], S[:, rows], [0])[0, 0] / corr.n
+        _product_sums(corr.matrix_row[None], S[:, rows], [0], corr.n)[0, 0] / corr.n
         for corr, rows in ((corr_plus, plus), (corr_minus, minus))
     )
     _require_equivalent(
@@ -412,6 +420,24 @@ def bias_corrected_estimate(
     )
 
 
+def _cut_outcomes(sample: Sample, cutoff: float, reach: float, kernel: KernelSpec):
+    """``(cut, k, S)``: the rows within ``reach`` of the cutoff, left side
+    first, as a sample ``cut`` whose ``k`` left rows come first, and its
+    outcome stack ``S = [y, W]``, one row per outcome column. The outcomes
+    are copied once: ``cut.y`` and ``cut.W`` are views of ``S``. ``cut``
+    holds no treatment column, which no sharp fit reads.
+    """
+    rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
+    if rows is None:
+        rows, S = slice(None), np.vstack([sample.y, sample.W.T])
+    else:
+        S = np.empty((1 + sample.q, rows.size))
+        for out, column in zip(S, (sample.y, *sample.W.T)):
+            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
+    cut = Sample(d=sample.d[rows], y=S[0], W=S[1:].T, Z=sample.Z[rows])
+    return cut, k, S
+
+
 def rdd_robust_estimate(
     d: np.ndarray,
     y: np.ndarray,
@@ -432,7 +458,7 @@ def rdd_robust_estimate(
 
 
 @np.errstate(all="ignore")  # a sample that fails a check is refitted anyway
-def _fit_block(
+def fit_block(
     cuts: list[tuple[Sample, int]],
     cutoff: float,
     h: np.ndarray,
@@ -477,8 +503,8 @@ def _fit_block(
 
     wh, u = weights_and_basis(h_seg)
     wb, v = (wh, u) if np.array_equal(h, b) else weights_and_basis(b_seg)
-    ku, mu = _power_moments(wh, u, starts, 1)
-    kv, mv = _power_moments(wb, v, starts, 2)
+    mu, mv = _power_moments(wh, u, starts, 1), _power_moments(wb, v, starts, 2)
+    ku, kv = _design_rows(wh, u, 1), _design_rows(wb, v, 2)  # K R at h and at b
 
     ok = np.add.reduceat(wh > 0.0, starts) >= 2 + q
     ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
@@ -490,7 +516,7 @@ def _fit_block(
     G, ok = _identity_unless(ok, G)
 
     RKS, ZKR, ZKS = _iv_moments(ku, S, Z, starts)
-    GS = _product_sums(kv, S, starts)  # R'KS at b
+    GS = _product_sums(kv, S, starts, d.size)  # R'KS at b
     coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
     intercepts_bc = coef[:, 0, :] - bias
 
@@ -516,8 +542,9 @@ def _fit_block(
     per_seg = np.concatenate([*row_coefs, *centre], axis=1)
     c = np.repeat(np.ascontiguousarray(per_seg.T), counts, axis=1)
     fitted = c[10:] if variance_mode == "paper" else c[10 : 11 + q] + c[11 + q :] * u
-    stacked = _product_sums(_row_form(c[:5], ku, kv)[None], S, starts)[:, 0] / counts[:, None]
-    per_outcome = _squared_residual_sums(_row_form(c[5:10], ku, kv), S, fitted, starts)
+    matrix_rows = _row_form(c[:5], ku, kv, d.size)[None]
+    stacked = _product_sums(matrix_rows, S, starts, d.size)[:, 0] / counts[:, None]
+    per_outcome = _squared_residual_sums(_row_form(c[5:10], ku, kv, d.size), S, fitted, starts)
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
     v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)

@@ -5,7 +5,7 @@ estimator output is invariant to rescaling all weights by a positive
 constant. The cutoff point belongs to the right side: right-side weights use
 ``d >= cutoff`` and left-side weights ``d < cutoff``. ``_offsets`` (the
 scaled coordinate) and ``_weights_at`` (the weights) are the one formula
-behind ``scaled_basis``, ``sided_weights`` and ``inference._fit_block``.
+behind ``scaled_basis``, ``sided_weights`` and ``inference.fit_block``.
 
 Every estimator entry point first cuts its sample with ``support_rows`` to
 the rows a kernel can weight, left side first, and each side's pass then
@@ -16,8 +16,10 @@ recognises a sample already in that form, so it is not cut again.
 
 ``scaled_basis`` stores its rows column by column (Fortran order), so the
 scaled coordinate is one contiguous run of memory, as is each row of the
-fits' moment tables (``local_fit._power_moments``), which hold one kind of
-per-row product per row in the same ``(p, n)`` layout.
+fits' moment tables (``local_fit._sums``), which hold one kind of per-row
+product per row in the same ``(p, rows)`` layout. A single fit forms each
+table, its design rows ``K u^k`` included (``local_fit._design_rows``), for
+one chunk of rows at a time, so no table outlives its chunk.
 """
 
 from __future__ import annotations

@@ -6,18 +6,24 @@ taken by ``_sums``: products are rows of a ``(p, n)`` table, and each
 row is summed over each segment of rows by numpy's fixed-order pairwise sum.
 No BLAS product runs over rows, so no thread count changes a moment, and a
 segment rounds the same whether it is summed alone or in a table with
-others. A single fit sums one segment per side; ``inference._fit_block``
+others. A single fit sums one segment per side; ``inference.fit_block``
 sums one segment per side of each sample of a Monte Carlo block, through the
 same helpers (``_power_moments``, ``_product_sums`` and ``_iv_moments``).
 
+The design rows ``K R`` (``K u^k``) are formed by ``_design_rows`` for the
+rows a table needs: a single fit forms them one chunk of rows at a time
+inside each table, so no per-row array of a fit outlives its chunk, and a
+block forms them once over its rows. A row formed over a chunk equals the
+same row formed over the whole side, bit for bit.
+
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
-solver failure. ``_weighted_design`` keeps one checked design ``(K R, R'KR,
-power sums, rcond)`` per pair of weights and basis, so a side's fits share
-``K R``, the support test and the SVD.
+solver failure. ``_weighted_design`` keeps one checked design ``(R'KR, power
+sums, rcond)`` per pair of weights and basis, so a side's fits share the
+support test and the SVD; it holds no per-row array.
 
 Each check and each step of the instrumented solve is written once, for one
-side or a stack of sides, and ``inference._fit_block`` calls the same
+side or a stack of sides, and ``inference.fit_block`` calls the same
 helpers: the support test ``_distinct_support``, the conditioning tests
 ``reciprocal_condition`` and ``_schur_rcond``, the Schur complement
 ``_schur_complement`` and the joint system ``_joint_solve``.
@@ -26,6 +32,7 @@ helpers: the support test ``_distinct_support``, the conditioning tests
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -131,16 +138,17 @@ def _distinct_support(x: np.ndarray, w: np.ndarray, starts, counts, need: int) -
 
 def _weighted_design(
     weights: SidedWeights, basis: ScaledBasis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The checked weighted design of one side: ``(K R, R'KR, powers, rcond)``.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The checked weighted design of one side: ``(R'KR, powers, rcond)``.
 
-    ``K R`` holds the design rows ``K u^k``, k <= degree, and ``powers`` the
-    sums of ``K u^k`` for k <= degree + 2 (``_power_moments``). Raises
-    ValueError if weights and basis come from different samples, bandwidths
-    or cutoffs, and SingularSupport if the support is too thin or ``R'KR``
-    has reciprocal condition below ``GRAM_RCOND_MIN``. A design that passes
-    is kept on ``weights`` and returned again for the same basis object; the
-    entry holds the basis, so its id is not reused meanwhile.
+    ``powers`` holds the sums of ``K u^k`` for k <= degree + 2
+    (``_power_moments``). Raises ValueError if weights and basis come from
+    different samples, bandwidths or cutoffs, and SingularSupport if the
+    support is too thin or ``R'KR`` has reciprocal condition below
+    ``GRAM_RCOND_MIN``. A design that passes is kept on ``weights`` and
+    returned again for the same basis object; the entry holds the basis, so
+    its id is not reused meanwhile. The design rows themselves are formed
+    where they are summed (``_design``).
     """
     entry = weights._designs.get(id(basis))
     if entry is not None:
@@ -157,17 +165,45 @@ def _weighted_design(
             f"the {weights.side} side; need at least {need}, so "
             f"bandwidth {weights.bandwidth} is too small"
         )
-    krows, powers = _power_moments(w, u, [0], basis.degree)
-    gram = _hankel(powers[0], basis.degree)
+    powers = _power_moments(w, u, [0], basis.degree)[0]
+    gram = _hankel(powers, basis.degree)
     rcond = reciprocal_condition(gram)
     if rcond < GRAM_RCOND_MIN:
         shape = "linear" if basis.degree == 1 else "quadratic"
         raise SingularSupport(
             f"singular local {shape} design on the {weights.side} side (rcond={rcond:.3e})"
         )
-    design = (krows, gram, powers[0], rcond)
+    design = (gram, powers, rcond)
     weights._designs[id(basis)] = (basis, design)
     return design
+
+
+def _design_rows(w: np.ndarray, u: np.ndarray, degree: int, rows=slice(None)) -> np.ndarray:
+    """The design rows ``K u^k``, k <= ``degree``, of rows ``rows`` of weights
+    ``w`` and scaled coordinates ``u``, ``(degree + 1, rows)``. Each power
+    row is the one below times ``u``, so a row formed over a chunk equals
+    the same row formed over all rows.
+    """
+    w, u = w[rows], u[rows]
+    out = np.empty((degree + 1, w.size))
+    out[0] = w
+    for k in range(degree):
+        np.multiply(out[k], u, out=out[k + 1])
+    return out
+
+
+def _design(weights: SidedWeights, basis: ScaledBasis):
+    """The design rows of one side as a function of a row range, which the
+    moment tables call for each chunk (``_rows_of``).
+    """
+    return partial(_design_rows, weights.weights, basis.rows[:, 1], basis.degree)
+
+
+def _rows_of(table, rows) -> np.ndarray:
+    """Rows ``rows`` of a per-row table ``(p, n)``, given as an array or as a
+    function of a row range that forms them (``_design``).
+    """
+    return table(rows) if callable(table) else table[..., rows]
 
 
 def _chunks(m: int) -> list[slice]:
@@ -177,9 +213,9 @@ def _chunks(m: int) -> list[slice]:
 
 def _sums(table, m: int, starts) -> np.ndarray:
     """The one sum over rows of every fit: the sums over each segment of
-    ``m`` rows of the per-row products ``table(rows)``, ``(p, rows)`` or
-    ``(rows,)``, as ``(segments, p)`` or ``(segments,)``. Segment i runs
-    from row ``starts[i]`` to the next start and holds at least one row.
+    ``m`` rows of the per-row products ``table(rows)``, ``(..., rows)``, as
+    ``(segments, ...)``. Segment i runs from row ``starts[i]`` to the next
+    start and holds at least one row.
 
     Each row of products is summed over a segment by numpy's pairwise sum,
     in an order fixed by the segment's length alone, so neither the BLAS
@@ -190,25 +226,15 @@ def _sums(table, m: int, starts) -> np.ndarray:
     ranges = _chunks(m) if len(starts) == 1 else [slice(None)]
     parts = [np.add.reduceat(table(rows), starts, axis=-1) for rows in ranges]
     sums = parts[0] if len(parts) == 1 else np.add.reduce(np.stack(parts, axis=-1), axis=-1)
-    return np.ascontiguousarray(sums.T)
+    return np.ascontiguousarray(sums.transpose(sums.ndim - 1, *range(sums.ndim - 1)))
 
 
-def _power_moments(w: np.ndarray, u: np.ndarray, starts, degree: int):
-    """The design rows ``K R`` of a degree-``degree`` fit, ``K u^k`` for k <=
-    degree, and the sums of ``K u^k`` for k <= degree + 2 over each segment,
+def _power_moments(w: np.ndarray, u: np.ndarray, starts, degree: int) -> np.ndarray:
+    """The sums of ``K u^k`` for k <= degree + 2 over each segment,
     ``(segments, degree + 3)``: the Gram matrix's entries (``_hankel``) and,
-    at degree 1, ``R'K u^2``. Each power row is the one below times ``u``.
+    at degree 1, ``R'K u^2``.
     """
-    krows = np.empty((degree + 1, w.size))
-    krows[0] = w
-    for k in range(degree):
-        np.multiply(krows[k], u, out=krows[k + 1])
-
-    def powers(rows):  # K u^k for k <= degree + 2
-        top = krows[degree, rows] * u[rows]
-        return np.vstack([krows[:, rows], top, top * u[rows]])
-
-    return krows, _sums(powers, w.size, starts)
+    return _sums(partial(_design_rows, w, u, degree + 2), w.size, starts)
 
 
 def _hankel(powers: np.ndarray, degree: int) -> np.ndarray:
@@ -218,23 +244,29 @@ def _hankel(powers: np.ndarray, degree: int) -> np.ndarray:
     return powers[..., np.add.outer(range(degree + 1), range(degree + 1))]
 
 
-def _product_sums(a: np.ndarray, b: np.ndarray, starts) -> np.ndarray:
-    """The sums of every product ``a[i] * b[j]`` of two sets of per-row rows
-    over each segment, ``(segments, len(a), len(b))``.
+def _product_sums(a, b, starts, m: int) -> np.ndarray:
+    """The sums of every product ``a[i] * b[j]`` of two per-row tables of
+    ``m`` rows over each segment, ``(segments, len(a), len(b))``. Each table
+    is an array or a function of a row range (``_rows_of``).
     """
 
     def products(rows):
-        return (a[:, None, rows] * b[None, :, rows]).reshape(len(a) * len(b), -1)
+        return _rows_of(a, rows)[:, None] * _rows_of(b, rows)[None]
 
-    return _sums(products, a.shape[-1], starts).reshape(-1, len(a), len(b))
+    return _sums(products, m, starts)
 
 
-def _iv_moments(krows: np.ndarray, S, Z: np.ndarray, starts):
-    """``(R'KS, Z'KR, Z'KS)`` over each segment, from the design rows ``K R``,
-    the outcome rows ``S = [y, W]`` and the placebo treatment rows ``Z``.
+def _iv_moments(design, S: np.ndarray, Z: np.ndarray, starts):
+    """``(R'KS, Z'KR, Z'KS)`` over each segment, from the design rows ``K R``
+    (``_rows_of``), the outcome rows ``S = [y, W]`` and the placebo
+    treatment rows ``Z``.
     """
-    pairs = (krows, S), (Z, krows), (krows[0] * Z, S)
-    return tuple(_product_sums(a, b, starts) for a, b in pairs)
+
+    def kz(rows):
+        return _rows_of(design, rows)[0] * Z[:, rows]
+
+    pairs = (design, S), (Z, design), (kz, S)
+    return tuple(_product_sums(a, b, starts, S.shape[-1]) for a, b in pairs)
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -252,8 +284,9 @@ def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> 
         positive weight, or if the Gram matrix is numerically singular
         (reciprocal condition below ``GRAM_RCOND_MIN``).
     """
-    krows, gram, _, rcond = _weighted_design(weights, basis)
-    rks = _product_sums(krows, np.asarray(s, dtype=float)[None], [0])[0]
+    gram, _, rcond = _weighted_design(weights, basis)
+    s = np.asarray(s, dtype=float)[None]
+    rks = _product_sums(_design(weights, basis), s, [0], s.shape[-1])[0]
     return LocalFit(coef_scaled=np.linalg.solve(gram, rks)[:, 0], gram_rcond=rcond)
 
 
@@ -304,8 +337,9 @@ def local_iv_fit(
             f"{weights.n_positive} observations with positive weight on the "
             f"{weights.side} side; the instrumented solve needs at least {2 + q}"
         )
-    krows, gram, _, _ = _weighted_design(weights, basis)
-    rks, zkr, zks = (m[0] for m in _iv_moments(krows, np.vstack([y, W.T]), Z.T, [0]))
+    gram = _weighted_design(weights, basis)[0]
+    S = np.vstack([y, W.T])
+    rks, zkr, zks = (m[0] for m in _iv_moments(_design(weights, basis), S, Z.T, [0]))
     schur_rcond = _schur_rcond(_schur_complement(gram, rks[:, 1:], zkr, zks[:, 1:]), zks[:, 1:])
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import PddError
 from .estimator import estimate_fuzzy
-from .inference import _fit_block, bias_corrected_estimate, rule_of_thumb_bandwidth
+from .inference import bias_corrected_estimate, fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
 from .kernels import KernelSpec, support_rows
 
@@ -306,7 +306,7 @@ def monte_carlo(
     Each replication of the sharp design draws its sample, takes its
     bandwidths and cuts the sample to the rows within ``max(h, b)`` of the
     cutoff. Once the cuts hold ``BLOCK_ROWS`` rows, their replications are
-    fitted in one moment pass (``inference._fit_block``); a cut of more than
+    fitted in one moment pass (``inference.fit_block``); a cut of more than
     ``SOLO_ROWS`` rows, and a replication that fails a check in the block,
     is fitted alone by ``bias_corrected_estimate``, which decides whether it
     fails. The fuzzy design is fitted one replication at a time.
@@ -397,13 +397,13 @@ def _fit_replications(
     Returns, for each replication that did not fail, its estimate, naive
     discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
     whether the interval covers ``tau0``. Cuts with rows on both sides and
-    at most ``SOLO_ROWS`` rows are fitted together by ``_fit_block``.
+    at most ``SOLO_ROWS`` rows are fitted together by ``fit_block``.
     """
     batched = [(r, cut, k, h, b) for r, cut, k, h, b in block if 0 < k < cut.n <= SOLO_ROWS]
     fitted = {}
     if batched:
         reps, cuts, ks, hs, bs = zip(*batched)
-        ok, *values = _fit_block(
+        ok, *values = fit_block(
             list(zip(cuts, ks)),
             spec.cutoff,
             np.array(hs),
@@ -431,7 +431,7 @@ def _fit_replications(
                 robust.se,
                 robust.ci_lower,
                 robust.ci_upper,
-            )  # in the order _fit_block returns them
+            )  # in the order fit_block returns them
         tau, naive, tau_bc, se, lower, upper = fitted[r]
         out[r] = (tau, naive, h_r, b_r, tau_bc, se, lower <= spec.tau0 <= upper)
     return out

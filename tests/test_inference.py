@@ -399,7 +399,7 @@ def test_unknown_variance_mode_is_rejected_before_any_cut(rng, monkeypatch):
         raise AssertionError("the sample was cut before the check")
 
     with monkeypatch.context() as patch:
-        patch.setattr(pdd.inference, "_cut", no_cut)
+        patch.setattr(pdd.inference, "_cut_rows", no_cut)
         with pytest.raises(ValueError, match="variance mode"):
             bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, variance_mode="bogus")
         with pytest.raises(ValueError, match="variance mode"):
@@ -773,7 +773,7 @@ def test_million_row_window_gram_matches_a_long_double_sum(million_rows):
     for side, on_side in (("left", d < 0.0), ("right", d >= 0.0)):
         weights = sided_weights(d[on_side], 0.0, h, side, WINDOW)
         basis = scaled_basis(d[on_side], 0.0, h, 2)
-        gram = _weighted_design(weights, basis)[1]
+        gram = _weighted_design(weights, basis)[0]
         w, u = weights.weights.astype(np.longdouble), basis.rows[:, 1].astype(np.longdouble)
         powers = [np.sum(w * u**k) for k in range(5)]
         reference = np.array([[powers[i + j] for j in range(3)] for i in range(3)])
@@ -788,3 +788,95 @@ def test_million_row_jump_matches_a_long_double_reference(million_rows, kind):
     est = bias_corrected_estimate(sample, 0.0, h, h, KernelSpec(kind))
     reference = _long_double_jump(sample.d, sample.y, h, kind)
     assert abs(est.point.tau_rdd_y - reference) <= 1e-12 * abs(reference)
+
+
+# ------------------------------------------- what a fit holds in memory
+
+GAUSSIAN = KernelSpec("gaussian")
+
+
+def _full_length_sums(table):
+    """The row sums of a full-length table ``(p, m)``, taken ``CHUNK_ROWS``
+    rows at a time and the chunks' sums pairwise.
+    """
+    from pdd.local_fit import _chunks
+
+    parts = [np.add.reduceat(table[:, rows], [0], axis=-1) for rows in _chunks(table.shape[1])]
+    return np.add.reduce(np.stack(parts, axis=-1), axis=-1)[:, 0]
+
+
+def test_chunk_formed_moments_equal_the_full_length_formula(rng):
+    from pdd.inference import _row_form
+    from pdd.local_fit import CHUNK_ROWS, _design, _power_moments, _product_sums
+
+    m = 3 * CHUNK_ROWS + 1234
+    d = rng.uniform(0.0, 2.0, m)
+    S = rng.standard_normal((3, m))
+    designs, full = [], []
+    for degree, h in ((1, 0.5), (2, 0.8)):
+        weights = sided_weights(d, 0.0, h, "right", GAUSSIAN)
+        basis = scaled_basis(d, 0.0, h, degree)
+        w, u = weights.weights, basis.rows[:, 1]
+        krows = np.empty((degree + 1, m))  # the design rows K u^k of every row
+        krows[0] = w
+        for k in range(degree):
+            krows[k + 1] = krows[k] * u
+        top = krows[degree] * u
+        powers = _full_length_sums(np.vstack([krows, top, top * u]))
+        assert np.array_equal(_power_moments(w, u, [0], degree)[0], powers)
+        rks = _full_length_sums((krows[:, None] * S[None]).reshape(-1, m))
+        got = _product_sums(_design(weights, basis), S, [0], m)[0]
+        assert np.array_equal(got, rks.reshape(degree + 1, 3))
+        designs.append(_design(weights, basis))
+        full.append(krows)
+    k1, k2 = full
+    for c in (rng.standard_normal(5), rng.standard_normal((5, m))):
+        expected = c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
+        assert np.array_equal(_row_form(c, *designs, m), expected)
+
+
+def test_a_gaussian_fit_allocates_under_90_bytes_per_row():
+    # full-length K R tables on each side's weights, a second copy of the
+    # outcome columns and the cut placebo treatments kept through the bias
+    # correction took about 118 bytes per row
+    import tracemalloc
+
+    sample = pdd.simulate(DgpSpec(n=200_000, seed=1, kappa=4))
+    h = rule_of_thumb_bandwidth(sample.d)
+    tracemalloc.start()
+    try:
+        bias_corrected_estimate(sample, 0.0, h, h, GAUSSIAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sample.n < 90
+
+
+def test_a_cached_design_holds_no_per_row_array(rng):
+    d = rng.uniform(0.0, 1.0, 5000)
+    S = rng.standard_normal((5000, 2))
+    w_h, w_b = (sided_weights(d, 0.0, x, "right", GAUSSIAN) for x in (0.3, 0.5))
+    basis_h, basis_b = scaled_basis(d, 0.0, 0.3, 1), scaled_basis(d, 0.0, 0.5, 2)
+    pdd.side_correction_from_weights(S, w_h, basis_h, w_b, basis_b)
+    for weights in (w_h, w_b):
+        ((_, design),) = weights._designs.values()
+        assert all(d.size not in np.shape(x) for x in design)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
+    from pdd.inference import _cut_outcomes
+
+    kernel = KernelSpec(kind)
+    sample = _local_sample(rng)
+    cut, k, S = _cut_outcomes(sample, CUTOFF, 0.5, kernel)
+    reference, k_reference = _cut(sample, CUTOFF, 0.5, kernel)
+    assert k == k_reference and cut.a is None
+    for name in "dyWZ":
+        np.testing.assert_array_equal(getattr(cut, name), getattr(reference, name))
+    np.testing.assert_array_equal(S, np.vstack([cut.y, cut.W.T]))
+    assert np.shares_memory(cut.y, S) and np.shares_memory(cut.W, S)
+    # a sample already cut keeps its rows, and only its outcomes are stacked
+    again, k_again, S_again = _cut_outcomes(cut, CUTOFF, 0.5, kernel)
+    assert k_again == k and np.shares_memory(again.d, cut.d)
+    assert np.shares_memory(again.W, S_again) and not np.shares_memory(S_again, S)

@@ -130,15 +130,18 @@ def test_basis_rows_are_stored_column_by_column(rng, degree):
 
 def test_side_views_and_weighted_design_keep_the_column_layout(rng):
     from pdd.estimator import _sides
-    from pdd.local_fit import _weighted_design
+    from pdd.local_fit import _design, _weighted_design
 
     d = np.sort(rng.uniform(-1.0, 1.0, 80))
     k = int(np.count_nonzero(d < 0.0))
     for weights, basis in _sides(d, k, 0.0, 0.8, KernelSpec("triangle")):
         assert _unit_column_stride(basis.rows)
-        # the design rows K u^k are contiguous rows, the memory of the columns
-        krows = _weighted_design(weights, basis)[0]
-        assert krows.shape == basis.rows.shape[::-1] and krows.T.flags.f_contiguous
+        # the design rows K u^k are formed as contiguous rows, the memory of
+        # the columns, and the kept design holds only small matrices
+        krows = _design(weights, basis)(slice(None))
+        assert krows.shape == basis.rows.shape[::-1] and krows.flags.c_contiguous
+        gram, powers, rcond = _weighted_design(weights, basis)
+        assert gram.shape == (2, 2) and powers.shape == (4,) and np.ndim(rcond) == 0
 
 
 @pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])

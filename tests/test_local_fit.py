@@ -312,9 +312,11 @@ def test_the_design_is_kept_for_the_same_basis_object_only(rng):
     w, basis = _setup(d, 0.0, 0.7, "right", TRIANGLE)
     first = _weighted_design(w, basis)
     assert _weighted_design(w, basis) is first
+    # the kept design is (R'KR, power sums, rcond): no array with a row axis
+    assert [np.shape(x) for x in first] == [(2, 2), (4,), ()]
     twin = scaled_basis(d, 0.0, 0.7, 1)
     rebuilt = _weighted_design(w, twin)
-    assert rebuilt is not first
+    assert rebuilt is not first and len(rebuilt) == len(first)
     for a, b in zip(rebuilt, first):
         np.testing.assert_array_equal(a, b)
     assert_allclose(local_poly_fit(s, w, twin).coef_scaled, local_poly_fit(s, w, basis).coef_scaled)

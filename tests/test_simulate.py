@@ -250,14 +250,14 @@ def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
 def test_block_size_moves_no_output_beyond_rounding(monkeypatch):
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     blocks = []
-    real_block = MC._fit_block
+    real_block = MC.fit_block
 
     def recorded(cuts, *args):
         blocks.append([sample.n for sample, _ in cuts])
         return real_block(cuts, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MC, "_fit_block", recorded)
+        patch.setattr(MC, "fit_block", recorded)
         patch.setattr(MC, "BLOCK_ROWS", 1)  # one replication per block
         alone = monte_carlo(spec, 12, 3)
         assert [len(block) for block in blocks] == [1] * 12
@@ -301,7 +301,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         return real_agree(a, b)
 
     monkeypatch.setattr(pdd.inference, "_agree", recorded)
-    ok, tau, naive, tau_bc, se, lower, upper = pdd.inference._fit_block(
+    ok, tau, naive, tau_bc, se, lower, upper = pdd.inference.fit_block(
         cuts, 0.0, h, b, kernel, 300, 0.05, "paper"
     )
     assert ok.tolist() == [True, True, False, False, False, True]
@@ -351,7 +351,7 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, def
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
-    ok, *values = pdd.inference._fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
+    ok, *values = pdd.inference.fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
     for i, sample in enumerate(samples):
         try:
             with np.errstate(all="ignore"):
