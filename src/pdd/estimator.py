@@ -27,7 +27,7 @@ from .kernels import (
     KernelSpec,
     ScaledBasis,
     SidedWeights,
-    left_count_if_cut,
+    _cut_rows,
     scaled_basis,
     sided_weights,
     support_rows,
@@ -68,23 +68,12 @@ class DiscontinuityEstimate:
     fuzzy_estimate: float | None = None
 
 
-def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
-    """``(rows, k)``: the rows within ``reach`` of the cutoff, left side first,
-    and the number of left rows (``kernels.support_rows``). ``rows`` is None
-    when ``d`` is already in that form; the partition is then not built.
-    """
-    k = left_count_if_cut(d, cutoff, reach, kernel)
-    if k is not None:
-        return None, k
-    return support_rows(d, cutoff, reach, kernel)
-
-
 def _cut(
     sample: Sample, cutoff: float, reach: float, kernel: KernelSpec
 ) -> tuple[Sample, int]:
     """``sample`` cut to the rows within ``reach`` of the cutoff, left side
-    first (``_cut_rows``), and the number of its left rows. A sample already
-    in that form is returned as it is, without a copy.
+    first (``kernels._cut_rows``), and the number of its left rows. A sample
+    already in that form is returned as it is, without a copy.
     """
     rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
     return (sample if rows is None else sample.take(rows)), k
@@ -95,15 +84,16 @@ def _sides(
 ) -> tuple[tuple[SidedWeights, ScaledBasis], tuple[SidedWeights, ScaledBasis]]:
     """Weights and basis of each side of rows ``d`` whose first ``k`` are the
     left side: ``((left weights, left basis), (right weights, right basis))``.
-    One basis is built and each side reads a view of its own rows.
+    One basis is built and each side's basis is a view of its own rows of
+    the scaled coordinate.
     """
     basis = scaled_basis(d, cutoff, h, degree=1)
     left, right = slice(None, k), slice(k, None)
     w_minus = sided_weights(d[left], cutoff, h, "left", kernel)
     w_plus = sided_weights(d[right], cutoff, h, "right", kernel)
     return (
-        (w_minus, replace(basis, rows=basis.rows[left])),
-        (w_plus, replace(basis, rows=basis.rows[right])),
+        (w_minus, replace(basis, u=basis.u[left])),
+        (w_plus, replace(basis, u=basis.u[right])),
     )
 
 

@@ -22,11 +22,12 @@ Each formula is written once, for one side or a stack of sides ``(..., k,
 k)``, and serves two callers. Every sum over rows is a fixed-order segment
 sum of per-row products (``local_fit._sums``), so no BLAS thread count
 changes a result. ``bias_corrected_estimate`` cuts the sample to the rows
-within ``max(h, b)`` of the cutoff, left side first
-(``kernels.support_rows``), copies their outcome columns once, into the
-stack that the cut sample views (``_cut_outcomes``), and sums each side's
-moments as one segment of that side's rows; ``n`` and ``v_bc`` still refer
-to the whole sample. ``fit_block``, which ``simulate.monte_carlo`` calls,
+within ``max(h, b)`` of the cutoff, left side first (``kernels._cut_rows``,
+which leaves a sample already in that form as it is), copies their outcome
+columns once, into the stack that the cut sample views (``_cut_outcomes``),
+and sums each side's moments as one segment of that side's rows; at
+``b = h`` a side's linear and quadratic fits share one moment pass. ``n``
+and ``v_bc`` still refer to the whole sample. ``fit_block``, which ``simulate.monte_carlo`` calls,
 sums the moments of many replications' cut samples with one segment per
 side of their concatenated rows, and passes the stacks to the same helpers.
 A side summed alone and in a block then rounds alike.
@@ -44,13 +45,19 @@ from .errors import NonFiniteResult
 from .estimator import (
     DiscontinuityEstimate,
     _agree,
-    _cut_rows,
     _point_forms,
     _require_equivalent,
     estimate_sharp,
 )
 from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
-from .kernels import KernelSpec, _offsets, _weights_at, scaled_basis, sided_weights
+from .kernels import (
+    KernelSpec,
+    _cut_rows,
+    _offsets,
+    _weights_at,
+    scaled_basis,
+    sided_weights,
+)
 from .local_fit import (
     GRAM_RCOND_MIN,
     SCHUR_RCOND_MIN,
@@ -59,8 +66,9 @@ from .local_fit import (
     _design_rows,
     _distinct_support,
     _hankel,
-    _iv_moments,
+    _instrument_moments,
     _joint_solve,
+    _nested_designs,
     _power_moments,
     _product_sums,
     _rows_of,
@@ -103,9 +111,9 @@ class SideCorrection:
     (``correction_matrix``), the same map times ``n * h`` built along an
     independent path; the stacked equivalence check applies it. ``intercepts``,
     ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
-    outcome stack's columns. ``coef`` and the scaled coordinate
-    ``basis_rows[:, 1]`` give each outcome's local linear fitted values,
-    which only the ``fitted`` variance mode forms.
+    outcome stack's columns. ``coef`` and the side's scaled coordinate ``u``
+    at ``h`` give each outcome's local linear fitted values, which only the
+    ``fitted`` variance mode forms.
     ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
     is their Kish effective sample size ``(sum w)^2 / sum w^2``.
     """
@@ -122,7 +130,7 @@ class SideCorrection:
     matrix_row: np.ndarray
     curvature_load: float
     coef: np.ndarray
-    basis_rows: np.ndarray
+    u: np.ndarray
 
 
 def side_correction(
@@ -158,6 +166,11 @@ def side_correction_from_weights(
     ``weights_main``/``basis_main`` are at the estimation bandwidth (degree
     1), ``weights_bias``/``basis_bias`` at the bias bandwidth (degree 2); all
     four must share side and cutoff.
+
+    At ``b = h`` the two fits share their weights and scaled coordinate
+    (checked by value, ``_same_fit``), and their moments are summed once:
+    the linear fit's power sums and ``R'KS`` are the first rows of the
+    quadratic fit's, the same products summed alike.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
@@ -167,12 +180,20 @@ def side_correction_from_weights(
     if weights_main.side != weights_bias.side:
         raise ValueError("weights were built for different sides")
     n, h, b = S.shape[0], weights_main.bandwidth, weights_bias.bandwidth
-    gram1, powers1, _ = _weighted_design(weights_main, basis_main)
-    gram2 = _weighted_design(weights_bias, basis_bias)[0]
-    design1, design2 = _design(weights_main, basis_main), _design(weights_bias, basis_bias)
-    rks, gs = (_product_sums(design, S.T, [0], n)[0] for design in (design1, design2))
+    design2 = _design(weights_bias, basis_bias)
+    if _same_fit(weights_main, basis_main, weights_bias, basis_bias):
+        (gram1, powers1, _), (gram2, _, _) = _nested_designs(weights_main, basis_main, basis_bias)
+        design1 = design2
+        gs = _product_sums(design2, S.T, [0], n)[0]
+        rks = gs[:2]
+    else:
+        gram1, powers1, _ = _weighted_design(weights_main, basis_main)
+        gram2 = _weighted_design(weights_bias, basis_bias)[0]
+        design1 = _design(weights_main, basis_main)
+        rks, gs = (_product_sums(design, S.T, [0], n)[0] for design in (design1, design2))
     coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, n, h, b)
     intercepts = coef[0].copy()
+    weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, n)
     return SideCorrection(
         n=n,
         n_effective=weights_main.n_positive,
@@ -182,11 +203,23 @@ def side_correction_from_weights(
         curvatures=curves,
         bias=bias,
         intercepts_bc=intercepts - bias,
-        weight_row=_row_form(weight, design1, design2, n),
-        matrix_row=_row_form(stacked, design1, design2, n),
+        weight_row=weight_row,
+        matrix_row=matrix_row,
         curvature_load=float(load),
         coef=coef,
-        basis_rows=basis_main.rows,
+        u=basis_main.u,
+    )
+
+
+def _same_fit(weights_main, basis_main, weights_bias, basis_bias) -> bool:
+    """Whether the bias fit's bandwidth, cutoff, weights and scaled
+    coordinate equal the main fit's, as they do at ``b = h``.
+    """
+    return (
+        weights_main.bandwidth == weights_bias.bandwidth == basis_bias.bandwidth
+        and weights_main.cutoff == weights_bias.cutoff == basis_bias.cutoff
+        and np.array_equal(weights_main.weights, weights_bias.weights)
+        and np.array_equal(basis_main.u, basis_bias.u)
     )
 
 
@@ -205,7 +238,7 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     (``R'KR`` and ``R'KS``): the outcomes' scaled linear coefficients, their
     curvatures ``2 m2`` and biases ``h^2 / 2 * load * curvature``, the
     curvature load ``e0' (R'KR)^{-1} R'K u^2``, and the coefficients
-    ``(..., 5)`` of two per-row maps (``_row_form``). One is the stacked
+    ``(..., 5)`` of two per-row maps (``_row_forms``). One is the stacked
     form's row (``correction_matrix``); the other is the variance's weight
     row, the intercept row ``e0' (R'KR)^{-1}`` at ``h`` minus ``(h / b)^2``
     times the load times the row ``e2' (R'KR)^{-1}`` at ``b``, which applied
@@ -230,20 +263,25 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     return coef, curvatures, 0.5 * (hh * hh) * ll * curvatures, load, stacked, weight
 
 
-def _row_form(c, design1, design2, m: int) -> np.ndarray:
-    """The per-row map ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
-    + c[4] K v^2`` at ``b`` over ``m`` rows, from the design rows of both
-    fits (``local_fit._rows_of``); ``c`` holds five coefficients, or five
-    rows of one coefficient per row. It is formed a chunk of rows at a time,
-    so its temporaries stay in cache.
+def _row_forms(cs, design1, design2, m: int) -> np.ndarray:
+    """The per-row maps ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
+    + c[4] K v^2`` at ``b`` over ``m`` rows, one row of the result for each
+    ``c`` in ``cs``, from the design rows of both fits
+    (``local_fit._rows_of``); each ``c`` holds five coefficients, or five
+    rows of one coefficient per row. They are formed a chunk of rows at a
+    time, so their temporaries stay in cache, and each chunk's design rows
+    are formed once for all of them; where both fits are one
+    (``design1 is design2``) they are formed once for both.
     """
-    out = np.empty(m)
-    c = np.reshape(c, (5, -1))
+    out = np.empty((len(cs), m))
+    cs = [np.reshape(c, (5, -1)) for c in cs]
     for rows in _chunks(m):
-        k1, k2 = _rows_of(design1, rows), _rows_of(design2, rows)
-        cr = c[:, rows] if c.shape[1] > 1 else c
-        at_b = cr[2] * k2[0] + cr[3] * k2[1] + cr[4] * k2[2]
-        out[rows] = cr[0] * k1[0] + cr[1] * k1[1] - at_b
+        k2 = _rows_of(design2, rows)
+        k1 = k2 if design1 is design2 else _rows_of(design1, rows)
+        for line, c in zip(out, cs):
+            cr = c[:, rows] if c.shape[1] > 1 else c
+            at_b = cr[2] * k2[0] + cr[3] * k2[1] + cr[4] * k2[2]
+            line[rows] = cr[0] * k1[0] + cr[1] * k1[1] - at_b
     return out
 
 
@@ -316,7 +354,7 @@ def robust_variance(
         if variance_mode == "paper":
             centre = np.broadcast_to(corr.intercepts_bc[:, None], S.shape)
         else:
-            centre = corr.coef[0][:, None] + corr.coef[1][:, None] * corr.basis_rows[:, 1]
+            centre = corr.coef[0][:, None] + corr.coef[1][:, None] * corr.u
         sums = _squared_residual_sums(corr.weight_row, S, centre, [0])[0]
         total += float(np.vecdot(combo**2, sums))
     return n * corr_plus.bandwidth * total
@@ -424,17 +462,19 @@ def _cut_outcomes(sample: Sample, cutoff: float, reach: float, kernel: KernelSpe
     """``(cut, k, S)``: the rows within ``reach`` of the cutoff, left side
     first, as a sample ``cut`` whose ``k`` left rows come first, and its
     outcome stack ``S = [y, W]``, one row per outcome column. The outcomes
-    are copied once: ``cut.y`` and ``cut.W`` are views of ``S``. ``cut``
-    holds no treatment column, which no sharp fit reads.
+    are copied once: ``cut.y`` and ``cut.W`` are views of ``S``. Each column
+    is gathered by itself, ``cut.Z`` column-major. ``cut`` holds no
+    treatment column, which no sharp fit reads.
     """
     rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
     if rows is None:
-        rows, S = slice(None), np.vstack([sample.y, sample.W.T])
+        rows, S, Z = slice(None), np.vstack([sample.y, sample.W.T]), sample.Z
     else:
-        S = np.empty((1 + sample.q, rows.size))
-        for out, column in zip(S, (sample.y, *sample.W.T)):
+        S, Z = np.empty((1 + sample.q, rows.size)), np.empty((sample.q, rows.size))
+        for out, column in zip((*S, *Z), (sample.y, *sample.W.T, *sample.Z.T)):
             np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
-    cut = Sample(d=sample.d[rows], y=S[0], W=S[1:].T, Z=sample.Z[rows])
+        Z = Z.T
+    cut = Sample(d=sample.d[rows], y=S[0], W=S[1:].T, Z=Z)
     return cut, k, S
 
 
@@ -501,13 +541,20 @@ def fit_block(
         u = _offsets(d, cutoff, per_row)
         return _weights_at(kernel, u.copy(), per_row), u
 
+    # at b = h both fits share their weights and moments, as in the single
+    # fit: the linear fit's sums are the first rows of the quadratic fit's
+    shared = np.array_equal(h, b)
     wh, u = weights_and_basis(h_seg)
-    wb, v = (wh, u) if np.array_equal(h, b) else weights_and_basis(b_seg)
-    mu, mv = _power_moments(wh, u, starts, 1), _power_moments(wb, v, starts, 2)
-    ku, kv = _design_rows(wh, u, 1), _design_rows(wb, v, 2)  # K R at h and at b
+    wb, v = (wh, u) if shared else weights_and_basis(b_seg)
+    mv, kv = _power_moments(wb, v, starts, 2), _design_rows(wb, v, 2)  # K R at b
+    if shared:
+        mu, ku = mv[:, :4], kv[:2]
+    else:
+        mu, ku = _power_moments(wh, u, starts, 1), _design_rows(wh, u, 1)
 
     ok = np.add.reduceat(wh > 0.0, starts) >= 2 + q
-    ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
+    if not shared:  # 3 distinct values at b = h imply the 2 the linear fit needs
+        ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
     ok &= _distinct_support(v, wb, starts, counts, 3) >= 3
     A, ok = _identity_unless(ok, _hankel(mu, 1))  # R'KR at h
     G, ok = _identity_unless(ok, _hankel(mv, 2))  # R'KR at b
@@ -515,8 +562,9 @@ def fit_block(
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
 
-    RKS, ZKR, ZKS = _iv_moments(ku, S, Z, starts)
     GS = _product_sums(kv, S, starts, d.size)  # R'KS at b
+    RKS = GS[:, :2] if shared else _product_sums(ku, S, starts, d.size)
+    ZKR, ZKS = _instrument_moments(ku, S, Z, starts)
     coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
     intercepts_bc = coef[:, 0, :] - bias
 
@@ -542,9 +590,9 @@ def fit_block(
     per_seg = np.concatenate([*row_coefs, *centre], axis=1)
     c = np.repeat(np.ascontiguousarray(per_seg.T), counts, axis=1)
     fitted = c[10:] if variance_mode == "paper" else c[10 : 11 + q] + c[11 + q :] * u
-    matrix_rows = _row_form(c[:5], ku, kv, d.size)[None]
-    stacked = _product_sums(matrix_rows, S, starts, d.size)[:, 0] / counts[:, None]
-    per_outcome = _squared_residual_sums(_row_form(c[5:10], ku, kv, d.size), S, fitted, starts)
+    matrix_row, weight_row = _row_forms((c[:5], c[5:10]), ku, kv, d.size)
+    stacked = _product_sums(matrix_row[None], S, starts, d.size)[:, 0] / counts[:, None]
+    per_outcome = _squared_residual_sums(weight_row, S, fitted, starts)
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
     v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)

@@ -1,4 +1,4 @@
-"""Kernel functions, one-sided locality weights, and the scaled polynomial basis.
+"""Kernel functions, one-sided locality weights, and the scaled coordinate.
 
 Weights keep the literal 1/h factor and are never renormalised; every
 estimator output is invariant to rescaling all weights by a positive
@@ -7,19 +7,19 @@ constant. The cutoff point belongs to the right side: right-side weights use
 scaled coordinate) and ``_weights_at`` (the weights) are the one formula
 behind ``scaled_basis``, ``sided_weights`` and ``inference.fit_block``.
 
-Every estimator entry point first cuts its sample with ``support_rows`` to
-the rows a kernel can weight, left side first, and each side's pass then
-reads only its own contiguous rows: with the window and triangle kernels the
-cost grows with the rows within ``max(h, b)`` of the cutoff, not with the
-sample size; the gaussian kernel partitions every row. ``left_count_if_cut``
-recognises a sample already in that form, so it is not cut again.
+Every estimator entry point first cuts its sample to the rows a kernel can
+weight, left side first, and each side's pass then reads only its own
+contiguous rows: with the window and triangle kernels the cost grows with
+the rows within ``max(h, b)`` of the cutoff, not with the sample size; the
+gaussian kernel partitions every row. One decision, ``_cut_rows``, takes
+one support test and one ``d < cutoff`` pass and derives from them both
+whether a sample is already in that form and, if not, its partition
+(``support_rows``).
 
-``scaled_basis`` stores its rows column by column (Fortran order), so the
-scaled coordinate is one contiguous run of memory, as is each row of the
-fits' moment tables (``local_fit._sums``), which hold one kind of per-row
-product per row in the same ``(p, rows)`` layout. A single fit forms each
-table, its design rows ``K u^k`` included (``local_fit._design_rows``), for
-one chunk of rows at a time, so no table outlives its chunk.
+A basis is its scaled coordinate ``u``: a fit forms the powers ``K u^k`` it
+sums one chunk of rows at a time (``local_fit._design_rows``), so no per-row
+table outlives its chunk, and ``ScaledBasis.rows`` forms the whole
+column-major ``(1, u[, u^2])`` only on request, for tests and oracles.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 KERNEL_KINDS = ("window", "triangle", "gaussian")
+
+#: Rows the compact kernels' support test (``_within_reach``) scales at once.
+_TEST_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,21 @@ def kernel_value(kernel: KernelSpec, u):
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0):
         raise ValueError("kernel argument must be nonnegative")
-    if kernel.kind == "window":
-        out = (arr <= 1.0).astype(float)
-    elif kernel.kind == "triangle":
-        out = np.where(arr <= 1.0, 1.0 - arr, 0.0)
-    else:
-        out = np.multiply(arr, arr, out=np.empty_like(arr))  # the rest runs in place
-        out *= -0.5
-        np.exp(out, out=out)
-        out /= np.sqrt(2.0 * np.pi)
+    out = _kernel_at(kernel, arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _kernel_at(kernel: KernelSpec, arr: np.ndarray) -> np.ndarray:
+    """``kernel_value`` of a float array known to be nonnegative."""
+    if kernel.kind == "window":
+        return (arr <= 1.0).astype(float)
+    if kernel.kind == "triangle":
+        return np.where(arr <= 1.0, 1.0 - arr, 0.0)
+    out = np.multiply(arr, arr, out=np.empty_like(arr))  # the rest runs in place
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= np.sqrt(2.0 * np.pi)
+    return out
 
 
 def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
@@ -83,40 +91,56 @@ def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec)
     kernel keeps every row. The partition is the identity exactly when
     ``rows.size == len(d)`` and either ``k == 0`` or ``rows[k - 1] == k - 1``.
     """
-    _require_positive(reach)
-    d = np.asarray(d, dtype=float)
-    if kernel.kind == "gaussian":
-        left = d < cutoff
-        sides = (np.flatnonzero(left), np.flatnonzero(~left))
-    else:
-        near = np.flatnonzero(_within_reach(d, cutoff, reach))
-        left = d[near] < cutoff
-        sides = (near[left], near[~left])
-    return np.concatenate(sides), sides[0].size
+    rows, k = _cut_rows(d, cutoff, reach, kernel)
+    return (np.arange(np.shape(d)[0]) if rows is None else rows), k
 
 
-def left_count_if_cut(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
-    """``k`` when ``support_rows(d, cutoff, reach, kernel)`` is the identity
-    partition ``(arange(len(d)), k)``, and None otherwise.
+def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
+    """``support_rows(d, cutoff, reach, kernel)``, with ``rows`` None when the
+    partition is the identity: the sample is then already cut, and no index
+    array is built.
 
-    One ``d < cutoff`` pass tells whether the left rows come first; only if
-    they do are the compact kernels' support tests run, on every row. That
-    costs a fraction of building the partition and finding it unchanged.
+    The support test and the ``d < cutoff`` mask are each computed once, and
+    both the answer and the partition come from them. Each side's indices
+    are written straight into one index array.
     """
     _require_positive(reach)
     d = np.asarray(d, dtype=float)
     left = d < cutoff
     k = int(np.count_nonzero(left))
-    if not left[:k].all():
-        return None
-    if kernel.kind != "gaussian" and not _within_reach(d, cutoff, reach).all():
-        return None
-    return k
+    near = None if kernel.kind == "gaussian" else _within_reach(d, cutoff, reach)
+    if left[:k].all() and (near is None or near.all()):
+        return None, k
+    if near is None:
+        rows = np.empty(d.size, dtype=np.intp)
+        rows[:k] = np.flatnonzero(left)
+        rows[k:] = np.flatnonzero(np.logical_not(left, out=left))
+        return rows, k
+    kept = np.flatnonzero(near)
+    left = left[kept]
+    k = int(np.count_nonzero(left))
+    rows = np.empty(kept.size, dtype=np.intp)
+    np.compress(left, kept, out=rows[:k])
+    np.compress(np.logical_not(left, out=left), kept, out=rows[k:])
+    return rows, k
 
 
 def _within_reach(d: np.ndarray, cutoff: float, reach: float) -> np.ndarray:
-    """The compact kernels' support test, ``|d - cutoff| / reach <= 1``."""
-    return np.abs(d - cutoff) / reach <= 1.0
+    """The compact kernels' support test, ``|d - cutoff| / reach <= 1``.
+
+    The subtraction, ``abs`` and division run in place in one float buffer
+    of ``_TEST_ROWS`` rows, a chunk of rows at a time, so the values tested
+    are the formula's, bit for bit, and stay in cache.
+    """
+    near = np.empty(d.shape, dtype=bool)
+    buffer = np.empty(min(d.size, _TEST_ROWS))
+    for start in range(0, d.size, _TEST_ROWS):
+        chunk = d[start : start + _TEST_ROWS]
+        scaled = np.subtract(chunk, cutoff, out=buffer[: chunk.size])
+        np.abs(scaled, out=scaled)
+        scaled /= reach
+        np.less_equal(scaled, 1.0, out=near[start : start + chunk.size])
+    return near
 
 
 def _require_positive(h: float) -> None:
@@ -162,7 +186,8 @@ def sided_weights(
     d = np.asarray(d, dtype=float)
     on_side = d >= cutoff if side == "right" else d < cutoff
     w = _weights_at(kernel, _offsets(d, cutoff, h), h)
-    w[~on_side] = 0.0  # a no-op on the one side's rows the estimators pass
+    if not on_side.all():  # the estimators pass one side's rows only
+        w[~on_side] = 0.0
     return SidedWeights(
         side=side,
         cutoff=float(cutoff),
@@ -174,19 +199,31 @@ def sided_weights(
 
 @dataclass(frozen=True)
 class ScaledBasis:
-    """Polynomial design rows in the bandwidth-scaled coordinate.
+    """The polynomial basis of the given degree in the bandwidth-scaled
+    coordinate ``u_i = (d_i - cutoff) / h``.
 
-    Row i is ``(1, u_i, ..., u_i^degree)`` with ``u_i = (d_i - cutoff) / h``,
-    so coefficient j of a fit on these rows is ``h^j`` times the
-    raw-coordinate coefficient. ``rows`` is stored column by column, so each
-    column, and each column of a view of some rows, has unit stride: the
-    per-row products of a fit then run down whole columns.
+    Row i of the basis is ``(1, u_i, ..., u_i^degree)``, so coefficient j of
+    a fit on it is ``h^j`` times the raw-coordinate coefficient. Only ``u``
+    is stored: a fit forms the powers it needs from it a chunk of rows at a
+    time, and a side's basis is a view of its rows of ``u``.
     """
 
     degree: int
     cutoff: float
     bandwidth: float
-    rows: np.ndarray
+    u: np.ndarray
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The basis rows ``(n, degree + 1)``, formed on each call and stored
+        column by column (Fortran order).
+        """
+        rows = np.empty((self.u.shape[0], self.degree + 1), order="F")
+        rows[:, 0] = 1.0
+        rows[:, 1] = self.u
+        if self.degree == 2:
+            np.multiply(self.u, self.u, out=rows[:, 2])
+        return rows
 
 
 def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledBasis:
@@ -194,18 +231,13 @@ def scaled_basis(d: np.ndarray, cutoff: float, h: float, degree: int) -> ScaledB
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     _require_positive(h)
-    d = np.asarray(d, dtype=float)
-    rows = np.empty((d.shape[0], degree + 1), order="F")
-    rows[:, 0] = 1.0
-    u = _offsets(d, cutoff, h, out=rows[:, 1])
-    if degree == 2:
-        np.multiply(u, u, out=rows[:, 2])
-    return ScaledBasis(degree=degree, cutoff=float(cutoff), bandwidth=float(h), rows=rows)
+    u = _offsets(np.asarray(d, dtype=float), cutoff, h)
+    return ScaledBasis(degree=degree, cutoff=float(cutoff), bandwidth=float(h), u=u)
 
 
-def _offsets(d: np.ndarray, cutoff: float, h, out: np.ndarray | None = None) -> np.ndarray:
+def _offsets(d: np.ndarray, cutoff: float, h) -> np.ndarray:
     """The scaled coordinate ``(d - cutoff) / h``; ``h`` is one or one per row."""
-    u = np.subtract(d, cutoff, out=out)
+    u = np.subtract(d, cutoff)
     u /= h
     return u
 
@@ -214,6 +246,6 @@ def _weights_at(kernel: KernelSpec, u: np.ndarray, h) -> np.ndarray:
     """The weights ``K(|u|) / h`` at scaled coordinates ``u`` (``_offsets``),
     which it overwrites with ``|u|``, so a fit holds no second copy of them.
     """
-    w = kernel_value(kernel, np.abs(u, out=u))
+    w = _kernel_at(kernel, np.abs(u, out=u))
     w /= h
     return w

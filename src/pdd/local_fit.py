@@ -8,19 +8,25 @@ No BLAS product runs over rows, so no thread count changes a moment, and a
 segment rounds the same whether it is summed alone or in a table with
 others. A single fit sums one segment per side; ``inference.fit_block``
 sums one segment per side of each sample of a Monte Carlo block, through the
-same helpers (``_power_moments``, ``_product_sums`` and ``_iv_moments``).
+same helpers (``_power_moments``, ``_product_sums`` and
+``_instrument_moments``).
 
-The design rows ``K R`` (``K u^k``) are formed by ``_design_rows`` for the
-rows a table needs: a single fit forms them one chunk of rows at a time
-inside each table, so no per-row array of a fit outlives its chunk, and a
-block forms them once over its rows. A row formed over a chunk equals the
-same row formed over the whole side, bit for bit.
+The design rows ``K R`` (``K u^k``) are formed by ``_design_rows`` from
+the weights and the basis's scaled coordinate ``u`` for the rows a table
+needs: a single fit forms them one chunk of rows at a time inside each
+table, so no per-row array of a fit outlives its chunk, and a block forms
+them once over its rows. A row formed over a chunk equals the same row
+formed over the whole side, bit for bit, and a row of products sums the
+same in a taller table: where a linear and a quadratic fit share weights
+and ``u`` (a bias bandwidth equal to the main one), the linear fit's sums
+are read off the quadratic fit's (``_nested_designs``).
 
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
 solver failure. ``_weighted_design`` keeps one checked design ``(R'KR, power
 sums, rcond)`` per pair of weights and basis, so a side's fits share the
-support test and the SVD; it holds no per-row array.
+support test and the SVD; it holds no per-row array. The support test takes
+a single segment's extremes a chunk of rows at a time.
 
 Each check and each step of the instrumented solve is written once, for one
 side or a stack of sides, and ``inference.fit_block`` calls the same
@@ -127,11 +133,19 @@ def _distinct_support(x: np.ndarray, w: np.ndarray, starts, counts, need: int) -
     positive weight counts 0; every segment holds at least one row.
     """
     positive = w > 0.0
-    lo = np.minimum.reduceat(np.where(positive, x, np.inf), starts)
-    hi = np.maximum.reduceat(np.where(positive, x, -np.inf), starts)
+    if len(starts) == 1:  # one segment: no full-length temporaries of floats
+        lo, hi = np.array([np.inf]), np.array([-np.inf])
+        for rows in _chunks(x.size):
+            lo = np.minimum(lo, np.where(positive[rows], x[rows], np.inf).min())
+            hi = np.maximum(hi, np.where(positive[rows], x[rows], -np.inf).max())
+        lo_rows, hi_rows = lo, hi
+    else:
+        lo = np.minimum.reduceat(np.where(positive, x, np.inf), starts)
+        hi = np.maximum.reduceat(np.where(positive, x, -np.inf), starts)
+        lo_rows, hi_rows = np.repeat(lo, counts), np.repeat(hi, counts)
     distinct = (lo <= hi).astype(int) + (lo < hi)
     if need == 3:
-        inside = positive & (x > np.repeat(lo, counts)) & (x < np.repeat(hi, counts))
+        inside = positive & (x > lo_rows) & (x < hi_rows)
         distinct += (lo < hi) & np.logical_or.reduceat(inside, starts)
     return distinct
 
@@ -153,29 +167,65 @@ def _weighted_design(
     entry = weights._designs.get(id(basis))
     if entry is not None:
         return entry[1]
-    if weights.weights.shape[0] != basis.rows.shape[0]:
+    _require_aligned(weights, basis)
+    need = basis.degree + 1
+    _require_support(weights, _support_count(weights, basis.u, need), need)
+    powers = _power_moments(weights.weights, basis.u, [0], basis.degree)[0]
+    design = _checked_gram(weights, powers, basis.degree)
+    weights._designs[id(basis)] = (basis, design)
+    return design
+
+
+def _nested_designs(weights: SidedWeights, linear: ScaledBasis, quadratic: ScaledBasis):
+    """``_weighted_design`` of a linear and a quadratic basis of the same
+    scaled coordinate on the same weights, from one support test and one
+    pass of power sums: the linear design's sums are the first four of the
+    quadratic's, the same products summed alike. The checks raise the same
+    errors, in the same order, as the two ``_weighted_design`` calls.
+    """
+    _require_aligned(weights, linear)
+    distinct = _support_count(weights, quadratic.u, 3)  # a count below 3 is exact
+    _require_support(weights, distinct, 2)
+    powers = _power_moments(weights.weights, quadratic.u, [0], 2)[0]
+    design = _checked_gram(weights, powers[:4], 1)
+    _require_support(weights, distinct, 3)
+    return design, _checked_gram(weights, powers, 2)
+
+
+def _require_aligned(weights: SidedWeights, basis: ScaledBasis) -> None:
+    if weights.weights.shape[0] != basis.u.shape[0]:
         raise ValueError("weights and basis were built from different samples")
     if weights.bandwidth != basis.bandwidth or weights.cutoff != basis.cutoff:
         raise ValueError("weights and basis use different bandwidth or cutoff")
-    need, w, u = basis.degree + 1, weights.weights, basis.rows[:, 1]
-    distinct = int(_distinct_support(u, w, [0], [w.size], need)[0]) if weights.n_positive else 0
+
+
+def _support_count(weights: SidedWeights, u: np.ndarray, need: int) -> int:
+    """``_distinct_support`` of one side's positively weighted ``u``."""
+    w = weights.weights
+    return int(_distinct_support(u, w, [0], [w.size], need)[0]) if weights.n_positive else 0
+
+
+def _require_support(weights: SidedWeights, distinct: int, need: int) -> None:
     if distinct < need:
         raise SingularSupport(
             f"{distinct} distinct running-variable values with positive weight on "
             f"the {weights.side} side; need at least {need}, so "
             f"bandwidth {weights.bandwidth} is too small"
         )
-    powers = _power_moments(w, u, [0], basis.degree)[0]
-    gram = _hankel(powers, basis.degree)
+
+
+def _checked_gram(weights: SidedWeights, powers: np.ndarray, degree: int):
+    """``(R'KR, powers, rcond)`` from the power sums of a side's fit of the
+    given degree; raises SingularSupport below ``GRAM_RCOND_MIN``.
+    """
+    gram = _hankel(powers, degree)
     rcond = reciprocal_condition(gram)
     if rcond < GRAM_RCOND_MIN:
-        shape = "linear" if basis.degree == 1 else "quadratic"
+        shape = "linear" if degree == 1 else "quadratic"
         raise SingularSupport(
             f"singular local {shape} design on the {weights.side} side (rcond={rcond:.3e})"
         )
-    design = (gram, powers, rcond)
-    weights._designs[id(basis)] = (basis, design)
-    return design
+    return gram, powers, rcond
 
 
 def _design_rows(w: np.ndarray, u: np.ndarray, degree: int, rows=slice(None)) -> np.ndarray:
@@ -196,7 +246,7 @@ def _design(weights: SidedWeights, basis: ScaledBasis):
     """The design rows of one side as a function of a row range, which the
     moment tables call for each chunk (``_rows_of``).
     """
-    return partial(_design_rows, weights.weights, basis.rows[:, 1], basis.degree)
+    return partial(_design_rows, weights.weights, basis.u, basis.degree)
 
 
 def _rows_of(table, rows) -> np.ndarray:
@@ -256,17 +306,16 @@ def _product_sums(a, b, starts, m: int) -> np.ndarray:
     return _sums(products, m, starts)
 
 
-def _iv_moments(design, S: np.ndarray, Z: np.ndarray, starts):
-    """``(R'KS, Z'KR, Z'KS)`` over each segment, from the design rows ``K R``
-    (``_rows_of``), the outcome rows ``S = [y, W]`` and the placebo
-    treatment rows ``Z``.
+def _instrument_moments(design, S, Z: np.ndarray, starts):
+    """``(Z'KR, Z'KS)`` over each segment, from the design rows ``K R`` and
+    the outcome rows ``S = [y, W]`` (each an array or a function of a row
+    range, ``_rows_of``) and the placebo treatment rows ``Z``.
     """
 
     def kz(rows):
         return _rows_of(design, rows)[0] * Z[:, rows]
 
-    pairs = (design, S), (Z, design), (kz, S)
-    return tuple(_product_sums(a, b, starts, S.shape[-1]) for a, b in pairs)
+    return tuple(_product_sums(a, b, starts, Z.shape[-1]) for a, b in ((Z, design), (kz, S)))
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -338,8 +387,13 @@ def local_iv_fit(
             f"{weights.side} side; the instrumented solve needs at least {2 + q}"
         )
     gram = _weighted_design(weights, basis)[0]
-    S = np.vstack([y, W.T])
-    rks, zkr, zks = (m[0] for m in _iv_moments(_design(weights, basis), S, Z.T, [0]))
+
+    def outcomes(rows):  # the rows of S = [y, W], stacked a chunk at a time
+        return np.vstack([y[rows], W[rows].T])
+
+    design = _design(weights, basis)
+    rks = _product_sums(design, outcomes, [0], y.size)[0]
+    zkr, zks = (m[0] for m in _instrument_moments(design, outcomes, Z.T, [0]))
     schur_rcond = _schur_rcond(_schur_complement(gram, rks[:, 1:], zkr, zks[:, 1:]), zks[:, 1:])
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(

@@ -806,7 +806,7 @@ def _full_length_sums(table):
 
 
 def test_chunk_formed_moments_equal_the_full_length_formula(rng):
-    from pdd.inference import _row_form
+    from pdd.inference import _row_forms
     from pdd.local_fit import CHUNK_ROWS, _design, _power_moments, _product_sums
 
     m = 3 * CHUNK_ROWS + 1234
@@ -816,7 +816,7 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
     for degree, h in ((1, 0.5), (2, 0.8)):
         weights = sided_weights(d, 0.0, h, "right", GAUSSIAN)
         basis = scaled_basis(d, 0.0, h, degree)
-        w, u = weights.weights, basis.rows[:, 1]
+        w, u = weights.weights, basis.u
         krows = np.empty((degree + 1, m))  # the design rows K u^k of every row
         krows[0] = w
         for k in range(degree):
@@ -830,26 +830,86 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
         designs.append(_design(weights, basis))
         full.append(krows)
     k1, k2 = full
-    for c in (rng.standard_normal(5), rng.standard_normal((5, m))):
-        expected = c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
-        assert np.array_equal(_row_form(c, *designs, m), expected)
+    cs = rng.standard_normal(5), rng.standard_normal((5, m))
+    expected = [
+        c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2]) for c in cs
+    ]
+    assert np.array_equal(_row_forms(cs, *designs, m), expected)
+    for c, row in zip(cs, expected):
+        assert np.array_equal(_row_forms((c,), *designs, m)[0], row)
 
 
-def test_a_gaussian_fit_allocates_under_90_bytes_per_row():
+@pytest.mark.parametrize("kind, bound", [("gaussian", 72), ("triangle", 14)])
+def test_a_fit_allocates_few_bytes_per_row(kind, bound):
     # full-length K R tables on each side's weights, a second copy of the
     # outcome columns and the cut placebo treatments kept through the bias
-    # correction took about 118 bytes per row
+    # correction took about 118 bytes per row with the gaussian kernel; a
+    # stored basis of (1, u) columns, full-length temporaries of the cut and
+    # the support test, and separate moment passes at b = h took 80.8
+    # (gaussian) and 16.0 (triangle)
     import tracemalloc
 
     sample = pdd.simulate(DgpSpec(n=200_000, seed=1, kappa=4))
     h = rule_of_thumb_bandwidth(sample.d)
     tracemalloc.start()
     try:
-        bias_corrected_estimate(sample, 0.0, h, h, GAUSSIAN)
+        bias_corrected_estimate(sample, 0.0, h, h, KernelSpec(kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / sample.n < 90
+    assert peak / sample.n < bound
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
+    # the linear fit's power sums and R'KS are read off the quadratic fit's;
+    # they must equal the separately summed ones bit for bit, over a side
+    # longer than a chunk and over the segments of a block
+    from pdd.inference import _row_forms, _same_fit, _side_terms
+    from pdd.local_fit import CHUNK_ROWS, _design, _hankel, _power_moments, _product_sums
+
+    kernel = KernelSpec(kind)
+    m, h = 2 * CHUNK_ROWS + 777, 0.45
+    d = rng.uniform(0.0, 0.5 if kind == "gaussian" else 0.45, m)
+    S = rng.standard_normal((m, 3))
+    corr = side_correction(d, S, 0.0, h, h, kernel, "right")
+    weights, basis1, basis2 = (
+        sided_weights(d, 0.0, h, "right", kernel),
+        scaled_basis(d, 0.0, h, 1),
+        scaled_basis(d, 0.0, h, 2),
+    )
+    assert _same_fit(weights, basis1, weights, basis2)
+    w, u = weights.weights, basis1.u
+    powers1, powers2 = _power_moments(w, u, [0], 1)[0], _power_moments(w, u, [0], 2)[0]
+    assert np.array_equal(powers2[:4], powers1)
+    design1, design2 = _design(weights, basis1), _design(weights, basis2)
+    rks, gs = (_product_sums(design, S.T, [0], m)[0] for design in (design1, design2))
+    assert np.array_equal(gs[:2], rks)
+    gram1, gram2 = _hankel(powers1, 1), _hankel(powers2, 2)
+    coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, m, h, h)
+    assert np.array_equal(corr.coef, coef) and np.array_equal(corr.curvatures, curves)
+    assert np.array_equal(corr.bias, bias) and corr.curvature_load == load
+    weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, m)
+    assert np.array_equal(corr.weight_row, weight_row)
+    assert np.array_equal(corr.matrix_row, matrix_row)
+
+    # the block's moments: one segment per side of three samples
+    from pdd.kernels import _offsets, _weights_at
+    from pdd.local_fit import _design_rows
+
+    counts = np.array([40, 61, 1, 77, 30, 52])
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    per_row = np.repeat(np.repeat(rng.uniform(0.3, 0.6, 3), 2), counts)
+    x = rng.uniform(-0.5, 0.5, counts.sum())
+    u = _offsets(x, 0.0, per_row)
+    w = _weights_at(kernel, u.copy(), per_row)
+    mu, mv = _power_moments(w, u, starts, 1), _power_moments(w, u, starts, 2)
+    assert np.array_equal(mv[:, :4], mu)
+    ku, kv = _design_rows(w, u, 1), _design_rows(w, u, 2)
+    assert np.array_equal(kv[:2], ku)
+    outcomes = rng.standard_normal((3, x.size))
+    block_rks = _product_sums(ku, outcomes, starts, x.size)
+    assert np.array_equal(_product_sums(kv, outcomes, starts, x.size)[:, :2], block_rks)
 
 
 def test_a_cached_design_holds_no_per_row_array(rng):

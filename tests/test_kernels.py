@@ -115,6 +115,36 @@ def test_basis_rows_and_scaling():
         scaled_basis(d, 0.5, 0.0, degree=1)
 
 
+def _stored_rows(d, cutoff, h, degree):
+    """The basis rows as ``scaled_basis`` once stored them."""
+    rows = np.empty((d.shape[0], degree + 1), order="F")
+    rows[:, 0] = 1.0
+    u = np.subtract(d, cutoff, out=rows[:, 1])
+    u /= h
+    if degree == 2:
+        np.multiply(u, u, out=rows[:, 2])
+    return rows
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_basis_rows_equal_the_stored_layout_entry_for_entry(rng, degree):
+    from pdd.estimator import _sides
+
+    d = np.concatenate([rng.uniform(-1.0, 1.0, 50), [0.1, -0.0]])
+    basis = scaled_basis(d, 0.1, 0.37, degree)
+    stored = _stored_rows(d, 0.1, 0.37, degree)
+    assert np.array_equal(basis.rows, stored) and basis.rows.flags.f_contiguous
+    assert np.array_equal(basis.u, stored[:, 1]) and basis.u.ndim == 1
+    d = np.sort(d)
+    k = int(np.count_nonzero(d < 0.1))
+    stored = _stored_rows(d, 0.1, 0.37, 1)
+    sides = _sides(d, k, 0.1, 0.37, KernelSpec("triangle"))
+    for (_, side), rows in zip(sides, (slice(None, k), slice(k, None))):
+        assert np.array_equal(side.rows, stored[rows]) and side.rows.flags.f_contiguous
+    # each side's coordinate is a view of one array of both sides' rows
+    assert sides[0][1].u.base is not None and sides[0][1].u.base is sides[1][1].u.base
+
+
 def _unit_column_stride(a):
     return a.strides[0] == a.itemsize
 
@@ -144,22 +174,61 @@ def test_side_views_and_weighted_design_keep_the_column_layout(rng):
         assert gram.shape == (2, 2) and powers.shape == (4,) and np.ndim(rcond) == 0
 
 
+def _two_step_cut(d, cutoff, reach, kind):
+    """The cut as two steps decided it: a ``d < cutoff`` pass telling whether
+    the left rows come first, then the support test over every row, and,
+    unless both held, the partition built afresh from a second support test.
+    """
+    left = d < cutoff
+    k = int(np.count_nonzero(left))
+    if left[:k].all() and (kind == "gaussian" or (np.abs(d - cutoff) / reach <= 1.0).all()):
+        return None, k
+    if kind == "gaussian":
+        near = np.arange(d.size)
+    else:
+        near = np.flatnonzero(np.abs(d - cutoff) / reach <= 1.0)
+    on_left = d[near] < cutoff
+    return np.concatenate([near[on_left], near[~on_left]]), int(np.count_nonzero(on_left))
+
+
 @pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
-def test_left_count_if_cut_agrees_with_the_partition(rng, kind):
-    from pdd.kernels import left_count_if_cut, support_rows
+def test_one_cut_decision_equals_the_two_step_rule(rng, kind):
+    from pdd.kernels import _cut_rows, support_rows
 
     kernel = KernelSpec(kind)
-    d = np.concatenate([rng.uniform(-2.0, 2.0, 40), [0.0, -0.5, 0.5, 1e6, -1e6]])
-    for reach in (0.5, 3.0):
-        rows, k = support_rows(d, 0.0, reach, kernel)
-        cut = d[rows]
-        assert left_count_if_cut(cut, 0.0, reach, kernel) == k
-        for trial in range(5):
-            shuffled = cut[rng.permutation(cut.size)]
-            again, k_again = support_rows(shuffled, 0.0, reach, kernel)
-            identity = again.size == shuffled.size and (k == 0 or again[k - 1] == k - 1)
-            assert (left_count_if_cut(shuffled, 0.0, reach, kernel) == k) == identity
-        assert left_count_if_cut(d, 0.0, reach, kernel) is None
-    assert left_count_if_cut(np.empty(0), 0.0, 1.0, kernel) == 0
+    cutoff, reach = 0.25, 0.5
+    edges = [
+        cutoff - reach, cutoff + reach, cutoff, -0.0, 0.0,
+        np.nextafter(cutoff + reach, np.inf), np.nextafter(cutoff - reach, -np.inf),
+        cutoff + reach * (1.0 + 2.0**-52), 1e6, -1e6,
+    ]  # fmt: skip
+    d = np.concatenate([rng.uniform(-1.5, 2.0, 60), edges])
+    right = d[d >= cutoff]
+    samples = {
+        "shuffled": d,
+        "sorted": np.sort(d),
+        "no left side": right,
+        "no right side": d[d < cutoff],
+        "empty": np.empty(0),
+    }
+    for zero in (0.0, -0.0):  # -0.0 < 0.0 is False: both lie right of a zero cutoff
+        samples[f"around {zero}"] = np.array([-0.5, zero, 0.25, -0.25, zero, 0.5])
+    for name, x in list(samples.items()):
+        for c in (cutoff, 0.0):
+            rows, _ = _two_step_cut(x, c, reach, kind)
+            cut = x if rows is None else x[rows]
+            samples[f"{name}, already cut at {c}"] = cut
+            samples[f"{name}, cut at {c} and shuffled"] = cut[rng.permutation(cut.size)]
+    for name, x in samples.items():
+        for c in (cutoff, 0.0):
+            want_rows, want_k = _two_step_cut(x, c, reach, kind)
+            rows, k = _cut_rows(x, c, reach, kernel)
+            assert k == want_k, name
+            assert (rows is None) == (want_rows is None), name
+            if rows is not None:
+                assert rows.dtype == np.intp and np.array_equal(rows, want_rows), name
+            partition, k_again = support_rows(x, c, reach, kernel)
+            expected = np.arange(x.size) if want_rows is None else want_rows
+            assert k_again == want_k and np.array_equal(partition, expected), name
     with pytest.raises(ValueError, match="bandwidth must be positive"):
-        left_count_if_cut(d, 0.0, 0.0, kernel)
+        _cut_rows(d, 0.0, 0.0, kernel)
