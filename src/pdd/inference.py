@@ -27,10 +27,11 @@ which leaves a sample already in that form as it is), copies their outcome
 columns once, into the stack that the cut sample views (``_cut_outcomes``),
 and sums each side's moments as one segment of that side's rows; at
 ``b = h`` a side's linear and quadratic fits share one moment pass. ``n``
-and ``v_bc`` still refer to the whole sample. ``fit_block``, which ``simulate.monte_carlo`` calls,
-sums the moments of many replications' cut samples with one segment per
-side of their concatenated rows, and passes the stacks to the same helpers.
-A side summed alone and in a block then rounds alike.
+and ``v_bc`` still refer to the whole sample. ``fit_block``, which
+``simulate.monte_carlo`` calls, sums the moments of many replications' cut
+samples with one segment per side, a window of rows at a time, and passes
+the stacks to the same helpers. A side summed alone and in a block then
+rounds alike.
 """
 
 from __future__ import annotations
@@ -64,13 +65,16 @@ from .local_fit import (
     _chunks,
     _design,
     _design_rows,
-    _distinct_support,
+    _distinct,
+    _extreme_rows,
     _hankel,
-    _instrument_moments,
+    _inside_rows,
+    _instrument_rows,
     _joint_solve,
     _nested_designs,
-    _power_moments,
     _product_sums,
+    _reduce,
+    _repeated,
     _rows_of,
     _schur_complement,
     _schur_rcond,
@@ -151,7 +155,7 @@ def side_correction(
     basis1 = scaled_basis(d, cutoff, h, 1)
     w_b = sided_weights(d, cutoff, b, side, kernel)
     basis2 = scaled_basis(d, cutoff, b, 2)
-    return side_correction_from_weights(S, w_h, basis1, w_b, basis2)
+    return _side_correction(S, w_h, basis1, w_b, basis2, h == b)
 
 
 def side_correction_from_weights(
@@ -172,6 +176,15 @@ def side_correction_from_weights(
     the linear fit's power sums and ``R'KS`` are the first rows of the
     quadratic fit's, the same products summed alike.
     """
+    same = _same_fit(weights_main, basis_main, weights_bias, basis_bias)
+    return _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same)
+
+
+def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same: bool):
+    """``side_correction_from_weights``, told whether the two fits are one
+    (``same``): ``side_correction`` knows it from ``h == b``, as the weights
+    and bases of one side at equal bandwidths are equal.
+    """
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
         S = S[:, None]
@@ -181,7 +194,7 @@ def side_correction_from_weights(
         raise ValueError("weights were built for different sides")
     n, h, b = S.shape[0], weights_main.bandwidth, weights_bias.bandwidth
     design2 = _design(weights_bias, basis_bias)
-    if _same_fit(weights_main, basis_main, weights_bias, basis_bias):
+    if same:
         (gram1, powers1, _), (gram2, _, _) = _nested_designs(weights_main, basis_main, basis_bias)
         design1 = design2
         gs = _product_sums(design2, S.T, [0], n)[0]
@@ -307,16 +320,22 @@ def correction_matrix(
     return np.concatenate([g1_inv, (ratio * load)[..., None] * g2_inv], axis=-1)
 
 
-def _squared_residual_sums(weight_row, S, centre, starts) -> np.ndarray:
-    """Each outcome's sum of ``(weight_row * (s - centre))^2`` over each
-    segment, ``(segments, 1 + q)``, for outcome rows ``S``: a side's
-    variance terms.
+def _squared_residuals(weight_row, S, centre) -> np.ndarray:
+    """Each outcome's ``(weight_row * (s - centre))^2`` on rows of outcome
+    rows ``S``: the per-row terms of a side's variance.
+    """
+    return np.square((S - centre) * weight_row)
+
+
+def _squared_residual_sums(weight_row, S, centre) -> np.ndarray:
+    """Each outcome's sum of ``_squared_residuals`` over a side's rows,
+    ``(1 + q,)``: the side's variance terms.
     """
 
     def squares(rows):
-        return np.square((S[:, rows] - centre[:, rows]) * weight_row[rows])
+        return _squared_residuals(weight_row[rows], S[:, rows], centre[:, rows])
 
-    return _sums(squares, S.shape[-1], starts)
+    return _sums(squares, S.shape[-1], [0])[0]
 
 
 def _interval(tau_bc, v_bc, n, h, alpha: float):
@@ -355,7 +374,7 @@ def robust_variance(
             centre = np.broadcast_to(corr.intercepts_bc[:, None], S.shape)
         else:
             centre = corr.coef[0][:, None] + corr.coef[1][:, None] * corr.u
-        sums = _squared_residual_sums(corr.weight_row, S, centre, [0])[0]
+        sums = _squared_residual_sums(corr.weight_row, S, centre)
         total += float(np.vecdot(combo**2, sums))
     return n * corr_plus.bandwidth * total
 
@@ -499,7 +518,10 @@ def rdd_robust_estimate(
 
 @np.errstate(all="ignore")  # a sample that fails a check is refitted anyway
 def fit_block(
-    cuts: list[tuple[Sample, int]],
+    d: np.ndarray,
+    S: np.ndarray,
+    Z: np.ndarray,
+    counts: np.ndarray,
     cutoff: float,
     h: np.ndarray,
     b: np.ndarray,
@@ -508,63 +530,82 @@ def fit_block(
     alpha: float,
     variance_mode: str,
 ) -> tuple[np.ndarray, ...]:
-    """``bias_corrected_estimate`` of a block of samples in one moment pass.
+    """``bias_corrected_estimate`` of a block of samples in two passes over
+    their rows.
 
-    ``cuts`` holds ``(sample, k)`` pairs, each cut to the rows within
-    ``max(h, b)`` of the cutoff with its ``k`` left rows first; each has a
-    placebo pair and rows on both sides. ``h`` and ``b`` hold each sample's
-    bandwidths and ``n`` the size of the samples they were cut from.
+    ``d``, the outcome rows ``S = [y, W]`` ``(1 + q, rows)`` and the placebo
+    treatment rows ``Z`` ``(q, rows)`` hold the samples one after another,
+    each cut to the rows within ``max(h, b)`` of the cutoff with its left
+    rows first, and ``counts`` the row counts of their sides, left then
+    right, each at least 1. ``h`` and ``b`` hold each sample's bandwidths
+    and ``n`` the size of the samples they were cut from.
 
-    Only what belongs to a block is here: the samples' rows are
-    concatenated, each side of each sample is one segment of them, and a
-    side that fails a check gets the identity in place of its systems
-    (``_identity_unless``). The moments, formulas and checks are the single
-    fit's, applied to the stack of sides, and each side's segment sums are
-    those of its single fit; where ``b <= h`` a sample's single fit sums the
-    same rows, so the two agree exactly.
+    Each side of each sample is one segment of the rows, and every per-row
+    table (coordinates, weights, design rows, products, each side's
+    coefficients repeated over its rows, row forms and residual squares) is
+    formed one window of rows at a time by the single fit's row functions
+    and summed by ``local_fit._reduce``, which sums each segment as the
+    single fit sums that side; only the input columns and the per-side
+    stacks span the block. The first pass sums the moments and the support
+    extremes, the second, after the solves, the stacked form, the variance
+    terms and the support test's inner values. A side that fails a check
+    gets the identity in place of its systems (``_identity_unless``); where
+    ``b <= h`` a sample's single fit sums the same rows, so the two agree
+    exactly.
 
     Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
     over the samples. ``ok`` is False where any check of the single fit
     fails; the caller refits those samples with ``bias_corrected_estimate``,
     which decides whether and how they fail.
     """
-    q = cuts[0][0].q
-    counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
+    q, m = Z.shape
+    samples = len(h)
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     left, right = slice(0, None, 2), slice(1, None, 2)
     h_seg, b_seg = np.repeat(h, 2), np.repeat(b, 2)
-    d, y, W, Z = (np.concatenate([getattr(sample, f) for sample, _ in cuts]) for f in "dyWZ")
-    S, Z = np.vstack([y, W.T]), np.ascontiguousarray(Z.T)  # one row per column
-
-    def weights_and_basis(bandwidths):
-        per_row = np.repeat(bandwidths, counts)
-        u = _offsets(d, cutoff, per_row)
-        return _weights_at(kernel, u.copy(), per_row), u
-
+    at_h, at_b = _repeated(h_seg, starts, m), _repeated(b_seg, starts, m)
     # at b = h both fits share their weights and moments, as in the single
     # fit: the linear fit's sums are the first rows of the quadratic fit's
     shared = np.array_equal(h, b)
-    wh, u = weights_and_basis(h_seg)
-    wb, v = (wh, u) if shared else weights_and_basis(b_seg)
-    mv, kv = _power_moments(wb, v, starts, 2), _design_rows(wb, v, 2)  # K R at b
-    if shared:
-        mu, ku = mv[:, :4], kv[:2]
-    else:
-        mu, ku = _power_moments(wh, u, starts, 1), _design_rows(wh, u, 1)
 
-    ok = np.add.reduceat(wh > 0.0, starts) >= 2 + q
-    if not shared:  # 3 distinct values at b = h imply the 2 the linear fit needs
-        ok &= _distinct_support(u, wh, starts, counts, 2) >= 2
-    ok &= _distinct_support(v, wb, starts, counts, 3) >= 3
+    def fit_rows(rows):
+        """``(u, weights at h, v, weights at b)`` of a range of rows."""
+        fits = []
+        for bandwidth in (at_b,) if shared else (at_h, at_b):
+            per_row = bandwidth(rows)
+            u = _offsets(d[rows], cutoff, per_row)
+            fits += [u, _weights_at(kernel, u.copy(), per_row)]
+        return fits * 2 if shared else fits
+
+    def moment_rows(rows):  # each table is summed before the next is formed
+        u, wh, v, wb = fit_rows(rows)
+        s = S[:, rows]
+        kv = _design_rows(wb, v, 4)  # the power rows at b; K R at b is kv[:3]
+        ku = kv if shared else _design_rows(wh, u, 3)
+        yield kv
+        yield from _instrument_rows(ku[:2], s, Z[:, rows])
+        yield (kv[2:3] if shared else kv[:3])[:, None] * s[None]  # the rest of R'KS at b
+        yield wh > 0.0
+        yield from _extreme_rows(v, wb)
+        if not shared:
+            yield ku
+            yield from _extreme_rows(u, wh)
+
+    extremes = (np.minimum, np.maximum)
+    ufuncs = (*(np.add,) * 6, *extremes)
+    mv, RKS, ZKS, ZKR, gs, positives, lo_b, hi_b, *linear = _reduce(
+        moment_rows, m, starts, ufuncs if shared else (*ufuncs, np.add, *extremes)
+    )
+    mu, lo_h, hi_h = linear or (mv[:, :4], lo_b, hi_b)
+    GS = np.concatenate([RKS, gs], axis=1) if shared else gs  # R'KS at b
+
+    # the support test's third value at b is looked for in the second pass
+    ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
     A, ok = _identity_unless(ok, _hankel(mu, 1))  # R'KR at h
     G, ok = _identity_unless(ok, _hankel(mv, 2))  # R'KR at b
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
-
-    GS = _product_sums(kv, S, starts, d.size)  # R'KS at b
-    RKS = GS[:, :2] if shared else _product_sums(ku, S, starts, d.size)
-    ZKR, ZKS = _instrument_moments(ku, S, Z, starts)
     coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
     intercepts_bc = coef[:, 0, :] - bias
 
@@ -581,18 +622,33 @@ def fit_block(
     tau_rdd, tau_pdd, tau_iv = _point_forms(
         coef[right, 0], coef[left, 0], alpha0[right], alpha0[left], gamma[right], gamma[left]
     )
-    combo = np.concatenate([np.ones((len(cuts), 1)), -gamma[left]], axis=1)
+    combo = np.concatenate([np.ones((samples, 1)), -gamma[left]], axis=1)
     tau_bc = np.vecdot(combo, intercepts_bc[right] - intercepts_bc[left])
 
-    # each side's coefficients repeated over its rows: the stacked form's
-    # and the weight row's, and each outcome's residual centre
+    # each side's coefficients, repeated over its rows: the stacked form's
+    # and the weight row's, each outcome's residual centre, and the extremes
+    # of v between which the support test looks for a third value
     centre = [intercepts_bc] if variance_mode == "paper" else [coef[:, 0, :], coef[:, 1, :]]
-    per_seg = np.concatenate([*row_coefs, *centre], axis=1)
-    c = np.repeat(np.ascontiguousarray(per_seg.T), counts, axis=1)
-    fitted = c[10:] if variance_mode == "paper" else c[10 : 11 + q] + c[11 + q :] * u
-    matrix_row, weight_row = _row_forms((c[:5], c[5:10]), ku, kv, d.size)
-    stacked = _product_sums(matrix_row[None], S, starts, d.size)[:, 0] / counts[:, None]
-    per_outcome = _squared_residual_sums(weight_row, S, fitted, starts)
+    stacked_at, weight_at, centre_at, bounds_at = (
+        _repeated(np.ascontiguousarray(x.T), starts, m)
+        for x in (*row_coefs, np.concatenate(centre, axis=1), np.stack([lo_b, hi_b], axis=1))
+    )
+
+    def variance_rows(rows):  # each table is summed before the next is formed
+        u, wh, v, wb = fit_rows(rows)
+        kv = _design_rows(wb, v, 2)
+        ku = kv[:2] if shared else _design_rows(wh, u, 1)
+        s, c = S[:, rows], centre_at(rows)
+        yield _row_forms((stacked_at(rows),), ku, kv, kv.shape[-1])[0] * s
+        fitted = c if variance_mode == "paper" else c[: 1 + q] + c[1 + q :] * u
+        yield _squared_residuals(_row_forms((weight_at(rows),), ku, kv, kv.shape[-1])[0], s, fitted)
+        yield _inside_rows(v, wb, *bounds_at(rows))
+
+    stacked, per_outcome, inside = _reduce(
+        variance_rows, m, starts, (np.add, np.add, np.logical_or)
+    )
+    ok &= _distinct(lo_b, hi_b, inside) >= 3
+    stacked /= counts[:, None]
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
     v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)

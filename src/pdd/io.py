@@ -78,7 +78,7 @@ class Sample:
         short = [
             side
             for side, on_side in (("left", self.d < cutoff), ("right", self.d > cutoff))
-            if not (self.n and _distinct_support(self.d, on_side, [0], [self.n], 2)[0] == 2)
+            if not (self.n and _distinct_support(self.d, on_side, [0], 2)[0] == 2)
         ]
         if short:
             raise EmptyAfterFiltering(

@@ -2,41 +2,47 @@
 
 Both use one-sided kernel weights and the bandwidth-scaled polynomial basis.
 Every moment is a sum over rows of per-row products, and every such sum is
-taken by ``_sums``: products are rows of a ``(p, n)`` table, and each
-row is summed over each segment of rows by numpy's fixed-order pairwise sum.
-No BLAS product runs over rows, so no thread count changes a moment, and a
-segment rounds the same whether it is summed alone or in a table with
-others. A single fit sums one segment per side; ``inference.fit_block``
-sums one segment per side of each sample of a Monte Carlo block, through the
-same helpers (``_power_moments``, ``_product_sums`` and
-``_instrument_moments``).
+taken by ``_reduce`` (``_sums`` for a single table): products are rows of
+``(p, n)`` tables, and each row is summed over each segment of rows by
+numpy's fixed-order pairwise sum. No BLAS product runs over rows, so no
+thread count changes a moment. A single fit sums one segment per side;
+``inference.fit_block`` sums one segment per side of each sample of a Monte
+Carlo block, through the same helpers (``_power_moments``,
+``_product_sums``, ``_instrument_rows`` and the support test's rows).
 
-The design rows ``K R`` (``K u^k``) are formed by ``_design_rows`` from
-the weights and the basis's scaled coordinate ``u`` for the rows a table
-needs: a single fit forms them one chunk of rows at a time inside each
-table, so no per-row array of a fit outlives its chunk, and a block forms
-them once over its rows. A row formed over a chunk equals the same row
-formed over the whole side, bit for bit, and a row of products sums the
-same in a taller table: where a linear and a quadratic fit share weights
-and ``u`` (a bias bandwidth equal to the main one), the linear fit's sums
-are read off the quadratic fit's (``_nested_designs``).
+Every table is formed and reduced one window of rows at a time
+(``_windows``), for one segment or many: a window packs whole segments, up
+to ``WINDOW_ROWS`` rows of them, and a segment longer than ``CHUNK_ROWS`` is
+cut at its own ``CHUNK_ROWS`` offsets and its pieces' sums summed pairwise.
+A segment therefore sums the same, bit for bit, alone or among others, in a
+single fit or in a block of any size, and no per-row array outlives its
+window. A table function may form several tables from the same rows (each
+one summed before the next is formed), so the design rows ``K R``
+(``K u^k``, ``_design_rows``) and the outcome rows of a window are formed
+once for all of its products. A row formed over a window equals the same
+row formed over the whole side, and a row of products sums the same in a
+taller table: where a linear and a quadratic fit share weights and ``u`` (a
+bias bandwidth equal to the main one), the linear fit's sums are read off
+the quadratic fit's (``_nested_designs``).
 
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
 solver failure. ``_weighted_design`` keeps one checked design ``(R'KR, power
 sums, rcond)`` per pair of weights and basis, so a side's fits share the
-support test and the SVD; it holds no per-row array. The support test takes
-a single segment's extremes a chunk of rows at a time.
+support test and the SVD; it holds no per-row array.
 
 Each check and each step of the instrumented solve is written once, for one
 side or a stack of sides, and ``inference.fit_block`` calls the same
-helpers: the support test ``_distinct_support``, the conditioning tests
-``reciprocal_condition`` and ``_schur_rcond``, the Schur complement
-``_schur_complement`` and the joint system ``_joint_solve``.
+helpers: the support test's rows and count (``_extreme_rows``,
+``_inside_rows`` and ``_distinct``, which ``_distinct_support`` combines),
+the conditioning tests ``reciprocal_condition`` and ``_schur_rcond``, the
+Schur complement ``_schur_complement`` and the joint system
+``_joint_solve``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -53,12 +59,17 @@ GRAM_RCOND_MIN = 1e-12
 #: (the Schur complement of the joint system) signals a weak placebo proxy.
 SCHUR_RCOND_MIN = 1e-10
 
-#: Rows a moment table is built over at once. A longer segment, which only a
-#: single fit has (a Monte Carlo block's segments hold at most
-#: ``simulate.SOLO_ROWS`` rows), is summed this many rows at a time and the
-#: chunks' sums are summed pairwise, so its table stays in cache and a fit
-#: over a million rows holds a few chunks of products.
+#: Rows of one segment a moment table is built over at once. A longer
+#: segment, a side of a single fit or of a large Monte Carlo sample, is
+#: summed this many rows at a time and the chunks' sums are summed
+#: pairwise, so its table stays in cache and a fit over a million rows holds
+#: a few chunks of products.
 CHUNK_ROWS = 1 << 14
+
+#: Rows of whole segments a moment table packs at once (``_windows``), so a
+#: Monte Carlo block of many short segments holds a window's tables, about
+#: as large as those of a single short fit, however many rows it has.
+WINDOW_ROWS = 1 << 12
 
 
 def reciprocal_condition(m: np.ndarray):
@@ -123,31 +134,53 @@ class IvFit:
     schur_rcond: float
 
 
-def _distinct_support(x: np.ndarray, w: np.ndarray, starts, counts, need: int) -> np.ndarray:
+def _distinct_support(x: np.ndarray, w: np.ndarray, starts, need: int) -> np.ndarray:
     """Distinct values of ``x`` with positive weight ``w`` in each segment of
-    ``counts[i]`` rows from ``starts[i]``, counted up to ``need`` (2 or 3).
+    rows from ``starts[i]`` to the next start, counted up to ``need`` (2 or
+    3).
 
     The one support test of every fit: in linear time, without a sort and
     without gathering the positively weighted rows, equal extremes give one
-    value and a value strictly between them a third. A segment with no
-    positive weight counts 0; every segment holds at least one row.
+    value and a value strictly between them a third (``_distinct``). A
+    segment with no positive weight counts 0; every segment holds at least
+    one row.
+    """
+    m = x.size
+    ufuncs = (np.minimum, np.maximum)
+    lo, hi = _reduce(lambda rows: _extreme_rows(x[rows], w[rows]), m, starts, ufuncs)
+    if need == 2:
+        return _distinct(lo, hi)
+    bounds = _repeated(np.stack([lo, hi]), starts, m)
+
+    def inside(rows):
+        return (_inside_rows(x[rows], w[rows], *bounds(rows)),)
+
+    return _distinct(lo, hi, _reduce(inside, m, starts, (np.logical_or,))[0])
+
+
+def _extreme_rows(x: np.ndarray, w: np.ndarray):
+    """``x`` where the weight ``w`` is positive, and ``inf``, then ``-inf``,
+    elsewhere: their minima and maxima over a segment (``_reduce``) are the
+    extremes of its positively weighted ``x``, ``lo > hi`` where none is.
     """
     positive = w > 0.0
-    if len(starts) == 1:  # one segment: no full-length temporaries of floats
-        lo, hi = np.array([np.inf]), np.array([-np.inf])
-        for rows in _chunks(x.size):
-            lo = np.minimum(lo, np.where(positive[rows], x[rows], np.inf).min())
-            hi = np.maximum(hi, np.where(positive[rows], x[rows], -np.inf).max())
-        lo_rows, hi_rows = lo, hi
-    else:
-        lo = np.minimum.reduceat(np.where(positive, x, np.inf), starts)
-        hi = np.maximum.reduceat(np.where(positive, x, -np.inf), starts)
-        lo_rows, hi_rows = np.repeat(lo, counts), np.repeat(hi, counts)
+    yield np.where(positive, x, np.inf)
+    yield np.where(positive, x, -np.inf)
+
+
+def _inside_rows(x: np.ndarray, w: np.ndarray, lo, hi) -> np.ndarray:
+    """Whether each row's ``x`` has positive weight and lies strictly between
+    its segment's extremes ``lo`` and ``hi``.
+    """
+    return (w > 0.0) & (x > lo) & (x < hi)
+
+
+def _distinct(lo: np.ndarray, hi: np.ndarray, inside=None) -> np.ndarray:
+    """The support test's count from each segment's extremes and, to count
+    a third value, whether any row is ``_inside_rows``.
+    """
     distinct = (lo <= hi).astype(int) + (lo < hi)
-    if need == 3:
-        inside = positive & (x > lo_rows) & (x < hi_rows)
-        distinct += (lo < hi) & np.logical_or.reduceat(inside, starts)
-    return distinct
+    return distinct if inside is None else distinct + ((lo < hi) & inside)
 
 
 def _weighted_design(
@@ -202,7 +235,7 @@ def _require_aligned(weights: SidedWeights, basis: ScaledBasis) -> None:
 def _support_count(weights: SidedWeights, u: np.ndarray, need: int) -> int:
     """``_distinct_support`` of one side's positively weighted ``u``."""
     w = weights.weights
-    return int(_distinct_support(u, w, [0], [w.size], need)[0]) if weights.n_positive else 0
+    return int(_distinct_support(u, w, [0], need)[0]) if weights.n_positive else 0
 
 
 def _require_support(weights: SidedWeights, distinct: int, need: int) -> None:
@@ -261,22 +294,90 @@ def _chunks(m: int) -> list[slice]:
     return [slice(i, i + CHUNK_ROWS) for i in range(0, m, CHUNK_ROWS)]
 
 
-def _sums(table, m: int, starts) -> np.ndarray:
-    """The one sum over rows of every fit: the sums over each segment of
-    ``m`` rows of the per-row products ``table(rows)``, ``(..., rows)``, as
-    ``(segments, ...)``. Segment i runs from row ``starts[i]`` to the next
-    start and holds at least one row.
+def _windows(starts, m: int):
+    """The row ranges the tables of ``_reduce`` are built over:
+    ``(windows, first, split)``.
 
-    Each row of products is summed over a segment by numpy's pairwise sum,
-    in an order fixed by the segment's length alone, so neither the BLAS
-    thread count nor the other rows and segments of the table change it. A
-    single segment longer than ``CHUNK_ROWS`` is built and summed a chunk at
-    a time, and the chunks' sums are summed pairwise.
+    Each segment is cut at its own ``CHUNK_ROWS`` offsets into pieces, the
+    first of them piece ``first[i]`` of all, and ``split`` lists each
+    segment of more than one piece as ``(segment, first piece, end piece)``.
+    A window is ``(rows, the starts of its pieces within it)``: it holds
+    whole pieces, ``WINDOW_ROWS`` rows of them at most, or one piece that is
+    longer.
     """
-    ranges = _chunks(m) if len(starts) == 1 else [slice(None)]
-    parts = [np.add.reduceat(table(rows), starts, axis=-1) for rows in ranges]
-    sums = parts[0] if len(parts) == 1 else np.add.reduce(np.stack(parts, axis=-1), axis=-1)
-    return np.ascontiguousarray(sums.transpose(sums.ndim - 1, *range(sums.ndim - 1)))
+    starts = np.asarray(starts).tolist()
+    bounds, first, split = [], [], []
+    for i, (start, end) in enumerate(zip(starts, [*starts[1:], m])):
+        first.append(len(bounds))
+        bounds.extend(range(start, end, CHUNK_ROWS))
+        if len(bounds) - first[-1] > 1:
+            split.append((i, first[-1], len(bounds)))
+    bounds.append(m)
+    windows, i = [], 0
+    while i < len(bounds) - 1:
+        j = max(bisect_right(bounds, bounds[i] + WINDOW_ROWS) - 1, i + 1)
+        windows.append((slice(bounds[i], bounds[j]), [b - bounds[i] for b in bounds[i:j]]))
+        i = j
+    return windows, first, split
+
+
+def _reduce(tables, m: int, starts, ufuncs) -> list[np.ndarray]:
+    """The one reduction over rows of every fit: for each segment of ``m``
+    rows, the reduction by ``ufuncs[t]`` of each row of table t, where
+    ``tables(rows)`` forms the tables' columns for a range of rows, each
+    ``(..., rows)``, one after another. Returns one ``(segments, ...)``
+    array per table. Segment i runs from row ``starts[i]`` to the next start
+    and holds at least one row.
+
+    The tables are built one window at a time (``_windows``), so no table
+    outlives its window. Each row of a table is reduced over each piece of
+    a segment by ``ufunc.reduceat``, whose order is fixed by the piece's
+    length alone, so neither the BLAS thread count nor the other rows,
+    segments and windows change it; numpy's sum is pairwise. A segment of
+    more than ``CHUNK_ROWS`` rows is reduced a piece at a time and its
+    pieces' results are reduced in order, the same way in a single fit and
+    in a Monte Carlo block.
+    """
+    windows, first, split = _windows(starts, m)
+    parts = []
+    for rows, local in windows:
+        formed = iter(tables(rows))  # each table is freed once reduced
+        parts.append([f.reduceat(next(formed), local, axis=-1) for f in ufuncs])
+    out = []
+    for f, part in zip(ufuncs, zip(*parts)):
+        result = part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
+        if split:
+            joined, result = result, result[..., first]
+            for i, a, b in split:
+                result[..., i] = f.reduce(joined[..., a:b], axis=-1)
+        out.append(np.ascontiguousarray(result.transpose(-1, *range(result.ndim - 1))))
+    return out
+
+
+def _sums(table, m: int, starts) -> np.ndarray:
+    """The sums over each segment of the per-row products ``table(rows)``,
+    ``(..., rows)``, as ``(segments, ...)``: ``_reduce`` of one table by
+    numpy's pairwise sum.
+    """
+    return _reduce(lambda rows: (table(rows),), m, starts, (np.add,))[0]
+
+
+def _repeated(per_segment: np.ndarray, starts, m: int):
+    """Per-segment values ``(..., segments)`` repeated over the rows of their
+    segments, as a function of a row range (``_rows_of``). A range within
+    one segment gets that segment's column alone, which broadcasts.
+    """
+    starts = np.asarray(starts).tolist()
+    ends = [*starts[1:], m]
+
+    def over(rows):
+        i, j = bisect_right(starts, rows.start) - 1, bisect_left(starts, rows.stop)
+        if j - i == 1:
+            return per_segment[..., i:j]
+        lengths = [min(e, rows.stop) - max(s, rows.start) for s, e in zip(starts[i:j], ends[i:j])]
+        return np.repeat(per_segment[..., i:j], lengths, axis=-1)
+
+    return over
 
 
 def _power_moments(w: np.ndarray, u: np.ndarray, starts, degree: int) -> np.ndarray:
@@ -306,16 +407,17 @@ def _product_sums(a, b, starts, m: int) -> np.ndarray:
     return _sums(products, m, starts)
 
 
-def _instrument_moments(design, S, Z: np.ndarray, starts):
-    """``(Z'KR, Z'KS)`` over each segment, from the design rows ``K R`` and
-    the outcome rows ``S = [y, W]`` (each an array or a function of a row
-    range, ``_rows_of``) and the placebo treatment rows ``Z``.
+def _instrument_rows(kr: np.ndarray, S: np.ndarray, Z: np.ndarray):
+    """The product tables of the instrumented solve on a range of rows, one
+    after another: ``K R x S``, ``K Z x S`` and ``Z x K R``, from its
+    degree-1 design rows ``K R``, outcome rows ``S = [y, W]`` and placebo
+    treatment rows ``Z``, each formed once. Their sums (``_reduce``) are
+    ``R'KS``, ``Z'KS`` and ``Z'KR``; each table is summed before the next is
+    formed, so a chunk holds one of them at a time.
     """
-
-    def kz(rows):
-        return _rows_of(design, rows)[0] * Z[:, rows]
-
-    return tuple(_product_sums(a, b, starts, Z.shape[-1]) for a, b in ((Z, design), (kz, S)))
+    yield kr[:, None] * S[None]
+    yield (kr[0] * Z)[:, None] * S[None]
+    yield Z[:, None] * kr[None]
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -392,8 +494,11 @@ def local_iv_fit(
         return np.vstack([y[rows], W[rows].T])
 
     design = _design(weights, basis)
-    rks = _product_sums(design, outcomes, [0], y.size)[0]
-    zkr, zks = (m[0] for m in _instrument_moments(design, outcomes, Z.T, [0]))
+
+    def products(rows):
+        return _instrument_rows(design(rows), outcomes(rows), Z.T[:, rows])
+
+    rks, zks, zkr = (m[0] for m in _reduce(products, y.size, [0], (np.add,) * 3))
     schur_rcond = _schur_rcond(_schur_complement(gram, rks[:, 1:], zkr, zks[:, 1:]), zks[:, 1:])
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -41,17 +42,11 @@ from .kernels import KernelSpec, support_rows
 #: use base_seed + replication index.
 TRUTH_SEED_OFFSET = 1_000_003
 
-#: Rows of cut samples ``monte_carlo`` gathers before it fits them together:
-#: a fixed budget bounds a block's memory whatever ``reps`` and ``n``, and
-#: larger blocks gained no speed at n = 5000.
-BLOCK_ROWS = 4096
-
-#: Most cut rows of a replication that joins a block; a larger cut is fitted
-#: alone, as a block of one such cut was no faster (gaussian kernel,
-#: n = 20000) and its memory grows with the cut. Either way every moment is
-#: the same fixed-order segment sum, and no side of a batched cut is longer
-#: than ``local_fit.CHUNK_ROWS``, so it sums as in its single fit.
-SOLO_ROWS = 4 * BLOCK_ROWS
+#: Rows of cut samples ``monte_carlo`` gathers before it fits them together.
+#: A block holds its input columns, 32 bytes a row with one placebo pair,
+#: and its fit holds a few windows of tables (``local_fit._windows``), so
+#: this budget bounds a block's memory whatever ``reps`` and ``n``.
+BLOCK_ROWS = 1 << 16
 
 #: Scenario designs ``DgpSpec`` accepts.
 DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
@@ -110,33 +105,59 @@ class DgpSpec:
 
 
 def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:
+    """The columns of one sample, drawn in the recipe's order.
+
+    Each column is built in place, with one scratch row for the draws and
+    terms that no column keeps. IEEE sums and products commute, so
+    ``z = N; z *= noise_z; z += u`` is ``u + noise_z * N`` bit for bit, and
+    every column equals the recipe's expression evaluated left to right;
+    the draws come in the recipe's order.
+    """
     rng = np.random.default_rng(spec.seed)
-    n = spec.n
+    n, cutoff = spec.n, spec.cutoff
+    scratch = np.empty(n)
     u = rng.standard_normal(n)
-    z = u + spec.noise_z * rng.standard_normal(n)
-    d_raw = spec.cutoff + spec.instrument_strength * z + spec.noise_d * rng.standard_normal(n)
-    d = d_raw.copy()
+    z = rng.standard_normal(n)
+    z *= spec.noise_z
+    z += u
+    d = np.multiply(z, spec.instrument_strength)
+    d += cutoff
+    d += _scaled_normal(rng, spec.noise_d, scratch)
     if spec.kappa > 0:
-        in_window = (d_raw > spec.cutoff - spec.window) & (d_raw < spec.cutoff)
-        sort_prob = 1.0 / (1.0 + np.exp(-spec.kappa * u))
+        in_window = (d > cutoff - spec.window) & (d < cutoff)
+        sort_prob = np.multiply(u, -spec.kappa, out=scratch)
+        np.exp(sort_prob, out=sort_prob)
+        sort_prob += 1.0
+        np.divide(1.0, sort_prob, out=sort_prob)
         flip = in_window & (rng.random(n) < sort_prob)
-        d[flip] = 2.0 * spec.cutoff - d_raw[flip]
+        d[flip] = 2.0 * cutoff - d[flip]
+    above = d >= cutoff
     if spec.design == "sharp":
-        a = (d >= spec.cutoff).astype(float)
+        a = above.astype(float)
     else:
-        base = (1.0 - spec.compliance) / 2.0
-        prob = base + spec.compliance * (d >= spec.cutoff)
+        prob = np.multiply(above, spec.compliance, out=scratch)
+        prob += (1.0 - spec.compliance) / 2.0
         a = (rng.random(n) < prob).astype(float)
-    w = spec.proxy_loading * u + spec.noise_w * rng.standard_normal(n)
-    rel = d - spec.cutoff
-    y = (
-        spec.tau0 * a
-        + spec.curvature * rel**2
-        + rel
-        + u
-        + spec.noise_y * rng.standard_normal(n)
-    )
+    # the terms of y that take no draw are summed first, with w's row as
+    # scratch, so that no third row is needed
+    w = np.empty(n)
+    rel = np.subtract(d, cutoff, out=scratch)
+    y = np.square(rel)
+    y *= spec.curvature
+    y += np.multiply(a, spec.tau0, out=w)
+    y += rel
+    y += u
+    w = _scaled_normal(rng, spec.noise_w, w)
+    w += np.multiply(u, spec.proxy_loading, out=scratch)
+    y += _scaled_normal(rng, spec.noise_y, scratch)
     return {"u": u, "z": z, "d": d, "a": a, "w": w, "y": y}
+
+
+def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
+    """``scale`` times standard normal draws, written into ``out``."""
+    rng.standard_normal(out.size, out=out)
+    out *= scale
+    return out
 
 
 def simulate(spec: DgpSpec) -> Sample:
@@ -304,12 +325,14 @@ def monte_carlo(
     given the base seed.
 
     Each replication of the sharp design draws its sample, takes its
-    bandwidths and cuts the sample to the rows within ``max(h, b)`` of the
-    cutoff. Once the cuts hold ``BLOCK_ROWS`` rows, their replications are
-    fitted in one moment pass (``inference.fit_block``); a cut of more than
-    ``SOLO_ROWS`` rows, and a replication that fails a check in the block,
-    is fitted alone by ``bias_corrected_estimate``, which decides whether it
-    fails. The fuzzy design is fitted one replication at a time.
+    bandwidths and gathers the sample's rows within ``max(h, b)`` of the
+    cutoff, left side first, straight into the columns of a block. Once
+    those hold ``BLOCK_ROWS`` rows, their replications are fitted in one
+    pass (``inference.fit_block``), which sums each side as its single fit
+    does, however long. A replication that fails a check in the block is
+    fitted alone by ``bias_corrected_estimate``, which decides whether it
+    fails; a cut with no rows on a side fails the support test of both. The
+    fuzzy design is fitted one replication at a time.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -320,8 +343,14 @@ def monte_carlo(
     # per kept replication: estimate, naive estimate, h, b, then the first
     # stage (fuzzy) or the bias-corrected estimate, se and coverage (sharp)
     results: dict[int, tuple[float, ...]] = {}
-    block: list[tuple[int, Sample, int, float, float]] = []
+    # d, y, w and z of the gathered cuts, one row each; a block is fitted
+    # once it reaches the budget, so it holds fewer than BLOCK_ROWS + n rows
+    block_columns = None if fuzzy else np.empty((4, min(reps * spec.n, BLOCK_ROWS + spec.n - 1)))
+    block: list[tuple[int, int, int, float, float]] = []  # (r, k, rows, h, b)
     block_rows = 0
+    fit = partial(
+        _fit_replications, spec=spec, kernel=kernel, alpha=alpha, variance_mode=variance_mode
+    )
     for r in range(reps):
         sample = simulate(replace(spec, seed=base_seed + r))
         try:
@@ -336,13 +365,18 @@ def monte_carlo(
             results[r] = (point.fuzzy_estimate, naive, h_r, b_r, point.tau_rdd_a)
             continue
         rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
-        block.append((r, sample.take(rows), k, h_r, b_r))
+        if not 0 < k < rows.size:  # a side without rows fails the support test
+            continue
+        gathered = block_columns[:, block_rows : block_rows + rows.size]
+        for out, column in zip(gathered, (sample.d, sample.y, sample.W[:, 0], sample.Z[:, 0])):
+            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
+        block.append((r, k, rows.size, h_r, b_r))
         block_rows += rows.size
         if block_rows >= BLOCK_ROWS:
-            results.update(_fit_replications(block, spec, kernel, alpha, variance_mode))
+            results.update(fit(block, block_columns[:, :block_rows]))
             block, block_rows = [], 0
     if block:
-        results.update(_fit_replications(block, spec, kernel, alpha, variance_mode))
+        results.update(fit(block, block_columns[:, :block_rows]))
     if not results:
         raise PddError(f"all {reps} replications failed")
 
@@ -386,45 +420,43 @@ def monte_carlo(
 
 
 def _fit_replications(
-    block: list[tuple[int, Sample, int, float, float]],
+    block: list[tuple[int, int, int, float, float]],
+    columns: np.ndarray,
     spec: DgpSpec,
     kernel: KernelSpec,
     alpha: float,
     variance_mode: str,
 ) -> dict[int, tuple[float, ...]]:
-    """Fit a block of sharp replications ``(r, cut sample, k, h, b)``.
-
-    Returns, for each replication that did not fail, its estimate, naive
-    discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
-    whether the interval covers ``tau0``. Cuts with rows on both sides and
-    at most ``SOLO_ROWS`` rows are fitted together by ``fit_block``.
+    """Fit a block of sharp replications ``(r, k, cut rows, h, b)`` whose
+    cut samples fill ``columns`` (``d``, ``y``, ``w``, ``z``) one after
+    another, each with its ``k`` left rows first, in one ``fit_block`` call.
+    A replication the block flags is refitted alone from its cut sample,
+    read from the columns, by ``bias_corrected_estimate``, which decides
+    whether it fails. Returns, for each replication that did not fail, its
+    estimate, naive discontinuity, ``h``, ``b``, bias-corrected estimate,
+    standard error and whether the interval covers ``tau0``.
     """
-    batched = [(r, cut, k, h, b) for r, cut, k, h, b in block if 0 < k < cut.n <= SOLO_ROWS]
-    fitted = {}
-    if batched:
-        reps, cuts, ks, hs, bs = zip(*batched)
-        ok, *values = fit_block(
-            list(zip(cuts, ks)),
-            spec.cutoff,
-            np.array(hs),
-            np.array(bs),
-            kernel,
-            spec.n,
-            alpha,
-            variance_mode,
-        )
-        for i in np.flatnonzero(ok):
-            fitted[reps[i]] = tuple(column[i] for column in values)
+    counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
+    _, _, sizes, hs, bs = zip(*block)
+    d, y, w, z = columns
+    ok, *values = fit_block(
+        d, columns[1:3], columns[3:], counts, spec.cutoff, np.array(hs), np.array(bs),
+        kernel, spec.n, alpha, variance_mode,
+    )  # fmt: skip
     out = {}
-    for r, cut, _, h_r, b_r in block:
-        if r not in fitted:
+    starts = np.cumsum([0, *sizes])
+    for i, (r, _, _, h_r, b_r) in enumerate(block):
+        fitted = tuple(column[i] for column in values)
+        if not ok[i]:
+            rows = slice(starts[i], starts[i + 1])
+            cut = Sample(d=d[rows], y=y[rows], W=w[rows, None], Z=z[rows, None])
             try:
                 robust = bias_corrected_estimate(
                     cut, spec.cutoff, h_r, b_r, kernel, alpha, variance_mode
                 )
             except PddError:
                 continue
-            fitted[r] = (
+            fitted = (
                 robust.tau_pdd,
                 robust.point.tau_rdd_y,
                 robust.tau_pdd_bc,
@@ -432,6 +464,6 @@ def _fit_replications(
                 robust.ci_lower,
                 robust.ci_upper,
             )  # in the order fit_block returns them
-        tau, naive, tau_bc, se, lower, upper = fitted[r]
+        tau, naive, tau_bc, se, lower, upper = fitted
         out[r] = (tau, naive, h_r, b_r, tau_bc, se, lower <= spec.tau0 <= upper)
     return out

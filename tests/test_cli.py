@@ -521,9 +521,10 @@ def _thread_runs():
 
     Each size is the smallest tried on which the run's stdout differed
     between one and two threads while the single fit's moments were BLAS
-    products; the ``mc-solo`` runs fit cuts of more than ``SOLO_ROWS`` rows
-    alone. The ids ``triangle`` and ``gaussian`` are batched Monte Carlo
-    runs.
+    products; the ``mc-solo`` runs fit cuts of more than 16384 rows, with
+    sides longer than ``local_fit.CHUNK_ROWS`` that a block sums in chunks.
+    The ids ``triangle`` and ``gaussian`` are Monte Carlo runs of short
+    cuts.
     """
     bandwidths = ["--bandwidth", "0.4", "--bias-bandwidth", "0.6"]
     runs = {}

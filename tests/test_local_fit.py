@@ -12,7 +12,7 @@ from pdd import (
     side_correction_from_weights,
     sided_weights,
 )
-from pdd.local_fit import _distinct_support
+from pdd.local_fit import CHUNK_ROWS, _chunks, _distinct_support, _sums
 from conftest import residualize
 
 TRIANGLE = KernelSpec("triangle")
@@ -141,11 +141,34 @@ def test_distinct_support_counts_each_segment_up_to_need():
     w = np.concatenate([ws for _, ws in segments])
     counts = np.array([len(xs) for xs, _ in segments])
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
-    assert _distinct_support(x, w, starts, counts, 3).tolist() == [2, 3, 0, 1, 2]
-    assert _distinct_support(x, w, starts, counts, 2).tolist() == [2, 2, 0, 1, 2]
+    assert _distinct_support(x, w, starts, 3).tolist() == [2, 3, 0, 1, 2]
+    assert _distinct_support(x, w, starts, 2).tolist() == [2, 2, 0, 1, 2]
     # one segment at a time gives the same counts
     for (xs, ws), want in zip(segments, [2, 3, 0, 1, 2]):
-        assert _distinct_support(np.array(xs), np.array(ws), [0], [len(xs)], 3).tolist() == [want]
+        assert _distinct_support(np.array(xs), np.array(ws), [0], 3).tolist() == [want]
+
+
+def test_a_segment_sums_alike_alone_and_among_others(rng):
+    # a Monte Carlo block sums each side as its single fit does: a segment
+    # longer than CHUNK_ROWS in chunks at its own offsets, the chunks' sums
+    # then summed pairwise, whatever segments share its table
+    lengths = [1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 1234, 5, 700, 2]
+    m = sum(lengths)
+    # values over 16 orders of magnitude, so any change of order rounds apart
+    table = rng.standard_normal((3, m)) * 10.0 ** rng.uniform(-8, 8, (3, m))
+    starts = np.cumsum([0, *lengths[:-1]])
+    together = _sums(lambda rows: table[:, rows], m, starts)
+    order = rng.permutation(len(lengths))  # the same segments, shuffled
+    shuffled = np.hstack([table[:, starts[i] : starts[i] + lengths[i]] for i in order])
+    shuffled_starts = np.cumsum([0, *np.take(lengths, order)[:-1]])
+    reordered = _sums(lambda rows: shuffled[:, rows], m, shuffled_starts)
+    for i, (start, length) in enumerate(zip(starts, lengths)):
+        alone = table[:, start : start + length]
+        chunks = [np.add.reduceat(alone[:, rows], [0], axis=-1) for rows in _chunks(length)]
+        expected = np.add.reduce(np.stack(chunks, axis=-1), axis=-1)[:, 0]
+        assert np.array_equal(_sums(lambda rows: alone[:, rows], length, [0])[0], expected)
+        assert np.array_equal(together[i], expected)
+        assert np.array_equal(reordered[list(order).index(i)], expected)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -37,6 +37,60 @@ def test_determinism_bit_identical():
     assert not np.array_equal(s1.d, s3.d)
 
 
+#: SHA-256 digests (first 32 hex digits) of each column ``_draw`` returns,
+#: little-endian float64, taken from the code before the columns were built
+#: in place: any change of a draw or of an expression's rounding shows.
+DRAW_DIGESTS = {
+    DgpSpec(n=3000, seed=11): {
+        "u": "984811c7f176df4e3ff7cebe0e3fea1a",
+        "z": "76db1f47c49275adbd0323bc5bef39fc",
+        "d": "5259065c5438c4da289917231655b299",
+        "a": "b651704b6d524498660dd403065f76de",
+        "w": "f2c5c2ffcd2f2666126ce8f396b1d52e",
+        "y": "5c99d194ea190fd51c2fd8da0ab18de7",
+    },
+    DgpSpec(n=3000, seed=12, kappa=2.5, design="fuzzy_homogeneous", curvature=-1.0): {
+        "u": "bec4a456bbacf53b88cceee2f741e9e2",
+        "z": "7be05c9dad6c1f0e1b5e3fa67410b572",
+        "d": "0c5ea87ab043e481fb442a09c56990c7",
+        "a": "0f859654277253d9551f976ab794a410",
+        "w": "1e5b2a19a8eb067db57df00b83e7d9a6",
+        "y": "d83aecce532de796d7e8f0d0ad95b293",
+    },
+    DgpSpec(n=3000, seed=13, kappa=4.0, cutoff=0.7, curvature=8.0): {
+        "u": "fc755c3b589746171471504cc163cbb3",
+        "z": "5705c0ff2f68c9a741108524e814efff",
+        "d": "1834e62ad4a4e678757bcfcbab712c7e",
+        "a": "603191a2e15624f8e9e65263108160be",
+        "w": "464b40fbcbbad483bd15e9ad060e672d",
+        "y": "d3d980a867fcde56212627a7c1834982",
+    },
+    DgpSpec(
+        n=3000, seed=14, kappa=4.0, cutoff=-1.3, design="fuzzy_homogeneous",
+        proxy_loading=0.5, noise_z=0.0,
+    ): {  # fmt: skip
+        "u": "1bdff8582fe05deec26579463897c53e",
+        "z": "1bdff8582fe05deec26579463897c53e",
+        "d": "c35a006abcd5da2100e67447cca73de3",
+        "a": "aae8f265503bb8a0a5fd7d4cc9a7eaff",
+        "w": "e9f644fa52f40df3c356fbd56460ea08",
+        "y": "20e823857ebf6e4890df2fcaabe7b77f",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", DRAW_DIGESTS, ids=range(len(DRAW_DIGESTS)))
+def test_every_drawn_column_keeps_its_bits(spec):
+    import hashlib
+
+    columns = MC._draw(spec)
+    got = {
+        name: hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()[:32]
+        for name, x in columns.items()
+    }
+    assert got == DRAW_DIGESTS[spec]
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         DgpSpec(n=0, seed=1)
@@ -248,34 +302,46 @@ def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
 
 
 def test_block_size_moves_no_output_beyond_rounding(monkeypatch):
+    # every side of a block sums as in its single fit, and every solve is one
+    # matrix's, so no report moves with the block size
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     blocks = []
     real_block = MC.fit_block
 
-    def recorded(cuts, *args):
-        blocks.append([sample.n for sample, _ in cuts])
-        return real_block(cuts, *args)
+    def recorded(d, S, Z, counts, *args):
+        blocks.append((counts[0::2] + counts[1::2]).tolist())
+        return real_block(d, S, Z, counts, *args)
 
+    reports = []
     with monkeypatch.context() as patch:
         patch.setattr(MC, "fit_block", recorded)
-        patch.setattr(MC, "BLOCK_ROWS", 1)  # one replication per block
-        alone = monte_carlo(spec, 12, 3)
-        assert [len(block) for block in blocks] == [1] * 12
-        blocks.clear()
-        patch.setattr(MC, "BLOCK_ROWS", 1500)
-        together = monte_carlo(spec, 12, 3)
-        # a block is fitted as soon as it reaches the budget, never later
-        assert 1 < len(blocks) < 12
-        assert all(sum(block[:-1]) < 1500 <= sum(block) for block in blocks[:-1])
-        assert sum(blocks[-1][:-1]) < 1500
-        cuts = sorted(n for block in blocks for n in block)
-        blocks.clear()
-        patch.setattr(MC, "SOLO_ROWS", cuts[6])  # the larger cuts are fitted alone
-        solo = monte_carlo(spec, 12, 3)
-    assert sorted(n for block in blocks for n in block) == [n for n in cuts if n <= cuts[6]]
-    expected = {name: getattr(alone, name) for name in _per_rep_report(spec, 12, 3, KernelSpec())}
-    _assert_report_matches(together, expected)
-    _assert_report_matches(solo, expected)
+        for budget, n_blocks in ((1, 12), (1500, None), (MC.BLOCK_ROWS, 1), (12 * spec.n, 1)):
+            blocks.clear()
+            patch.setattr(MC, "BLOCK_ROWS", budget)
+            reports.append(monte_carlo(spec, 12, 3))
+            assert sum(map(len, blocks)) == 12
+            assert (len(blocks) == n_blocks) if n_blocks else (1 < len(blocks) < 12)
+            # a block is fitted as soon as it reaches the budget, never later
+            assert all(sum(block[:-1]) < budget <= sum(block) for block in blocks[:-1])
+            assert sum(blocks[-1][:-1]) < budget
+    assert all(report == reports[0] for report in reports)
+    expected = _per_rep_report(spec, 12, 3, KernelSpec())
+    _assert_report_matches(reports[0], expected)
+
+
+def _block(cuts):
+    """``(d, S, Z, counts)`` of a block of cut samples ``(sample, k)``, their
+    rows one after another.
+    """
+    columns = np.hstack([np.vstack([s.d, s.y, s.W.T, s.Z.T]) for s, _ in cuts])
+    q = cuts[0][0].q
+    counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
+    return columns[0], columns[1 : 2 + q], columns[2 + q :], counts
+
+
+def _fit_block(cuts, *args):
+    """``fit_block`` of cut samples ``(sample, k)``."""
+    return pdd.inference.fit_block(*_block(cuts), *args)
 
 
 @pytest.mark.parametrize("q", [1, 2])
@@ -301,7 +367,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         return real_agree(a, b)
 
     monkeypatch.setattr(pdd.inference, "_agree", recorded)
-    ok, tau, naive, tau_bc, se, lower, upper = pdd.inference.fit_block(
+    ok, tau, naive, tau_bc, se, lower, upper = _fit_block(
         cuts, 0.0, h, b, kernel, 300, 0.05, "paper"
     )
     assert ok.tolist() == [True, True, False, False, False, True]
@@ -351,7 +417,7 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, def
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
-    ok, *values = pdd.inference.fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
+    ok, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
     for i, sample in enumerate(samples):
         try:
             with np.errstate(all="ignore"):
@@ -368,10 +434,33 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, def
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(value), abs(expected))
 
 
-def test_a_side_of_a_batched_cut_is_summed_in_one_chunk():
-    # so its moments round as in its single fit, which sums a longer side a
-    # chunk at a time
-    assert MC.SOLO_ROWS <= pdd.local_fit.CHUNK_ROWS
+def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
+    # per-row tables are formed a window at a time, so a block of 120k rows
+    # peaks under twice a block of 4k; block-long tables took about 240
+    # bytes per row
+    import tracemalloc
+
+    spec, kernel = DgpSpec(n=5000, seed=0, kappa=4.0), KernelSpec()
+    cuts, hs = [], []
+    while sum(cut.n for cut, _ in cuts) < 120_000:
+        sample = simulate(replace(spec, seed=len(cuts)))
+        h = rule_of_thumb_bandwidth(sample.d)
+        cuts.append(pdd.estimator._cut(sample, 0.0, h, kernel))
+        hs.append(h)
+    peaks = []
+    for reps in (3, len(cuts)):  # 3 cuts hold about 4k rows
+        h = np.array(hs[:reps])
+        args = (*_block(cuts[:reps]), 0.0, h, h, kernel, spec.n, 0.05, "paper")
+        pdd.inference.fit_block(*args)  # warm up
+        tracemalloc.start()
+        try:
+            ok = pdd.inference.fit_block(*args)[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+    assert 3500 < sum(cut.n for cut, _ in cuts[:3]) < 4500
+    assert peaks[1] < 2 * peaks[0]
 
 
 @pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
