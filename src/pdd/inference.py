@@ -169,21 +169,17 @@ def side_correction_from_weights(
 
     ``weights_main``/``basis_main`` are at the estimation bandwidth (degree
     1), ``weights_bias``/``basis_bias`` at the bias bandwidth (degree 2); all
-    four must share side and cutoff.
-
-    At ``b = h`` the two fits share their weights and scaled coordinate
-    (checked by value, ``_same_fit``), and their moments are summed once:
-    the linear fit's power sums and ``R'KS`` are the first rows of the
-    quadratic fit's, the same products summed alike.
+    four must share side and cutoff. Each fit's moments are summed apart.
     """
-    same = _same_fit(weights_main, basis_main, weights_bias, basis_bias)
-    return _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same)
+    return _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, False)
 
 
 def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same: bool):
     """``side_correction_from_weights``, told whether the two fits are one
-    (``same``): ``side_correction`` knows it from ``h == b``, as the weights
-    and bases of one side at equal bandwidths are equal.
+    (``same``), as they are at ``b = h``: then their moments are summed
+    once, the linear fit's power sums and ``R'KS`` read off the first rows
+    of the quadratic fit's, the same products summed alike, so bit for bit
+    the separate sums.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim == 1:
@@ -221,18 +217,6 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same
         curvature_load=float(load),
         coef=coef,
         u=basis_main.u,
-    )
-
-
-def _same_fit(weights_main, basis_main, weights_bias, basis_bias) -> bool:
-    """Whether the bias fit's bandwidth, cutoff, weights and scaled
-    coordinate equal the main fit's, as they do at ``b = h``.
-    """
-    return (
-        weights_main.bandwidth == weights_bias.bandwidth == basis_bias.bandwidth
-        and weights_main.cutoff == weights_bias.cutoff == basis_bias.cutoff
-        and np.array_equal(weights_main.weights, weights_bias.weights)
-        and np.array_equal(basis_main.u, basis_bias.u)
     )
 
 
@@ -516,7 +500,7 @@ def rdd_robust_estimate(
     return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha, variance_mode)
 
 
-@np.errstate(all="ignore")  # a sample that fails a check is refitted anyway
+@np.errstate(all="ignore")  # a sample that fails a check is counted as failed
 def fit_block(
     d: np.ndarray,
     S: np.ndarray,
@@ -554,9 +538,9 @@ def fit_block(
     exactly.
 
     Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
-    over the samples. ``ok`` is False where any check of the single fit
-    fails; the caller refits those samples with ``bias_corrected_estimate``,
-    which decides whether and how they fail.
+    over the samples. ``ok`` is False exactly where the single fit raises
+    (``test_block_fit_agrees_with_the_single_fit`` checks both ways), so a
+    sample that is not ok has failed and its other values mean nothing.
     """
     q, m = Z.shape
     samples = len(h)
@@ -660,7 +644,7 @@ def fit_block(
 def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``stack`` with the identity in place of each matrix that is not
     ``ok`` or not finite, and ``ok`` narrowed to the finite ones, so that a
-    batched SVD or solve never fails on a sample that is refitted anyway.
+    batched SVD or solve never fails on a sample that is counted as failed.
     """
     ok = ok & np.isfinite(stack).all(axis=(1, 2))
     return np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])), ok

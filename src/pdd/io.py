@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -113,7 +113,8 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
     and counted; a data row shorter than the header, or a blank line, counts
     as such a row. Structural problems (no header, a data row wider than the
     header, a malformed or oversized field, input that is not UTF-8) raise
-    ParseError with the data row location.
+    ParseError with the data row location. A UTF-8 byte-order mark opening
+    the input is dropped, so a header saved with one names its columns.
 
     Rows are read ``CHUNK_ROWS`` at a time and each bound column of a chunk
     is converted with one ``float`` pass; only a column holding a cell that
@@ -128,8 +129,8 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
     else:
         fh = source
     try:
-        reader = csv.reader(fh)
         try:
+            reader = csv.reader(_without_bom(fh))
             header = next(reader)
         except StopIteration:
             raise ParseError("file is empty; a header row is required") from None
@@ -220,6 +221,14 @@ def _malformed(exc: csv.Error | UnicodeDecodeError, row: int | None) -> ParseErr
     if row is None:
         return ParseError(f"malformed CSV header: {exc}")
     return ParseError(f"malformed CSV at row {row}: {exc}", row=row)
+
+
+def _without_bom(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` with one byte-order mark taken off the front of the first."""
+    lines = iter(lines)
+    for first in lines:
+        return itertools.chain([first.removeprefix("\ufeff")], lines)
+    return lines
 
 
 def _to_floats(cells: list[str]) -> np.ndarray:
@@ -333,7 +342,8 @@ def parse_config_file(source: str | IO[str]) -> dict[str, str]:
     Blank lines and lines starting with ``#`` are ignored. Keys match the
     long CLI flag names (without the leading dashes, dashes or underscores
     both accepted). Values are kept as strings; the CLI does the typing.
-    A line without ``=`` or text that is not UTF-8 raises ParseError.
+    A line without ``=`` or text that is not UTF-8 raises ParseError. A
+    UTF-8 byte-order mark opening the file is dropped.
     """
     close = False
     if isinstance(source, str):
@@ -343,7 +353,7 @@ def parse_config_file(source: str | IO[str]) -> dict[str, str]:
         fh = source
     out: dict[str, str] = {}
     try:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_without_bom(fh), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import PddError
 from .estimator import estimate_fuzzy
-from .inference import bias_corrected_estimate, fit_block, rule_of_thumb_bandwidth
+from .inference import fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
 from .kernels import KernelSpec, support_rows
 
@@ -330,9 +330,9 @@ def monte_carlo(
     those hold ``BLOCK_ROWS`` rows, their replications are fitted in one
     pass (``inference.fit_block``), which sums each side as its single fit
     does, however long. A replication that fails a check in the block is
-    fitted alone by ``bias_corrected_estimate``, which decides whether it
-    fails; a cut with no rows on a side fails the support test of both. The
-    fuzzy design is fitted one replication at a time.
+    counted as failed, as is a cut with no rows on a side: each fails where
+    its single fit (``bias_corrected_estimate``) would. The fuzzy design is
+    fitted one replication at a time.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -430,40 +430,20 @@ def _fit_replications(
     """Fit a block of sharp replications ``(r, k, cut rows, h, b)`` whose
     cut samples fill ``columns`` (``d``, ``y``, ``w``, ``z``) one after
     another, each with its ``k`` left rows first, in one ``fit_block`` call.
-    A replication the block flags is refitted alone from its cut sample,
-    read from the columns, by ``bias_corrected_estimate``, which decides
-    whether it fails. Returns, for each replication that did not fail, its
-    estimate, naive discontinuity, ``h``, ``b``, bias-corrected estimate,
-    standard error and whether the interval covers ``tau0``.
+    A replication the block flags fails, as its single fit would. Returns,
+    for each replication that did not fail, its estimate, naive
+    discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
+    whether the interval covers ``tau0``.
     """
     counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
-    _, _, sizes, hs, bs = zip(*block)
-    d, y, w, z = columns
-    ok, *values = fit_block(
-        d, columns[1:3], columns[3:], counts, spec.cutoff, np.array(hs), np.array(bs),
+    _, _, _, hs, bs = zip(*block)
+    ok, tau, naive, tau_bc, se, lower, upper = fit_block(
+        columns[0], columns[1:3], columns[3:], counts, spec.cutoff, np.array(hs), np.array(bs),
         kernel, spec.n, alpha, variance_mode,
     )  # fmt: skip
-    out = {}
-    starts = np.cumsum([0, *sizes])
-    for i, (r, _, _, h_r, b_r) in enumerate(block):
-        fitted = tuple(column[i] for column in values)
-        if not ok[i]:
-            rows = slice(starts[i], starts[i + 1])
-            cut = Sample(d=d[rows], y=y[rows], W=w[rows, None], Z=z[rows, None])
-            try:
-                robust = bias_corrected_estimate(
-                    cut, spec.cutoff, h_r, b_r, kernel, alpha, variance_mode
-                )
-            except PddError:
-                continue
-            fitted = (
-                robust.tau_pdd,
-                robust.point.tau_rdd_y,
-                robust.tau_pdd_bc,
-                robust.se,
-                robust.ci_lower,
-                robust.ci_upper,
-            )  # in the order fit_block returns them
-        tau, naive, tau_bc, se, lower, upper = fitted
-        out[r] = (tau, naive, h_r, b_r, tau_bc, se, lower <= spec.tau0 <= upper)
-    return out
+    covered = (lower <= spec.tau0) & (spec.tau0 <= upper)
+    return {
+        r: (tau[i], naive[i], h_r, b_r, tau_bc[i], se[i], covered[i])
+        for i, (r, _, _, h_r, b_r) in enumerate(block)
+        if ok[i]
+    }

@@ -129,6 +129,28 @@ def test_pipe_stdin(sim_csv):
     assert est.stdout == file_est.stdout
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_csv_opened_by_a_byte_order_mark_reads_as_without_one(tmp_path, sim_csv, source):
+    # spreadsheet programs save UTF-8 CSV with a leading byte-order mark
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdd", *estimate_args(path if source == "file" else "-")],
+        input=path.read_bytes() if source == "stdin" else None,
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.decode() == run_cli(*estimate_args(sim_csv)).stdout
+
+
+def test_a_config_file_opened_by_a_byte_order_mark_reads_as_without_one(tmp_path, sim_csv):
+    config = tmp_path / "bom.conf"
+    config.write_bytes(b"\xef\xbb\xbfkernel = window\n")
+    proc = run_cli(*estimate_args(sim_csv, "--config", str(config)))
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout)["kernel"] == "window"
+
+
 def test_seventeen_digit_serialisation_roundtrips():
     values = [0.1, 1.0 / 3.0, 1e-17, 123456.789012345678, 2.0]
     text = dumps({"values": values})

@@ -159,6 +159,18 @@ def test_parse_config_file():
         parse_config_file(io.StringIO("cutoff 1.5\n"))
 
 
+def test_only_a_leading_byte_order_mark_is_dropped():
+    # the mark goes before csv reads the header, so a quoted first name
+    # still parses; a mark anywhere else is data
+    text = '\ufeff"d",y,w1,z1\n0.1,1.0,0.2,0.3\n-0.3,2.0,0.5,0.6\n'
+    got, want = load_csv(io.StringIO(text), BIND), load_csv(io.StringIO(text[1:]), BIND)
+    for name in ("d", "y", "W", "Z"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    with pytest.raises(MissingColumn):
+        load_csv(io.StringIO("\ufeff" + text), BIND)
+    assert parse_config_file(io.StringIO("\ufeffkernel = window\n")) == {"kernel": "window"}
+
+
 def reference_load_csv(source, bindings):
     """The per-row reader the chunked ``load_csv`` must match exactly."""
     reader = csv.reader(source)

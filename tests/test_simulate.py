@@ -269,9 +269,22 @@ def test_batched_report_equals_a_per_replication_loop(kind, mode, b_over_h):
 
 
 @pytest.mark.parametrize("h, n_failed", [(0.05, 46), (0.1, 20)])
-def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(h, n_failed):
+def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(monkeypatch, h, n_failed):
+    # the block's checks alone decide which replications fail: no single fit
+    # is made, not even of a replication the block flags
     spec = DgpSpec(n=200, seed=0, kappa=4.0)
-    report = monte_carlo(spec, 50, 0, h=h)
+
+    def no_single_fit(*args, **kwargs):
+        raise AssertionError("the sharp Monte Carlo path made a single fit")
+
+    with monkeypatch.context() as patch:
+        for module, name in (
+            (pdd.estimator, "estimate_sharp"),
+            (pdd.inference, "estimate_sharp"),
+            (pdd.inference, "side_correction"),
+        ):
+            patch.setattr(module, name, no_single_fit)
+        report = monte_carlo(spec, 50, 0, h=h)
     assert report.n_failed == n_failed
     # the kept replications fit 3-6 rows on a side, a quadratic through as
     # few as 3 points, so two algebraically equal paths part by up to about
@@ -282,8 +295,8 @@ def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(h, n_failed)
 
 def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
     # the stacked form is off for replication 2's right side in the block
-    # (segment 2 * 2 + 1) and for every single fit, so that replication is
-    # refitted alone, fails there and is counted; the rest are untouched
+    # (segment 2 * 2 + 1) and for every single fit, so the block flags that
+    # replication and it is counted as failed; the rest are untouched
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     real_matrix = pdd.inference.correction_matrix
 
