@@ -26,6 +26,12 @@ standard discontinuity. The adjustment weights' population value is
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Any
@@ -47,6 +53,12 @@ TRUTH_SEED_OFFSET = 1_000_003
 #: and its fit holds a few windows of tables (``local_fit._windows``), so
 #: this budget bounds a block's memory whatever ``reps`` and ``n``.
 BLOCK_ROWS = 1 << 16
+
+#: Drawn rows (``reps * n``) each worker process of ``monte_carlo`` must
+#: get before a study is split: below about this many, forking a worker and
+#: reading back its results costs more than the rows it takes off this
+#: process.
+WORKER_ROWS = 1 << 17
 
 #: Scenario designs ``DgpSpec`` accepts.
 DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
@@ -333,50 +345,30 @@ def monte_carlo(
     counted as failed, as is a cut with no rows on a side: each fails where
     its single fit (``bias_corrected_estimate``) would. The fuzzy design is
     fitted one replication at a time.
+
+    The replications are split into contiguous ranges, one per worker
+    process: this process runs the first range and a child forked with
+    ``os.fork`` runs each other one, sending its results back pickled
+    through a pipe. There is one worker per available CPU, on Linux only,
+    and only while each draws at least ``WORKER_ROWS`` (131072) rows
+    (``reps * n``), so a small study, a process running other threads and
+    any other platform run in this process alone. Replication r draws from
+    its own seed and each fit in a block is its own, so the report is the
+    same, bit for bit, at any worker count. An error a worker raises is
+    raised here with its type and message; where several ranges fail, the
+    lowest range's error wins, the one a single process would meet first.
+    A worker that ends without a result raises OSError. No child outlives
+    the call, whether it returns or raises.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
     _require_valid_variance_mode(variance_mode)
     _require_valid_alpha_and_b(alpha, h, b)
-    kernel = kernel or KernelSpec()
-    fuzzy = spec.design == "fuzzy_homogeneous"
-    # per kept replication: estimate, naive estimate, h, b, then the first
-    # stage (fuzzy) or the bias-corrected estimate, se and coverage (sharp)
-    results: dict[int, tuple[float, ...]] = {}
-    # d, y, w and z of the gathered cuts, one row each; a block is fitted
-    # once it reaches the budget, so it holds fewer than BLOCK_ROWS + n rows
-    block_columns = None if fuzzy else np.empty((4, min(reps * spec.n, BLOCK_ROWS + spec.n - 1)))
-    block: list[tuple[int, int, int, float, float]] = []  # (r, k, rows, h, b)
-    block_rows = 0
-    fit = partial(
-        _fit_replications, spec=spec, kernel=kernel, alpha=alpha, variance_mode=variance_mode
-    )
-    for r in range(reps):
-        sample = simulate(replace(spec, seed=base_seed + r))
-        try:
-            h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
-            b_r = b if b is not None else h_r
-            _require_valid_alpha_and_b(alpha, h_r, b_r)
-            point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel) if fuzzy else None
-        except PddError:
-            continue
-        if point is not None:
-            naive = point.tau_rdd_y / point.tau_rdd_a
-            results[r] = (point.fuzzy_estimate, naive, h_r, b_r, point.tau_rdd_a)
-            continue
-        rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
-        if not 0 < k < rows.size:  # a side without rows fails the support test
-            continue
-        gathered = block_columns[:, block_rows : block_rows + rows.size]
-        for out, column in zip(gathered, (sample.d, sample.y, sample.W[:, 0], sample.Z[:, 0])):
-            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
-        block.append((r, k, rows.size, h_r, b_r))
-        block_rows += rows.size
-        if block_rows >= BLOCK_ROWS:
-            results.update(fit(block, block_columns[:, :block_rows]))
-            block, block_rows = [], 0
-    if block:
-        results.update(fit(block, block_columns[:, :block_rows]))
+    replicate = partial(
+        _replicate, spec=spec, base_seed=base_seed, kernel=kernel or KernelSpec(), h=h, b=b,
+        alpha=alpha, variance_mode=variance_mode,
+    )  # fmt: skip
+    results = _in_workers(replicate, reps, _workers(reps, spec.n))
     if not results:
         raise PddError(f"all {reps} replications failed")
 
@@ -403,7 +395,7 @@ def monte_carlo(
         naive_sd=naive_sd,
         spec=spec.to_mapping(),
     )
-    if fuzzy:
+    if spec.design == "fuzzy_homogeneous":
         (first_stage,) = rest
         return replace(report, mean_first_stage=float(np.mean(first_stage)))
     estimates_bc, ses, covered = rest
@@ -417,6 +409,150 @@ def monte_carlo(
         mean_se=float(np.mean(ses)),
         coverage=float(np.mean(covered)),
     )
+
+
+def _replicate(
+    lo: int,
+    hi: int,
+    spec: DgpSpec,
+    base_seed: int,
+    kernel: KernelSpec,
+    h: float | None,
+    b: float | None,
+    alpha: float,
+    variance_mode: str,
+) -> dict[int, tuple[float, ...]]:
+    """Draw and fit replications ``lo`` to ``hi - 1``; returns, for each one
+    that did not fail, its estimate, naive estimate, ``h``, ``b``, then the
+    first stage (fuzzy) or the bias-corrected estimate, se and coverage
+    (sharp).
+    """
+    fuzzy = spec.design == "fuzzy_homogeneous"
+    results: dict[int, tuple[float, ...]] = {}
+    # d, y, w and z of the gathered cuts, one row each; a block is fitted
+    # once it reaches the budget, so it holds fewer than BLOCK_ROWS + n rows
+    block_rows_max = min((hi - lo) * spec.n, BLOCK_ROWS + spec.n - 1)
+    block_columns = None if fuzzy else np.empty((4, block_rows_max))
+    block: list[tuple[int, int, int, float, float]] = []  # (r, k, rows, h, b)
+    block_rows = 0
+    fit = partial(
+        _fit_replications, spec=spec, kernel=kernel, alpha=alpha, variance_mode=variance_mode
+    )
+    for r in range(lo, hi):
+        sample = simulate(replace(spec, seed=base_seed + r))
+        try:
+            h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
+            b_r = b if b is not None else h_r
+            _require_valid_alpha_and_b(alpha, h_r, b_r)
+            point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel) if fuzzy else None
+        except PddError:
+            continue
+        if point is not None:
+            naive = point.tau_rdd_y / point.tau_rdd_a
+            results[r] = (point.fuzzy_estimate, naive, h_r, b_r, point.tau_rdd_a)
+            continue
+        rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
+        if not 0 < k < rows.size:  # a side without rows fails the support test
+            continue
+        gathered = block_columns[:, block_rows : block_rows + rows.size]
+        for out, column in zip(gathered, (sample.d, sample.y, sample.W[:, 0], sample.Z[:, 0])):
+            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
+        block.append((r, k, rows.size, h_r, b_r))
+        block_rows += rows.size
+        if block_rows >= BLOCK_ROWS:
+            results.update(fit(block, block_columns[:, :block_rows]))
+            block, block_rows = [], 0
+    if block:
+        results.update(fit(block, block_columns[:, :block_rows]))
+    return results
+
+
+def _workers(reps: int, n: int) -> int:
+    """Processes to run ``reps`` replications of ``n`` rows in: one per
+    available CPU on Linux, as long as each draws at least ``WORKER_ROWS``
+    rows, else one. A process running other threads is not forked, since a
+    lock one of them holds would stay locked in the child.
+    """
+    if not sys.platform.startswith("linux") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), reps, reps * n // WORKER_ROWS))
+
+
+def _in_workers(
+    replicate: Callable[[int, int], dict[int, tuple[float, ...]]], reps: int, workers: int
+) -> dict[int, tuple[float, ...]]:
+    """``replicate(0, reps)``, split into ``workers`` contiguous ranges.
+
+    This process runs the first range and a forked child each other one.
+    The results are merged in range order, and the first range to fail
+    raises its error, as one run over every replication would first meet
+    it. No child outlives the call, whether it returns or raises.
+    """
+    bounds = [reps * i // workers for i in range(workers + 1)]
+    children: list[tuple[int, int, int, int]] = []  # (pid, read end, lo, hi), not yet reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork(replicate, lo, hi), lo, hi))
+        results = replicate(bounds[0], bounds[1])
+        while children:
+            results.update(_collect(*children.pop(0)))
+        return results
+    finally:
+        for pid, read_end, _, _ in children:  # this process raised: their results go unread
+            os.close(read_end)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(replicate: Callable, lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that pickles ``replicate(lo, hi)``, or the exception it
+    raised, into a pipe; returns the child's pid and the pipe's read end.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    # the child leaves through os._exit, so that neither the caller's frames
+    # nor its buffered output, exit hooks and finally clauses run twice
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, replicate(lo, hi))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid: int, read_end: int, lo: int, hi: int) -> dict[int, tuple[float, ...]]:
+    """Read and reap the child forked for replications ``lo`` to ``hi - 1``;
+    returns its results or raises its error. A child that ended without a
+    result raises OSError.
+    """
+    try:
+        with open(read_end, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise OSError(
+            f"the worker process for replications {lo} to {hi - 1} ended without a result "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        )
+    succeeded, value = pickle.loads(payload)
+    if not succeeded:
+        raise value
+    return value
 
 
 def _fit_replications(

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,35 @@ def residualize(s: np.ndarray, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """``workers(k)`` makes every later ``monte_carlo`` call of the test split
+    its study across k processes, through the one helper that counts them.
+    """
+
+    def force(count: int) -> None:
+        monkeypatch.setattr(sys.modules["pdd.simulate"], "_workers", lambda reps, n: count)
+
+    return force
+
+
+def simulate_dying_at(seed: int):
+    """``pdd.simulate.simulate``, except that a child process drawing
+    ``seed`` dies with exit status 9.
+    """
+    parent, real = os.getpid(), sys.modules["pdd.simulate"].simulate
+
+    def simulate_or_die(spec):
+        if spec.seed == seed and os.getpid() != parent:
+            os._exit(9)
+        return real(spec)
+
+    return simulate_or_die
+
+
+def assert_no_children() -> None:
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pdd
 from pdd.cli import _make_parser, dumps, main
+from conftest import assert_no_children, simulate_dying_at
 
 SHARP_KEYS = [
     "estimate",
@@ -534,6 +535,45 @@ def test_mc_subcommand_runs():
     assert doc["reps"] == 6
     assert "coverage" in doc
     assert doc["spec"]["kappa"] == 2
+
+
+@pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
+def test_mc_stdout_is_identical_at_one_and_two_workers(tmp_path, workers, design):
+    argv = ["mc", "--n", "2000", "--seed", "3", "--kappa", "4", "--reps", "9", "--design", design]
+    runs = []
+    for count in (1, 2):
+        workers(count)
+        runs.append(_run_in_process(argv, tmp_path / "none"))
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
+def test_mc_exits_3_with_one_json_document_when_a_worker_dies(tmp_path, monkeypatch, workers):
+    workers(2)
+    monkeypatch.setattr(sys.modules["pdd.simulate"], "simulate", simulate_dying_at(4))
+    code, out, err, _ = _run_in_process(["mc", "--n", "2000", "--reps", "6"], tmp_path / "none")
+    assert (code, err) == (3, "") and out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "io_error",
+        "detail": "the worker process for replications 3 to 5 ended without a result "
+        "(exit status 9)",
+    }
+    assert_no_children()
+
+
+def test_output_buffered_before_a_split_study_is_written_once():
+    # a child forked with "before" still in the stdout buffer must not flush
+    # it, so stdout is block-buffered here, as it is into a pipe by default
+    script = (
+        "import sys, pdd.cli\n"
+        "sys.modules['pdd.simulate']._workers = lambda reps, n: 2\n"
+        "print('before')\n"
+        "sys.exit(pdd.cli.main(['mc', '--n', '2000', '--seed', '3', '--reps', '6']))\n"
+    )
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, report = proc.stdout.splitlines()
+    assert before == "before" and json.loads(report)["reps"] == 6
 
 
 def _thread_runs():

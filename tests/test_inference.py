@@ -375,7 +375,8 @@ def test_bias_bandwidth_below_a_tenth_of_h_is_rejected(rng):
         monte_carlo(DgpSpec(n=2000, seed=1, kappa=4.0), 2, 1, b=0.02)
 
 
-def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkeypatch):
+def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkeypatch, workers):
+    workers(1)  # every fit would be made in this process, where it is patched
     spec = DgpSpec(n=2000, seed=1, kappa=4.0, design="fuzzy_homogeneous")
 
     def no_fit(*args):

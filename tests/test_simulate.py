@@ -20,7 +20,7 @@ from pdd import (
     rule_of_thumb_bandwidth,
     simulate,
 )
-from conftest import random_dataset
+from conftest import assert_no_children, random_dataset, simulate_dying_at
 
 MC = sys.modules["pdd.simulate"]  # the module; ``pdd.simulate`` is the function
 
@@ -269,9 +269,13 @@ def test_batched_report_equals_a_per_replication_loop(kind, mode, b_over_h):
 
 
 @pytest.mark.parametrize("h, n_failed", [(0.05, 46), (0.1, 20)])
-def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(monkeypatch, h, n_failed):
+def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(
+    monkeypatch, workers, h, n_failed
+):
     # the block's checks alone decide which replications fail: no single fit
-    # is made, not even of a replication the block flags
+    # is made, not even of a replication the block flags; one process runs
+    # them all, so every fit would meet the patches below here
+    workers(1)
     spec = DgpSpec(n=200, seed=0, kappa=4.0)
 
     def no_single_fit(*args, **kwargs):
@@ -293,10 +297,12 @@ def test_monte_carlo_counts_some_failures_as_a_per_replication_loop(monkeypatch,
     _assert_report_matches(report, expected, rtol=1e-10)
 
 
-def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
+def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch, workers):
     # the stacked form is off for replication 2's right side in the block
     # (segment 2 * 2 + 1) and for every single fit, so the block flags that
-    # replication and it is counted as failed; the rest are untouched
+    # replication and it is counted as failed; the rest are untouched. One
+    # process fits all six in one block, which the segment index assumes
+    workers(1)
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     real_matrix = pdd.inference.correction_matrix
 
@@ -314,9 +320,11 @@ def test_block_breach_of_one_replication_counts_it_as_failed(monkeypatch):
     _assert_report_matches(report, expected)
 
 
-def test_block_size_moves_no_output_beyond_rounding(monkeypatch):
+def test_block_size_moves_no_output_beyond_rounding(monkeypatch, workers):
     # every side of a block sums as in its single fit, and every solve is one
-    # matrix's, so no report moves with the block size
+    # matrix's, so no report moves with the block size; the blocks are
+    # recorded in this process, so no replication may run in a child
+    workers(1)
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     blocks = []
     real_block = MC.fit_block
@@ -477,7 +485,8 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
 
 
 @pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
-def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(monkeypatch, design):
+def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(monkeypatch, workers, design):
+    workers(1)  # every draw would be made in this process, where it is patched
     spec = DgpSpec(n=2000, seed=0, kappa=4.0, design=design)
 
     def no_draw(*args):
@@ -507,3 +516,87 @@ def test_fuzzy_report_fields():
     assert report.coverage is None and report.mean_se is None
     mapping = report.to_mapping()
     assert "mean_first_stage" in mapping and "coverage" not in mapping
+
+
+# ------------------------------------------------- studies split across workers
+
+_CALIBRATION = DgpSpec(n=2000, seed=0, kappa=4.0)
+
+#: Studies whose report must not depend on the worker count: ``(spec,
+#: monte_carlo keyword arguments)``.
+WORKER_CELLS = {
+    "triangle, b = h": (_CALIBRATION, {}),
+    "window, b > h": (_CALIBRATION, {"kernel": KernelSpec("window"), "h": 0.45, "b": 0.6}),
+    "gaussian, b < h, fitted": (
+        _CALIBRATION,
+        {"kernel": KernelSpec("gaussian"), "h": 0.45, "b": 0.3, "variance_mode": "fitted"},
+    ),
+    "fuzzy": (replace(_CALIBRATION, design="fuzzy_homogeneous"), {}),
+    # a cut of 3-6 rows on a side fails now and then
+    "some failed": (DgpSpec(n=200, seed=0, kappa=4.0), {"h": 0.1}),
+}
+
+
+@pytest.mark.parametrize("cell", WORKER_CELLS)
+def test_report_is_identical_at_any_worker_count(workers, cell):
+    spec, kwargs = WORKER_CELLS[cell]
+    reports = []
+    for count in (1, 2, 3):
+        workers(count)
+        reports.append(monte_carlo(spec, 11, 31, **kwargs).to_mapping())
+        assert_no_children()
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert (0 < reports[0]["n_failed"] < 11) == (cell == "some failed")
+
+
+def test_an_all_failed_study_raises_the_same_error_at_any_worker_count(workers):
+    for count in (1, 2, 3):
+        workers(count)
+        with pytest.raises(PddError) as raised:
+            monte_carlo(DgpSpec(n=200, seed=0), reps=6, base_seed=1, h=1e-9)
+        assert (type(raised.value), str(raised.value)) == (PddError, "all 6 replications failed")
+        assert_no_children()
+
+
+def _bias_bandwidth_failing_from_replication_3(spec, base_seed):
+    """A bias bandwidth below a tenth of the rule-of-thumb h of replications
+    3, 4 and 5 of six, and of none before them.
+    """
+    hs = [rule_of_thumb_bandwidth(simulate(replace(spec, seed=base_seed + r)).d) for r in range(6)]
+    b = max(hs[:3]) / 10.0
+    assert [h / 10.0 > b for h in hs] == [False] * 3 + [True] * 3
+    return b
+
+
+def test_a_worker_error_is_raised_with_its_type_and_message(workers):
+    # replications 3-5 raise, in the second range of two and the second and
+    # third of three
+    spec = DgpSpec(n=2000, seed=1, kappa=4.0)
+    b = _bias_bandwidth_failing_from_replication_3(spec, 3)
+    for count in (1, 2, 3):
+        workers(count)
+        with pytest.raises(ValueError, match="^bias bandwidth below h/10 is not supported$"):
+            monte_carlo(spec, 6, 3, b=b)
+        assert_no_children()
+
+
+def test_a_worker_that_dies_raises_oserror(monkeypatch, workers):
+    workers(2)
+    monkeypatch.setattr(MC, "simulate", simulate_dying_at(4))
+    with pytest.raises(OSError, match=r"replications 3 to 5 ended without a result \(exit status 9\)"):
+        monte_carlo(_CALIBRATION, 6, 0)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("dies_at, error", [(2, OSError), (4, ValueError)])
+def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at, error):
+    # three ranges, replications 0-1, 2-3 and 4-5; replication 3 raises
+    # ValueError in the second, and the replication ``dies_at`` ends its
+    # worker in the second range or the third
+    spec = DgpSpec(n=2000, seed=1, kappa=4.0)
+    b = _bias_bandwidth_failing_from_replication_3(spec, 3)
+    workers(3)
+    monkeypatch.setattr(MC, "simulate", simulate_dying_at(3 + dies_at))
+    with pytest.raises(error):
+        monte_carlo(spec, 6, 3, b=b)
+    assert_no_children()
