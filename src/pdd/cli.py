@@ -6,8 +6,9 @@ a double exactly. ``rdd`` runs the ``estimate`` path on a sample without
 placebo columns. Exit codes: 0 when a result document was produced, 2 for
 estimation failures, 3 for I/O failures and for running out of memory, 64
 for bad flags or bad flag values.
-A bad level or bandwidth exits 64 before the data are read, except a bias
-bandwidth below a tenth of the rule-of-thumb h, which needs the data.
+A bad level, bandwidth or variance mode exits 64 before the data are read,
+except a bias bandwidth below a tenth of the rule-of-thumb h, which needs
+the data.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .estimator import estimate_fuzzy
 from .inference import bias_corrected_estimate, rule_of_thumb_bandwidth
 from .io import (
     DESIGNS,
-    VARIANCE_MODES,
     ColumnBindings,
     RunConfig,
     Sample,
@@ -116,9 +116,7 @@ def run_estimate(config: RunConfig, sample: Sample) -> dict[str, Any]:
 
     # the robust fit runs first: it rejects a b below a tenth of the
     # rule-of-thumb h before any fit
-    robust = bias_corrected_estimate(
-        sample, config.cutoff, h, b, kernel, config.alpha, config.variance_mode
-    )
+    robust = bias_corrected_estimate(sample, config.cutoff, h, b, kernel, config.alpha)
     point = estimate_fuzzy(sample, config.cutoff, h, kernel) if fuzzy else robust.point
 
     for side, rcond, kish in (
@@ -205,9 +203,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         h=args.bandwidth,
         b=args.bias_bandwidth,
         bindings=bindings,
-        **_given(
-            kernel=args.kernel, alpha=args.alpha, design=design, variance_mode=args.variance_mode
-        ),
+        **_given(kernel=args.kernel, alpha=args.alpha, design=design),
     )
 
 
@@ -252,7 +248,9 @@ def _add_fit_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bandwidth", type=float, help="main bandwidth h")
     sub.add_argument("--bias-bandwidth", dest="bias_bandwidth", type=float, help="bias bandwidth b")
     sub.add_argument("--alpha", type=float, help="interval level (default 0.05)")
-    sub.add_argument("--variance-mode", dest="variance_mode", choices=VARIANCE_MODES)
+    # the one variance there is: the residual about each side's
+    # bias-corrected intercept (inference.robust_variance)
+    sub.add_argument("--variance-mode", dest="variance_mode", choices=("paper",))
 
 
 def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
@@ -344,7 +342,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             kernel=KernelSpec(args.kernel) if args.kernel else None,
             h=args.bandwidth,
             b=args.bias_bandwidth,
-            **_given(alpha=args.alpha, variance_mode=args.variance_mode),
+            **_given(alpha=args.alpha),
         )
         _emit(dumps(report.to_mapping()), args.out)
         return 0

@@ -50,7 +50,7 @@ from .estimator import (
     _require_equivalent,
     estimate_sharp,
 )
-from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
+from .io import Sample, _require_valid_alpha_and_b
 from .kernels import (
     KernelSpec,
     _cut_rows,
@@ -115,9 +115,7 @@ class SideCorrection:
     (``correction_matrix``), the same map times ``n * h`` built along an
     independent path; the stacked equivalence check applies it. ``intercepts``,
     ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
-    outcome stack's columns. ``coef`` and the side's scaled coordinate ``u``
-    at ``h`` give each outcome's local linear fitted values, which only the
-    ``fitted`` variance mode forms.
+    outcome stack's columns.
     ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
     is their Kish effective sample size ``(sum w)^2 / sum w^2``.
     """
@@ -133,8 +131,6 @@ class SideCorrection:
     weight_row: np.ndarray
     matrix_row: np.ndarray
     curvature_load: float
-    coef: np.ndarray
-    u: np.ndarray
 
 
 def side_correction(
@@ -201,7 +197,7 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same
         design1 = _design(weights_main, basis_main)
         rks, gs = (_product_sums(design, S.T, [0], n)[0] for design in (design1, design2))
     coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, n, h, b)
-    intercepts = coef[0].copy()
+    intercepts = coef[0]
     weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, n)
     return SideCorrection(
         n=n,
@@ -215,8 +211,6 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same
         weight_row=weight_row,
         matrix_row=matrix_row,
         curvature_load=float(load),
-        coef=coef,
-        u=basis_main.u,
     )
 
 
@@ -311,17 +305,6 @@ def _squared_residuals(weight_row, S, centre) -> np.ndarray:
     return np.square((S - centre) * weight_row)
 
 
-def _squared_residual_sums(weight_row, S, centre) -> np.ndarray:
-    """Each outcome's sum of ``_squared_residuals`` over a side's rows,
-    ``(1 + q,)``: the side's variance terms.
-    """
-
-    def squares(rows):
-        return _squared_residuals(weight_row[rows], S[:, rows], centre[:, rows])
-
-    return _sums(squares, S.shape[-1], [0])[0]
-
-
 def _interval(tau_bc, v_bc, n, h, alpha: float):
     """``se = sqrt(v_bc / (n h))`` and the Wald interval at ``1 - alpha``."""
     se = np.sqrt(v_bc / (n * h))
@@ -336,30 +319,27 @@ def robust_variance(
     corr_minus: SideCorrection,
     combo: np.ndarray,
     n: int,
-    variance_mode: str = "paper",
 ) -> float:
     """Variance of the combined bias-corrected statistic, scaled by ``n * h``.
 
     ``S_plus`` and ``S_minus`` are the outcome rows each side's correction
     was built from, and ``n`` is the size of the sample they were cut from;
     rows outside every kernel support add nothing. It is a sum of one
-    quadratic form per side, with a diagonal residual matrix: in ``paper``
-    mode the residual of an outcome is its value minus the side's
-    bias-corrected intercept, in ``fitted`` mode minus the side's local
-    linear fitted value at ``d_i`` (a sensitivity analysis). Cross-side
-    terms vanish, as the weight supports are disjoint, and cross-covariances
-    between outcome columns are omitted by construction.
+    quadratic form per side, with a diagonal residual matrix: the residual
+    of an outcome is its value minus the side's bias-corrected intercept,
+    as in the robust bias correction of Calonico, Cattaneo & Titiunik
+    (2014). Cross-side terms vanish, as the weight supports are disjoint,
+    and cross-covariances between outcome columns are omitted by
+    construction.
     """
-    _require_valid_variance_mode(variance_mode)
     total = 0.0
     for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus)):
-        S = np.asarray(S).T
-        if variance_mode == "paper":
-            centre = np.broadcast_to(corr.intercepts_bc[:, None], S.shape)
-        else:
-            centre = corr.coef[0][:, None] + corr.coef[1][:, None] * corr.u
-        sums = _squared_residual_sums(corr.weight_row, S, centre)
-        total += float(np.vecdot(combo**2, sums))
+        S, centre = np.asarray(S).T, corr.intercepts_bc[:, None]
+
+        def squares(rows):
+            return _squared_residuals(corr.weight_row[rows], S[:, rows], centre)
+
+        total += float(np.vecdot(combo**2, _sums(squares, S.shape[-1], [0])[0]))
     return n * corr_plus.bandwidth * total
 
 
@@ -399,7 +379,6 @@ def bias_corrected_estimate(
     b: float,
     kernel: KernelSpec,
     alpha: float = 0.05,
-    variance_mode: str = "paper",
 ) -> RobustEstimate:
     """Placebo-adjusted estimate with robust bias correction and variance.
 
@@ -415,7 +394,6 @@ def bias_corrected_estimate(
     correction, variance and check, and ``point`` is None.
     """
     _require_valid_alpha_and_b(alpha, h, b)
-    _require_valid_variance_mode(variance_mode)
     n = sample.n
     cut, k, S = _cut_outcomes(sample, cutoff, max(h, b), kernel)
     point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
@@ -440,7 +418,7 @@ def bias_corrected_estimate(
         "stacked matrix form",
     )
     sides = S[:, plus].T, S[:, minus].T
-    v_bc = robust_variance(*sides, corr_plus, corr_minus, combo, n, variance_mode)
+    v_bc = robust_variance(*sides, corr_plus, corr_minus, combo, n)
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se, lower, upper = map(float, _interval(tau_bc, v_bc, n, corr_plus.bandwidth, alpha))
@@ -489,7 +467,6 @@ def rdd_robust_estimate(
     b: float,
     kernel: KernelSpec,
     alpha: float = 0.05,
-    variance_mode: str = "paper",
 ) -> RobustEstimate:
     """Plain local linear discontinuity with robust bias correction:
     ``bias_corrected_estimate`` on ``d`` and ``y`` with no placebo columns.
@@ -497,7 +474,7 @@ def rdd_robust_estimate(
     d = np.asarray(d, dtype=float)
     none = np.empty((d.shape[0], 0))
     sample = Sample(d, np.asarray(y, dtype=float), W=none, Z=none)
-    return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha, variance_mode)
+    return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha)
 
 
 @np.errstate(all="ignore")  # a sample that fails a check is counted as failed
@@ -512,7 +489,6 @@ def fit_block(
     kernel: KernelSpec,
     n: int,
     alpha: float,
-    variance_mode: str,
 ) -> tuple[np.ndarray, ...]:
     """``bias_corrected_estimate`` of a block of samples in two passes over
     their rows.
@@ -532,10 +508,11 @@ def fit_block(
     single fit sums that side; only the input columns and the per-side
     stacks span the block. The first pass sums the moments and the support
     extremes, the second, after the solves, the stacked form, the variance
-    terms and the support test's inner values. A side that fails a check
-    gets the identity in place of its systems (``_identity_unless``); where
-    ``b <= h`` a sample's single fit sums the same rows, so the two agree
-    exactly.
+    terms (each outcome's residual about its side's bias-corrected
+    intercept, as in ``robust_variance``) and the support test's inner
+    values. A side that fails a check gets the identity in place of its
+    systems (``_identity_unless``); where ``b <= h`` a sample's single fit
+    sums the same rows, so the two agree exactly.
 
     Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
     over the samples. ``ok`` is False exactly where the single fit raises
@@ -610,22 +587,22 @@ def fit_block(
     tau_bc = np.vecdot(combo, intercepts_bc[right] - intercepts_bc[left])
 
     # each side's coefficients, repeated over its rows: the stacked form's
-    # and the weight row's, each outcome's residual centre, and the extremes
-    # of v between which the support test looks for a third value
-    centre = [intercepts_bc] if variance_mode == "paper" else [coef[:, 0, :], coef[:, 1, :]]
+    # and the weight row's, each outcome's residual centre (its bias-corrected
+    # intercept), and the extremes of v between which the support test looks
+    # for a third value
     stacked_at, weight_at, centre_at, bounds_at = (
         _repeated(np.ascontiguousarray(x.T), starts, m)
-        for x in (*row_coefs, np.concatenate(centre, axis=1), np.stack([lo_b, hi_b], axis=1))
+        for x in (*row_coefs, intercepts_bc, np.stack([lo_b, hi_b], axis=1))
     )
 
     def variance_rows(rows):  # each table is summed before the next is formed
         u, wh, v, wb = fit_rows(rows)
         kv = _design_rows(wb, v, 2)
         ku = kv[:2] if shared else _design_rows(wh, u, 1)
-        s, c = S[:, rows], centre_at(rows)
+        s = S[:, rows]
         yield _row_forms((stacked_at(rows),), ku, kv, kv.shape[-1])[0] * s
-        fitted = c if variance_mode == "paper" else c[: 1 + q] + c[1 + q :] * u
-        yield _squared_residuals(_row_forms((weight_at(rows),), ku, kv, kv.shape[-1])[0], s, fitted)
+        weight_row = _row_forms((weight_at(rows),), ku, kv, kv.shape[-1])[0]
+        yield _squared_residuals(weight_row, s, centre_at(rows))
         yield _inside_rows(v, wb, *bounds_at(rows))
 
     stacked, per_outcome, inside = _reduce(

@@ -16,7 +16,6 @@ from .kernels import KERNEL_KINDS
 from .local_fit import _distinct_support
 
 DESIGNS = ("sharp", "fuzzy")
-VARIANCE_MODES = ("paper", "fitted")
 
 #: Rows per chunk in ``load_csv`` and ``write_csv``: each chunk is converted
 #: a whole column at a time, and only one chunk of cell strings is held.
@@ -283,7 +282,6 @@ class RunConfig:
     b: float | None = None
     alpha: float = 0.05
     design: str = "sharp"
-    variance_mode: str = "paper"
     bindings: ColumnBindings = field(default_factory=ColumnBindings)
 
     def __post_init__(self) -> None:
@@ -292,7 +290,6 @@ class RunConfig:
         _require_valid_alpha_and_b(self.alpha, self.h, self.b)
         if self.design not in DESIGNS:
             raise ValueError(f"design must be one of {DESIGNS}")
-        _require_valid_variance_mode(self.variance_mode)
         if not math.isfinite(self.cutoff):
             raise ValueError("cutoff must be finite")
 
@@ -323,17 +320,6 @@ def _require_valid_alpha_and_b(alpha: float, h: float | None, b: float | None) -
     for name, value in given:
         if not value < math.inf:
             raise ValueError(f"{name} must be finite")
-
-
-def _require_valid_variance_mode(variance_mode: str) -> None:
-    """Raise ValueError unless ``variance_mode`` is one of ``VARIANCE_MODES``.
-
-    ``RunConfig`` checks this before any data is read, ``bias_corrected_estimate``
-    before it cuts the sample and ``monte_carlo`` before its first draw, for
-    either design, so an unknown mode never passes silently.
-    """
-    if variance_mode not in VARIANCE_MODES:
-        raise ValueError(f"variance mode must be one of {VARIANCE_MODES}, not {variance_mode!r}")
 
 
 def parse_config_file(source: str | IO[str]) -> dict[str, str]:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import PddError
 from .estimator import estimate_fuzzy
 from .inference import fit_block, rule_of_thumb_bandwidth
-from .io import Sample, _require_valid_alpha_and_b, _require_valid_variance_mode
+from .io import Sample, _require_valid_alpha_and_b
 from .kernels import KernelSpec, support_rows
 
 #: Seed offset separating the oracle stream from replication streams, which
@@ -324,15 +324,14 @@ def monte_carlo(
     h: float | None = None,
     b: float | None = None,
     alpha: float = 0.05,
-    variance_mode: str = "paper",
 ) -> McReport:
     """Replicate simulate-and-estimate ``reps`` times and aggregate.
 
     Replication r draws with seed ``base_seed + r``. Estimator failures are
-    counted, not fatal. An unknown ``variance_mode``, an ``alpha`` outside
-    (0, 1) or a given bias bandwidth below a tenth of ``h`` raises ValueError
-    before the first draw, whatever the design; a bias bandwidth below a
-    tenth of a rule-of-thumb ``h`` raises before that replication's fit.
+    counted, not fatal. An ``alpha`` outside (0, 1) or a given bias
+    bandwidth below a tenth of ``h`` raises ValueError before the first
+    draw, whatever the design; a bias bandwidth below a tenth of a
+    rule-of-thumb ``h`` raises before that replication's fit.
     Aggregation runs in replication order, so the report is deterministic
     given the base seed.
 
@@ -341,10 +340,12 @@ def monte_carlo(
     cutoff, left side first, straight into the columns of a block. Once
     those hold ``BLOCK_ROWS`` rows, their replications are fitted in one
     pass (``inference.fit_block``), which sums each side as its single fit
-    does, however long. A replication that fails a check in the block is
-    counted as failed, as is a cut with no rows on a side: each fails where
-    its single fit (``bias_corrected_estimate``) would. The fuzzy design is
-    fitted one replication at a time.
+    does, however long, and takes each outcome's residual about its side's
+    bias-corrected intercept, as ``inference.robust_variance`` does. A
+    replication that fails a check in the block is counted as failed, as is
+    a cut with no rows on a side: each fails where its single fit
+    (``bias_corrected_estimate``) would. The fuzzy design is fitted one
+    replication at a time.
 
     The replications are split into contiguous ranges, one per worker
     process: this process runs the first range and a child forked with
@@ -362,11 +363,10 @@ def monte_carlo(
     """
     if reps < 1:
         raise ValueError("need at least one replication")
-    _require_valid_variance_mode(variance_mode)
     _require_valid_alpha_and_b(alpha, h, b)
     replicate = partial(
         _replicate, spec=spec, base_seed=base_seed, kernel=kernel or KernelSpec(), h=h, b=b,
-        alpha=alpha, variance_mode=variance_mode,
+        alpha=alpha,
     )  # fmt: skip
     results = _in_workers(replicate, reps, _workers(reps, spec.n))
     if not results:
@@ -420,7 +420,6 @@ def _replicate(
     h: float | None,
     b: float | None,
     alpha: float,
-    variance_mode: str,
 ) -> dict[int, tuple[float, ...]]:
     """Draw and fit replications ``lo`` to ``hi - 1``; returns, for each one
     that did not fail, its estimate, naive estimate, ``h``, ``b``, then the
@@ -435,9 +434,7 @@ def _replicate(
     block_columns = None if fuzzy else np.empty((4, block_rows_max))
     block: list[tuple[int, int, int, float, float]] = []  # (r, k, rows, h, b)
     block_rows = 0
-    fit = partial(
-        _fit_replications, spec=spec, kernel=kernel, alpha=alpha, variance_mode=variance_mode
-    )
+    fit = partial(_fit_replications, spec=spec, kernel=kernel, alpha=alpha)
     for r in range(lo, hi):
         sample = simulate(replace(spec, seed=base_seed + r))
         try:
@@ -561,7 +558,6 @@ def _fit_replications(
     spec: DgpSpec,
     kernel: KernelSpec,
     alpha: float,
-    variance_mode: str,
 ) -> dict[int, tuple[float, ...]]:
     """Fit a block of sharp replications ``(r, k, cut rows, h, b)`` whose
     cut samples fill ``columns`` (``d``, ``y``, ``w``, ``z``) one after
@@ -575,7 +571,7 @@ def _fit_replications(
     _, _, _, hs, bs = zip(*block)
     ok, tau, naive, tau_bc, se, lower, upper = fit_block(
         columns[0], columns[1:3], columns[3:], counts, spec.cutoff, np.array(hs), np.array(bs),
-        kernel, spec.n, alpha, variance_mode,
+        kernel, spec.n, alpha,
     )  # fmt: skip
     covered = (lower <= spec.tau0) & (spec.tau0 <= upper)
     return {

@@ -516,16 +516,32 @@ def test_config_lines_without_a_valid_flag_exit_64(tmp_path, fuzzy_csvs):
         assert message in err, (line, err)
 
 
-def test_variance_mode_flag(sim_csv):
-    paper = json.loads(run_cli(*estimate_args(sim_csv, "--bandwidth", "0.5")).stdout)
-    fitted = json.loads(
-        run_cli(
-            *estimate_args(sim_csv, "--bandwidth", "0.5", "--variance-mode", "fitted")
-        ).stdout
-    )
-    assert fitted["estimate_bc"] == paper["estimate_bc"]
-    assert fitted["se"] != paper["se"]
-    assert run_cli(*estimate_args(sim_csv, "--variance-mode", "hc3")).returncode == 64
+def test_variance_mode_flag(tmp_path, sim_csv, monkeypatch):
+    # paper, the one variance mode, is the default: naming it moves no byte
+    rdd = ("rdd", "--data", str(sim_csv), "--cutoff", "0")
+    mc = ("mc", "--n", "2000", "--seed", "4", "--kappa", "4", "--reps", "5")
+    config = tmp_path / "mode.conf"
+    config.write_text("variance_mode = paper\n")
+    for argv in (estimate_args(sim_csv), rdd, mc):
+        plain = run_cli(*argv)
+        assert plain.returncode == 0, plain.stderr
+        for extra in (("--variance-mode", "paper"), ("--config", str(config))):
+            named = run_cli(*argv, *extra)
+            assert (named.returncode, named.stdout) == (0, plain.stdout), extra
+
+    # any other mode, fitted among them, is a bad flag value, from the
+    # command line or a config file, rejected before the data are read
+    def no_read(*args):
+        raise AssertionError("the data were read")
+
+    monkeypatch.setattr(pdd.cli, "load_csv", no_read)
+    for mode in ("fitted", "hc3"):
+        config.write_text(f"variance_mode = {mode}\n")
+        for argv in (estimate_args(sim_csv), rdd, mc):
+            for extra in (("--variance-mode", mode), ("--config", str(config))):
+                code, out, err, _ = _run_in_process([*argv, *extra], tmp_path / "none")
+                assert (code, out) == (64, ""), (argv, extra)
+                assert f"invalid choice: '{mode}'" in err
 
 
 def test_mc_subcommand_runs():

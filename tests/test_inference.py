@@ -220,7 +220,7 @@ def test_bias_corrected_equals_componentwise_combination(rng):
 # --------------------------------------------------------------- variance
 
 
-def brute_force_variance(d, S, cutoff, h, b, kernel, combo, variance_mode="paper"):
+def brute_force_variance(d, S, cutoff, h, b, kernel, combo):
     """Literal stacked quadratic form, built from scratch with dense kron."""
     d = np.asarray(d, dtype=float)
     n, width = S.shape
@@ -249,10 +249,7 @@ def brute_force_variance(d, S, cutoff, h, b, kernel, combo, variance_mode="paper
         p, w_h = side_matrices(side)
         # bias-corrected cutoff intercepts for the residuals
         bc = np.array([(p @ S[:, j])[0] / (n * h) for j in range(width)])
-        if variance_mode == "paper":
-            resid = S - bc[None, :]
-        else:
-            raise NotImplementedError
+        resid = S - bc[None, :]
         sigma = np.diag((resid**2).reshape(-1, order="F"))
         ip = np.kron(np.eye(width), p)
         total += float(svec @ ip @ sigma @ ip.T @ svec) / (n * h)
@@ -327,15 +324,6 @@ def test_rdd_variance_matches_single_column_stack(rng):
     assert_allclose(est.v_bc, v, rtol=1e-12)
 
 
-def test_fitted_variance_mode_differs_but_close(rng):
-    sample = _dense_sample(rng, n=300)
-    paper = bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, variance_mode="paper")
-    fitted = bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, variance_mode="fitted")
-    assert fitted.v_bc != paper.v_bc
-    assert fitted.v_bc < 4.0 * paper.v_bc
-    assert_allclose(fitted.tau_pdd_bc, paper.tau_pdd_bc, rtol=1e-12)
-
-
 def test_confidence_interval_reference(rng):
     sample = _dense_sample(rng)
     est = bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, alpha=0.05)
@@ -391,20 +379,6 @@ def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkey
         with pytest.raises(ValueError, match="h/10"):
             monte_carlo(spec, 3, 1, b=0.02)  # h from the rule of thumb
     assert monte_carlo(spec, 2, 1, h=0.5, b=0.05).n_failed == 0
-
-
-def test_unknown_variance_mode_is_rejected_before_any_cut(rng, monkeypatch):
-    sample = _dense_sample(rng)
-
-    def no_cut(*args):
-        raise AssertionError("the sample was cut before the check")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(pdd.inference, "_cut_rows", no_cut)
-        with pytest.raises(ValueError, match="variance mode"):
-            bias_corrected_estimate(sample, 0.0, 0.5, 0.7, TRIANGLE, variance_mode="bogus")
-        with pytest.raises(ValueError, match="variance mode"):
-            rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.7, TRIANGLE, 0.05, "hc3")
 
 
 # --------------------------------------------------- locality of the fits
@@ -554,11 +528,9 @@ ROBUST_FIELDS = (
 
 def _every_output(sample, kernel, h, b):
     """The outputs of the three entry points on ``sample``, by name."""
-    out = {}
-    for mode in ("paper", "fitted"):
-        est = bias_corrected_estimate(sample, CUTOFF, h, b, kernel, variance_mode=mode)
-        out.update({f"{mode} {name}": getattr(est, name) for name in ROBUST_FIELDS})
-        out[f"{mode} gamma_minus"] = est.point.gamma_minus[0]
+    est = bias_corrected_estimate(sample, CUTOFF, h, b, kernel)
+    out = {name: getattr(est, name) for name in ROBUST_FIELDS}
+    out["gamma_minus"] = est.point.gamma_minus[0]
     rdd = rdd_robust_estimate(sample.d, sample.y, CUTOFF, h, b, kernel)
     out.update({f"rdd {name}": getattr(rdd, name) for name in ROBUST_FIELDS})
     fuzzy = estimate_fuzzy(sample, CUTOFF, h, kernel)
@@ -887,7 +859,7 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     assert np.array_equal(gs[:2], rks)
     gram1, gram2 = _hankel(powers1, 1), _hankel(powers2, 2)
     coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, m, h, h)
-    assert np.array_equal(corr.coef, coef) and np.array_equal(corr.curvatures, curves)
+    assert np.array_equal(corr.intercepts, coef[0]) and np.array_equal(corr.curvatures, curves)
     assert np.array_equal(corr.bias, bias) and corr.curvature_load == load
     weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, m)
     assert np.array_equal(corr.weight_row, weight_row)

@@ -147,8 +147,6 @@ def test_run_config_validation():
         RunConfig(cutoff=0.0, h=-1.0)
     with pytest.raises(ValueError):
         RunConfig(cutoff=0.0, design="kink")
-    with pytest.raises(ValueError):
-        RunConfig(cutoff=0.0, variance_mode="hc3")
 
 
 def test_parse_config_file():

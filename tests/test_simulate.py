@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import replace
@@ -20,6 +21,7 @@ from pdd import (
     rule_of_thumb_bandwidth,
     simulate,
 )
+from pdd.cli import main
 from conftest import assert_no_children, random_dataset, simulate_dying_at
 
 MC = sys.modules["pdd.simulate"]  # the module; ``pdd.simulate`` is the function
@@ -219,7 +221,7 @@ def test_monte_carlo_counts_failures():
         monte_carlo(spec, reps=0, base_seed=1)
 
 
-def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, mode="paper", skip=()):
+def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, skip=()):
     """The sharp report's numbers from a plain loop of ``simulate`` and
     ``bias_corrected_estimate``, one replication at a time.
     """
@@ -231,7 +233,7 @@ def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, mode="paper",
             b_r = b if b is not None else h_r
             if r in skip:
                 continue
-            est = bias_corrected_estimate(sample, spec.cutoff, h_r, b_r, kernel, 0.05, mode)
+            est = bias_corrected_estimate(sample, spec.cutoff, h_r, b_r, kernel)
         except PddError:
             continue
         covered = est.ci_lower <= spec.tau0 <= est.ci_upper
@@ -257,15 +259,14 @@ def _assert_report_matches(report, expected, rtol=1e-12):
 
 
 @pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
-@pytest.mark.parametrize("mode", ["paper", "fitted"])
 @pytest.mark.parametrize("b_over_h", [None, 1.5, 0.7])
-def test_batched_report_equals_a_per_replication_loop(kind, mode, b_over_h):
+def test_batched_report_equals_a_per_replication_loop(kind, b_over_h):
     # 20 replications span several blocks with the compact kernels
     spec = DgpSpec(n=2000, seed=0, kappa=4.0)
     kernel = KernelSpec(kind)
     h, b = (None, None) if b_over_h is None else (0.45, 0.45 * b_over_h)
-    report = monte_carlo(spec, 20, 31, kernel, h, b, variance_mode=mode)
-    _assert_report_matches(report, _per_rep_report(spec, 20, 31, kernel, h, b, mode))
+    report = monte_carlo(spec, 20, 31, kernel, h, b)
+    _assert_report_matches(report, _per_rep_report(spec, 20, 31, kernel, h, b))
 
 
 @pytest.mark.parametrize("h, n_failed", [(0.05, 46), (0.1, 20)])
@@ -388,9 +389,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         return real_agree(a, b)
 
     monkeypatch.setattr(pdd.inference, "_agree", recorded)
-    ok, tau, naive, tau_bc, se, lower, upper = _fit_block(
-        cuts, 0.0, h, b, kernel, 300, 0.05, "paper"
-    )
+    ok, tau, naive, tau_bc, se, lower, upper = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
     assert ok.tolist() == [True, True, False, False, False, True]
     # both equivalence checks ran, each over every replication of the block
     checked = [value for pair in compared for value in pair if value is tau or value is tau_bc]
@@ -424,13 +423,12 @@ def _with_defect(sample, defect):
     q=st.sampled_from([1, 2]),
     kind=st.sampled_from(["window", "triangle", "gaussian"]),
     b_over_h=st.lists(st.floats(0.5, 2.0), min_size=3, max_size=3),
-    mode=st.sampled_from(["paper", "fitted"]),
     defect=st.sampled_from([None, "two_values", "no_instrument", "overflow"]),
 )
 # an ill-conditioned left side (Schur rcond 2.6e-4) that amplified a
 # rounding difference between the two paths' moments past the bound
-@example(seed=14519, q=2, kind="window", b_over_h=[1.0, 1.0, 1.0], mode="paper", defect=None)
-def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, defect):
+@example(seed=14519, q=2, kind="window", b_over_h=[1.0, 1.0, 1.0], defect=None)
+def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
     rng = np.random.default_rng(seed)
     samples = [random_dataset(rng, n=300, q=q) for _ in range(3)]
     samples[1] = _with_defect(samples[1], defect)
@@ -438,11 +436,11 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, mode, def
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
-    ok, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05, mode)
+    ok, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
     for i, sample in enumerate(samples):
         try:
             with np.errstate(all="ignore"):
-                est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel, variance_mode=mode)
+                est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel)
         except PddError:
             assert not ok[i]
             continue
@@ -471,7 +469,7 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
     peaks = []
     for reps in (3, len(cuts)):  # 3 cuts hold about 4k rows
         h = np.array(hs[:reps])
-        args = (*_block(cuts[:reps]), 0.0, h, h, kernel, spec.n, 0.05, "paper")
+        args = (*_block(cuts[:reps]), 0.0, h, h, kernel, spec.n, 0.05)
         pdd.inference.fit_block(*args)  # warm up
         tracemalloc.start()
         try:
@@ -485,20 +483,27 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
 
 
 @pytest.mark.parametrize("design", ["sharp", "fuzzy_homogeneous"])
-def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(monkeypatch, workers, design):
+def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(
+    monkeypatch, capsys, workers, design
+):
+    # ``paper`` is the one variance mode: ``pdd mc`` rejects any other as a
+    # bad flag value, and ``monte_carlo`` a bad level, before the first draw
     workers(1)  # every draw would be made in this process, where it is patched
     spec = DgpSpec(n=2000, seed=0, kappa=4.0, design=design)
+    argv = ["mc", "--n", "2000", "--seed", "0", "--kappa", "4", "--reps", "3", "--design", design]
 
     def no_draw(*args):
         raise AssertionError("a sample was drawn before the check")
 
     with monkeypatch.context() as patch:
         patch.setattr(MC, "simulate", no_draw)
-        with pytest.raises(ValueError, match="variance mode"):
-            monte_carlo(spec, reps=3, base_seed=0, variance_mode="bogus")
+        for mode in ("fitted", "bogus"):
+            assert main([*argv, "--variance-mode", mode]) == 64
+            assert capsys.readouterr().out == ""
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo(spec, reps=3, base_seed=0, alpha=1.5)
-    assert monte_carlo(spec, reps=3, base_seed=0, variance_mode="fitted").reps == 3
+    assert main([*argv, "--variance-mode", "paper"]) == 0
+    assert json.loads(capsys.readouterr().out)["reps"] == 3
 
 
 def test_monte_carlo_kappa_zero_adjustment_vanishes():
@@ -527,10 +532,7 @@ _CALIBRATION = DgpSpec(n=2000, seed=0, kappa=4.0)
 WORKER_CELLS = {
     "triangle, b = h": (_CALIBRATION, {}),
     "window, b > h": (_CALIBRATION, {"kernel": KernelSpec("window"), "h": 0.45, "b": 0.6}),
-    "gaussian, b < h, fitted": (
-        _CALIBRATION,
-        {"kernel": KernelSpec("gaussian"), "h": 0.45, "b": 0.3, "variance_mode": "fitted"},
-    ),
+    "gaussian, b < h": (_CALIBRATION, {"kernel": KernelSpec("gaussian"), "h": 0.45, "b": 0.3}),
     "fuzzy": (replace(_CALIBRATION, design="fuzzy_homogeneous"), {}),
     # a cut of 3-6 rows on a side fails now and then
     "some failed": (DgpSpec(n=200, seed=0, kappa=4.0), {"h": 0.1}),
