@@ -192,6 +192,14 @@ def _point_forms(beta_plus, beta_minus, alpha0_plus, alpha0_minus, gamma_plus, g
     return tau_rdd, tau_dec, tau_iv
 
 
+def _strong_first_stage(tau_a):
+    """Whether treatment discontinuities are far enough from zero to divide
+    by, elementwise: not within ``FIRST_STAGE_MIN`` of it, which a NaN is
+    not.
+    """
+    return ~(np.abs(tau_a) <= FIRST_STAGE_MIN)
+
+
 def estimate_fuzzy(
     sample: Sample, cutoff: float, h: float, kernel: KernelSpec
 ) -> DiscontinuityEstimate:
@@ -200,7 +208,7 @@ def estimate_fuzzy(
         raise ValueError("fuzzy estimation requires a treatment column")
     point = estimate_sharp(sample, cutoff, h, kernel)
     tau_a = rdd_discontinuity(sample.a, sample.d, cutoff, h, kernel)
-    if abs(tau_a) <= FIRST_STAGE_MIN:
+    if not _strong_first_stage(tau_a):
         raise WeakFirstStage(
             f"treatment discontinuity {tau_a:.3e} is too small to divide by"
         )

@@ -28,10 +28,12 @@ columns once, into the stack that the cut sample views (``_cut_outcomes``),
 and sums each side's moments as one segment of that side's rows; at
 ``b = h`` a side's linear and quadratic fits share one moment pass. ``n``
 and ``v_bc`` still refer to the whole sample. ``fit_block``, which
-``simulate.monte_carlo`` calls, sums the moments of many replications' cut
-samples with one segment per side, a window of rows at a time, and passes
-the stacks to the same helpers. A side summed alone and in a block then
-rounds alike.
+``simulate.monte_carlo`` calls for both designs, sums the moments of many
+replications' cut samples with one segment per side, a window of rows at a
+time, and passes the stacks to the same helpers. A side summed alone and in
+a block then rounds alike. Its outcome stack may hold rows after ``[y, W]``,
+such as a fuzzy design's treatment, whose jumps it fits and returns and
+which enter nothing else.
 """
 
 from __future__ import annotations
@@ -493,12 +495,15 @@ def fit_block(
     """``bias_corrected_estimate`` of a block of samples in two passes over
     their rows.
 
-    ``d``, the outcome rows ``S = [y, W]`` ``(1 + q, rows)`` and the placebo
-    treatment rows ``Z`` ``(q, rows)`` hold the samples one after another,
+    ``d``, the outcome rows ``S = [y, W, ...]`` and the placebo treatment
+    rows ``Z`` ``(q, rows)`` hold the samples one after another,
     each cut to the rows within ``max(h, b)`` of the cutoff with its left
     rows first, and ``counts`` the row counts of their sides, left then
     right, each at least 1. ``h`` and ``b`` hold each sample's bandwidths
-    and ``n`` the size of the samples they were cut from.
+    and ``n`` the size of the samples they were cut from. Each row of ``S``
+    after the first ``1 + q``, such as a fuzzy design's treatment ``a``, is
+    fitted like ``y`` but enters neither the instrumented solves, nor the
+    combination, nor the checks, nor the variance.
 
     Each side of each sample is one segment of the rows, and every per-row
     table (coordinates, weights, design rows, products, each side's
@@ -514,10 +519,12 @@ def fit_block(
     systems (``_identity_unless``); where ``b <= h`` a sample's single fit
     sums the same rows, so the two agree exactly.
 
-    Returns ``(ok, tau_pdd, tau_rdd_y, tau_pdd_bc, se, ci_lower, ci_upper)``
-    over the samples. ``ok`` is False exactly where the single fit raises
-    (``test_block_fit_agrees_with_the_single_fit`` checks both ways), so a
-    sample that is not ok has failed and its other values mean nothing.
+    Returns ``(ok, tau_pdd, tau_rdd, tau_pdd_bc, se, ci_lower, ci_upper)``
+    over the samples, ``tau_rdd`` ``(samples, rows of S)`` holding the local
+    linear jump of every row of ``S``. ``ok`` is False exactly where the
+    single fit raises (``test_block_fit_agrees_with_the_single_fit`` checks
+    both ways), so a sample that is not ok has failed and its other values
+    mean nothing.
     """
     q, m = Z.shape
     samples = len(h)
@@ -568,11 +575,12 @@ def fit_block(
     A, ok = _identity_unless(ok, A)
     G, ok = _identity_unless(ok, G)
     coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
-    intercepts_bc = coef[:, 0, :] - bias
+    beta = coef[:, 0, : 1 + q]  # the intercepts of y and W; later rows are only fitted
+    intercepts_bc = beta - bias[:, : 1 + q]
 
     # the instrumented solve of each side; a side that is not ok solves the
     # identity, its cross-moment blocks zeroed
-    RKW, ZKW = RKS[:, :, 1:], ZKS[:, :, 1:]
+    RKW, ZKW = RKS[:, :, 1 : 1 + q], ZKS[:, :, 1 : 1 + q]
     schur, ok = _identity_unless(ok, _schur_complement(A, RKW, ZKR, ZKW))
     ZKW, ok = _identity_unless(ok, ZKW)
     ok &= _schur_rcond(schur, ZKW) >= SCHUR_RCOND_MIN
@@ -580,8 +588,8 @@ def fit_block(
     RKW, ZKR = (np.where(ok[:, None, None], x, 0.0) for x in (RKW, ZKR))
     alpha0, gamma = _joint_solve(A, RKW, ZKR, ZKW, RKS[:, :, 0], ZKS[:, :, 0])
 
-    tau_rdd, tau_pdd, tau_iv = _point_forms(
-        coef[right, 0], coef[left, 0], alpha0[right], alpha0[left], gamma[right], gamma[left]
+    _, tau_pdd, tau_iv = _point_forms(
+        beta[right], beta[left], alpha0[right], alpha0[left], gamma[right], gamma[left]
     )
     combo = np.concatenate([np.ones((samples, 1)), -gamma[left]], axis=1)
     tau_bc = np.vecdot(combo, intercepts_bc[right] - intercepts_bc[left])
@@ -599,7 +607,7 @@ def fit_block(
         u, wh, v, wb = fit_rows(rows)
         kv = _design_rows(wb, v, 2)
         ku = kv[:2] if shared else _design_rows(wh, u, 1)
-        s = S[:, rows]
+        s = S[: 1 + q, rows]
         yield _row_forms((stacked_at(rows),), ku, kv, kv.shape[-1])[0] * s
         weight_row = _row_forms((weight_at(rows),), ku, kv, kv.shape[-1])[0]
         yield _squared_residuals(weight_row, s, centre_at(rows))
@@ -615,7 +623,7 @@ def fit_block(
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)
     ok &= np.isfinite(v_bc)
-    return ok, tau_pdd, tau_rdd[:, 0], tau_bc, se, lower, upper
+    return ok, tau_pdd, coef[right, 0] - coef[left, 0], tau_bc, se, lower, upper
 
 
 def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

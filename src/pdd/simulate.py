@@ -39,7 +39,7 @@ from typing import Any
 import numpy as np
 
 from .errors import PddError
-from .estimator import estimate_fuzzy
+from .estimator import _strong_first_stage
 from .inference import fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b
 from .kernels import KernelSpec, support_rows
@@ -49,9 +49,10 @@ from .kernels import KernelSpec, support_rows
 TRUTH_SEED_OFFSET = 1_000_003
 
 #: Rows of cut samples ``monte_carlo`` gathers before it fits them together.
-#: A block holds its input columns, 32 bytes a row with one placebo pair,
-#: and its fit holds a few windows of tables (``local_fit._windows``), so
-#: this budget bounds a block's memory whatever ``reps`` and ``n``.
+#: A block holds its input columns, 32 bytes a row with one placebo pair
+#: (40 with a fuzzy design's treatment), and its fit holds a few windows of
+#: tables (``local_fit._windows``), so this budget bounds a block's memory
+#: whatever ``reps`` and ``n``.
 BLOCK_ROWS = 1 << 16
 
 #: Drawn rows (``reps * n``) each worker process of ``monte_carlo`` must
@@ -335,17 +336,21 @@ def monte_carlo(
     Aggregation runs in replication order, so the report is deterministic
     given the base seed.
 
-    Each replication of the sharp design draws its sample, takes its
-    bandwidths and gathers the sample's rows within ``max(h, b)`` of the
-    cutoff, left side first, straight into the columns of a block. Once
-    those hold ``BLOCK_ROWS`` rows, their replications are fitted in one
-    pass (``inference.fit_block``), which sums each side as its single fit
-    does, however long, and takes each outcome's residual about its side's
+    Each replication draws its sample, takes its bandwidths and gathers the
+    sample's rows within ``max(h, b)`` of the cutoff, left side first,
+    straight into the columns of a block. Once those hold ``BLOCK_ROWS``
+    rows, their replications are fitted in one pass
+    (``inference.fit_block``), which sums each side as its single fit does,
+    however long, and takes each outcome's residual about its side's
     bias-corrected intercept, as ``inference.robust_variance`` does. A
     replication that fails a check in the block is counted as failed, as is
     a cut with no rows on a side: each fails where its single fit
-    (``bias_corrected_estimate``) would. The fuzzy design is fitted one
-    replication at a time.
+    (``bias_corrected_estimate``) would. The fuzzy design's treatment ``a``
+    is one more fitted row of the block: its jump is the first stage, and
+    the estimate and naive discontinuity are divided by it. A fuzzy
+    replication fails where ``pdd estimate --design fuzzy`` would:
+    ``bias_corrected_estimate``, then ``estimate_fuzzy``, which also fails a
+    first stage within ``FIRST_STAGE_MIN`` of zero.
 
     The replications are split into contiguous ranges, one per worker
     process: this process runs the first range and a child forked with
@@ -426,12 +431,13 @@ def _replicate(
     first stage (fuzzy) or the bias-corrected estimate, se and coverage
     (sharp).
     """
-    fuzzy = spec.design == "fuzzy_homogeneous"
     results: dict[int, tuple[float, ...]] = {}
-    # d, y, w and z of the gathered cuts, one row each; a block is fitted
-    # once it reaches the budget, so it holds fewer than BLOCK_ROWS + n rows
+    # d, y, w, the fuzzy design's a and z of the gathered cuts, one row each,
+    # so that the outcome rows S = [y, w, a] and Z are views of the block; a
+    # block is fitted once it reaches the budget, so it holds fewer than
+    # BLOCK_ROWS + n rows
     block_rows_max = min((hi - lo) * spec.n, BLOCK_ROWS + spec.n - 1)
-    block_columns = None if fuzzy else np.empty((4, block_rows_max))
+    block_columns = np.empty((4 + (spec.design != "sharp"), block_rows_max))
     block: list[tuple[int, int, int, float, float]] = []  # (r, k, rows, h, b)
     block_rows = 0
     fit = partial(_fit_replications, spec=spec, kernel=kernel, alpha=alpha)
@@ -441,18 +447,14 @@ def _replicate(
             h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
             b_r = b if b is not None else h_r
             _require_valid_alpha_and_b(alpha, h_r, b_r)
-            point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel) if fuzzy else None
         except PddError:
-            continue
-        if point is not None:
-            naive = point.tau_rdd_y / point.tau_rdd_a
-            results[r] = (point.fuzzy_estimate, naive, h_r, b_r, point.tau_rdd_a)
             continue
         rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
         if not 0 < k < rows.size:  # a side without rows fails the support test
             continue
         gathered = block_columns[:, block_rows : block_rows + rows.size]
-        for out, column in zip(gathered, (sample.d, sample.y, sample.W[:, 0], sample.Z[:, 0])):
+        columns = (sample.d, sample.y, sample.W[:, 0], sample.a, sample.Z[:, 0])
+        for out, column in zip(gathered, [c for c in columns if c is not None]):
             np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
         block.append((r, k, rows.size, h_r, b_r))
         block_rows += rows.size
@@ -559,23 +561,34 @@ def _fit_replications(
     kernel: KernelSpec,
     alpha: float,
 ) -> dict[int, tuple[float, ...]]:
-    """Fit a block of sharp replications ``(r, k, cut rows, h, b)`` whose
-    cut samples fill ``columns`` (``d``, ``y``, ``w``, ``z``) one after
-    another, each with its ``k`` left rows first, in one ``fit_block`` call.
-    A replication the block flags fails, as its single fit would. Returns,
-    for each replication that did not fail, its estimate, naive
-    discontinuity, ``h``, ``b``, bias-corrected estimate, standard error and
-    whether the interval covers ``tau0``.
+    """Fit a block of replications ``(r, k, cut rows, h, b)`` whose cut
+    samples fill ``columns`` (``d``, ``y``, ``w``, the fuzzy design's ``a``,
+    ``z``) one after another, each with its ``k`` left rows first, in one
+    ``fit_block`` call. A replication the block flags fails, as its single
+    fit would, and so does a fuzzy one whose first stage, the jump of ``a``,
+    is too weak to divide by. Returns, for each replication that did not
+    fail, its estimate, naive discontinuity, ``h``, ``b``, then the first
+    stage (fuzzy, which divides the two estimates) or the bias-corrected
+    estimate, standard error and whether the interval covers ``tau0``
+    (sharp).
     """
     counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
     _, _, _, hs, bs = zip(*block)
-    ok, tau, naive, tau_bc, se, lower, upper = fit_block(
-        columns[0], columns[1:3], columns[3:], counts, spec.cutoff, np.array(hs), np.array(bs),
-        kernel, spec.n, alpha,
+    ok, tau, jumps, tau_bc, se, lower, upper = fit_block(
+        columns[0], columns[1:-1], columns[-1:], counts, spec.cutoff, np.array(hs),
+        np.array(bs), kernel, spec.n, alpha,
     )  # fmt: skip
-    covered = (lower <= spec.tau0) & (spec.tau0 <= upper)
+    naive = jumps[:, 0]
+    if spec.design == "sharp":
+        rest = (tau_bc, se, (lower <= spec.tau0) & (spec.tau0 <= upper))
+    else:
+        first = jumps[:, -1]
+        ok &= _strong_first_stage(first)
+        with np.errstate(all="ignore"):  # a failed replication's ratios mean nothing
+            tau, naive = tau / first, naive / first
+        rest = (first,)
     return {
-        r: (tau[i], naive[i], h_r, b_r, tau_bc[i], se[i], covered[i])
+        r: (tau[i], naive[i], h_r, b_r, *(x[i] for x in rest))
         for i, (r, _, _, h_r, b_r) in enumerate(block)
         if ok[i]
     }

@@ -371,7 +371,7 @@ def test_fuzzy_monte_carlo_checks_alpha_and_bias_bandwidth_before_any_fit(monkey
         raise AssertionError("a fit ran before the check")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sys.modules["pdd.simulate"], "estimate_fuzzy", no_fit)
+        patch.setattr(sys.modules["pdd.simulate"], "fit_block", no_fit)
         with pytest.raises(ValueError, match="alpha"):
             monte_carlo(spec, 3, 1, alpha=1.5)
         with pytest.raises(ValueError, match="h/10"):

@@ -14,8 +14,10 @@ from pdd import (
     DgpSpec,
     KernelSpec,
     PddError,
+    WeakFirstStage,
     bias_corrected_estimate,
     dgp_truth,
+    estimate_fuzzy,
     estimate_sharp,
     monte_carlo,
     rule_of_thumb_bandwidth,
@@ -222,9 +224,12 @@ def test_monte_carlo_counts_failures():
 
 
 def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, skip=()):
-    """The sharp report's numbers from a plain loop of ``simulate`` and
-    ``bias_corrected_estimate``, one replication at a time.
+    """The report's numbers from a plain loop of ``simulate`` and what
+    ``pdd estimate`` runs on each sample, one replication at a time:
+    ``bias_corrected_estimate`` and, for the fuzzy design, then
+    ``estimate_fuzzy``; a replication fails if either raises.
     """
+    fuzzy = spec.design != "sharp"
     kept = []
     for r in range(reps):
         sample = simulate(replace(spec, seed=base_seed + r))
@@ -234,25 +239,36 @@ def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, skip=()):
             if r in skip:
                 continue
             est = bias_corrected_estimate(sample, spec.cutoff, h_r, b_r, kernel)
+            point = estimate_fuzzy(sample, spec.cutoff, h_r, kernel) if fuzzy else est.point
         except PddError:
             continue
-        covered = est.ci_lower <= spec.tau0 <= est.ci_upper
-        kept.append((est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, covered, h_r, b_r))
-    est, naive, est_bc, se, covered, hs, bs = map(np.array, zip(*kept))
-    out = {"reps": reps, "n_failed": reps - len(kept), "coverage": float(np.mean(covered))}
-    for names, values in (
+        if fuzzy:
+            first = point.tau_rdd_a
+            kept.append((h_r, b_r, point.fuzzy_estimate, point.tau_rdd_y / first, first))
+        else:
+            covered = est.ci_lower <= spec.tau0 <= est.ci_upper
+            kept.append((h_r, b_r, est.tau_pdd, point.tau_rdd_y, est.tau_pdd_bc, est.se, covered))
+    hs, bs, est, naive, *rest = map(np.array, zip(*kept))
+    out = {"reps": reps, "n_failed": reps - len(kept)}
+    summaries = [
         (("mean_estimate", "bias", "rmse", "sd"), est),
         (("naive_mean", "naive_bias", "naive_rmse", "naive_sd"), naive),
-        (("mean_estimate_bc", "bias_bc", "rmse_bc", "sd_bc"), est_bc),
-    ):
+    ]
+    if fuzzy:
+        out["mean_first_stage"] = float(np.mean(rest[0]))
+    else:
+        est_bc, se, covered = rest
+        summaries.append((("mean_estimate_bc", "bias_bc", "rmse_bc", "sd_bc"), est_bc))
+        out.update(coverage=float(np.mean(covered)), mean_se=float(np.mean(se)))
+    for names, values in summaries:
         out.update(zip(names, MC._summary(values, spec.tau0)))
-    out.update(mean_se=float(np.mean(se)), mean_h=float(np.mean(hs)), mean_b=float(np.mean(bs)))
+    out.update(mean_h=float(np.mean(hs)), mean_b=float(np.mean(bs)))
     return out
 
 
 def _assert_report_matches(report, expected, rtol=1e-12):
     for name in ("reps", "n_failed", "coverage"):
-        assert getattr(report, name) == expected[name], name
+        assert getattr(report, name) == expected.get(name), name
     for name, want in expected.items():
         got = getattr(report, name)
         assert abs(got - want) <= rtol * max(1.0, abs(got), abs(want)), (name, got, want)
@@ -267,6 +283,36 @@ def test_batched_report_equals_a_per_replication_loop(kind, b_over_h):
     h, b = (None, None) if b_over_h is None else (0.45, 0.45 * b_over_h)
     report = monte_carlo(spec, 20, 31, kernel, h, b)
     _assert_report_matches(report, _per_rep_report(spec, 20, 31, kernel, h, b))
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
+@pytest.mark.parametrize("b_over_h", [None, 1.5, 0.7])
+def test_fuzzy_report_equals_a_per_replication_loop(kind, b_over_h):
+    # where b <= h a cut holds the rows each single fit sums, in their
+    # order, so every number is the same; where b > h it also holds
+    # zero-weight rows out to b, and the sums round apart
+    spec = DgpSpec(n=2000, seed=0, kappa=4.0, design="fuzzy_homogeneous")
+    kernel = KernelSpec(kind)
+    h, b = (None, None) if b_over_h is None else (0.45, 0.45 * b_over_h)
+    report = monte_carlo(spec, 20, 31, kernel, h, b)
+    rtol = 1e-12 if b_over_h == 1.5 else 0.0
+    _assert_report_matches(report, _per_rep_report(spec, 20, 31, kernel, h, b), rtol)
+
+
+def test_a_thin_fuzzy_study_fails_where_the_fuzzy_estimate_would():
+    # on cuts this thin the bias fit at b fails now and then where the
+    # fuzzy point estimate at h alone would not, and so the replication does
+    spec = DgpSpec(n=150, seed=0, kappa=4.0, design="fuzzy_homogeneous", compliance=0.2)
+    report = monte_carlo(spec, 60, 0, h=0.2, b=0.12)
+    expected = _per_rep_report(spec, 60, 0, KernelSpec(), h=0.2, b=0.12)
+    _assert_report_matches(report, expected, rtol=0.0)
+    point_failures = 0
+    for r in range(60):
+        try:
+            estimate_fuzzy(simulate(replace(spec, seed=r)), 0.0, 0.2, KernelSpec())
+        except PddError:
+            point_failures += 1
+    assert 0 < point_failures < report.n_failed < 60
 
 
 @pytest.mark.parametrize("h, n_failed", [(0.05, 46), (0.1, 20)])
@@ -353,12 +399,14 @@ def test_block_size_moves_no_output_beyond_rounding(monkeypatch, workers):
 
 def _block(cuts):
     """``(d, S, Z, counts)`` of a block of cut samples ``(sample, k)``, their
-    rows one after another.
+    rows one after another; a treatment ``a`` is the last row of ``S``.
     """
-    columns = np.hstack([np.vstack([s.d, s.y, s.W.T, s.Z.T]) for s, _ in cuts])
+    columns = np.hstack([
+        np.vstack([s.d, s.y, s.W.T, *([] if s.a is None else [s.a]), s.Z.T]) for s, _ in cuts
+    ])  # fmt: skip
     q = cuts[0][0].q
     counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
-    return columns[0], columns[1 : 2 + q], columns[2 + q :], counts
+    return columns[0], columns[1:-q], columns[-q:], counts
 
 
 def _fit_block(cuts, *args):
@@ -389,7 +437,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         return real_agree(a, b)
 
     monkeypatch.setattr(pdd.inference, "_agree", recorded)
-    ok, tau, naive, tau_bc, se, lower, upper = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    ok, tau, jumps, tau_bc, se, lower, upper = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
     assert ok.tolist() == [True, True, False, False, False, True]
     # both equivalence checks ran, each over every replication of the block
     checked = [value for pair in compared for value in pair if value is tau or value is tau_bc]
@@ -401,7 +449,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
             continue
         est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel)
         want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
-        got = (tau[i], naive[i], tau_bc[i], se[i], lower[i], upper[i])
+        got = (tau[i], jumps[i, 0], tau_bc[i], se[i], lower[i], upper[i])
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -436,7 +484,8 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
-    ok, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    ok, tau, jumps, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    values = (tau, jumps[:, 0], *values)
     for i, sample in enumerate(samples):
         try:
             with np.errstate(all="ignore"):
@@ -451,6 +500,59 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
             assert got == want
         for value, expected in zip(got, want):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(value), abs(expected))
+
+
+def _with_treatment(sample, rng, jump=0.6):
+    """``sample`` with a binary treatment ``a`` whose mean jumps by ``jump``
+    at 0, or with ``a`` linear in ``d`` where ``jump`` is 0.
+    """
+    if jump == 0.0:
+        return replace(sample, a=0.5 + 0.25 * sample.d)
+    above = (sample.d >= 0.0).astype(float)
+    return replace(sample, a=(rng.random(sample.n) < 0.2 + jump * above).astype(float))
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_a_treatment_row_of_S_is_fitted_and_moves_no_sharp_output(q):
+    # the treatment's jump is fitted like y's, and it enters neither the
+    # instrumented solves, nor the checks, nor the variance
+    rng = np.random.default_rng(9)
+    samples = [_with_treatment(random_dataset(rng, n=300, q=q), rng) for _ in range(3)]
+    samples[1] = _with_defect(samples[1], "no_instrument")
+    kernel = KernelSpec("triangle")
+    h, b = np.array([0.5, 0.5, 0.45]), np.array([0.5, 0.4, 0.7])
+    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    d, S, Z, counts = _block(cuts)
+    ok, tau, jumps, *rest = pdd.inference.fit_block(d, S, Z, counts, 0.0, h, b, kernel, 300, 0.05)
+    sharp = pdd.inference.fit_block(d, S[:-1], Z, counts, 0.0, h, b, kernel, 300, 0.05)
+    assert ok.tolist() == sharp[0].tolist() == [True, False, True]
+    for got, want in zip((tau, jumps[:, :-1], *rest), sharp[1:]):
+        assert np.array_equal(got[ok], want[ok])
+    assert jumps.shape == (3, 2 + q)
+    for i in (0, 2):
+        point = estimate_fuzzy(samples[i], 0.0, h[i], kernel)
+        assert abs(jumps[i, -1] - point.tau_rdd_a) <= 1e-12
+
+
+def test_a_treatment_without_a_jump_fails_its_replication_as_estimate_fuzzy_does():
+    rng = np.random.default_rng(10)
+    jumps = (0.6, 0.0, 0.4)
+    samples = [_with_treatment(random_dataset(rng, n=300), rng, jump) for jump in jumps]
+    kernel = KernelSpec("triangle")
+    h = np.array([0.5, 0.5, 0.6])
+    cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
+    d, S, Z, counts = _block(cuts)
+    assert pdd.inference.fit_block(d, S, Z, counts, 0.0, h, h, kernel, 300, 0.05)[0].all()
+    spec = DgpSpec(n=300, seed=0, design="fuzzy_homogeneous")
+    block = [(i, k, cut.n, h[i], h[i]) for i, (cut, k) in enumerate(cuts)]
+    results = MC._fit_replications(block, np.vstack([d, S, Z]), spec, kernel, 0.05)
+    assert sorted(results) == [0, 2]
+    with pytest.raises(WeakFirstStage):
+        estimate_fuzzy(samples[1], 0.0, h[1], kernel)
+    for i in (0, 2):
+        point = estimate_fuzzy(samples[i], 0.0, h[i], kernel)
+        first = point.tau_rdd_a
+        assert results[i] == (point.fuzzy_estimate, point.tau_rdd_y / first, h[i], h[i], first)
 
 
 def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
