@@ -7,7 +7,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,8 +17,10 @@ from .local_fit import _distinct_support
 
 DESIGNS = ("sharp", "fuzzy")
 
-#: Rows per chunk in ``load_csv`` and ``write_csv``: each chunk is converted
-#: a whole column at a time, and only one chunk of cell strings is held.
+#: Rows per chunk in ``load_csv`` and ``write_csv``: each chunk is parsed and
+#: converted a whole column at a time (by numpy's C reader where the chunk is
+#: plain numbers, see ``_loadtxt_columns``), and only one chunk of lines or
+#: cell strings is held.
 CHUNK_ROWS = 16384
 
 
@@ -115,9 +117,14 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
     ParseError with the data row location. A UTF-8 byte-order mark opening
     the input is dropped, so a header saved with one names its columns.
 
-    Rows are read ``CHUNK_ROWS`` at a time and each bound column of a chunk
-    is converted with one ``float`` pass; only a column holding a cell that
-    ``float`` rejects is converted again cell by cell.
+    Rows are read ``CHUNK_ROWS`` lines at a time. A chunk of plain numbers
+    (no quote, every line as wide as the header, every bound cell one that
+    ``np.loadtxt`` reads) is parsed by numpy's C reader, which converts the
+    bound columns only. From the first chunk that is not, the rest of the
+    input is split by ``csv`` and each bound column of a chunk converted
+    with one ``float`` pass; only a column holding a cell that ``float``
+    rejects is converted again cell by cell. Either way the columns,
+    ``dropped_rows`` and errors are the same.
     """
     if len(bindings.placebo_outcomes) != len(bindings.placebo_treatments):
         raise ValueError("placebo outcome and treatment column lists must have equal length")
@@ -129,8 +136,9 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
         fh = source
     try:
         try:
-            reader = csv.reader(_without_bom(fh))
-            header = next(reader)
+            lines = _without_bom(fh)
+            # csv takes only the header's lines: a quoted name may span lines
+            header = next(csv.reader(lines))
         except StopIteration:
             raise ParseError("file is empty; a header row is required") from None
         except (csv.Error, UnicodeDecodeError) as exc:
@@ -145,36 +153,11 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
         positions = {name: index[name] for name in bindings.used()}
         parts: dict[str, list[np.ndarray]] = {name: [] for name in positions}
         dropped = 0
-        rows_read = 0
-        while True:
-            chunk: list[list[str]] = []
-            try:
-                chunk.extend(itertools.islice(reader, CHUNK_ROWS))
-            except (csv.Error, UnicodeDecodeError) as exc:
-                # ``extend`` keeps the rows read before the failing one.
-                raise _malformed(exc, rows_read + len(chunk) + 1) from exc
-            if not chunk:
-                break
-            if max(map(len, chunk)) > len(header):
-                offset = next(i for i, row in enumerate(chunk) if len(row) > len(header))
-                rownum = rows_read + offset + 1
-                raise ParseError(
-                    f"row {rownum} has {len(chunk[offset])} fields "
-                    f"but the header has {len(header)}",
-                    row=rownum,
-                )
-            rows_read += len(chunk)
-            if min(map(len, chunk)) < len(header):
-                # A short row or a blank line: its missing cells are empty, so it is dropped.
-                chunk = [row + [""] * (len(header) - len(row)) for row in chunk]
-            values = {
-                name: _to_floats(list(map(operator.itemgetter(pos), chunk)))
-                for name, pos in positions.items()
-            }
-            keep = np.logical_and.reduce([np.isfinite(v) for v in values.values()])
-            dropped += len(chunk) - int(np.count_nonzero(keep))
-            for name, v in values.items():
-                parts[name].append(v[keep])
+        for values in _column_chunks(lines, len(header), list(positions.values())):
+            keep = np.logical_and.reduce([np.isfinite(v) for v in values])
+            dropped += len(keep) - int(np.count_nonzero(keep))
+            for part, v in zip(parts.values(), values):
+                part.append(v[keep])
         columns = {
             name: np.concatenate(chunks) if chunks else np.empty(0)
             for name, chunks in parts.items()
@@ -228,6 +211,97 @@ def _without_bom(lines: Iterable[str]) -> Iterator[str]:
     for first in lines:
         return itertools.chain([first.removeprefix("\ufeff")], lines)
     return lines
+
+
+def _column_chunks(
+    lines: Iterator[str], width: int, usecols: list[int]
+) -> Iterator[Sequence[np.ndarray]]:
+    """The ``usecols`` columns of the data rows in ``lines``, ``CHUNK_ROWS``
+    rows at a time, with NaN for a cell ``float`` rejects.
+
+    A chunk of lines goes to numpy's C reader where ``_loadtxt_columns``
+    proves the result equal to that of splitting it with ``csv`` and
+    converting it with ``_csv_columns``. From the first chunk it cannot,
+    ``csv`` splits the rest of the input: a quoted field may span lines and
+    chunks, and a file with one such chunk likely has more, each of which
+    would be parsed twice.
+    """
+    rows_read = 0
+    records: Iterator[list[str]] | None = None
+    while True:
+        rows: list[list[str]] = []
+        values = None
+        try:
+            if records is None:
+                chunk = list(itertools.islice(lines, CHUNK_ROWS))
+                if not chunk:
+                    return
+                values = _loadtxt_columns(chunk, width, usecols)
+                if values is None:
+                    records = csv.reader(itertools.chain(chunk, lines))
+            if records is not None:
+                rows.extend(itertools.islice(records, CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            # ``extend`` keeps the rows read before the failing one.
+            raise _malformed(exc, rows_read + len(rows) + 1) from exc
+        if values is None:
+            if not rows:
+                return
+            values = _csv_columns(rows, rows_read, width, usecols)
+        rows_read += len(values[0])
+        yield values
+
+
+def _loadtxt_columns(lines: list[str], width: int, usecols: list[int]) -> np.ndarray | None:
+    """``np.loadtxt``'s ``usecols`` columns of ``lines``, or None unless they
+    must equal what ``csv`` and ``_csv_columns`` give.
+
+    Each difference between the two readers sends the chunk back: a quote
+    may open a field ``csv`` reads across lines; ``csv`` rejects a NUL, a
+    field of ``csv.field_size_limit()`` characters and a carriage return
+    inside a line, where ``loadtxt`` may end a row at the latter; ``loadtxt``
+    strips the separators U+001C to U+001F from a cell as whitespace, where
+    ``float`` rejects the cell; ``loadtxt`` skips a blank line (and warns
+    when left with no line) and accepts a row wider than ``usecols`` needs.
+    A cell ``loadtxt`` rejects, such as an empty one or one ``float`` reads
+    (``1_0``, non-ASCII digits), sends the chunk back too. Comments are off,
+    so ``1#2`` is rejected as ``float`` rejects it.
+    """
+    text = "".join(lines)
+    if (
+        any(char in text for char in '"\0\x1c\x1d\x1e\x1f')
+        or text.count("\r") != text.count("\r\n")
+        or text.isspace()
+        or max(map(len, lines)) >= csv.field_size_limit()
+        or list(map(str.count, lines, itertools.repeat(","))).count(width - 1) != len(lines)
+    ):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values.T if len(values) == len(lines) else None
+
+
+def _csv_columns(
+    rows: list[list[str]], rows_read: int, width: int, usecols: list[int]
+) -> list[np.ndarray]:
+    """The ``usecols`` columns of ``csv``'s ``rows``, which follow data row
+    ``rows_read``, each converted by ``_to_floats``.
+
+    A row wider than the header raises ParseError; a short row or a blank
+    line gets empty cells for those it lacks, so it is dropped.
+    """
+    if max(map(len, rows)) > width:
+        offset = next(i for i, row in enumerate(rows) if len(row) > width)
+        rownum = rows_read + offset + 1
+        raise ParseError(
+            f"row {rownum} has {len(rows[offset])} fields but the header has {width}",
+            row=rownum,
+        )
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return [_to_floats(list(map(operator.itemgetter(pos), rows))) for pos in usecols]
 
 
 def _to_floats(cells: list[str]) -> np.ndarray:
