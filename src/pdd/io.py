@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
 import operator
+import os
+import stat
 from dataclasses import dataclass, field
+from functools import partial
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _forked
 from .errors import EmptyAfterFiltering, MissingColumn, ParseError
 from .kernels import KERNEL_KINDS
 from .local_fit import _distinct_support
@@ -20,7 +25,8 @@ DESIGNS = ("sharp", "fuzzy")
 #: Rows per chunk in ``load_csv`` and ``write_csv``: each chunk is parsed and
 #: converted a whole column at a time (by numpy's C reader where the chunk is
 #: plain numbers, see ``_loadtxt_columns``), and only one chunk of lines or
-#: cell strings is held.
+#: cell strings is held in each process. Chunks are also what is dealt to
+#: the worker processes of a split read or write (``_forked``).
 CHUNK_ROWS = 16384
 
 
@@ -125,6 +131,14 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
     with one ``float`` pass; only a column holding a cell that ``float``
     rejects is converted again cell by cell. Either way the columns,
     ``dropped_rows`` and errors are the same.
+
+    A ``source`` given as the path of a regular file of more than one chunk
+    is parsed by this process and forked workers in turn (``_column_chunks``).
+    Each worker reopens the path and reads nothing unless it finds the file
+    this process opened, unchanged (device, inode, size and modification
+    time); a file written while it is read is not supported. Any other
+    source, a pipe named by a path included, is read by this process alone.
+    The result is the same as one process's.
     """
     if len(bindings.placebo_outcomes) != len(bindings.placebo_treatments):
         raise ValueError("placebo outcome and treatment column lists must have equal length")
@@ -153,11 +167,18 @@ def load_csv(source: str | IO[str], bindings: ColumnBindings) -> Sample:
         positions = {name: index[name] for name in bindings.used()}
         parts: dict[str, list[np.ndarray]] = {name: [] for name in positions}
         dropped = 0
-        for values in _column_chunks(lines, len(header), list(positions.values())):
-            keep = np.logical_and.reduce([np.isfinite(v) for v in values])
-            dropped += len(keep) - int(np.count_nonzero(keep))
-            for part, v in zip(parts.values(), values):
-                part.append(v[keep])
+        # only a regular file reads the same each time its path is opened
+        opened = os.fstat(fh.fileno()) if close else None
+        file = (source, opened) if opened is not None and stat.S_ISREG(opened.st_mode) else None
+        # closed here, so its workers end with this call whatever it raises
+        with contextlib.closing(
+            _column_chunks(lines, len(header), list(positions.values()), file)
+        ) as loaded:
+            for values in loaded:
+                keep = np.logical_and.reduce([np.isfinite(v) for v in values])
+                dropped += len(keep) - int(np.count_nonzero(keep))
+                for part, v in zip(parts.values(), values):
+                    part.append(v[keep])
         columns = {
             name: np.concatenate(chunks) if chunks else np.empty(0)
             for name, chunks in parts.items()
@@ -214,7 +235,10 @@ def _without_bom(lines: Iterable[str]) -> Iterator[str]:
 
 
 def _column_chunks(
-    lines: Iterator[str], width: int, usecols: list[int]
+    lines: Iterator[str],
+    width: int,
+    usecols: list[int],
+    file: tuple[str, os.stat_result] | None = None,
 ) -> Iterator[Sequence[np.ndarray]]:
     """The ``usecols`` columns of the data rows in ``lines``, ``CHUNK_ROWS``
     rows at a time, with NaN for a cell ``float`` rejects.
@@ -225,31 +249,105 @@ def _column_chunks(
     ``csv`` splits the rest of the input: a quoted field may span lines and
     chunks, and a file with one such chunk likely has more, each of which
     would be parsed twice.
+
+    Where ``lines`` are those of the regular ``file`` (its path and its
+    ``os.fstat`` when opened) and hold more than one chunk, the chunks are
+    dealt in turn to this process and to forked workers (``_loaded_chunks``),
+    each of which runs ``_loadtxt_columns`` on its own chunks of the file;
+    this process still reads every line, takes each worker's results in
+    chunk order and parses a chunk itself where its worker failed or could
+    not be made. The workers end before this generator does.
     """
     rows_read = 0
     records: Iterator[list[str]] | None = None
-    while True:
-        rows: list[list[str]] = []
-        values = None
-        try:
-            if records is None:
-                chunk = list(itertools.islice(lines, CHUNK_ROWS))
-                if not chunk:
+    workers: list[_forked.Worker | None] = []
+    try:
+        for index in itertools.count():
+            rows: list[list[str]] = []
+            values = None
+            try:
+                if records is None:
+                    chunk = list(itertools.islice(lines, CHUNK_ROWS))
+                    if not chunk:
+                        return
+                    if index == 0 and file is not None and len(chunk) == CHUNK_ROWS:
+                        lines = _start_loaders(workers, lines, file, chunk, width, usecols)
+                    values = _forked.take(
+                        workers, index, partial(_loadtxt_columns, chunk, width, usecols)
+                    )
+                    if values is None:
+                        _forked.stop(workers)
+                        records = csv.reader(itertools.chain(chunk, lines))
+                if records is not None:
+                    rows.extend(itertools.islice(records, CHUNK_ROWS))
+            except (csv.Error, UnicodeDecodeError) as exc:
+                # ``extend`` keeps the rows read before the failing one, and
+                # a row among them wider than the header comes first
+                _require_width(rows, rows_read, width)
+                raise _malformed(exc, rows_read + len(rows) + 1) from exc
+            if values is None:
+                if not rows:
                     return
-                values = _loadtxt_columns(chunk, width, usecols)
-                if values is None:
-                    records = csv.reader(itertools.chain(chunk, lines))
-            if records is not None:
-                rows.extend(itertools.islice(records, CHUNK_ROWS))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            # ``extend`` keeps the rows read before the failing one.
-            raise _malformed(exc, rows_read + len(rows) + 1) from exc
-        if values is None:
-            if not rows:
+                values = _csv_columns(rows, rows_read, width, usecols)
+            rows_read += len(values[0])
+            yield values
+    finally:
+        _forked.stop(workers)
+
+
+def _start_loaders(
+    workers: list[_forked.Worker | None],
+    lines: Iterator[str],
+    file: tuple[str, os.stat_result],
+    chunk: list[str],
+    width: int,
+    usecols: list[int],
+) -> Iterator[str]:
+    """Fork the workers of ``_column_chunks`` into ``workers`` where a line
+    follows the first ``chunk`` of ``file``; returns ``lines``, that line
+    still first.
+    """
+    after = list(itertools.islice(lines, 1))
+    if after:
+        chunks = -(-file[1].st_size // sum(map(len, chunk)))  # about as many
+        count = _forked.workers(chunks)
+        _forked.fork_each(
+            workers,
+            (partial(_loaded_chunks, *file, width, usecols, w, count) for w in range(1, count)),
+        )
+    return itertools.chain(after, lines)
+
+
+def _loaded_chunks(
+    path: str, opened: os.stat_result, width: int, usecols: list[int], worker: int, workers: int
+) -> Iterator[np.ndarray | None]:
+    """``_loadtxt_columns`` of each chunk ``i`` of the file at ``path`` with
+    ``i % workers == worker``, read line by line as ``load_csv`` reads it,
+    up to the first it gives None for. Raises OSError, reading nothing,
+    unless the file is the one ``opened`` describes, unchanged.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        if _identity(os.fstat(fh.fileno())) != _identity(opened):
+            raise OSError(f"{path} is not the file being read")
+        lines = _without_bom(fh)
+        next(csv.reader(lines))
+        for index in itertools.count():
+            if index % workers != worker:
+                next(itertools.islice(lines, CHUNK_ROWS, CHUNK_ROWS), None)  # skip the chunk
+                continue
+            chunk = list(itertools.islice(lines, CHUNK_ROWS))
+            if not chunk:
                 return
-            values = _csv_columns(rows, rows_read, width, usecols)
-        rows_read += len(values[0])
-        yield values
+            values = _loadtxt_columns(chunk, width, usecols)
+            yield values
+            if values is None:
+                return
+
+
+def _identity(opened: os.stat_result) -> tuple[int, int, int, int]:
+    """What tells a file and its version apart: device, inode, size and
+    modification time."""
+    return opened.st_dev, opened.st_ino, opened.st_size, opened.st_mtime_ns
 
 
 def _loadtxt_columns(lines: list[str], width: int, usecols: list[int]) -> np.ndarray | None:
@@ -270,7 +368,7 @@ def _loadtxt_columns(lines: list[str], width: int, usecols: list[int]) -> np.nda
     text = "".join(lines)
     if (
         any(char in text for char in '"\0\x1c\x1d\x1e\x1f')
-        or text.count("\r") != text.count("\r\n")
+        or ("\r" in text and text.count("\r") != text.count("\r\n"))
         or text.isspace()
         or max(map(len, lines)) >= csv.field_size_limit()
         or list(map(str.count, lines, itertools.repeat(","))).count(width - 1) != len(lines)
@@ -292,16 +390,22 @@ def _csv_columns(
     A row wider than the header raises ParseError; a short row or a blank
     line gets empty cells for those it lacks, so it is dropped.
     """
-    if max(map(len, rows)) > width:
+    _require_width(rows, rows_read, width)
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return [_to_floats(list(map(operator.itemgetter(pos), rows))) for pos in usecols]
+
+
+def _require_width(rows: list[list[str]], rows_read: int, width: int) -> None:
+    """Raise ParseError for the first of ``rows``, which follow data row
+    ``rows_read``, with more than ``width`` fields."""
+    if rows and max(map(len, rows)) > width:
         offset = next(i for i, row in enumerate(rows) if len(row) > width)
         rownum = rows_read + offset + 1
         raise ParseError(
             f"row {rownum} has {len(rows[offset])} fields but the header has {width}",
             row=rownum,
         )
-    if min(map(len, rows)) < width:
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    return [_to_floats(list(map(operator.itemgetter(pos), rows))) for pos in usecols]
 
 
 def _to_floats(cells: list[str]) -> np.ndarray:
@@ -330,7 +434,14 @@ def write_csv(sample: Sample, out: IO[str]) -> None:
     when present), so the output round-trips through ``load_csv`` losslessly.
     Numbers and these names never need quoting, so each chunk of
     ``CHUNK_ROWS`` rows is formatted by one ``%`` operation on a row template
-    repeated per row, and written at once.
+    repeated per row (``_chunk_text``), and written at once.
+
+    Where the sample holds more than one chunk, the chunks are dealt in turn
+    to this process and to forked workers, as ``load_csv`` deals a file's:
+    each worker formats its own chunks and sends the text back, and this
+    process writes every chunk in order, formatting a chunk itself where its
+    worker failed or could not be made, so ``out`` gets the same text at any
+    worker count. The workers end before this function returns.
     """
     header = ["d", "y"]
     header += [f"w{j + 1}" for j in range(sample.q)]
@@ -340,10 +451,23 @@ def write_csv(sample: Sample, out: IO[str]) -> None:
         header.append("a")
         columns.append(sample.a)
     out.write(",".join(header) + "\n")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    for start in range(0, sample.n, CHUNK_ROWS):
-        chunk = np.stack([col[start : start + CHUNK_ROWS] for col in columns], axis=1)
-        out.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    text = partial(_chunk_text, columns, ",".join(["%.17g"] * len(columns)) + "\n")
+    starts = range(0, sample.n, CHUNK_ROWS)
+    count = _forked.workers(len(starts))
+    workers: list[_forked.Worker | None] = []
+    try:
+        _forked.fork_each(workers, (partial(map, text, starts[w::count]) for w in range(1, count)))
+        for index, start in enumerate(starts):
+            out.write(_forked.take(workers, index, partial(text, start)))
+    finally:
+        _forked.stop(workers)
+
+
+def _chunk_text(columns: list[np.ndarray], row: str, start: int) -> str:
+    """Rows ``start`` to ``start + CHUNK_ROWS - 1`` of ``columns``, each
+    formatted by the template ``row``."""
+    chunk = np.stack([col[start : start + CHUNK_ROWS] for col in columns], axis=1)
+    return row * len(chunk) % tuple(chunk.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,6 @@ standard discontinuity. The adjustment weights' population value is
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -38,6 +33,7 @@ from typing import Any
 
 import numpy as np
 
+from . import _forked
 from .errors import PddError
 from .estimator import _strong_first_stage
 from .inference import fit_block, rule_of_thumb_bandwidth
@@ -373,7 +369,8 @@ def monte_carlo(
         _replicate, spec=spec, base_seed=base_seed, kernel=kernel or KernelSpec(), h=h, b=b,
         alpha=alpha,
     )  # fmt: skip
-    results = _in_workers(replicate, reps, _workers(reps, spec.n))
+    workers = _forked.workers(min(reps, reps * spec.n // WORKER_ROWS))
+    results = _in_workers(replicate, reps, workers)
     if not results:
         raise PddError(f"all {reps} replications failed")
 
@@ -466,17 +463,6 @@ def _replicate(
     return results
 
 
-def _workers(reps: int, n: int) -> int:
-    """Processes to run ``reps`` replications of ``n`` rows in: one per
-    available CPU on Linux, as long as each draws at least ``WORKER_ROWS``
-    rows, else one. A process running other threads is not forked, since a
-    lock one of them holds would stay locked in the child.
-    """
-    if not sys.platform.startswith("linux") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), reps, reps * n // WORKER_ROWS))
-
-
 def _in_workers(
     replicate: Callable[[int, int], dict[int, tuple[float, ...]]], reps: int, workers: int
 ) -> dict[int, tuple[float, ...]]:
@@ -485,73 +471,43 @@ def _in_workers(
     This process runs the first range and a forked child each other one.
     The results are merged in range order, and the first range to fail
     raises its error, as one run over every replication would first meet
-    it. No child outlives the call, whether it returns or raises.
+    it. A child that ends without a result raises OSError. No child
+    outlives the call, whether it returns or raises.
     """
     bounds = [reps * i // workers for i in range(workers + 1)]
-    children: list[tuple[int, int, int, int]] = []  # (pid, read end, lo, hi), not yet reaped
+    children: list[tuple[_forked.Worker, int, int]] = []  # (worker, lo, hi), not yet reaped
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append((*_fork(replicate, lo, hi), lo, hi))
+            # the child sends one item, its range's results
+            children.append((_forked.fork(partial(map, replicate, [lo], [hi])), lo, hi))
         results = replicate(bounds[0], bounds[1])
         while children:
             results.update(_collect(*children.pop(0)))
         return results
     finally:
-        for pid, read_end, _, _ in children:  # this process raised: their results go unread
-            os.close(read_end)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for worker, _, _ in children:  # this process raised: their results go unread
+            worker.kill()
 
 
-def _fork(replicate: Callable, lo: int, hi: int) -> tuple[int, int]:
-    """Fork a child that pickles ``replicate(lo, hi)``, or the exception it
-    raised, into a pipe; returns the child's pid and the pipe's read end.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    # the child leaves through os._exit, so that neither the caller's frames
-    # nor its buffered output, exit hooks and finally clauses run twice
-    code = 1
-    try:
-        os.close(read_end)
-        try:
-            outcome = (True, replicate(lo, hi))
-        except Exception as exc:
-            outcome = (False, exc)
-        with open(write_end, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _collect(pid: int, read_end: int, lo: int, hi: int) -> dict[int, tuple[float, ...]]:
+def _collect(worker: _forked.Worker, lo: int, hi: int) -> dict[int, tuple[float, ...]]:
     """Read and reap the child forked for replications ``lo`` to ``hi - 1``;
     returns its results or raises its error. A child that ended without a
     result raises OSError.
     """
+    results: dict[int, tuple[float, ...]] = {}
     try:
-        with open(read_end, "rb") as pipe:
-            payload = pipe.read()
+        while True:
+            results.update(worker.receive())
+    except EOFError:
+        pass
     finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
+        code = worker.reap()
+    if code != 0:
         raise OSError(
             f"the worker process for replications {lo} to {hi - 1} ended without a result "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"
+            f"(exit status {code})"
         )
-    succeeded, value = pickle.loads(payload)
-    if not succeeded:
-        raise value
-    return value
+    return results
 
 
 def _fit_replications(

@@ -55,12 +55,13 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """``workers(k)`` makes every later ``monte_carlo`` call of the test split
-    its study across k processes, through the one helper that counts them.
+    """``workers(k)`` makes every later ``monte_carlo``, ``load_csv`` and
+    ``write_csv`` call of the test split its work across k processes,
+    through the one helper that counts them.
     """
 
     def force(count: int) -> None:
-        monkeypatch.setattr(sys.modules["pdd.simulate"], "_workers", lambda reps, n: count)
+        monkeypatch.setattr(sys.modules["pdd._forked"], "workers", lambda tasks: count)
 
     return force
 

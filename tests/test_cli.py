@@ -581,7 +581,7 @@ def test_output_buffered_before_a_split_study_is_written_once():
     # it, so stdout is block-buffered here, as it is into a pipe by default
     script = (
         "import sys, pdd.cli\n"
-        "sys.modules['pdd.simulate']._workers = lambda reps, n: 2\n"
+        "sys.modules['pdd._forked'].workers = lambda tasks: 2\n"
         "print('before')\n"
         "sys.exit(pdd.cli.main(['mc', '--n', '2000', '--seed', '3', '--reps', '6']))\n"
     )

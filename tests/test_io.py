@@ -1,7 +1,14 @@
+import contextlib
 import csv
+import errno
 import io
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -11,7 +18,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+import pdd._forked
 import pdd.io
+from conftest import assert_no_children
 from test_cli import CSV_TEXT
 
 from pdd import (
@@ -178,15 +187,14 @@ def reference_load_csv(source, bindings):
     index = {}
     for pos, name in enumerate(header):
         index.setdefault(name, pos)
-    used = bindings.used()
-    columns = {name: [] for name in used}
+    columns = {name: [] for name in bindings.used()}
     dropped = 0
     for rownum, row in enumerate(reader, start=1):
         if len(row) > len(header):
             raise ParseError(f"row {rownum} is too wide", row=rownum)
         values = {}
         ok = True
-        for name in used:
+        for name in columns:
             pos = index[name]
             cell = row[pos].strip() if pos < len(row) else ""
             if not cell:
@@ -204,8 +212,8 @@ def reference_load_csv(source, bindings):
         if not ok:
             dropped += 1
             continue
-        for name in used:
-            columns[name].append(values[name])
+        for name, column in columns.items():
+            column.append(values[name])
     if not columns[bindings.running]:
         raise EmptyAfterFiltering(f"no usable rows after dropping {dropped} incomplete rows")
 
@@ -359,7 +367,7 @@ def open_text(text, kind):
     return io.TextIOWrapper(data, encoding="utf-8", newline="" if kind == "file" else None)
 
 
-CLI_BINDINGS = st.sampled_from([ColumnBindings(), BIND])
+CLI_BINDINGS = st.sampled_from([ColumnBindings(), BIND, ColumnBindings(running="d", outcome="d")])
 ODD_CSV = st.builds(odd_csv, st.integers(0, 30), st.integers(0, 2**16))
 ODD_BINDINGS = st.sampled_from([ODD_BIND, ColumnBindings(running="note"), BIND])
 
@@ -397,6 +405,7 @@ def test_blank_lines_of_a_one_column_file_are_dropped_rows(monkeypatch, chunk):
     bindings = ColumnBindings(running="d", outcome="d")
     got = load_csv(io.StringIO(text), bindings)
     assert (got.d.tolist(), got.dropped_rows) == ([1.0, 2.0, 3.0], 2)
+    assert_same_sample(got, reference_load_csv(io.StringIO(text), bindings))
 
 
 def test_a_cell_with_a_hash_is_dropped_not_read_up_to_the_hash():
@@ -570,3 +579,268 @@ def test_write_then_load_round_trips_bit_exactly(case):
         else:
             assert got.shape == want.shape
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_a_wide_row_before_a_row_csv_cannot_split_is_reported_first(monkeypatch, chunk):
+    # csv rejects the bare CR of row 2 only after it split the wide row 1
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", chunk)
+    with pytest.raises(ParseError, match="^row 1 has 5 fields but the header has 4$") as err:
+        load_csv(io.StringIO("d,y,w1,z1\n,,,,\n\r0\n"), BIND)
+    assert err.value.row == 1
+
+
+#: Data lines of a ``d,y`` file that send a chunk away from ``np.loadtxt``
+#: or end the read, by what they hold.
+TROUBLES = {
+    "gap": b"5,",
+    "quote": b'"5",6',
+    "nul": b"5,6\x00",
+    "bare CR": b"5\r,6",
+    "invalid UTF-8": b"5,caf\xe9",
+    "wide row": b"5,6,7",
+}
+
+#: ``CHUNK_ROWS`` in the tests of the worker processes, so that a small file
+#: spans many chunks.
+SMALL_CHUNK = 4
+
+
+def chunked_file(tmp_path, trouble_at=None, trouble=b"", rows=3 * SMALL_CHUNK + 2):
+    """A ``d,y`` file of ``rows`` data lines, the line ``trouble_at``
+    (0-based) replaced by ``trouble``."""
+    lines = [b"%d,%r" % (i, i / 7.0) for i in range(rows)]
+    if trouble_at is not None:
+        lines[trouble_at] = trouble
+    path = tmp_path / "chunks.csv"
+    path.write_bytes(b"d,y\n" + b"\n".join(lines) + b"\n")
+    return str(path)
+
+
+def loaded(source, bindings=ColumnBindings()):
+    """``load_csv``'s sample, or the type, row and message of its error."""
+    try:
+        return load_csv(source, bindings)
+    except (ParseError, EmptyAfterFiltering, MissingColumn) as exc:
+        return type(exc), getattr(exc, "row", None), str(exc)
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 2])
+@pytest.mark.parametrize("trouble", TROUBLES)
+def test_workers_load_what_one_process_loads(tmp_path, monkeypatch, workers, trouble, chunk):
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    path = chunked_file(tmp_path, chunk * SMALL_CHUNK + 1, TROUBLES[trouble])
+    workers(1)
+    want = loaded(path)
+    for count in (2, 3):
+        workers(count)
+        assert_same_outcome(loaded(path), want)
+        assert_no_children()
+
+
+def test_each_worker_parses_its_own_chunks(tmp_path, monkeypatch, workers):
+    # chunks 0 and 2 of four are parsed here; a spy in a worker counts in
+    # the worker's memory, not this process's
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    path = chunked_file(tmp_path)
+    parsed = []
+    real = pdd.io._loadtxt_columns
+
+    def spy(lines, width, usecols):
+        parsed.append(lines[0])
+        return real(lines, width, usecols)
+
+    monkeypatch.setattr(pdd.io, "_loadtxt_columns", spy)
+    workers(2)
+    got = load_csv(path, ColumnBindings())
+    assert parsed == ["0,0.0\n", f"{2 * SMALL_CHUNK},{2 * SMALL_CHUNK / 7.0!r}\n"]
+    assert got.d.tolist() == list(range(3 * SMALL_CHUNK + 2))
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failure", ["dies", "raises"])
+def test_a_failed_worker_leaves_its_chunks_to_this_process(tmp_path, monkeypatch, workers, failure):
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    path = chunked_file(tmp_path)
+    workers(1)
+    want = load_csv(path, ColumnBindings())
+    parent, real = os.getpid(), pdd.io._loadtxt_columns
+
+    def fail_in_a_worker(lines, width, usecols):
+        if os.getpid() != parent:
+            if failure == "dies":
+                os._exit(9)
+            raise RuntimeError("a worker failed")
+        return real(lines, width, usecols)
+
+    monkeypatch.setattr(pdd.io, "_loadtxt_columns", fail_in_a_worker)
+    for count in (2, 3):
+        workers(count)
+        assert_same_sample(load_csv(path, ColumnBindings()), want)
+        assert_no_children()
+
+
+def test_no_worker_is_forked_for_a_stream_or_beside_another_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    one_chunk = tmp_path / "one.csv"
+    one_chunk.write_text("d,y\n" + "1,2\n" * SMALL_CHUNK)
+    write_csv(load_csv(str(one_chunk), ColumnBindings()), io.StringIO())
+    assert forks == []
+    path = chunked_file(tmp_path)
+    sample = load_csv(path, ColumnBindings())
+    assert forks  # a path of several chunks is split
+    forks.clear()
+    with open(path, newline="") as stream:
+        assert_same_sample(load_csv(stream, ColumnBindings()), sample)
+    with open(path) as text:
+        assert_same_sample(load_csv(open_text(text.read(), "stdin"), ColumnBindings()), sample)
+    assert forks == []
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert_same_sample(load_csv(path, ColumnBindings()), sample)
+        write_csv(sample, io.StringIO())
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("n", [SMALL_CHUNK, SMALL_CHUNK + 1, 3 * SMALL_CHUNK + 1])
+def test_workers_write_the_bytes_one_process_writes(monkeypatch, workers, n):
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    rng = np.random.default_rng(n)
+    columns = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 301, (n, 5))
+    sample = sample_with(columns, 1, True)
+    want = io.StringIO()
+    reference_write_csv(sample, want)
+    parent, real = os.getpid(), pdd.io._chunk_text
+
+    def dying_in_a_worker(columns, row, start):
+        if os.getpid() != parent and start == SMALL_CHUNK:
+            os._exit(9)
+        return real(columns, row, start)
+
+    for count, text in ((1, real), (2, real), (3, real), (2, dying_in_a_worker)):
+        monkeypatch.setattr(pdd.io, "_chunk_text", text)
+        workers(count)
+        got = io.StringIO()
+        write_csv(sample, got)
+        assert got.getvalue() == want.getvalue()
+        assert_no_children()
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block, through SIGALRM, if it runs longer than ``seconds``,
+    so a read that waits on a worker for ever fails in place of hanging."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_pipe_named_by_a_path_is_read_by_this_process_alone(tmp_path, monkeypatch, workers):
+    # a worker reopening the pipe would take lines out of this process's
+    # stream; the file is larger than a pipe's buffer, so the writer is
+    # still writing when a worker could open it
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", 1000)
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"d,y\n" + b"".join(b"%d,%r\n" % (i, i / 7.0) for i in range(30000)))
+    workers(1)
+    want = load_csv(str(path), ColumnBindings())
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    copy = "import shutil, sys; shutil.copyfileobj(open(sys.argv[1], 'rb'), open(sys.argv[2], 'wb'))"
+    workers(2)
+    writer = subprocess.Popen([sys.executable, "-c", copy, str(path), fifo])
+    try:
+        with deadline(60):
+            got = loaded(fifo)
+    finally:
+        writer.kill()
+        writer.wait()
+    assert_same_outcome(got, want)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("change", ["replaced", "rewritten"])
+def test_a_worker_reads_nothing_of_a_file_changed_after_it_was_opened(
+    tmp_path, monkeypatch, workers, change
+):
+    # the file changes between this process's open and the workers'; this
+    # process read it whole into its buffer first, so it loads the old rows
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    path = chunked_file(tmp_path)
+    workers(1)
+    want = load_csv(path, ColumnBindings())
+    with open(path, "rb") as fh:
+        old = fh.read()
+    new = old.replace(b"0", b"9")  # the same size, other numbers
+    assert len(new) == len(old) and new != old
+    real = pdd._forked.fork
+
+    def change_then_fork(produce):
+        if change == "replaced":
+            other = tmp_path / "other.csv"
+            other.write_bytes(new)
+            os.replace(other, path)
+        else:
+            mtime = os.stat(path).st_mtime_ns
+            with open(path, "r+b") as fh:
+                fh.write(new)
+            os.utime(path, ns=(mtime + 10**9, mtime + 10**9))
+        return real(produce)
+
+    monkeypatch.setattr(pdd._forked, "fork", change_then_fork)
+    workers(2)
+    assert_same_sample(load_csv(path, ColumnBindings()), want)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("made", [0, 1])
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_worker_the_system_cannot_make_leaves_its_chunks_to_this_process(
+    tmp_path, monkeypatch, workers, call, made
+):
+    # chunk 3k + 1 is the first worker's, whichever of the two is missing
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", SMALL_CHUNK)
+    path = chunked_file(tmp_path, rows=8 * SMALL_CHUNK + 2)
+    workers(1)
+    want = load_csv(path, ColumnBindings())
+    want_text = io.StringIO()
+    write_csv(want, want_text)
+    calls, real = [], getattr(os, call)
+
+    def failing(*args):
+        calls.append(call)
+        if len(calls) > made:
+            raise OSError(errno.EAGAIN if call == "fork" else errno.EMFILE, "refused")
+        return real(*args)
+
+    monkeypatch.setattr(os, call, failing)
+    workers(3)
+    assert_same_sample(load_csv(path, ColumnBindings()), want)
+    assert_no_children()
+    calls.clear()
+    got = io.StringIO()
+    write_csv(want, got)
+    assert got.getvalue() == want_text.getvalue()
+    assert_no_children()
