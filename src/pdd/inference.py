@@ -27,7 +27,15 @@ which leaves a sample already in that form as it is), copies their outcome
 columns once, into the stack that the cut sample views (``_cut_outcomes``),
 and sums each side's moments as one segment of that side's rows; at
 ``b = h`` a side's linear and quadratic fits share one moment pass. ``n``
-and ``v_bc`` still refer to the whole sample. ``fit_block``, which
+and ``v_bc`` still refer to the whole sample. The point estimate
+(``estimate_sharp``) and the two sides' corrections read nothing of each
+other until they are combined, so where the cut holds at least
+``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
+a forked child fits the point estimate while this process corrects both
+sides. The child runs the same code on the same memory, so every output is
+the same bit for bit; where it cannot be made or sends no result, this
+process fits the point estimate itself, and its error, met first by one
+process, is raised before a side's. ``fit_block``, which
 ``simulate.monte_carlo`` calls for both designs, sums the moments of many
 replications' cut samples with one segment per side, a window of rows at a
 time, and passes the stacks to the same helpers. A side summed alone and in
@@ -40,10 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
+from . import _forked
 from .errors import NonFiniteResult
 from .estimator import (
     DiscontinuityEstimate,
@@ -394,18 +404,41 @@ def bias_corrected_estimate(
     A sample without placebo columns (``q == 0``) has nothing to adjust for:
     the result is the plain local linear jump of ``y`` with the same bias
     correction, variance and check, and ``point`` is None.
+
+    A cut of at least ``_forked.WORKER_ROWS`` rows with placebo columns has
+    its point estimate fitted in a forked child while this process corrects
+    both sides, on Linux with more than one available CPU and no other
+    thread. The results, and the error raised where both raise (the point
+    estimate's), are those of one process; no child outlives the call.
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
     cut, k, S = _cut_outcomes(sample, cutoff, max(h, b), kernel)
-    point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
-    d = cut.d
-    del cut  # only the point estimate reads the cut placebo treatments
+    d, point = cut.d, None
+    workers: list[_forked.Worker | None] = []
+    try:
+        if sample.q and d.size >= _forked.WORKER_ROWS and _forked.workers(2) > 1:
+            # a child fits the point estimate while this process corrects both sides
+            _forked.fork_each(workers, [lambda: (estimate_sharp(cut, cutoff, h, kernel),)])
+        elif sample.q:
+            point = estimate_sharp(cut, cutoff, h, kernel)
+        del cut  # only the point estimate reads the cut placebo treatments
+        plus, minus = slice(k, None), slice(None, k)
+        try:
+            corr_plus = side_correction(d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
+            corr_minus = side_correction(d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
+        finally:
+            # taken even where a side raised: one process would meet the
+            # point estimate's error first. Where the child failed, this
+            # process makes the same cut again and fits it
+            if workers:
+                recut = partial(_cut_outcomes, sample, cutoff, max(h, b), kernel)
+                point = _forked.take(
+                    workers, 1, lambda: estimate_sharp(recut()[0], cutoff, h, kernel)
+                )
+    finally:
+        _forked.stop(workers)
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
-
-    plus, minus = slice(k, None), slice(None, k)
-    corr_plus = side_correction(d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
-    corr_minus = side_correction(d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
     # a side's matrix row is n * h times its weight row, n its own row count

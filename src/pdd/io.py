@@ -263,11 +263,12 @@ def _column_chunks(
     workers: list[_forked.Worker | None] = []
     try:
         for index in itertools.count():
+            chunk: list[str] = []
             rows: list[list[str]] = []
             values = None
             try:
                 if records is None:
-                    chunk = list(itertools.islice(lines, CHUNK_ROWS))
+                    chunk.extend(itertools.islice(lines, CHUNK_ROWS))
                     if not chunk:
                         return
                     if index == 0 and file is not None and len(chunk) == CHUNK_ROWS:
@@ -281,8 +282,15 @@ def _column_chunks(
                 if records is not None:
                     rows.extend(itertools.islice(records, CHUNK_ROWS))
             except (csv.Error, UnicodeDecodeError) as exc:
-                # ``extend`` keeps the rows read before the failing one, and
-                # a row among them wider than the header comes first
+                # ``extend`` keeps the lines or rows read before the failing
+                # one; lines are split as the ``csv`` path would split them,
+                # up to ``exc``, and a row among them wider than the header,
+                # or one ``csv`` cannot split, comes first
+                if records is None:
+                    try:
+                        rows.extend(csv.reader(itertools.chain(chunk, _raising(exc))))
+                    except (csv.Error, UnicodeDecodeError) as first:
+                        exc = first
                 _require_width(rows, rows_read, width)
                 raise _malformed(exc, rows_read + len(rows) + 1) from exc
             if values is None:
@@ -293,6 +301,12 @@ def _column_chunks(
             yield values
     finally:
         _forked.stop(workers)
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    """An iterator that raises ``exc`` in place of its first item."""
+    raise exc
+    yield
 
 
 def _start_loaders(

@@ -51,12 +51,6 @@ TRUTH_SEED_OFFSET = 1_000_003
 #: whatever ``reps`` and ``n``.
 BLOCK_ROWS = 1 << 16
 
-#: Drawn rows (``reps * n``) each worker process of ``monte_carlo`` must
-#: get before a study is split: below about this many, forking a worker and
-#: reading back its results costs more than the rows it takes off this
-#: process.
-WORKER_ROWS = 1 << 17
-
 #: Scenario designs ``DgpSpec`` accepts.
 DGP_DESIGNS = ("sharp", "fuzzy_homogeneous")
 
@@ -352,15 +346,17 @@ def monte_carlo(
     process: this process runs the first range and a child forked with
     ``os.fork`` runs each other one, sending its results back pickled
     through a pipe. There is one worker per available CPU, on Linux only,
-    and only while each draws at least ``WORKER_ROWS`` (131072) rows
+    and only while each draws at least ``_forked.WORKER_ROWS`` (131072) rows
     (``reps * n``), so a small study, a process running other threads and
     any other platform run in this process alone. Replication r draws from
     its own seed and each fit in a block is its own, so the report is the
     same, bit for bit, at any worker count. An error a worker raises is
     raised here with its type and message; where several ranges fail, the
     lowest range's error wins, the one a single process would meet first.
-    A worker that ends without a result raises OSError. No child outlives
-    the call, whether it returns or raises.
+    A worker that ends without a result raises OSError, and the range of a
+    worker the system cannot make (``os.fork`` or ``os.pipe`` fails) runs
+    in this process. No child outlives the call, whether it returns or
+    raises.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -369,7 +365,7 @@ def monte_carlo(
         _replicate, spec=spec, base_seed=base_seed, kernel=kernel or KernelSpec(), h=h, b=b,
         alpha=alpha,
     )  # fmt: skip
-    workers = _forked.workers(min(reps, reps * spec.n // WORKER_ROWS))
+    workers = _forked.workers(min(reps, reps * spec.n // _forked.WORKER_ROWS))
     results = _in_workers(replicate, reps, workers)
     if not results:
         raise PddError(f"all {reps} replications failed")
@@ -468,25 +464,27 @@ def _in_workers(
 ) -> dict[int, tuple[float, ...]]:
     """``replicate(0, reps)``, split into ``workers`` contiguous ranges.
 
-    This process runs the first range and a forked child each other one.
-    The results are merged in range order, and the first range to fail
-    raises its error, as one run over every replication would first meet
-    it. A child that ends without a result raises OSError. No child
-    outlives the call, whether it returns or raises.
+    This process runs the first range and a forked child each other one;
+    from the first child the system cannot make (``_forked.fork_each``),
+    this process runs those ranges too, after the ones before them. The
+    results are merged in range order, and the first range to fail raises
+    its error, as one run over every replication would first meet it. A
+    child that ends without a result raises OSError. No child outlives the
+    call, whether it returns or raises.
     """
     bounds = [reps * i // workers for i in range(workers + 1)]
-    children: list[tuple[_forked.Worker, int, int]] = []  # (worker, lo, hi), not yet reaped
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    children: list[_forked.Worker | None] = []  # one per range after the first, not yet reaped
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            # the child sends one item, its range's results
-            children.append((_forked.fork(partial(map, replicate, [lo], [hi])), lo, hi))
+        # each child sends one item, its range's results
+        _forked.fork_each(children, (partial(map, replicate, [lo], [hi]) for lo, hi in ranges))
         results = replicate(bounds[0], bounds[1])
-        while children:
-            results.update(_collect(*children.pop(0)))
+        for lo, hi in ranges:
+            worker = children.pop(0)
+            results.update(replicate(lo, hi) if worker is None else _collect(worker, lo, hi))
         return results
     finally:
-        for worker, _, _ in children:  # this process raised: their results go unread
-            worker.kill()
+        _forked.stop(children)  # this process raised: their results go unread
 
 
 def _collect(worker: _forked.Worker, lo: int, hi: int) -> dict[int, tuple[float, ...]]:

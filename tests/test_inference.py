@@ -1,6 +1,9 @@
+import errno
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pdd
+import pdd._forked
 from pdd import (
     EquivalenceBreach,
     KernelSpec,
@@ -15,6 +19,7 @@ from pdd import (
     Sample,
     SingularSupport,
     DgpSpec,
+    WeakInstrument,
     bias_corrected_estimate,
     estimate_fuzzy,
     estimate_sharp,
@@ -33,7 +38,7 @@ from pdd import (
 from pdd.cli import main
 from pdd.estimator import _cut
 from pdd.kernels import support_rows
-from conftest import random_dataset
+from conftest import assert_no_children, random_dataset
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -912,3 +917,138 @@ def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
     again, k_again, S_again = _cut_outcomes(cut, CUTOFF, 0.5, kernel)
     assert k_again == k and np.shares_memory(again.d, cut.d)
     assert np.shares_memory(again.W, S_again) and not np.shares_memory(S_again, S)
+
+
+# ------------------------------------------- the point estimate in a forked child
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that call ``os.fork`` in the test, in which every cut is
+    large enough for the point estimate to be fitted in a child."""
+    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", 1)
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def _robust_outcome(sample, h, b, kernel=TRIANGLE):
+    """``bias_corrected_estimate``'s fields at cutoff 0, its point estimate's
+    as lists, or the type and message of its error."""
+    try:
+        est = bias_corrected_estimate(sample, 0.0, h, b, kernel)
+    except Exception as exc:
+        return type(exc), str(exc)
+    fields = {name: getattr(est, name) for name in est.__dataclass_fields__ if name != "point"}
+    point = est.point
+    fields.update(
+        (f"point.{name}", np.asarray(getattr(point, name)).tolist())
+        for name in point.__dataclass_fields__
+    )
+    return fields
+
+
+def _failing(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
+def test_a_point_estimate_fitted_in_a_child_gives_the_same_bits(rng, workers, forks, kind, h, b, q):
+    sample, kernel = random_dataset(rng, 400, q), KernelSpec(kind)
+    workers(1)
+    want = _robust_outcome(sample, h, b, kernel)
+    assert isinstance(want, dict) and forks == []
+    workers(2)
+    assert _robust_outcome(sample, h, b, kernel) == want
+    assert forks == [os.getpid()]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("fails", ["point", "side", "both"])
+def test_a_split_fit_raises_the_error_one_process_raises(rng, monkeypatch, workers, forks, fails):
+    # one process fits the point estimate first, so its error wins where both fail
+    point_error = WeakInstrument("the point estimate failed")
+    side_error = SingularSupport("a side failed")
+    if fails != "side":
+        monkeypatch.setattr(pdd.inference, "estimate_sharp", _failing(point_error))
+    if fails != "point":
+        monkeypatch.setattr(pdd.inference, "side_correction", _failing(side_error))
+    want = side_error if fails == "side" else point_error
+    sample = random_dataset(rng, 400, 1)
+    for count in (1, 2):
+        workers(count)
+        assert _robust_outcome(sample, 0.5, 0.5) == (type(want), str(want))
+        assert_no_children()
+    assert forks == [os.getpid()]
+
+
+def test_a_point_estimate_that_fails_on_the_data_raises_at_any_worker_count(rng, workers, forks):
+    sample = random_dataset(rng, 400, 1)
+    sample = replace(sample, Z=np.zeros_like(sample.Z))  # no instrument at all
+    workers(1)
+    want = _robust_outcome(sample, 0.5, 0.5)
+    assert want[0] is WeakInstrument
+    workers(2)
+    assert _robust_outcome(sample, 0.5, 0.5) == want
+    assert forks == [os.getpid()]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("failure", ["fork", "pipe", "dies", "raises"])
+def test_a_child_that_fails_leaves_the_point_estimate_to_this_process(
+    rng, monkeypatch, workers, forks, failure
+):
+    sample = random_dataset(rng, 400, 2)
+    workers(1)
+    want = _robust_outcome(sample, 0.5, 0.6)
+    parent, real = os.getpid(), pdd.inference.estimate_sharp
+
+    def fail_in_the_child(*args):
+        if os.getpid() != parent:
+            if failure == "dies":
+                os._exit(9)
+            raise RuntimeError("the child failed")
+        return real(*args)
+
+    if failure in ("fork", "pipe"):
+        monkeypatch.setattr(os, failure, _failing(OSError(errno.EAGAIN, "refused")))
+    else:
+        monkeypatch.setattr(pdd.inference, "estimate_sharp", fail_in_the_child)
+    workers(2)
+    assert _robust_outcome(sample, 0.5, 0.6) == want
+    assert_no_children()
+
+
+def test_no_child_is_forked_for_a_small_cut_without_placebo_columns_or_beside_a_thread(
+    rng, monkeypatch, forks
+):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    sample = random_dataset(rng, 400, 1)
+    want = _robust_outcome(sample, 0.5, 0.5)
+    assert forks  # with two CPUs or more and no other thread, it forks
+    forks.clear()
+    rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.5, TRIANGLE)
+    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", sample.n + 1)
+    assert _robust_outcome(sample, 0.5, 0.5) == want
+    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", 1)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert _robust_outcome(sample, 0.5, 0.5) == want
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert_no_children()

@@ -590,6 +590,28 @@ def test_a_wide_row_before_a_row_csv_cannot_split_is_reported_first(monkeypatch,
     assert err.value.row == 1
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 16384])
+@pytest.mark.parametrize(
+    "row_1, error",
+    [
+        (b"1,2,3", "^row 1 has 3 fields but the header has 2$"),
+        # csv would still be reading the quoted field when the text fails to decode
+        (b'1,2,"3', "^input is not valid UTF-8: "),
+    ],
+)
+def test_a_wide_row_before_a_decoding_error_is_reported_first(
+    tmp_path, monkeypatch, chunk, row_1, error
+):
+    # the bad byte is decoded a block ahead of the row being read, after
+    # row 1 but while the chunk's lines are still being collected
+    monkeypatch.setattr(pdd.io, "CHUNK_ROWS", chunk)
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"d,y\n" + row_1 + b"\n" + b"1,2\n" * 5000 + b"3,caf\xe9\n")
+    with pytest.raises(ParseError, match=error) as err:
+        load_csv(str(path), ColumnBindings())
+    assert err.value.row == (1 if row_1 == b"1,2,3" else None)
+
+
 #: Data lines of a ``d,y`` file that send a chunk away from ``np.loadtxt``
 #: or end the read, by what they hold.
 TROUBLES = {

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -703,4 +705,27 @@ def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at, error):
     monkeypatch.setattr(MC, "simulate", simulate_dying_at(3 + dies_at))
     with pytest.raises(error):
         monte_carlo(spec, 6, 3, b=b)
+    assert_no_children()
+
+
+@pytest.mark.parametrize("made", [0, 1])
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_worker_the_system_cannot_make_leaves_its_range_to_this_process(
+    monkeypatch, workers, call, made
+):
+    # three ranges; from the (made + 1)-th child on, none can be made
+    workers(1)
+    want = monte_carlo(_CALIBRATION, 6, 0).to_mapping()
+    calls, real = [], getattr(os, call)
+
+    def failing(*args):
+        calls.append(call)
+        if len(calls) > made:
+            raise OSError(errno.EAGAIN if call == "fork" else errno.EMFILE, "refused")
+        return real(*args)
+
+    monkeypatch.setattr(os, call, failing)
+    workers(3)
+    assert monte_carlo(_CALIBRATION, 6, 0).to_mapping() == want
+    assert len(calls) == made + 1
     assert_no_children()
