@@ -81,6 +81,10 @@ class Sample:
     def require_sides(self, cutoff: float) -> None:
         """Check there are at least 2 distinct d values strictly on each side,
         with the fits' support test (``local_fit._distinct_support``).
+
+        The CLI runs it only after a failed run (``cli.run_estimate``): a run
+        that returns has passed each side's quadratic support test, which
+        implies this check.
         """
         short = [
             side

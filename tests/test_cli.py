@@ -1,14 +1,18 @@
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pdd
@@ -699,6 +703,168 @@ def test_main_callable_directly(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert list(doc.keys()) == SHARP_KEYS
+
+
+def _entry_cases():
+    """``(id, argv)`` of runs through both entry points: a clean run of each
+    command and one failing with each exit code it has (``simulate`` has no
+    estimation to fail with 2). ``{data}`` is a fuzzy-design sample with
+    column ``a``, ``{out}`` an output path and ``{missing}`` a path in a
+    directory that does not exist.
+    """
+    est = ["estimate", "--data", "{data}", "--cutoff", "0"]
+    est += ["--placebo-outcomes", "w1", "--placebo-treatments", "z1"]
+    fuzzy = [*est, "--design", "fuzzy", "--treatment", "a"]
+    rdd = ["rdd", "--data", "{data}", "--cutoff", "0"]
+    sim = ["simulate", "--n", "300", "--seed", "5", "--kappa", "4"]
+    mc = ["mc", "--n", "2000", "--seed", "3", "--kappa", "4", "--reps", "6"]
+    tiny = ["--bandwidth", "1e-9"]
+    return [
+        ("estimate", est),
+        ("estimate-2", [*est, *tiny]),
+        ("estimate-3", [*est, "--data", "{missing}"]),
+        ("estimate-64", [*est, "--alpha", "7"]),
+        ("fuzzy", fuzzy),
+        ("fuzzy-2", [*fuzzy, *tiny]),
+        ("fuzzy-3", [*fuzzy, "--treatment", "nosuch"]),
+        ("fuzzy-64", [*fuzzy, "--design", "bogus"]),
+        ("rdd", rdd),
+        ("rdd-2", [*rdd, *tiny]),
+        # every row lies left of the cutoff: the side check fails the run
+        ("rdd-3", [*rdd, "--cutoff", "5"]),
+        ("rdd-64", [*rdd, "--kernel", "bogus"]),
+        ("simulate", [*sim, "--out", "{out}"]),
+        ("simulate-3", [*sim, "--out", "{missing}"]),
+        ("simulate-64", [*sim, "--n", "0"]),
+        ("mc", mc),
+        ("mc-2", [*mc, *tiny]),
+        ("mc-3", [*mc, "--out", "{missing}"]),
+        ("mc-64", [*mc, "--reps", "0"]),
+    ]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(argv, id=name) for name, argv in _entry_cases()])
+def test_python_m_pdd_matches_main_in_process(tmp_path, fuzzy_csvs, argv):
+    def filled(out):
+        names = {"data": fuzzy_csvs[0], "out": str(out), "missing": str(tmp_path / "no" / "x")}
+        return [arg.format(**names) for arg in argv]
+
+    code, out, err, written = _run_in_process(filled(tmp_path / "in.out"), tmp_path / "in.out")
+    sub_out = tmp_path / "sub.out"
+    proc = subprocess.run([sys.executable, "-m", "pdd", *filled(sub_out)], capture_output=True)
+    sub_written = sub_out.read_bytes() if sub_out.exists() else None
+    assert (proc.returncode, proc.stdout, proc.stderr.decode(), sub_written) == (
+        code, out.encode(), err, written,
+    )  # fmt: skip
+    assert (written is not None) == ("{out}" in argv)
+
+
+def test_python_m_pdd_and_the_console_script_run_one_entry_function(monkeypatch):
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    target = dict(line.split(" = ", 1) for line in scripts.strip().splitlines())["pdd"]
+    module, name = target.strip('"').split(":")
+    runs = []
+    monkeypatch.setattr(pdd.cli, "entry", lambda: runs.append("entry"))
+    runpy.run_module("pdd", run_name="__main__")  # python -m pdd
+    getattr(importlib.import_module(module), name)()  # the console script
+    assert runs == ["entry", "entry"]
+
+
+def test_entry_freezes_the_collector_only_before_it_exits(monkeypatch, tmp_path):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["pdd", "simulate", "--n", "0"])
+    with pytest.raises(SystemExit) as exit_:
+        pdd.cli.entry()
+    assert (exit_.value.code, events) == (64, ["freeze"])
+    # in-process callers of main keep collecting
+    assert main(["simulate", "--n", "5", "--out", str(tmp_path / "s.csv")]) == 0
+    assert events == ["freeze"]
+
+
+def _sides_csv(path, left, at_cutoff, right, seed):
+    """A fuzzy-design CSV whose running variable takes the values ``left``,
+    then 0.0 ``at_cutoff`` times, then ``right``.
+    """
+    d = np.array([*left, *[0.0] * at_cutoff, *right], dtype=float)
+    rng = np.random.default_rng(seed)
+    n = d.size
+    sample = pdd.Sample(
+        d=d, y=rng.standard_normal(n), W=rng.standard_normal((n, 1)),
+        Z=rng.standard_normal((n, 1)), a=rng.integers(0, 2, n).astype(float),
+    )  # fmt: skip
+    with path.open("w", newline="") as fh:
+        pdd.write_csv(sample, fh)
+
+
+LEFT_VALUES = st.lists(st.sampled_from([-0.9, -0.5, -0.2, -0.05]), max_size=8)
+RIGHT_VALUES = st.lists(st.sampled_from([0.05, 0.2, 0.5, 0.9]), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    left=LEFT_VALUES,
+    at_cutoff=st.integers(0, 3),
+    right=RIGHT_VALUES,
+    command=st.sampled_from(["estimate", "fuzzy", "rdd"]),
+    bandwidth=st.sampled_from([None, "0.3", "1"]),
+    seed=st.integers(0, 3),
+)
+@example(left=[], at_cutoff=0, right=[0.2, 0.5, 0.9] * 3, command="estimate",
+         bandwidth=None, seed=0)  # an empty side; one-sided data
+@example(left=[-0.5] * 6, at_cutoff=0, right=[0.05, 0.2, 0.5, 0.9] * 2, command="rdd",
+         bandwidth="1", seed=1)  # one distinct value on a side
+@example(left=[], at_cutoff=0, right=[0.5] * 9, command="rdd", bandwidth=None, seed=2)  # all d equal
+@example(left=[-0.9, -0.5, -0.2] * 2, at_cutoff=2, right=[0.5], command="estimate",
+         bandwidth="1", seed=3)  # a value at the cutoff and one strictly right of it
+@example(left=[], at_cutoff=0, right=[0.5], command="estimate", bandwidth="1", seed=0)  # n = 1
+@example(left=[-0.9, -0.5, -0.2] * 3, at_cutoff=0, right=[0.05, 0.2, 0.5] * 3,
+         command="fuzzy", bandwidth="1", seed=1)  # both sides healthy
+def test_the_deferred_side_check_matches_checking_first(
+    tmp_path_factory, left, at_cutoff, right, command, bandwidth, seed
+):  # fmt: skip
+    path = tmp_path_factory.mktemp("sides") / "s.csv"
+    _sides_csv(path, left, at_cutoff, right, seed)
+    if command == "rdd":
+        argv = ["rdd", "--data", str(path), "--cutoff", "0"]
+    else:
+        argv = list(estimate_args(path))
+        if command == "fuzzy":
+            argv += ["--design", "fuzzy", "--treatment", "a"]
+    if bandwidth is not None:
+        argv += ["--bandwidth", bandwidth]
+    deferred = _run_in_process(argv, path.with_suffix(".none"))
+    real = pdd.cli.run_estimate
+
+    def checked_first(config, sample):
+        sample.require_sides(config.cutoff)
+        return real(config, sample)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pdd.cli, "run_estimate", checked_first)
+        reference = _run_in_process(argv, path.with_suffix(".none"))
+    assert deferred == reference
+    code, out = reference[:2]
+    if code in (2, 3):
+        assert set(json.loads(out)) == {"error", "detail"}
+
+
+def test_a_run_that_returns_never_checks_the_sides(monkeypatch, tmp_path, fuzzy_csvs):
+    checked = []
+    real = pdd.Sample.require_sides
+    monkeypatch.setattr(
+        pdd.Sample, "require_sides", lambda self, cutoff: checked.append(real(self, cutoff))
+    )
+    fuzzy = ["--design", "fuzzy", "--treatment", "a"]
+    rdd = ["rdd", "--data", fuzzy_csvs[0], "--cutoff", "0"]
+    for argv in (estimate_args(fuzzy_csvs[0]), estimate_args(fuzzy_csvs[0], *fuzzy), rdd):
+        assert _run_in_process(list(argv), tmp_path / "none")[0] == 0
+    assert checked == []
+    # a failed run checks them once
+    assert _run_in_process(["rdd", "--data", fuzzy_csvs[0], "--cutoff", "0",
+                            "--bandwidth", "1e-9"], tmp_path / "none")[0] == 2  # fmt: skip
+    assert checked == [None]
 
 
 @pytest.mark.parametrize(
