@@ -6,8 +6,11 @@ work across one process per available CPU with these helpers, and
 in one child while it bias-corrects both sides itself. A child
 inherits the caller's memory, so it needs no arguments sent; it sends each
 item its producer yields, pickled, through its own pipe, and leaves through
-``os._exit``. The caller reads the items in order and reaps every child
-before it returns, so no child outlives the call.
+``os._exit``. The caller reads a worker's items only through ``take``,
+which computes in the calling process whatever the worker fails to deliver:
+where it was never made, died, raised or sent nothing. So every result and
+every error is the one a single process gives. The caller ends every child
+through ``stop`` before it returns, so no child outlives the call.
 """
 
 from __future__ import annotations
@@ -38,8 +41,13 @@ _LENGTH = struct.Struct("<Q")
 def workers(tasks: int) -> int:
     """Processes to run ``tasks`` independent tasks in: one per available
     CPU on Linux, at most ``tasks``, else one. A process running other
-    threads is not forked, since a lock one of them holds would stay locked
-    in the child.
+    Python threads (``threading.active_count()``) is not forked, since a
+    lock one of them holds would stay locked in the child. Threads Python
+    does not count are forked beside on purpose: after a BLAS call on more
+    than one CPU, numpy's bundled OpenBLAS runs its own thread pool, and it
+    registers a fork handler (it imports ``__register_atfork`` and exports
+    ``openblas_fork_handler``) that ends the pool before each fork; parent
+    and child each start it again at their next BLAS call.
     """
     if not sys.platform.startswith("linux") or threading.active_count() > 1:
         return 1
@@ -68,12 +76,6 @@ class Worker:
                     raise value
                 return value
         raise EOFError(f"worker process {self.pid} sent no further result")
-
-    def reap(self) -> int:
-        """Close the pipe, wait for the child to end and return its exit code."""
-        self._pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        return os.waitstatus_to_exitcode(status)
 
     def kill(self) -> None:
         """End the child now, whatever it has left to send, and reap it."""

@@ -33,9 +33,10 @@ other until they are combined, so where the cut holds at least
 ``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
 a forked child fits the point estimate while this process corrects both
 sides. The child runs the same code on the same memory, so every output is
-the same bit for bit; where it cannot be made or sends no result, this
-process fits the point estimate itself, and its error, met first by one
-process, is raised before a side's. ``fit_block``, which
+the same bit for bit; where it cannot be made, dies, raises or sends
+nothing (``_forked.take``), this process fits the point estimate on the
+whole sample, whose cut at ``h`` is the child's, and its error, met first
+by one process, is raised before a side's. ``fit_block``, which
 ``simulate.monte_carlo`` calls for both designs, sums the moments of many
 replications' cut samples with one segment per side, a window of rows at a
 time, and passes the stacks to the same helpers. A side summed alone and in
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -408,8 +408,11 @@ def bias_corrected_estimate(
     A cut of at least ``_forked.WORKER_ROWS`` rows with placebo columns has
     its point estimate fitted in a forked child while this process corrects
     both sides, on Linux with more than one available CPU and no other
-    thread. The results, and the error raised where both raise (the point
-    estimate's), are those of one process; no child outlives the call.
+    Python thread. Where the child fails, this process fits the point
+    estimate on the whole sample, which ``estimate_sharp`` cuts at ``h`` to
+    the child's rows. The results, and the error raised where both raise
+    (the point estimate's), are those of one process; no child outlives the
+    call.
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
@@ -430,12 +433,9 @@ def bias_corrected_estimate(
         finally:
             # taken even where a side raised: one process would meet the
             # point estimate's error first. Where the child failed, this
-            # process makes the same cut again and fits it
+            # process fits the whole sample, whose cut at h is the child's
             if workers:
-                recut = partial(_cut_outcomes, sample, cutoff, max(h, b), kernel)
-                point = _forked.take(
-                    workers, 1, lambda: estimate_sharp(recut()[0], cutoff, h, kernel)
-                )
+                point = _forked.take(workers, 1, lambda: estimate_sharp(sample, cutoff, h, kernel))
     finally:
         _forked.stop(workers)
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])

@@ -347,16 +347,14 @@ def monte_carlo(
     ``os.fork`` runs each other one, sending its results back pickled
     through a pipe. There is one worker per available CPU, on Linux only,
     and only while each draws at least ``_forked.WORKER_ROWS`` (131072) rows
-    (``reps * n``), so a small study, a process running other threads and
-    any other platform run in this process alone. Replication r draws from
-    its own seed and each fit in a block is its own, so the report is the
-    same, bit for bit, at any worker count. An error a worker raises is
-    raised here with its type and message; where several ranges fail, the
-    lowest range's error wins, the one a single process would meet first.
-    A worker that ends without a result raises OSError, and the range of a
-    worker the system cannot make (``os.fork`` or ``os.pipe`` fails) runs
-    in this process. No child outlives the call, whether it returns or
-    raises.
+    (``reps * n``), so a small study, a process running other Python
+    threads and any other platform run in this process alone. Replication
+    r draws from its own seed and each fit in a block is its own, so the
+    report is the same, bit for bit, at any worker count. Where a worker cannot be made
+    (``os.fork`` or ``os.pipe`` fails), dies, raises or sends nothing, this
+    process runs its range itself, so the report, or the error of the
+    lowest failing range, is the one a single process gives. No child
+    outlives the call, whether it returns or raises.
     """
     if reps < 1:
         raise ValueError("need at least one replication")
@@ -464,48 +462,25 @@ def _in_workers(
 ) -> dict[int, tuple[float, ...]]:
     """``replicate(0, reps)``, split into ``workers`` contiguous ranges.
 
-    This process runs the first range and a forked child each other one;
-    from the first child the system cannot make (``_forked.fork_each``),
-    this process runs those ranges too, after the ones before them. The
-    results are merged in range order, and the first range to fail raises
-    its error, as one run over every replication would first meet it. A
-    child that ends without a result raises OSError. No child outlives the
-    call, whether it returns or raises.
+    The ranges are tasks dealt in turn to this process, which runs the
+    first, and to a forked child each (``_forked.fork_each``), which sends
+    its range's results as one item. They are taken and merged in range
+    order (``_forked.take``): this process runs the range of a child that
+    could not be made, died, raised or sent nothing, so the first range to
+    fail raises the error one run over every replication would first meet.
+    No child outlives the call, whether it returns or raises.
     """
     bounds = [reps * i // workers for i in range(workers + 1)]
-    ranges = list(zip(bounds[1:-1], bounds[2:]))
-    children: list[_forked.Worker | None] = []  # one per range after the first, not yet reaped
+    ranges = list(zip(bounds, bounds[1:]))
+    children: list[_forked.Worker | None] = []
     try:
-        # each child sends one item, its range's results
-        _forked.fork_each(children, (partial(map, replicate, [lo], [hi]) for lo, hi in ranges))
-        results = replicate(bounds[0], bounds[1])
-        for lo, hi in ranges:
-            worker = children.pop(0)
-            results.update(replicate(lo, hi) if worker is None else _collect(worker, lo, hi))
+        _forked.fork_each(children, (partial(map, replicate, [lo], [hi]) for lo, hi in ranges[1:]))
+        results: dict[int, tuple[float, ...]] = {}
+        for index, (lo, hi) in enumerate(ranges):
+            results.update(_forked.take(children, index, partial(replicate, lo, hi)))
         return results
     finally:
-        _forked.stop(children)  # this process raised: their results go unread
-
-
-def _collect(worker: _forked.Worker, lo: int, hi: int) -> dict[int, tuple[float, ...]]:
-    """Read and reap the child forked for replications ``lo`` to ``hi - 1``;
-    returns its results or raises its error. A child that ended without a
-    result raises OSError.
-    """
-    results: dict[int, tuple[float, ...]] = {}
-    try:
-        while True:
-            results.update(worker.receive())
-    except EOFError:
-        pass
-    finally:
-        code = worker.reap()
-    if code != 0:
-        raise OSError(
-            f"the worker process for replications {lo} to {hi - 1} ended without a result "
-            f"(exit status {code})"
-        )
-    return results
+        _forked.stop(children)
 
 
 def _fit_replications(

@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import subprocess
 import sys
 import threading
 from dataclasses import replace
@@ -1008,9 +1009,14 @@ def test_a_point_estimate_that_fails_on_the_data_raises_at_any_worker_count(rng,
 def test_a_child_that_fails_leaves_the_point_estimate_to_this_process(
     rng, monkeypatch, workers, forks, failure
 ):
+    # this process fits the whole sample where the child would have fitted
+    # its cut at max(h, b): the same bits at every kernel and (h, b), b > h
+    # and b < h too
     sample = random_dataset(rng, 400, 2)
+    cases = [(KernelSpec(kind), h, b) for kind in KINDS for h, b in BANDWIDTH_PAIRS]
     workers(1)
-    want = _robust_outcome(sample, 0.5, 0.6)
+    wants = [_robust_outcome(sample, h, b, kernel) for kernel, h, b in cases]
+    assert all(isinstance(want, dict) for want in wants)
     parent, real = os.getpid(), pdd.inference.estimate_sharp
 
     def fail_in_the_child(*args):
@@ -1025,7 +1031,9 @@ def test_a_child_that_fails_leaves_the_point_estimate_to_this_process(
     else:
         monkeypatch.setattr(pdd.inference, "estimate_sharp", fail_in_the_child)
     workers(2)
-    assert _robust_outcome(sample, 0.5, 0.6) == want
+    for (kernel, h, b), want in zip(cases, wants):
+        assert _robust_outcome(sample, h, b, kernel) == want, (kernel.kind, h, b)
+    assert len(forks) == (0 if failure in ("fork", "pipe") else len(cases))
     assert_no_children()
 
 
@@ -1052,3 +1060,39 @@ def test_no_child_is_forked_for_a_small_cut_without_placebo_columns_or_beside_a_
     assert not thread.is_alive()
     assert forks == []
     assert_no_children()
+
+
+#: Prints, after a BLAS call: this process's OS threads, its Python threads,
+#: ``_forked.workers(2)`` and the result of a BLAS call in a forked child.
+_BLAS_POOL_SCRIPT = """
+import json, os, threading
+import numpy as np
+from pdd import _forked
+a = np.ones((64, 64))
+a @ a
+threads = len(os.listdir("/proc/self/task"))
+children = []
+_forked.fork_each(children, [lambda: [float((a @ a).sum())]])
+from_child = _forked.take(children, 1, lambda: None)
+_forked.stop(children)
+print(json.dumps([threads, threading.active_count(), _forked.workers(2), from_child]))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="one CPU, or no per-process thread list",
+)
+def test_the_fork_gate_counts_python_threads_and_forks_beside_the_blas_pool():
+    # the OpenBLAS pool is OS threads that threading does not count; its
+    # fork handler ends the pool before a fork, so a child can still call BLAS
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_POOL_SCRIPT], capture_output=True, text=True, env=env,
+        timeout=120,
+    )  # fmt: skip
+    assert proc.returncode == 0, proc.stderr
+    threads, python_threads, workers, from_child = json.loads(proc.stdout)
+    if threads == 1:
+        pytest.skip("the BLAS library runs no thread pool here")
+    assert (python_threads, workers, from_child) == (1, 2, 64.0**3)

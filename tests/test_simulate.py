@@ -686,24 +686,26 @@ def test_a_worker_error_is_raised_with_its_type_and_message(workers):
         assert_no_children()
 
 
-def test_a_worker_that_dies_raises_oserror(monkeypatch, workers):
+def test_a_worker_that_dies_leaves_its_range_to_this_process(monkeypatch, workers):
+    workers(1)
+    want = monte_carlo(_CALIBRATION, 6, 0).to_mapping()
     workers(2)
     monkeypatch.setattr(MC, "simulate", simulate_dying_at(4))
-    with pytest.raises(OSError, match=r"replications 3 to 5 ended without a result \(exit status 9\)"):
-        monte_carlo(_CALIBRATION, 6, 0)
+    assert monte_carlo(_CALIBRATION, 6, 0).to_mapping() == want
     assert_no_children()
 
 
-@pytest.mark.parametrize("dies_at, error", [(2, OSError), (4, ValueError)])
-def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at, error):
+@pytest.mark.parametrize("dies_at", [2, 4])
+def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at):
     # three ranges, replications 0-1, 2-3 and 4-5; replication 3 raises
     # ValueError in the second, and the replication ``dies_at`` ends its
-    # worker in the second range or the third
+    # worker in the second range or the third. This process runs a dead
+    # worker's range, so it meets replication 3's error as one process does
     spec = DgpSpec(n=2000, seed=1, kappa=4.0)
     b = _bias_bandwidth_failing_from_replication_3(spec, 3)
     workers(3)
     monkeypatch.setattr(MC, "simulate", simulate_dying_at(3 + dies_at))
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match="^bias bandwidth below h/10 is not supported$"):
         monte_carlo(spec, 6, 3, b=b)
     assert_no_children()
 
