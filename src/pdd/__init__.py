@@ -16,12 +16,7 @@ from .errors import (
     WeakFirstStage,
     WeakInstrument,
 )
-from .estimator import (
-    DiscontinuityEstimate,
-    estimate_fuzzy,
-    estimate_sharp,
-    rdd_discontinuity,
-)
+from .estimator import DiscontinuityEstimate, estimate_fuzzy, estimate_sharp
 from .inference import (
     RobustEstimate,
     SideCorrection,
@@ -92,7 +87,6 @@ __all__ = [
     "local_poly_fit",
     "monte_carlo",
     "parse_config_file",
-    "rdd_discontinuity",
     "rdd_robust_estimate",
     "robust_variance",
     "rule_of_thumb_bandwidth",

@@ -21,6 +21,7 @@ import signal
 import struct
 import sys
 import threading
+import warnings
 from collections.abc import Callable, Iterable
 from typing import Any, TypeVar
 
@@ -87,10 +88,18 @@ class Worker:
 def fork(produce: Callable[[], Iterable[Any]]) -> Worker:
     """Fork a child that sends each item of ``produce()`` through a pipe,
     then, if ``produce`` raised, the error in place of the next item.
+
+    Python 3.12 and later warn (DeprecationWarning) at a fork in a process
+    with more than one OS thread. That warning alone is ignored, and only
+    around the fork itself: ``workers`` forks beside no other Python thread,
+    only beside the OpenBLAS pool, whose fork handler ends the pool before
+    each fork.
     """
     read_end, write_end = os.pipe()
     try:
-        pid = os.fork()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
+            pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)

@@ -5,8 +5,9 @@ the library value serialised with 17 significant digits, enough to round-trip
 a double exactly. ``rdd`` runs the ``estimate`` path on a sample without
 placebo columns. Exit codes: 0 when a result document was produced, 2 for
 estimation failures, 3 for I/O failures and for running out of memory, 64
-for bad flags or bad flag values, and for a ``simulate`` scenario whose
-finite fields overflow a drawn column, which writes no file.
+for bad flags or bad flag values, and for a scenario whose finite fields
+overflow a drawn column: ``simulate`` then writes no file, and ``mc`` says
+so where every replication failed.
 A bad level, bandwidth or variance mode exits 64 before the data are read,
 except a bias bandwidth below a tenth of the rule-of-thumb h, which needs
 the data.
@@ -45,6 +46,7 @@ from .io import (
 )
 from .kernels import KERNEL_KINDS, KernelSpec
 from .simulate import DGP_DESIGNS, FIELD_CASTERS, DgpSpec, monte_carlo, simulate
+from .simulate import _require_finite_draw
 
 #: Schur-complement reciprocal condition below this draws a warning (the hard
 #: failure threshold is two orders of magnitude lower).
@@ -339,10 +341,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
     if args.command == "simulate":
         sample = simulate(_dgp_spec(args))
-        # finite scenario fields can still overflow the draw
-        for name, column in zip(("d", "y", "w1", "z1"), (sample.d, sample.y, sample.W, sample.Z)):
-            if not np.isfinite(column).all():
-                raise ValueError(f"the drawn column {name} is not finite: the scenario overflows")
+        _require_finite_draw(sample)
         out, close = _open_out(args.out)
         try:
             write_csv(sample, out)

@@ -30,7 +30,6 @@ from .kernels import (
     _cut_rows,
     scaled_basis,
     sided_weights,
-    support_rows,
 )
 from .local_fit import local_iv_fit, local_poly_fit
 
@@ -48,8 +47,9 @@ class DiscontinuityEstimate:
 
     ``tau_pdd`` is the placebo-adjusted discontinuity; ``tau_pdd_iv_form`` is
     the same number computed through the instrumented form and is retained as
-    a diagnostic. ``fuzzy_estimate`` and ``tau_rdd_a`` are populated by fuzzy
-    runs only.
+    a diagnostic. ``tau_rdd_a``, the treatment's discontinuity (the fuzzy
+    first stage), is set wherever the sample carries a treatment column;
+    ``fuzzy_estimate`` is set by fuzzy runs only.
     """
 
     tau_rdd_y: float
@@ -97,19 +97,6 @@ def _sides(
     )
 
 
-def rdd_discontinuity(
-    s: np.ndarray, d: np.ndarray, cutoff: float, h: float, kernel: KernelSpec
-) -> float:
-    """Plain local linear discontinuity of ``s`` at the cutoff."""
-    d = np.asarray(d, dtype=float)
-    rows, k = support_rows(d, cutoff, h, kernel)
-    s = np.asarray(s, dtype=float)[rows]
-    (w_minus, basis_minus), (w_plus, basis_plus) = _sides(d[rows], k, cutoff, h, kernel)
-    above = local_poly_fit(s[k:], w_plus, basis_plus)
-    below = local_poly_fit(s[:k], w_minus, basis_minus)
-    return above.intercept - below.intercept
-
-
 def _agree(a, b):
     """Whether two computation paths agree, elementwise:
     ``|a - b| <= EQUIVALENCE_RTOL * max(1, |a|, |b|)`` with a finite gap, so
@@ -141,6 +128,10 @@ def estimate_sharp(
     instrumented form, and verifies that they agree. Only rows the kernel can
     weight at ``h`` enter the fits, and each side's fits read only its own
     rows. A sample already cut at ``h`` by ``_cut`` is not copied again.
+
+    A treatment column ``a``, where the sample has one, is fitted as one more
+    outcome on the same cut, weights and basis: its discontinuity is
+    ``tau_rdd_a``. Neither form of ``tau_pdd`` nor the check reads it.
     """
     if sample.q < 1:
         raise ValueError("placebo outcome and treatment columns are required")
@@ -155,6 +146,12 @@ def estimate_sharp(
     )
     iv_plus = local_iv_fit(plus.y, plus.W, plus.Z, w_plus, basis_plus)
     iv_minus = local_iv_fit(minus.y, minus.W, minus.Z, w_minus, basis_minus)
+    tau_rdd_a = None
+    if sample.a is not None:  # the fuzzy first stage, on the same weights and basis
+        tau_rdd_a = (
+            local_poly_fit(plus.a, w_plus, basis_plus).intercept
+            - local_poly_fit(minus.a, w_minus, basis_minus).intercept
+        )
 
     tau_rdd, tau_dec, tau_iv = _point_forms(
         beta_plus, beta_minus, iv_plus.alpha0, iv_minus.alpha0, iv_plus.gamma, iv_minus.gamma
@@ -175,6 +172,7 @@ def estimate_sharp(
         n_right=w_plus.n_positive,
         schur_rcond_left=iv_minus.schur_rcond,
         schur_rcond_right=iv_plus.schur_rcond,
+        tau_rdd_a=tau_rdd_a,
     )
 
 
@@ -203,13 +201,17 @@ def _strong_first_stage(tau_a):
 def estimate_fuzzy(
     sample: Sample, cutoff: float, h: float, kernel: KernelSpec
 ) -> DiscontinuityEstimate:
-    """Fuzzy-design estimate: the sharp numerator over the treatment jump."""
+    """Fuzzy-design estimate: the sharp numerator over the treatment jump,
+    ``tau_rdd_a``, which ``estimate_sharp`` fits on the numerator's own cut,
+    weights and basis. Raises WeakFirstStage where that jump is within
+    ``FIRST_STAGE_MIN`` of zero.
+    """
     if sample.a is None:
         raise ValueError("fuzzy estimation requires a treatment column")
     point = estimate_sharp(sample, cutoff, h, kernel)
-    tau_a = rdd_discontinuity(sample.a, sample.d, cutoff, h, kernel)
+    tau_a = point.tau_rdd_a
     if not _strong_first_stage(tau_a):
         raise WeakFirstStage(
             f"treatment discontinuity {tau_a:.3e} is too small to divide by"
         )
-    return replace(point, tau_rdd_a=tau_a, fuzzy_estimate=point.tau_pdd / tau_a)
+    return replace(point, fuzzy_estimate=point.tau_pdd / tau_a)

@@ -48,7 +48,7 @@ which enter nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -409,10 +409,10 @@ def bias_corrected_estimate(
     its point estimate fitted in a forked child while this process corrects
     both sides, on Linux with more than one available CPU and no other
     Python thread. Where the child fails, this process fits the point
-    estimate on the whole sample, which ``estimate_sharp`` cuts at ``h`` to
-    the child's rows. The results, and the error raised where both raise
-    (the point estimate's), are those of one process; no child outlives the
-    call.
+    estimate on the whole sample without its treatment column, which
+    ``estimate_sharp`` cuts at ``h`` to the child's rows. The results, and
+    the error raised where both raise (the point estimate's), are those of
+    one process; no child outlives the call.
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
@@ -433,9 +433,11 @@ def bias_corrected_estimate(
         finally:
             # taken even where a side raised: one process would meet the
             # point estimate's error first. Where the child failed, this
-            # process fits the whole sample, whose cut at h is the child's
+            # process fits the whole sample, whose cut at h is the child's,
+            # without the treatment column the cut does not hold
             if workers:
-                point = _forked.take(workers, 1, lambda: estimate_sharp(sample, cutoff, h, kernel))
+                plain = replace(sample, a=None)
+                point = _forked.take(workers, 1, lambda: estimate_sharp(plain, cutoff, h, kernel))
     finally:
         _forked.stop(workers)
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
@@ -480,7 +482,7 @@ def _cut_outcomes(sample: Sample, cutoff: float, reach: float, kernel: KernelSpe
     outcome stack ``S = [y, W]``, one row per outcome column. The outcomes
     are copied once: ``cut.y`` and ``cut.W`` are views of ``S``. Each column
     is gathered by itself, ``cut.Z`` column-major. ``cut`` holds no
-    treatment column, which no sharp fit reads.
+    treatment column, so its point estimate fits no first stage.
     """
     rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
     if rows is None:

@@ -30,8 +30,13 @@ import numpy as np
 
 KERNEL_KINDS = ("window", "triangle", "gaussian")
 
-#: Rows the compact kernels' support test (``_within_reach``) scales at once.
-_TEST_ROWS = 1 << 14
+#: Rows a per-row temporary spans at once: the compact kernels' support
+#: test (``_within_reach``) scales this many rows at a time, and a fit sums
+#: a longer segment, a side of a single fit or of a large Monte Carlo
+#: sample, this many rows at a time and the chunks' sums pairwise
+#: (``local_fit._windows``). So a temporary stays in cache, and a fit over
+#: a million rows holds a few chunks of products.
+CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -129,13 +134,13 @@ def _within_reach(d: np.ndarray, cutoff: float, reach: float) -> np.ndarray:
     """The compact kernels' support test, ``|d - cutoff| / reach <= 1``.
 
     The subtraction, ``abs`` and division run in place in one float buffer
-    of ``_TEST_ROWS`` rows, a chunk of rows at a time, so the values tested
+    of ``CHUNK_ROWS`` rows, a chunk of rows at a time, so the values tested
     are the formula's, bit for bit, and stay in cache.
     """
     near = np.empty(d.shape, dtype=bool)
-    buffer = np.empty(min(d.size, _TEST_ROWS))
-    for start in range(0, d.size, _TEST_ROWS):
-        chunk = d[start : start + _TEST_ROWS]
+    buffer = np.empty(min(d.size, CHUNK_ROWS))
+    for start in range(0, d.size, CHUNK_ROWS):
+        chunk = d[start : start + CHUNK_ROWS]
         scaled = np.subtract(chunk, cutoff, out=buffer[: chunk.size])
         np.abs(scaled, out=scaled)
         scaled /= reach

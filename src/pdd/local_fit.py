@@ -49,7 +49,7 @@ from functools import partial
 import numpy as np
 
 from .errors import SingularSupport, WeakInstrument
-from .kernels import ScaledBasis, SidedWeights
+from .kernels import CHUNK_ROWS, ScaledBasis, SidedWeights
 
 #: Reciprocal condition number below which the weighted Gram matrix is
 #: treated as singular.
@@ -58,13 +58,6 @@ GRAM_RCOND_MIN = 1e-12
 #: Reciprocal condition number below which the instrumented cross-moment
 #: (the Schur complement of the joint system) signals a weak placebo proxy.
 SCHUR_RCOND_MIN = 1e-10
-
-#: Rows of one segment a moment table is built over at once. A longer
-#: segment, a side of a single fit or of a large Monte Carlo sample, is
-#: summed this many rows at a time and the chunks' sums are summed
-#: pairwise, so its table stays in cache and a fit over a million rows holds
-#: a few chunks of products.
-CHUNK_ROWS = 1 << 14
 
 #: Rows of whole segments a moment table packs at once (``_windows``), so a
 #: Monte Carlo block of many short segments holds a window's tables, about

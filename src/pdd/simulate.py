@@ -163,6 +163,16 @@ def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> n
     return out
 
 
+def _require_finite_draw(sample: Sample) -> None:
+    """Raise ValueError naming the first drawn column of ``sample`` that is
+    not finite: scenario fields that are each finite can still overflow the
+    draw.
+    """
+    for name, column in zip(("d", "y", "w1", "z1"), (sample.d, sample.y, sample.W, sample.Z)):
+        if not np.isfinite(column).all():
+            raise ValueError(f"the drawn column {name} is not finite: the scenario overflows")
+
+
 def simulate(spec: DgpSpec) -> Sample:
     """Draw one sample; bit-identical for identical spec and seed."""
     cols = _draw(spec)
@@ -319,7 +329,11 @@ def monte_carlo(
     """Replicate simulate-and-estimate ``reps`` times and aggregate.
 
     Replication r draws with seed ``base_seed + r``. Estimator failures are
-    counted, not fatal. An ``alpha`` outside (0, 1) or a given bias
+    counted, not fatal; where every replication fails, PddError says so.
+    Before it, replication 0's sample is drawn again and checked: where its
+    finite scenario fields overflow a drawn column, ValueError names that
+    column, as ``pdd simulate`` does. A study with a replication that
+    succeeds draws nothing again. An ``alpha`` outside (0, 1) or a given bias
     bandwidth below a tenth of ``h`` raises ValueError before the first
     draw, whatever the design; a bias bandwidth below a tenth of a
     rule-of-thumb ``h`` raises before that replication's fit.
@@ -366,6 +380,8 @@ def monte_carlo(
     workers = _forked.workers(min(reps, reps * spec.n // _forked.WORKER_ROWS))
     results = _in_workers(replicate, reps, workers)
     if not results:
+        # a draw that overflows fails every replication: name its column
+        _require_finite_draw(simulate(replace(spec, seed=base_seed)))
         raise PddError(f"all {reps} replications failed")
 
     columns = zip(*(results[r] for r in sorted(results)))

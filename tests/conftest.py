@@ -48,6 +48,33 @@ def residualize(s: np.ndarray, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return resid
 
 
+def local_linear_jump(s, d: np.ndarray, cutoff: float, h: float, kind: str) -> float:
+    """The local linear discontinuity of ``s`` at ``cutoff``: the right
+    side's fitted intercept minus the left side's.
+
+    An oracle that shares no code with ``pdd``: each side's kernel weights
+    are written out here, without the 1/h factor no intercept depends on,
+    and each side is fitted by ``np.linalg.lstsq`` on its positively weighted
+    rows of ``(1, (d - cutoff) / h)``, each row scaled by the root of its
+    weight.
+    """
+    s, d = np.asarray(s, dtype=float), np.asarray(d, dtype=float)
+    u = (d - cutoff) / h
+    weight = {
+        "window": lambda t: (t <= 1.0).astype(float),
+        "triangle": lambda t: np.maximum(1.0 - t, 0.0),
+        "gaussian": lambda t: np.exp(-0.5 * t * t),
+    }[kind](np.abs(u))
+    intercepts = []
+    for side in (d >= cutoff, d < cutoff):
+        keep = side & (weight > 0.0)
+        root = np.sqrt(weight[keep])
+        rows = np.column_stack([np.ones(keep.sum()), u[keep]]) * root[:, None]
+        coef, *_ = np.linalg.lstsq(rows, s[keep] * root, rcond=None)
+        intercepts.append(coef[0])
+    return float(intercepts[0] - intercepts[1])
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)

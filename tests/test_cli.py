@@ -351,6 +351,21 @@ def test_a_simulated_draw_that_overflows_exits_64_and_writes_nothing(tmp_path, f
     assert _run_in_process([*argv, "--out", str(out)], out) == (64, "", message, None)
 
 
+def test_a_study_whose_draws_overflow_exits_64_and_names_the_column(tmp_path):
+    # every replication fails on the same overflow, which the error names
+    proc = run_cli(
+        "mc", "--n", "2000", "--seed", "0", "--reps", "3",
+        "--tau0", "1.7e308", "--curvature", "1.7e308", "--noise-y", "1e308",
+    )  # fmt: skip
+    message = "pdd: the drawn column y is not finite: the scenario overflows\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", message)
+    # a study whose every replication fails for a finite reason still exits 2
+    argv = ["mc", "--n", "200", "--seed", "0", "--reps", "3", "--bandwidth", "1e-9"]
+    code, out, err, _ = _run_in_process(argv, tmp_path / "none")
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"error": "pdd_error", "detail": "all 3 replications failed"}
+
+
 def test_config_file_merging(tmp_path, sim_csv):
     config = tmp_path / "run.conf"
     config.write_text(

@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import pdd.estimator
+import pdd.kernels
 from pdd import (
     KernelSpec,
     Sample,
     WeakFirstStage,
     estimate_fuzzy,
     estimate_sharp,
-    rdd_discontinuity,
+    rdd_robust_estimate,
 )
-from conftest import random_dataset
+from conftest import local_linear_jump, random_dataset
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -19,13 +23,13 @@ WINDOW = KernelSpec("window")
 def test_step_function_jump():
     d = np.concatenate([np.linspace(-1.0, -0.05, 20), np.linspace(0.0, 1.0, 20)])
     s = (d >= 0.0).astype(float)
-    assert_allclose(rdd_discontinuity(s, d, 0.0, 0.8, TRIANGLE), 1.0, rtol=1e-12)
+    assert_allclose(rdd_robust_estimate(d, s, 0.0, 0.8, 0.8, TRIANGLE).tau_pdd, 1.0, rtol=1e-12)
 
 
 def test_continuous_line_has_no_jump():
     d = np.linspace(-1.0, 1.0, 41)
     s = 0.3 + 1.7 * d
-    assert abs(rdd_discontinuity(s, d, 0.0, 0.6, TRIANGLE)) < 1e-12
+    assert abs(rdd_robust_estimate(d, s, 0.0, 0.6, 0.6, TRIANGLE).tau_pdd) < 1e-12
 
 
 def test_step_with_slope_forty_points():
@@ -34,7 +38,7 @@ def test_step_with_slope_forty_points():
     # normal-equations solve).
     d = np.linspace(-1.0, 1.0, 40)
     s = 0.7 * (d >= 0.0) + 2.0 * d
-    value = rdd_discontinuity(s, d, 0.0, 1.0, WINDOW)
+    value = rdd_robust_estimate(d, s, 0.0, 1.0, 1.0, WINDOW).tau_pdd
     assert_allclose(value, 0.7, rtol=1e-12)
 
     def side_intercept(mask):
@@ -53,7 +57,7 @@ def test_zero_placebo_jump_reduces_to_plain_rdd(rng):
     n = 300
     d = rng.uniform(-1.0, 1.0, n)
     w0 = 0.5 + 0.8 * d + 0.6 * rng.standard_normal(n)
-    fitted_jump = rdd_discontinuity(w0, d, 0.0, 0.7, WINDOW)
+    fitted_jump = local_linear_jump(w0, d, 0.0, 0.7, "window")
     W = (w0 - fitted_jump * (d >= 0.0))[:, None]
     Z = (W[:, 0] + 0.4 * rng.standard_normal(n))[:, None]
     y = 1.0 * (d >= 0.0) + 0.5 * d + W[:, 0] + 0.3 * rng.standard_normal(n)
@@ -67,7 +71,7 @@ def test_identity_tau_rdd_y(rng):
     sample = random_dataset(rng, n=240, q=2)
     est = estimate_sharp(sample, 0.0, 0.8, TRIANGLE)
     assert_allclose(
-        est.tau_rdd_y, rdd_discontinuity(sample.y, sample.d, 0.0, 0.8, TRIANGLE), rtol=1e-12
+        est.tau_rdd_y, local_linear_jump(sample.y, sample.d, 0.0, 0.8, "triangle"), rtol=1e-12
     )
     assert_allclose(
         est.tau_pdd,
@@ -143,6 +147,60 @@ def test_fuzzy_ratio_arithmetic(rng):
     fuzzy = estimate_fuzzy(with_a, 0.0, 0.8, TRIANGLE)
     assert_allclose(fuzzy.tau_rdd_a, 0.5, rtol=1e-9)
     assert_allclose(fuzzy.fuzzy_estimate, 2.0 * fuzzy.tau_pdd, rtol=1e-9)
+
+
+def _with_treatment(rng, sample):
+    """``sample`` with a 0/1 treatment taken with probability 0.2 below the
+    cutoff and 0.8 above it."""
+    a = rng.random(sample.n) < 0.2 + 0.6 * (sample.d >= 0.0)
+    return replace(sample, a=a.astype(float))
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
+def test_the_first_stage_is_the_oracle_jump_of_the_treatment(rng, kind):
+    sample = _with_treatment(rng, random_dataset(rng, n=400, q=1))
+    fuzzy = estimate_fuzzy(sample, 0.0, 0.8, KernelSpec(kind))
+    assert_allclose(
+        fuzzy.tau_rdd_a, local_linear_jump(sample.a, sample.d, 0.0, 0.8, kind), rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
+def test_a_treatment_column_moves_no_sharp_output(rng, kind):
+    plain = random_dataset(rng, n=300, q=2)
+    with_a, kernel = _with_treatment(rng, plain), KernelSpec(kind)
+    est, est_a = estimate_sharp(plain, 0.0, 0.7, kernel), estimate_sharp(with_a, 0.0, 0.7, kernel)
+    assert est.tau_rdd_a is None and est_a.tau_rdd_a is not None
+    assert (est_a.tau_pdd, est_a.tau_rdd_y) == (est.tau_pdd, est.tau_rdd_y)
+    for name in ("tau_rdd_w", "gamma_minus", "gamma_plus"):
+        assert np.array_equal(getattr(est_a, name), getattr(est, name)), name
+
+
+def test_a_fuzzy_estimate_cuts_once_and_weights_each_side_once(rng, monkeypatch):
+    sample = _with_treatment(rng, random_dataset(rng, n=500, q=1))
+    assert np.any(np.diff(sample.d) < 0.0)  # unsorted, so the cut gathers rows
+    calls = {"_cut_rows": [], "sided_weights": 0, "scaled_basis": 0}
+    cut_rows = pdd.kernels._cut_rows
+
+    def counted_cut(d, *args):
+        calls["_cut_rows"].append(len(d))
+        return cut_rows(d, *args)
+
+    def counted(name):
+        real = getattr(pdd.estimator, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return call
+
+    for module in (pdd.kernels, pdd.estimator):
+        monkeypatch.setattr(module, "_cut_rows", counted_cut)
+    for name in ("sided_weights", "scaled_basis"):
+        monkeypatch.setattr(pdd.estimator, name, counted(name))
+    estimate_fuzzy(sample, 0.0, 0.6, TRIANGLE)
+    assert calls == {"_cut_rows": [sample.n], "sided_weights": 2, "scaled_basis": 1}
 
 
 def test_fuzzy_requires_treatment_column(rng):

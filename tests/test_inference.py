@@ -27,7 +27,6 @@ from pdd import (
     kernel_value,
     local_poly_fit,
     monte_carlo,
-    rdd_discontinuity,
     rdd_robust_estimate,
     robust_variance,
     rule_of_thumb_bandwidth,
@@ -39,7 +38,7 @@ from pdd import (
 from pdd.cli import main
 from pdd.estimator import _cut
 from pdd.kernels import support_rows
-from conftest import assert_no_children, random_dataset
+from conftest import assert_no_children, local_linear_jump, random_dataset
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -590,7 +589,7 @@ def test_a_sample_without_placebo_columns_gives_the_plain_jump(rng, kind, h, b):
     plain = Sample(d=sample.d, y=sample.y, W=none, Z=none)
     est = bias_corrected_estimate(plain, CUTOFF, h, b, kernel)
     assert est.point is None
-    jump = rdd_discontinuity(sample.y, sample.d, CUTOFF, h, kernel)
+    jump = local_linear_jump(sample.y, sample.d, CUTOFF, h, kind)
     assert_allclose(est.tau_pdd, jump, rtol=1e-12)
     with pytest.raises(ValueError, match="placebo"):
         estimate_sharp(plain, CUTOFF, h, kernel)
@@ -618,7 +617,6 @@ def test_empty_or_thin_window_is_singular_support(rng, tmp_path, capsys):
                 lambda: bias_corrected_estimate(data, CUTOFF, h, h, kernel),
                 lambda: rdd_robust_estimate(data.d, data.y, CUTOFF, h, h, kernel),
                 lambda: estimate_sharp(data, CUTOFF, h, kernel),
-                lambda: rdd_discontinuity(data.y, data.d, CUTOFF, h, kernel),
                 lambda: estimate_fuzzy(fuzzy, CUTOFF, h, kernel),
             )
             for call in calls:
@@ -1034,6 +1032,24 @@ def test_a_child_that_fails_leaves_the_point_estimate_to_this_process(
     for (kernel, h, b), want in zip(cases, wants):
         assert _robust_outcome(sample, h, b, kernel) == want, (kernel.kind, h, b)
     assert len(forks) == (0 if failure in ("fork", "pipe") else len(cases))
+    assert_no_children()
+
+
+def test_a_child_that_is_not_made_leaves_no_first_stage_to_this_process(
+    rng, monkeypatch, workers, forks
+):
+    # the cut a child fits holds no treatment column, so the whole sample
+    # this process fits in its place drops its own
+    sample = random_dataset(rng, 400, 1)
+    a = rng.random(sample.n) < 0.2 + 0.6 * (sample.d >= 0.0)
+    sample = replace(sample, a=a.astype(float))
+    workers(1)
+    want = _robust_outcome(sample, 0.6, 0.6)
+    assert want["point.tau_rdd_a"] is None
+    monkeypatch.setattr(os, "pipe", _failing(OSError(errno.EAGAIN, "refused")))
+    workers(2)
+    assert _robust_outcome(sample, 0.6, 0.6) == want
+    assert forks == []
     assert_no_children()
 
 

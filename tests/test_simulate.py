@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -664,6 +665,17 @@ def test_an_all_failed_study_raises_the_same_error_at_any_worker_count(workers):
         assert_no_children()
 
 
+def test_a_study_whose_draws_overflow_names_the_column_at_any_worker_count(workers):
+    # each field is finite, but every replication's y overflows
+    spec = DgpSpec(n=2000, seed=0, tau0=1.7e308, curvature=1.7e308, noise_y=1e308)
+    for count in (1, 2):
+        workers(count)
+        with np.errstate(all="ignore"), pytest.raises(ValueError) as raised:
+            monte_carlo(spec, reps=3, base_seed=0)
+        assert str(raised.value) == "the drawn column y is not finite: the scenario overflows"
+        assert_no_children()
+
+
 def _bias_bandwidth_failing_from_replication_3(spec, base_seed):
     """A bias bandwidth below a tenth of the rule-of-thumb h of replications
     3, 4 and 5 of six, and of none before them.
@@ -707,6 +719,40 @@ def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at):
     monkeypatch.setattr(MC, "simulate", simulate_dying_at(3 + dies_at))
     with pytest.raises(ValueError, match="^bias bandwidth below h/10 is not supported$"):
         monte_carlo(spec, 6, 3, b=b)
+    assert_no_children()
+
+
+def _warn_threaded_fork():
+    """The warning Python 3.12 and later give at a fork in a process with
+    more than one OS thread."""
+    warnings.warn(
+        f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+        "deadlocks in the child.",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+
+
+def test_a_fork_that_warns_of_other_threads_still_makes_its_worker(monkeypatch):
+    # as os.fork does beside the OpenBLAS pool from Python 3.12 on
+    real = os.fork
+
+    def warning_fork():
+        _warn_threaded_fork()
+        return real()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    children = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            pdd._forked.fork_each(children, [lambda: ["from the child"]])
+            assert children[0] is not None
+            assert pdd._forked.take(children, 1, lambda: "here") == "from the child"
+        finally:
+            pdd._forked.stop(children)
+        with pytest.raises(DeprecationWarning):  # ignored around the fork only
+            _warn_threaded_fork()
     assert_no_children()
 
 
