@@ -100,7 +100,7 @@ def fork(produce: Callable[[], Iterable[Any]]) -> Worker:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "This process .*multi-threaded", DeprecationWarning)
             pid = os.fork()
-    except OSError:
+    except BaseException:  # whatever stops the fork, neither pipe end outlives it
         os.close(read_end)
         os.close(write_end)
         raise

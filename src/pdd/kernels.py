@@ -34,7 +34,8 @@ KERNEL_KINDS = ("window", "triangle", "gaussian")
 #: test (``_within_reach``) scales this many rows at a time, and a fit sums
 #: a longer segment, a side of a single fit or of a large Monte Carlo
 #: sample, this many rows at a time and the chunks' sums pairwise
-#: (``local_fit._windows``). So a temporary stays in cache, and a fit over
+#: (``local_fit._windows``), and ``simulate`` computes a sample's outcomes
+#: this many rows at a time. So a temporary stays in cache, and a fit over
 #: a million rows holds a few chunks of products.
 CHUNK_ROWS = 1 << 14
 

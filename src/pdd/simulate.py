@@ -21,6 +21,14 @@ jumps upward at the cutoff while total mass is preserved and both sides keep
 positive density. With kappa == 0 nothing is moved and the design is a valid
 standard discontinuity. The adjustment weights' population value is
 1 / proxy_loading.
+
+A sample is made in two stages. The draw stage (``_draw_stage``) makes every
+draw above, each over all n rows and in this order, and builds u, z and d.
+The outcome stage (``_outcomes``) computes a, w and y from those draws on a
+given set of rows: ``simulate`` runs it on every row, ``monte_carlo`` on each
+replication's cut rows only, and ``dgp_truth``, which reads only u and d,
+not at all. A row's a, w and y do not depend on which other rows are
+computed, so every column is the same, bit for bit, either way.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .errors import PddError
 from .estimator import _strong_first_stage
 from .inference import fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b
-from .kernels import KernelSpec, support_rows
+from .kernels import CHUNK_ROWS, KernelSpec, support_rows
 
 #: Seed offset separating the oracle stream from replication streams, which
 #: use base_seed + replication index.
@@ -108,59 +116,99 @@ class DgpSpec:
 
 
 def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:
-    """The columns of one sample, drawn in the recipe's order.
+    """The columns of one sample: the draw stage, then the outcome stage on
+    every row, a chunk of ``kernels.CHUNK_ROWS`` rows at a time.
 
-    Each column is built in place, with one scratch row for the draws and
-    terms that no column keeps. IEEE sums and products commute, so
-    ``z = N; z *= noise_z; z += u`` is ``u + noise_z * N`` bit for bit, and
-    every column equals the recipe's expression evaluated left to right;
-    the draws come in the recipe's order.
+    Each chunk's outcomes are written over the noise they are made from, and
+    the sharp design's ``a`` takes one new row, so the draw holds no more
+    full-length rows than the recipe's columns.
     """
-    rng = np.random.default_rng(spec.seed)
+    draws = _draw_stage(spec, spec.seed)
+    a = draws["a"] if spec.design != "sharp" else np.empty(spec.n)
+    y, w = draws["y"], draws["w"]
+    for start in range(0, spec.n, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        _outcomes(spec, draws, rows, y[rows], w[rows], a[rows])
+    return {"u": draws["u"], "z": draws["z"], "d": draws["d"], "a": a, "w": w, "y": y}
+
+
+def _draw_stage(spec: DgpSpec, seed: int) -> dict[str, np.ndarray]:
+    """Every draw of the sample of ``spec`` at ``seed``, each whole-length
+    and in the recipe's order: ``u``, ``z`` and the running variable ``d``
+    with its flips, then the fuzzy design's uniform draw of ``a`` (key
+    ``"a"``) and the standard normal noise of ``w`` and ``y`` (keys ``"w"``
+    and ``"y"``), unscaled; ``_outcomes`` makes those three columns.
+
+    Each column is built in place, with ``w``'s row as scratch for ``d``'s
+    noise. IEEE sums and products commute, so ``z = N; z *= noise_z; z +=
+    u`` is ``u + noise_z * N`` bit for bit, and every column equals the
+    recipe's expression evaluated left to right. The sorting probability is
+    computed on the rows in the window only; the uniform draw it is
+    compared with is still made for every row.
+    """
+    rng = np.random.default_rng(seed)
     n, cutoff = spec.n, spec.cutoff
-    scratch = np.empty(n)
+    w = np.empty(n)
     u = rng.standard_normal(n)
     z = rng.standard_normal(n)
     z *= spec.noise_z
     z += u
     d = np.multiply(z, spec.instrument_strength)
     d += cutoff
-    d += _scaled_normal(rng, spec.noise_d, scratch)
+    rng.standard_normal(n, out=w)
+    w *= spec.noise_d
+    d += w
     if spec.kappa > 0:
-        in_window = (d > cutoff - spec.window) & (d < cutoff)
-        sort_prob = np.multiply(u, -spec.kappa, out=scratch)
+        window = np.flatnonzero((d > cutoff - spec.window) & (d < cutoff))
+        sort_prob = np.multiply(u[window], -spec.kappa)
         np.exp(sort_prob, out=sort_prob)
         sort_prob += 1.0
         np.divide(1.0, sort_prob, out=sort_prob)
-        flip = in_window & (rng.random(n) < sort_prob)
+        flip = window[rng.random(n)[window] < sort_prob]
         d[flip] = 2.0 * cutoff - d[flip]
-    above = d >= cutoff
+    draws = {"u": u, "z": z, "d": d}
+    if spec.design != "sharp":
+        draws["a"] = rng.random(n)
+    draws["w"] = rng.standard_normal(n, out=w)
+    draws["y"] = rng.standard_normal(n)
+    return draws
+
+
+def _outcomes(
+    spec: DgpSpec,
+    draws: dict[str, np.ndarray],
+    rows: slice | np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    a: np.ndarray | None = None,
+) -> None:
+    """Write the outcome ``y``, the placebo outcome ``w`` and, where given,
+    the treatment ``a`` of the rows ``rows`` (a slice or an index array) of
+    ``_draw_stage``'s ``draws`` into ``y``, ``w`` and ``a``.
+
+    Every draw is read before it is written over, so the outputs may be the
+    draws' own rows. The sharp treatment enters ``y`` as the mask ``d >=
+    cutoff``: ``tau0`` times a bool is ``tau0`` times its 0.0 or 1.0.
+    """
+    d, u = draws["d"][rows], draws["u"][rows]
+    treated = np.greater_equal(d, spec.cutoff)
     if spec.design == "sharp":
-        a = above.astype(float)
+        if a is not None:
+            a[...] = treated
     else:
-        prob = np.multiply(above, spec.compliance, out=scratch)
+        prob = np.multiply(treated, spec.compliance)
         prob += (1.0 - spec.compliance) / 2.0
-        a = (rng.random(n) < prob).astype(float)
-    # the terms of y that take no draw are summed first, with w's row as
-    # scratch, so that no third row is needed
-    w = np.empty(n)
-    rel = np.subtract(d, cutoff, out=scratch)
-    y = np.square(rel)
+        treated = np.less(draws["a"][rows], prob, out=a)
+    y_noise = np.multiply(draws["y"][rows], spec.noise_y)
+    rel = np.subtract(d, spec.cutoff)
+    np.square(rel, out=y)
     y *= spec.curvature
-    y += np.multiply(a, spec.tau0, out=w)
+    y += np.multiply(treated, spec.tau0)
     y += rel
     y += u
-    w = _scaled_normal(rng, spec.noise_w, w)
-    w += np.multiply(u, spec.proxy_loading, out=scratch)
-    y += _scaled_normal(rng, spec.noise_y, scratch)
-    return {"u": u, "z": z, "d": d, "a": a, "w": w, "y": y}
-
-
-def _scaled_normal(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
-    """``scale`` times standard normal draws, written into ``out``."""
-    rng.standard_normal(out.size, out=out)
-    out *= scale
-    return out
+    y += y_noise
+    np.multiply(draws["w"][rows], spec.noise_w, out=w)
+    w += np.multiply(u, spec.proxy_loading)
 
 
 def _require_finite_draw(sample: Sample) -> None:
@@ -212,9 +260,8 @@ def dgp_truth(
         bin_width = spec.window / 10.0
     if seed is None:
         seed = spec.seed + TRUTH_SEED_OFFSET
-    big = replace(spec, n=oracle_n, seed=seed)
-    cols = _draw(big)
-    d, u = cols["d"], cols["u"]
+    draws = _draw_stage(replace(spec, n=oracle_n), seed)
+    d, u = draws["d"], draws["u"]
 
     def boundary_mean(side: int) -> float:
         # bin means at distances (0, w) and (w, 2w) from the cutoff,
@@ -340,10 +387,13 @@ def monte_carlo(
     Aggregation runs in replication order, so the report is deterministic
     given the base seed.
 
-    Each replication draws its sample, takes its bandwidths and gathers the
-    sample's rows within ``max(h, b)`` of the cutoff, left side first,
-    straight into the columns of a block. Once those hold ``BLOCK_ROWS``
-    rows, their replications are fitted in one pass
+    Each replication makes its sample's draws (``_draw_stage``), takes its
+    bandwidths from ``d`` and cuts the rows within ``max(h, b)`` of the
+    cutoff, left side first. It gathers those rows' ``d`` and ``z`` and
+    computes their outcomes (``_outcomes``) straight into the columns of a
+    block, so a row outside the cut gets no ``a``, ``y`` or ``w``. Once the
+    columns hold ``BLOCK_ROWS`` rows, their replications are fitted in one
+    pass
     (``inference.fit_block``), which sums each side as its single fit does,
     however long, and takes each outcome's residual about its side's
     bias-corrected intercept, as ``inference.robust_variance`` does. A
@@ -437,6 +487,9 @@ def _replicate(
     that did not fail, its estimate, naive estimate, ``h``, ``b``, then the
     first stage (fuzzy) or the bias-corrected estimate, se and coverage
     (sharp).
+
+    Replication r's draws are made at seed ``base_seed + r`` of ``spec``;
+    only its cut rows get outcomes, each written into the block.
     """
     results: dict[int, tuple[float, ...]] = {}
     # d, y, w, the fuzzy design's a and z of the gathered cuts, one row each,
@@ -449,20 +502,22 @@ def _replicate(
     block_rows = 0
     fit = partial(_fit_replications, spec=spec, kernel=kernel, alpha=alpha)
     for r in range(lo, hi):
-        sample = simulate(replace(spec, seed=base_seed + r))
+        draws = _draw_stage(spec, base_seed + r)
+        d = draws["d"]
         try:
-            h_r = h if h is not None else rule_of_thumb_bandwidth(sample.d)
+            h_r = h if h is not None else rule_of_thumb_bandwidth(d)
             b_r = b if b is not None else h_r
             _require_valid_alpha_and_b(alpha, h_r, b_r)
         except PddError:
             continue
-        rows, k = support_rows(sample.d, spec.cutoff, max(h_r, b_r), kernel)
+        rows, k = support_rows(d, spec.cutoff, max(h_r, b_r), kernel)
         if not 0 < k < rows.size:  # a side without rows fails the support test
             continue
         gathered = block_columns[:, block_rows : block_rows + rows.size]
-        columns = (sample.d, sample.y, sample.W[:, 0], sample.a, sample.Z[:, 0])
-        for out, column in zip(gathered, [c for c in columns if c is not None]):
-            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
+        # in range; "clip" writes to out directly
+        np.take(d, rows, out=gathered[0], mode="clip")
+        np.take(draws["z"], rows, out=gathered[-1], mode="clip")
+        _outcomes(spec, draws, rows, *gathered[1:-1])
         block.append((r, k, rows.size, h_r, b_r))
         block_rows += rows.size
         if block_rows >= BLOCK_ROWS:

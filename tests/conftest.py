@@ -95,18 +95,19 @@ def workers(monkeypatch):
     return force
 
 
-def simulate_dying_at(seed: int):
-    """``pdd.simulate.simulate``, except that a child process drawing
-    ``seed`` dies with exit status 9.
+def draw_stage_dying_at(seed: int):
+    """``pdd.simulate._draw_stage``, which draws each Monte Carlo
+    replication, except that a child process drawing ``seed`` dies with exit
+    status 9.
     """
-    parent, real = os.getpid(), sys.modules["pdd.simulate"].simulate
+    parent, real = os.getpid(), sys.modules["pdd.simulate"]._draw_stage
 
-    def simulate_or_die(spec):
-        if spec.seed == seed and os.getpid() != parent:
+    def draw_or_die(spec, draw_seed):
+        if draw_seed == seed and os.getpid() != parent:
             os._exit(9)
-        return real(spec)
+        return real(spec, draw_seed)
 
-    return simulate_or_die
+    return draw_or_die
 
 
 def assert_no_children() -> None:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import pdd
 from pdd.cli import _make_parser, dumps, main
-from conftest import assert_no_children, simulate_dying_at
+from conftest import assert_no_children, draw_stage_dying_at
 
 SHARP_KEYS = [
     "estimate",
@@ -604,7 +604,7 @@ def test_mc_prints_the_one_worker_report_when_a_worker_dies(tmp_path, monkeypatc
     want = _run_in_process(argv, tmp_path / "none")
     assert want[0] == 0 and json.loads(want[1])["reps"] == 6
     workers(2)
-    monkeypatch.setattr(sys.modules["pdd.simulate"], "simulate", simulate_dying_at(4))
+    monkeypatch.setattr(sys.modules["pdd.simulate"], "_draw_stage", draw_stage_dying_at(4))
     assert _run_in_process(argv, tmp_path / "none") == want
     assert_no_children()
 

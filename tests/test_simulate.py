@@ -27,7 +27,7 @@ from pdd import (
     simulate,
 )
 from pdd.cli import main
-from conftest import assert_no_children, random_dataset, simulate_dying_at
+from conftest import assert_no_children, draw_stage_dying_at, random_dataset
 
 MC = sys.modules["pdd.simulate"]  # the module; ``pdd.simulate`` is the function
 
@@ -96,6 +96,61 @@ def test_every_drawn_column_keeps_its_bits(spec):
         for name, x in columns.items()
     }
     assert got == DRAW_DIGESTS[spec]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    design=st.sampled_from(MC.DGP_DESIGNS),
+    kappa=st.sampled_from([0.0, 4.0]),
+    cutoff=st.sampled_from([0.0, 0.7, -1.3]),
+    zero_noises=st.sets(st.sampled_from(["noise_z", "noise_d", "noise_w", "noise_y"])),
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_the_outcome_stage_on_any_rows_equals_the_whole_draw(
+    design, kappa, cutoff, zero_noises, n, seed, data
+):
+    spec = DgpSpec(
+        n=n, seed=seed, kappa=kappa, cutoff=cutoff, design=design,
+        **dict.fromkeys(zero_noises, 0.0),
+    )  # fmt: skip
+    full = MC._draw(spec)
+    draws = MC._draw_stage(spec, seed)
+    kept = {name: x.copy() for name, x in draws.items()}
+    for name in ("u", "z", "d"):
+        assert draws[name].tobytes() == full[name].tobytes()
+    cut, _ = MC.support_rows(draws["d"], cutoff, 0.5, KernelSpec())
+    picked = data.draw(st.sets(st.integers(0, n - 1)))
+    row_sets = (np.arange(0), np.arange(n), cut, np.array(sorted(picked), dtype=np.intp))
+    for rows in row_sets:
+        y, w, a = (np.full(rows.size, np.nan) for _ in range(3))
+        # a Monte Carlo block asks for a only in the fuzzy design
+        with_a = design != "sharp" or data.draw(st.booleans())
+        MC._outcomes(spec, draws, rows, y, w, a if with_a else None)
+        assert y.tobytes() == full["y"][rows].tobytes()
+        assert w.tobytes() == full["w"][rows].tobytes()
+        if with_a:
+            assert a.tobytes() == full["a"][rows].tobytes()
+    # the outcome stage on an index array writes nothing of the draws
+    assert all(draws[name].tobytes() == x.tobytes() for name, x in kept.items())
+
+
+@pytest.mark.parametrize("kappa", [0.0, 4.0])
+def test_the_truth_bins_the_whole_draw(kappa):
+    # dgp_truth skips the outcome stage: its jump is the one binned from
+    # every column of the oracle draw
+    spec = DgpSpec(n=1000, seed=17, kappa=kappa, cutoff=0.3)
+    oracle_n, width = 200_000, spec.window / 10.0
+    cols = MC._draw(replace(spec, n=oracle_n, seed=spec.seed + MC.TRUTH_SEED_OFFSET))
+    rel, u = cols["d"] - spec.cutoff, cols["u"]
+
+    def boundary_mean(near, far):
+        return 1.5 * u[near].mean() - 0.5 * u[far].mean()
+
+    right = boundary_mean((rel >= 0.0) & (rel < width), (rel >= width) & (rel < 2 * width))
+    left = boundary_mean((-rel > 0.0) & (-rel <= width), (-rel >= width) & (-rel < 2 * width))
+    assert dgp_truth(spec, oracle_n=oracle_n).confounding_jump == right - left
 
 
 def test_spec_validation():
@@ -601,7 +656,7 @@ def test_monte_carlo_rejects_an_unknown_variance_mode_before_any_draw(
         raise AssertionError("a sample was drawn before the check")
 
     with monkeypatch.context() as patch:
-        patch.setattr(MC, "simulate", no_draw)
+        patch.setattr(MC, "_draw_stage", no_draw)
         for mode in ("fitted", "bogus"):
             assert main([*argv, "--variance-mode", mode]) == 64
             assert capsys.readouterr().out == ""
@@ -702,7 +757,7 @@ def test_a_worker_that_dies_leaves_its_range_to_this_process(monkeypatch, worker
     workers(1)
     want = monte_carlo(_CALIBRATION, 6, 0).to_mapping()
     workers(2)
-    monkeypatch.setattr(MC, "simulate", simulate_dying_at(4))
+    monkeypatch.setattr(MC, "_draw_stage", draw_stage_dying_at(4))
     assert monte_carlo(_CALIBRATION, 6, 0).to_mapping() == want
     assert_no_children()
 
@@ -716,7 +771,7 @@ def test_the_lowest_failing_range_raises(monkeypatch, workers, dies_at):
     spec = DgpSpec(n=2000, seed=1, kappa=4.0)
     b = _bias_bandwidth_failing_from_replication_3(spec, 3)
     workers(3)
-    monkeypatch.setattr(MC, "simulate", simulate_dying_at(3 + dies_at))
+    monkeypatch.setattr(MC, "_draw_stage", draw_stage_dying_at(3 + dies_at))
     with pytest.raises(ValueError, match="^bias bandwidth below h/10 is not supported$"):
         monte_carlo(spec, 6, 3, b=b)
     assert_no_children()
@@ -754,6 +809,19 @@ def test_a_fork_that_warns_of_other_threads_still_makes_its_worker(monkeypatch):
         with pytest.raises(DeprecationWarning):  # ignored around the fork only
             _warn_threaded_fork()
     assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts this process's fds")
+@pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+def test_a_fork_that_raises_anything_closes_both_pipe_ends(monkeypatch, error):
+    def raising_fork():
+        raise error("at the fork")
+
+    before = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", raising_fork)
+    with pytest.raises(error, match="^at the fork$"):
+        pdd._forked.fork(lambda: ["never sent"])
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("made", [0, 1])
