@@ -11,10 +11,11 @@ Every estimator entry point first cuts its sample to the rows a kernel can
 weight, left side first, and each side's pass then reads only its own
 contiguous rows: with the window and triangle kernels the cost grows with
 the rows within ``max(h, b)`` of the cutoff, not with the sample size; the
-gaussian kernel partitions every row. One decision, ``_cut_rows``, takes
-one support test and one ``d < cutoff`` pass and derives from them both
-whether a sample is already in that form and, if not, its partition
-(``support_rows``).
+gaussian kernel partitions every row. One decision, ``_cut_rows``, makes
+that cut for every caller: for the compact kernels it takes one support
+pass over ``d`` and splits only the kept rows by side, and it tells from
+them both whether a sample is already in that form and, if not, its
+partition.
 
 A basis is its scaled coordinate ``u``: a fit forms the powers ``K u^k`` it
 sums one chunk of rows at a time (``local_fit._design_rows``), so no per-row
@@ -31,7 +32,7 @@ import numpy as np
 KERNEL_KINDS = ("window", "triangle", "gaussian")
 
 #: Rows a per-row temporary spans at once: the compact kernels' support
-#: test (``_within_reach``) scales this many rows at a time, and a fit sums
+#: test (``_cut_rows``) measures this many rows at a time, and a fit sums
 #: a longer segment, a side of a single fit or of a large Monte Carlo
 #: sample, this many rows at a time and the chunks' sums pairwise
 #: (``local_fit._windows``), and ``simulate`` computes a sample's outcomes
@@ -83,70 +84,56 @@ def _kernel_at(kernel: KernelSpec, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def support_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
+def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
     """The rows a one-sided weight at any bandwidth up to ``reach`` can make
-    positive, partitioned by side: ``(rows, k)``.
+    positive, partitioned by side: ``(rows, k)``, with ``rows`` None when the
+    partition is the identity, so that the sample is already cut.
 
     ``rows`` indexes the left rows (``d < cutoff``) first and then the right
     rows, each side in its original order, and ``k`` counts the left rows, so
-    ``rows[:k]`` and ``rows[k:]`` are the two sides. The compact kernels keep
-    the rows passing their own support test, ``|d - cutoff| / reach <= 1``.
-    Correctly rounded division is monotone in the divisor, so every row inside
-    the support at a bandwidth ``h <= reach`` is kept, and a fit on the kept
-    rows equals the fit on all of them up to summation order. The gaussian
-    kernel keeps every row. The partition is the identity exactly when
-    ``rows.size == len(d)`` and either ``k == 0`` or ``rows[k - 1] == k - 1``.
-    """
-    rows, k = _cut_rows(d, cutoff, reach, kernel)
-    return (np.arange(np.shape(d)[0]) if rows is None else rows), k
+    ``rows[:k]`` and ``rows[k:]`` are the two sides. The gaussian kernel
+    keeps every row. The compact kernels keep the rows passing their own
+    support test at ``reach``, ``|d - cutoff| / reach <= 1``. Correctly
+    rounded division is monotone in the divisor, so every row inside the
+    support at a bandwidth ``h <= reach`` is kept, and a fit on the kept
+    rows equals the fit on all of them up to summation order.
 
-
-def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
-    """``support_rows(d, cutoff, reach, kernel)``, with ``rows`` None when the
-    partition is the identity: the sample is then already cut, and no index
-    array is built.
-
-    The support test and the ``d < cutoff`` mask are each computed once, and
-    both the answer and the partition come from them. Each side's indices
-    are written straight into one index array.
+    The compact kernels test ``|d - cutoff| <= reach`` instead, in the one
+    pass over every row: the subtraction and ``abs`` run in place in one
+    buffer of ``CHUNK_ROWS`` rows, a chunk at a time, so they stay in cache.
+    For any ``d`` and a positive finite ``reach`` it keeps exactly the rows
+    the division keeps. Take ``a = |d - cutoff|``, as both compute it. If
+    ``a <= reach``, then ``a / reach <= 1`` before rounding, and rounding
+    keeps it. If ``a > reach``, then ``a / reach > 1 + 2**-53``, because no
+    double lies in ``(reach, reach * (1 + 2**-53)]``, and a quotient past
+    the midpoint of 1 and the next double rounds above 1. A NaN ``a`` fails
+    both. The side split, its count and the identity check then read the
+    kept rows only, and each side's indices are written straight into one
+    index array.
     """
     _require_positive(reach)
     d = np.asarray(d, dtype=float)
-    left = d < cutoff
+    kept = slice(None)
+    if kernel.kind != "gaussian":
+        near = np.empty(d.shape, dtype=bool)
+        buffer = np.empty(min(d.size, CHUNK_ROWS))
+        for start in range(0, d.size, CHUNK_ROWS):
+            chunk = d[start : start + CHUNK_ROWS]
+            gap = np.subtract(chunk, cutoff, out=buffer[: chunk.size])
+            np.less_equal(np.abs(gap, out=gap), reach, out=near[start : start + chunk.size])
+        kept = np.flatnonzero(near)
+    left = d[kept] < cutoff
     k = int(np.count_nonzero(left))
-    near = None if kernel.kind == "gaussian" else _within_reach(d, cutoff, reach)
-    if left[:k].all() and (near is None or near.all()):
+    if left.size == d.size and left[:k].all():
         return None, k
-    if near is None:
-        rows = np.empty(d.size, dtype=np.intp)
+    rows = np.empty(left.size, dtype=np.intp)
+    if kernel.kind == "gaussian":
         rows[:k] = np.flatnonzero(left)
         rows[k:] = np.flatnonzero(np.logical_not(left, out=left))
-        return rows, k
-    kept = np.flatnonzero(near)
-    left = left[kept]
-    k = int(np.count_nonzero(left))
-    rows = np.empty(kept.size, dtype=np.intp)
-    np.compress(left, kept, out=rows[:k])
-    np.compress(np.logical_not(left, out=left), kept, out=rows[k:])
+    else:
+        np.compress(left, kept, out=rows[:k])
+        np.compress(np.logical_not(left, out=left), kept, out=rows[k:])
     return rows, k
-
-
-def _within_reach(d: np.ndarray, cutoff: float, reach: float) -> np.ndarray:
-    """The compact kernels' support test, ``|d - cutoff| / reach <= 1``.
-
-    The subtraction, ``abs`` and division run in place in one float buffer
-    of ``CHUNK_ROWS`` rows, a chunk of rows at a time, so the values tested
-    are the formula's, bit for bit, and stay in cache.
-    """
-    near = np.empty(d.shape, dtype=bool)
-    buffer = np.empty(min(d.size, CHUNK_ROWS))
-    for start in range(0, d.size, CHUNK_ROWS):
-        chunk = d[start : start + CHUNK_ROWS]
-        scaled = np.subtract(chunk, cutoff, out=buffer[: chunk.size])
-        np.abs(scaled, out=scaled)
-        scaled /= reach
-        np.less_equal(scaled, 1.0, out=near[start : start + chunk.size])
-    return near
 
 
 def _require_positive(h: float) -> None:

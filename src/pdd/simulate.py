@@ -25,10 +25,11 @@ standard discontinuity. The adjustment weights' population value is
 A sample is made in two stages. The draw stage (``_draw_stage``) makes every
 draw above, each over all n rows and in this order, and builds u, z and d.
 The outcome stage (``_outcomes``) computes a, w and y from those draws on a
-given set of rows: ``simulate`` runs it on every row, ``monte_carlo`` on each
-replication's cut rows only, and ``dgp_truth``, which reads only u and d,
-not at all. A row's a, w and y do not depend on which other rows are
-computed, so every column is the same, bit for bit, either way.
+given set of rows: ``simulate`` runs it on every row and ``monte_carlo`` on
+each replication's cut rows only. A row's a, w and y do not depend on which
+other rows are computed, so every column is the same, bit for bit, either
+way. ``dgp_truth`` reads only u and d, so it makes only the draw stage's
+first draws, those of u, z and d (``_running_variable``), and no outcome.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import PddError
 from .estimator import _strong_first_stage
 from .inference import fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b
-from .kernels import CHUNK_ROWS, KernelSpec, support_rows
+from .kernels import CHUNK_ROWS, KernelSpec, _cut_rows
 
 #: Seed offset separating the oracle stream from replication streams, which
 #: use base_seed + replication index.
@@ -135,29 +136,42 @@ def _draw(spec: DgpSpec) -> dict[str, np.ndarray]:
 def _draw_stage(spec: DgpSpec, seed: int) -> dict[str, np.ndarray]:
     """Every draw of the sample of ``spec`` at ``seed``, each whole-length
     and in the recipe's order: ``u``, ``z`` and the running variable ``d``
-    with its flips, then the fuzzy design's uniform draw of ``a`` (key
-    ``"a"``) and the standard normal noise of ``w`` and ``y`` (keys ``"w"``
-    and ``"y"``), unscaled; ``_outcomes`` makes those three columns.
-
-    Each column is built in place, with ``w``'s row as scratch for ``d``'s
-    noise. IEEE sums and products commute, so ``z = N; z *= noise_z; z +=
-    u`` is ``u + noise_z * N`` bit for bit, and every column equals the
-    recipe's expression evaluated left to right. The sorting probability is
-    computed on the rows in the window only; the uniform draw it is
-    compared with is still made for every row.
+    with its flips (``_running_variable``), then the fuzzy design's uniform
+    draw of ``a`` (key ``"a"``) and the standard normal noise of ``w`` and
+    ``y`` (keys ``"w"`` and ``"y"``), unscaled; ``_outcomes`` makes those
+    three columns. ``w``'s noise is drawn into the row that held ``d``'s.
     """
     rng = np.random.default_rng(seed)
+    u, z, d, w = _running_variable(spec, rng)
+    draws = {"u": u, "z": z, "d": d}
+    if spec.design != "sharp":
+        draws["a"] = rng.random(spec.n)
+    draws["w"] = rng.standard_normal(spec.n, out=w)
+    draws["y"] = rng.standard_normal(spec.n)
+    return draws
+
+
+def _running_variable(spec: DgpSpec, rng: np.random.Generator):
+    """The first draws of a sample from ``rng``: ``(u, z, d, noise)``, with
+    ``d`` the running variable after its flips and ``noise`` the row that
+    held ``d``'s noise, free for reuse. ``dgp_truth`` makes no other draw.
+
+    Each column is built in place. IEEE sums and products commute, so ``z
+    = N; z *= noise_z; z += u`` is ``u + noise_z * N`` bit for bit, and
+    every column equals the recipe's expression evaluated left to right.
+    The sorting probability is computed on the rows in the window only; the
+    uniform draw it is compared with is still made for every row.
+    """
     n, cutoff = spec.n, spec.cutoff
-    w = np.empty(n)
     u = rng.standard_normal(n)
     z = rng.standard_normal(n)
     z *= spec.noise_z
     z += u
     d = np.multiply(z, spec.instrument_strength)
     d += cutoff
-    rng.standard_normal(n, out=w)
-    w *= spec.noise_d
-    d += w
+    noise = rng.standard_normal(n)
+    noise *= spec.noise_d
+    d += noise
     if spec.kappa > 0:
         window = np.flatnonzero((d > cutoff - spec.window) & (d < cutoff))
         sort_prob = np.multiply(u[window], -spec.kappa)
@@ -166,12 +180,7 @@ def _draw_stage(spec: DgpSpec, seed: int) -> dict[str, np.ndarray]:
         np.divide(1.0, sort_prob, out=sort_prob)
         flip = window[rng.random(n)[window] < sort_prob]
         d[flip] = 2.0 * cutoff - d[flip]
-    draws = {"u": u, "z": z, "d": d}
-    if spec.design != "sharp":
-        draws["a"] = rng.random(n)
-    draws["w"] = rng.standard_normal(n, out=w)
-    draws["y"] = rng.standard_normal(n)
-    return draws
+    return u, z, d, noise
 
 
 def _outcomes(
@@ -260,8 +269,7 @@ def dgp_truth(
         bin_width = spec.window / 10.0
     if seed is None:
         seed = spec.seed + TRUTH_SEED_OFFSET
-    draws = _draw_stage(replace(spec, n=oracle_n), seed)
-    d, u = draws["d"], draws["u"]
+    u, _, d, _ = _running_variable(replace(spec, n=oracle_n), np.random.default_rng(seed))
 
     def boundary_mean(side: int) -> float:
         # bin means at distances (0, w) and (w, 2w) from the cutoff,
@@ -389,11 +397,12 @@ def monte_carlo(
 
     Each replication makes its sample's draws (``_draw_stage``), takes its
     bandwidths from ``d`` and cuts the rows within ``max(h, b)`` of the
-    cutoff, left side first. It gathers those rows' ``d`` and ``z`` and
-    computes their outcomes (``_outcomes``) straight into the columns of a
-    block, so a row outside the cut gets no ``a``, ``y`` or ``w``. Once the
-    columns hold ``BLOCK_ROWS`` rows, their replications are fitted in one
-    pass
+    cutoff, left side first, by the single fit's own cut decision
+    (``kernels._cut_rows``), so its cut rows are the ones that fit reads,
+    in the same order. It gathers those rows' ``d`` and ``z`` and computes
+    their outcomes (``_outcomes``) straight into the columns of a block, so
+    a row outside the cut gets no ``a``, ``y`` or ``w``. Once the columns
+    hold ``BLOCK_ROWS`` rows, their replications are fitted in one pass
     (``inference.fit_block``), which sums each side as its single fit does,
     however long, and takes each outcome's residual about its side's
     bias-corrected intercept, as ``inference.robust_variance`` does. A
@@ -510,7 +519,8 @@ def _replicate(
             _require_valid_alpha_and_b(alpha, h_r, b_r)
         except PddError:
             continue
-        rows, k = support_rows(d, spec.cutoff, max(h_r, b_r), kernel)
+        rows, k = _cut_rows(d, spec.cutoff, max(h_r, b_r), kernel)
+        rows = np.arange(d.size) if rows is None else rows
         if not 0 < k < rows.size:  # a side without rows fails the support test
             continue
         gathered = block_columns[:, block_rows : block_rows + rows.size]

@@ -37,7 +37,7 @@ from pdd import (
 )
 from pdd.cli import main
 from pdd.estimator import _cut
-from pdd.kernels import support_rows
+from pdd.kernels import _cut_rows
 from conftest import assert_no_children, local_linear_jump, random_dataset
 
 TRIANGLE = KernelSpec("triangle")
@@ -501,7 +501,7 @@ def _partition_rows(rng, reach, cutoff=CUTOFF):
 def test_support_rows_put_the_left_side_first_in_order(rng, kind, h, b):
     kernel = KernelSpec(kind)
     d, kept = _partition_rows(rng, max(h, b))
-    rows, k = support_rows(d, CUTOFF, max(h, b), kernel)
+    rows, k = _cut_rows(d, CUTOFF, max(h, b), kernel)  # d is shuffled: never the identity
     keep = np.ones(d.size, bool) if kind == "gaussian" else kept
     left = np.flatnonzero(keep & (d < CUTOFF))
     right = np.flatnonzero(keep & (d >= CUTOFF))

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pdd import (
@@ -178,6 +182,7 @@ def _two_step_cut(d, cutoff, reach, kind):
     """The cut as two steps decided it: a ``d < cutoff`` pass telling whether
     the left rows come first, then the support test over every row, and,
     unless both held, the partition built afresh from a second support test.
+    The support test is the kernels' own, ``|d - cutoff| / reach <= 1``.
     """
     left = d < cutoff
     k = int(np.count_nonzero(left))
@@ -191,9 +196,35 @@ def _two_step_cut(d, cutoff, reach, kind):
     return np.concatenate([near[on_left], near[~on_left]]), int(np.count_nonzero(on_left))
 
 
+def _assert_cut_is_the_two_step_rule(x, cutoff, reach, kind, name=""):
+    """``_cut_rows`` gives the rows and ``k`` of ``_two_step_cut``; returns
+    ``x`` cut by them. A difference or quotient that overflows is inf,
+    beyond every reach, in both rules.
+    """
+    from pdd.kernels import _cut_rows
+
+    with np.errstate(over="ignore"):
+        want_rows, want_k = _two_step_cut(x, cutoff, reach, kind)
+        rows, k = _cut_rows(x, cutoff, reach, KernelSpec(kind))
+    assert k == want_k, name
+    assert (rows is None) == (want_rows is None), name
+    if rows is not None:
+        assert rows.dtype == np.intp and np.array_equal(rows, want_rows), name
+    return x if rows is None else x[rows]
+
+
+#: Any finite double
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+#: A positive finite reach, from the smallest subnormal to the largest double
+REACH = st.one_of(
+    st.floats(min_value=5e-324, allow_infinity=False),
+    st.sampled_from([5e-324, 1e-320, 2.0**-1022, 1.0, 1e300, 1.7976931348623157e308]),
+)
+
+
 @pytest.mark.parametrize("kind", ["window", "triangle", "gaussian"])
 def test_one_cut_decision_equals_the_two_step_rule(rng, kind):
-    from pdd.kernels import _cut_rows, support_rows
+    from pdd.kernels import _cut_rows
 
     kernel = KernelSpec(kind)
     cutoff, reach = 0.25, 0.5
@@ -221,14 +252,22 @@ def test_one_cut_decision_equals_the_two_step_rule(rng, kind):
             samples[f"{name}, cut at {c} and shuffled"] = cut[rng.permutation(cut.size)]
     for name, x in samples.items():
         for c in (cutoff, 0.0):
-            want_rows, want_k = _two_step_cut(x, c, reach, kind)
-            rows, k = _cut_rows(x, c, reach, kernel)
-            assert k == want_k, name
-            assert (rows is None) == (want_rows is None), name
-            if rows is not None:
-                assert rows.dtype == np.intp and np.array_equal(rows, want_rows), name
-            partition, k_again = support_rows(x, c, reach, kernel)
-            expected = np.arange(x.size) if want_rows is None else want_rows
-            assert k_again == want_k and np.array_equal(partition, expected), name
+            _assert_cut_is_the_two_step_rule(x, c, reach, kind, name)
+
+    # any sample, cutoff and reach, with NaN and infinite rows, and rows on
+    # and just past each edge of the support; a cut sample is cut again
+    @settings(max_examples=300, deadline=None)
+    @given(c=FINITE, reach=REACH, data=st.data())
+    def any_sample(c, reach, data):
+        edge = [c - reach, c + reach, c]
+        edge += [math.nextafter(x, toward) for x in edge for toward in (-math.inf, math.inf)]
+        edge += [c + reach * (1.0 + 2.0**-52), math.nan, math.inf, -math.inf]
+        values = st.one_of(FINITE, st.sampled_from(edge))
+        x = np.array(data.draw(st.lists(values, max_size=40)), dtype=float)
+        cut = _assert_cut_is_the_two_step_rule(x, c, reach, kind)
+        assert _assert_cut_is_the_two_step_rule(cut, c, reach, kind) is cut
+        _assert_cut_is_the_two_step_rule(cut[::-1], c, reach, kind)
+
+    any_sample()
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         _cut_rows(d, 0.0, 0.0, kernel)

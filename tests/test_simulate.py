@@ -120,7 +120,8 @@ def test_the_outcome_stage_on_any_rows_equals_the_whole_draw(
     kept = {name: x.copy() for name, x in draws.items()}
     for name in ("u", "z", "d"):
         assert draws[name].tobytes() == full[name].tobytes()
-    cut, _ = MC.support_rows(draws["d"], cutoff, 0.5, KernelSpec())
+    cut, _ = MC._cut_rows(draws["d"], cutoff, 0.5, KernelSpec())
+    cut = np.arange(n) if cut is None else cut
     picked = data.draw(st.sets(st.integers(0, n - 1)))
     row_sets = (np.arange(0), np.arange(n), cut, np.array(sorted(picked), dtype=np.intp))
     for rows in row_sets:
@@ -138,19 +139,29 @@ def test_the_outcome_stage_on_any_rows_equals_the_whole_draw(
 
 @pytest.mark.parametrize("kappa", [0.0, 4.0])
 def test_the_truth_bins_the_whole_draw(kappa):
-    # dgp_truth skips the outcome stage: its jump is the one binned from
-    # every column of the oracle draw
-    spec = DgpSpec(n=1000, seed=17, kappa=kappa, cutoff=0.3)
-    oracle_n, width = 200_000, spec.window / 10.0
-    cols = MC._draw(replace(spec, n=oracle_n, seed=spec.seed + MC.TRUTH_SEED_OFFSET))
-    rel, u = cols["d"] - spec.cutoff, cols["u"]
+    # dgp_truth makes only the draws of u, z and d: its truth is the one
+    # binned from every column of the oracle draw, in either design
+    oracle_n = 200_000
+    for design in MC.DGP_DESIGNS:
+        spec = DgpSpec(n=1000, seed=17, kappa=kappa, cutoff=0.3, design=design, proxy_loading=0.8)
+        cols = MC._draw(replace(spec, n=oracle_n, seed=spec.seed + MC.TRUTH_SEED_OFFSET))
+        truth = MC.DgpTruth(1.0, 1.0 / 0.8, _binned_jump(cols, spec.cutoff, spec.window / 10.0))
+        assert dgp_truth(spec, oracle_n=oracle_n) == truth, design
+
+
+def _binned_jump(cols, cutoff, width):
+    """The jump of the mean of ``u`` at ``cutoff``: on each side, the means
+    of the bins at distances (0, width) and (width, 2 width) extrapolated
+    linearly to the cutoff.
+    """
+    rel, u = cols["d"] - cutoff, cols["u"]
 
     def boundary_mean(near, far):
         return 1.5 * u[near].mean() - 0.5 * u[far].mean()
 
     right = boundary_mean((rel >= 0.0) & (rel < width), (rel >= width) & (rel < 2 * width))
     left = boundary_mean((-rel > 0.0) & (-rel <= width), (-rel >= width) & (-rel < 2 * width))
-    assert dgp_truth(spec, oracle_n=oracle_n).confounding_jump == right - left
+    return right - left
 
 
 def test_spec_validation():
