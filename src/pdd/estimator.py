@@ -70,13 +70,26 @@ class DiscontinuityEstimate:
 
 def _cut(
     sample: Sample, cutoff: float, reach: float, kernel: KernelSpec
-) -> tuple[Sample, int]:
-    """``sample`` cut to the rows within ``reach`` of the cutoff, left side
-    first (``kernels._cut_rows``), and the number of its left rows. A sample
-    already in that form is returned as it is, without a copy.
+) -> tuple[Sample, int, np.ndarray | None]:
+    """``(cut, k, S)``: ``sample`` cut to the rows within ``reach`` of the
+    cutoff, left side first (``kernels._cut_rows``), the number ``k`` of its
+    left rows, and its outcome stack ``S = [y, W, a]``, one row per column
+    (``a`` only where the sample has one), the row layout
+    ``inference.fit_block`` reads. Each column is gathered once: ``cut.y``,
+    ``cut.W`` and ``cut.a`` are views of ``S``, and ``cut.Z`` is
+    column-major. A sample already in that form is returned as it is,
+    without a copy, and ``S`` is None.
     """
     rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
-    return (sample if rows is None else sample.take(rows)), k
+    if rows is None:
+        return sample, k, None
+    q, treatment = sample.q, () if sample.a is None else (sample.a,)
+    S, Z = np.empty((1 + q + len(treatment), rows.size)), np.empty((q, rows.size))
+    for out, column in zip((*S, *Z), (sample.y, *sample.W.T, *treatment, *sample.Z.T)):
+        np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
+    a = S[1 + q] if treatment else None
+    cut = Sample(np.take(sample.d, rows), S[0], S[1 : 1 + q].T, Z.T, a, sample.dropped_rows)
+    return cut, k, S
 
 
 def _sides(
@@ -135,23 +148,20 @@ def estimate_sharp(
     """
     if sample.q < 1:
         raise ValueError("placebo outcome and treatment columns are required")
-    sample, k = _cut(sample, cutoff, h, kernel)
+    sample, k, _ = _cut(sample, cutoff, h, kernel)
     (w_minus, basis_minus), (w_plus, basis_plus) = _sides(sample.d, k, cutoff, h, kernel)
-    plus, minus = sample.take(slice(k, None)), sample.take(slice(None, k))
+    sides = (slice(k, None), w_plus, basis_plus), (slice(None, k), w_minus, basis_minus)
 
-    # the intercepts of y and of each placebo outcome column
+    # the intercepts of y, of each placebo outcome column and of a treatment
+    outcomes = (sample.y, *sample.W.T, *([] if sample.a is None else [sample.a]))
     beta_plus, beta_minus = (
-        np.array([local_poly_fit(s, w, basis).intercept for s in (side.y, *side.W.T)])
-        for side, w, basis in ((plus, w_plus, basis_plus), (minus, w_minus, basis_minus))
+        np.array([local_poly_fit(s[rows], w, basis).intercept for s in outcomes])
+        for rows, w, basis in sides
     )
-    iv_plus = local_iv_fit(plus.y, plus.W, plus.Z, w_plus, basis_plus)
-    iv_minus = local_iv_fit(minus.y, minus.W, minus.Z, w_minus, basis_minus)
-    tau_rdd_a = None
-    if sample.a is not None:  # the fuzzy first stage, on the same weights and basis
-        tau_rdd_a = (
-            local_poly_fit(plus.a, w_plus, basis_plus).intercept
-            - local_poly_fit(minus.a, w_minus, basis_minus).intercept
-        )
+    iv_plus, iv_minus = (
+        local_iv_fit(sample.y[rows], sample.W[rows], sample.Z[rows], w, basis)
+        for rows, w, basis in sides
+    )
 
     tau_rdd, tau_dec, tau_iv = _point_forms(
         beta_plus, beta_minus, iv_plus.alpha0, iv_minus.alpha0, iv_plus.gamma, iv_minus.gamma
@@ -161,7 +171,7 @@ def estimate_sharp(
 
     return DiscontinuityEstimate(
         tau_rdd_y=float(tau_rdd[0]),
-        tau_rdd_w=tau_rdd[1:],
+        tau_rdd_w=tau_rdd[1 : 1 + sample.q],
         gamma_minus=iv_minus.gamma,
         gamma_plus=iv_plus.gamma,
         tau_pdd=tau_dec,
@@ -172,7 +182,7 @@ def estimate_sharp(
         n_right=w_plus.n_positive,
         schur_rcond_left=iv_minus.schur_rcond,
         schur_rcond_right=iv_plus.schur_rcond,
-        tau_rdd_a=tau_rdd_a,
+        tau_rdd_a=None if sample.a is None else float(tau_rdd[-1]),
     )
 
 
@@ -180,13 +190,15 @@ def _point_forms(beta_plus, beta_minus, alpha0_plus, alpha0_minus, gamma_plus, g
     """``(tau_rdd, tau_dec, tau_iv)`` of one sample or a stack of samples:
     the per-outcome discontinuities and the decomposition and instrumented
     forms of ``tau_pdd``. ``beta_*`` hold each side's intercepts of ``y``
-    and the placebo outcomes, ``(..., 1 + q)``; ``alpha0_*`` and ``gamma_*``
+    and the q placebo outcomes, then of any further outcome (such as a
+    treatment), which neither form reads; ``alpha0_*`` and ``gamma_*``
     are the sides' instrumented solves.
     """
+    w = slice(1, 1 + np.shape(gamma_minus)[-1])  # the placebo outcomes
     tau_rdd = beta_plus - beta_minus
-    tau_dec = tau_rdd[..., 0] - np.vecdot(tau_rdd[..., 1:], gamma_minus)
-    tau_iv = alpha0_plus + np.vecdot(beta_plus[..., 1:], gamma_plus) - alpha0_minus
-    tau_iv -= np.vecdot(beta_plus[..., 1:], gamma_minus)
+    tau_dec = tau_rdd[..., 0] - np.vecdot(tau_rdd[..., w], gamma_minus)
+    tau_iv = alpha0_plus + np.vecdot(beta_plus[..., w], gamma_plus) - alpha0_minus
+    tau_iv -= np.vecdot(beta_plus[..., w], gamma_minus)
     return tau_rdd, tau_dec, tau_iv
 
 

@@ -22,14 +22,14 @@ Each formula is written once, for one side or a stack of sides ``(..., k,
 k)``, and serves two callers. Every sum over rows is a fixed-order segment
 sum of per-row products (``local_fit._sums``), so no BLAS thread count
 changes a result. ``bias_corrected_estimate`` cuts the sample to the rows
-within ``max(h, b)`` of the cutoff, left side first (``kernels._cut_rows``,
-which leaves a sample already in that form as it is), copies their outcome
-columns once, into the stack that the cut sample views (``_cut_outcomes``),
-and sums each side's moments as one segment of that side's rows; at
-``b = h`` a side's linear and quadratic fits share one moment pass. ``n``
-and ``v_bc`` still refer to the whole sample. The point estimate
-(``estimate_sharp``) and the two sides' corrections read nothing of each
-other until they are combined, so where the cut holds at least
+within ``max(h, b)`` of the cutoff, left side first, by the one gather of
+rows (``estimator._cut``, which copies each column once, the outcomes into
+the stack ``S`` that the cut sample views, and leaves a sample already in
+that form as it is), and sums each side's moments as one segment of that
+side's rows; at ``b = h`` a side's linear and quadratic fits share one
+moment pass. ``n`` and ``v_bc`` still refer to the whole sample. The point
+estimate (``estimate_sharp``) and the two sides' corrections read nothing
+of each other until they are combined, so where the cut holds at least
 ``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
 a forked child fits the point estimate while this process corrects both
 sides. The child runs the same code on the same memory, so every output is
@@ -58,6 +58,7 @@ from .errors import NonFiniteResult
 from .estimator import (
     DiscontinuityEstimate,
     _agree,
+    _cut,
     _point_forms,
     _require_equivalent,
     estimate_sharp,
@@ -65,7 +66,6 @@ from .estimator import (
 from .io import Sample, _require_valid_alpha_and_b
 from .kernels import (
     KernelSpec,
-    _cut_rows,
     _offsets,
     _weights_at,
     scaled_basis,
@@ -416,7 +416,10 @@ def bias_corrected_estimate(
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
-    cut, k, S = _cut_outcomes(sample, cutoff, max(h, b), kernel)
+    plain = replace(sample, a=None)  # its point estimate fits no first stage
+    cut, k, S = _cut(plain, cutoff, max(h, b), kernel)
+    if S is None:
+        S = np.vstack([cut.y, cut.W.T])
     d, point = cut.d, None
     workers: list[_forked.Worker | None] = []
     try:
@@ -433,10 +436,8 @@ def bias_corrected_estimate(
         finally:
             # taken even where a side raised: one process would meet the
             # point estimate's error first. Where the child failed, this
-            # process fits the whole sample, whose cut at h is the child's,
-            # without the treatment column the cut does not hold
+            # process fits the whole sample, whose cut at h is the child's
             if workers:
-                plain = replace(sample, a=None)
                 point = _forked.take(workers, 1, lambda: estimate_sharp(plain, cutoff, h, kernel))
     finally:
         _forked.stop(workers)
@@ -474,26 +475,6 @@ def bias_corrected_estimate(
         degenerate_ci=not v_bc > 0.0,
         point=point,
     )
-
-
-def _cut_outcomes(sample: Sample, cutoff: float, reach: float, kernel: KernelSpec):
-    """``(cut, k, S)``: the rows within ``reach`` of the cutoff, left side
-    first, as a sample ``cut`` whose ``k`` left rows come first, and its
-    outcome stack ``S = [y, W]``, one row per outcome column. The outcomes
-    are copied once: ``cut.y`` and ``cut.W`` are views of ``S``. Each column
-    is gathered by itself, ``cut.Z`` column-major. ``cut`` holds no
-    treatment column, so its point estimate fits no first stage.
-    """
-    rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
-    if rows is None:
-        rows, S, Z = slice(None), np.vstack([sample.y, sample.W.T]), sample.Z
-    else:
-        S, Z = np.empty((1 + sample.q, rows.size)), np.empty((sample.q, rows.size))
-        for out, column in zip((*S, *Z), (sample.y, *sample.W.T, *sample.Z.T)):
-            np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
-        Z = Z.T
-    cut = Sample(d=sample.d[rows], y=S[0], W=S[1:].T, Z=Z)
-    return cut, k, S
 
 
 def rdd_robust_estimate(
@@ -604,11 +585,9 @@ def fit_block(
 
     # the support test's third value at b is looked for in the second pass
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
-    A, ok = _identity_unless(ok, _hankel(mu, 1))  # R'KR at h
-    G, ok = _identity_unless(ok, _hankel(mv, 2))  # R'KR at b
+    A, G = _hankel(mu, 1), _hankel(mv, 2)  # R'KR at h and at b
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
-    A, ok = _identity_unless(ok, A)
-    G, ok = _identity_unless(ok, G)
+    A, G = _identity_unless(ok, A), _identity_unless(ok, G)
     coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
     beta = coef[:, 0, : 1 + q]  # the intercepts of y and W; later rows are only fitted
     intercepts_bc = beta - bias[:, : 1 + q]
@@ -616,10 +595,8 @@ def fit_block(
     # the instrumented solve of each side; a side that is not ok solves the
     # identity, its cross-moment blocks zeroed
     RKW, ZKW = RKS[:, :, 1 : 1 + q], ZKS[:, :, 1 : 1 + q]
-    schur, ok = _identity_unless(ok, _schur_complement(A, RKW, ZKR, ZKW))
-    ZKW, ok = _identity_unless(ok, ZKW)
-    ok &= _schur_rcond(schur, ZKW) >= SCHUR_RCOND_MIN
-    ZKW, ok = _identity_unless(ok, ZKW)
+    ok &= _schur_rcond(_schur_complement(A, RKW, ZKR, ZKW), ZKW) >= SCHUR_RCOND_MIN
+    ZKW = _identity_unless(ok, ZKW)
     RKW, ZKR = (np.where(ok[:, None, None], x, 0.0) for x in (RKW, ZKR))
     alpha0, gamma = _joint_solve(A, RKW, ZKR, ZKW, RKS[:, :, 0], ZKS[:, :, 0])
 
@@ -661,10 +638,10 @@ def fit_block(
     return ok, tau_pdd, coef[right, 0] - coef[left, 0], tau_bc, se, lower, upper
 
 
-def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``stack`` with the identity in place of each matrix that is not
-    ``ok`` or not finite, and ``ok`` narrowed to the finite ones, so that a
-    batched SVD or solve never fails on a sample that is counted as failed.
+    ``ok``, so that a batched solve never fails on a side counted as failed.
+    A side is ok only after its conditioning tests, which give 0 for a
+    non-finite matrix (``local_fit._singular_values``).
     """
-    ok = ok & np.isfinite(stack).all(axis=(1, 2))
-    return np.where(ok[:, None, None], stack, np.eye(stack.shape[-1])), ok
+    return np.where(ok[:, None, None], stack, np.eye(stack.shape[-1]))

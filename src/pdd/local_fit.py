@@ -27,9 +27,13 @@ the quadratic fit's (``_nested_designs``).
 
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
-solver failure. ``_weighted_design`` keeps one checked design ``(R'KR, power
-sums, rcond)`` per pair of weights and basis, so a side's fits share the
-support test and the SVD; it holds no per-row array.
+solver failure. A matrix that holds a non-finite value has reciprocal
+condition 0 (``_singular_values``), so a non-finite design fails the same
+test a singular one does: a single fit raises SingularSupport or
+WeakInstrument, and ``inference.fit_block`` counts the sample as failed.
+``_weighted_design`` keeps one checked design ``(R'KR, power sums,
+rcond)`` per pair of weights and basis, so a side's fits share the support
+test and the SVD; it holds no per-row array.
 
 Each check and each step of the instrumented solve is written once, for one
 side or a stack of sides, and ``inference.fit_block`` calls the same
@@ -67,24 +71,38 @@ WINDOW_ROWS = 1 << 12
 
 def reciprocal_condition(m: np.ndarray):
     """Reciprocal 2-norm condition number of a small dense matrix, or an
-    array of them for a stack of matrices ``(..., k, k)``.
+    array of them for a stack of matrices ``(..., k, k)``; 0 for a matrix
+    that holds a non-finite value (``_singular_values``).
     """
-    s = np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
+    (s,) = _singular_values(m)
     return _smallest_over(s, s[..., 0])
 
 
 def _schur_rcond(schur: np.ndarray, cross_raw: np.ndarray):
     """Scale-aware reciprocal condition of the instrumented cross-moment, or
-    an array of them for stacks of matrices.
+    an array of them for stacks of matrices; 0 where the complement or the
+    cross-moment holds a non-finite value (``_singular_values``).
 
     The smallest singular value of the Schur complement is measured against
     the larger of its own top singular value and that of the unresidualised
     cross-moment, so a uniformly collapsed complement (including the 1x1
     case, whose plain condition number is always 1) is still detected.
     """
-    s = np.linalg.svd(np.asarray(schur, dtype=float), compute_uv=False)
-    raw = np.linalg.svd(np.asarray(cross_raw, dtype=float), compute_uv=False)
+    s, raw = _singular_values(schur, cross_raw)
     return _smallest_over(s, np.maximum(s[..., 0], raw[..., 0]))
+
+
+def _singular_values(*stacks) -> np.ndarray:
+    """The singular values of each matrix of one or more stacks of the same
+    shape ``(..., k, k)``, ``(stacks, ..., k)``. Where any of the stacks'
+    matrices at a place holds a non-finite value, which the SVD cannot take,
+    every matrix at that place counts as the zero matrix, so each
+    conditioning test gives it 0: a non-finite design fails its test, as a
+    singular one does, in a single fit and in a block alike.
+    """
+    m = np.asarray(stacks, dtype=float)
+    finite = np.isfinite(m).all(axis=(0, -2, -1), keepdims=True)
+    return np.linalg.svd(np.where(finite, m, 0.0), compute_uv=False)
 
 
 def _smallest_over(s: np.ndarray, scale: np.ndarray):

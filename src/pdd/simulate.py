@@ -95,6 +95,8 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("sample size must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.kappa < 0:
             raise ValueError("manipulation strength must be nonnegative")
         if not self.window > 0:
@@ -264,12 +266,14 @@ def dgp_truth(
     bin_width: float | None = None,
     seed: int | None = None,
 ) -> DgpTruth:
-    """Measure the scenario's confounding jump by large-sample binning."""
+    """Measure the scenario's confounding jump by large-sample binning; a
+    negative ``seed`` raises ValueError before the draw.
+    """
     if bin_width is None:
         bin_width = spec.window / 10.0
-    if seed is None:
-        seed = spec.seed + TRUTH_SEED_OFFSET
-    u, _, d, _ = _running_variable(replace(spec, n=oracle_n), np.random.default_rng(seed))
+    seed = spec.seed + TRUTH_SEED_OFFSET if seed is None else seed
+    oracle = replace(spec, n=oracle_n, seed=seed)  # checks the seed before the draw
+    u, _, d, _ = _running_variable(oracle, np.random.default_rng(seed))
 
     def boundary_mean(side: int) -> float:
         # bin means at distances (0, w) and (w, 2w) from the cutoff,
@@ -388,10 +392,11 @@ def monte_carlo(
     Before it, replication 0's sample is drawn again and checked: where its
     finite scenario fields overflow a drawn column, ValueError names that
     column, as ``pdd simulate`` does. A study with a replication that
-    succeeds draws nothing again. An ``alpha`` outside (0, 1) or a given bias
-    bandwidth below a tenth of ``h`` raises ValueError before the first
-    draw, whatever the design; a bias bandwidth below a tenth of a
-    rule-of-thumb ``h`` raises before that replication's fit.
+    succeeds draws nothing again. A negative ``base_seed``, an ``alpha``
+    outside (0, 1) or a given bias bandwidth below a tenth of ``h`` raises
+    ValueError before the first draw, whatever the design; a bias bandwidth
+    below a tenth of a rule-of-thumb ``h`` raises before that replication's
+    fit.
     Aggregation runs in replication order, so the report is deterministic
     given the base seed.
 
@@ -431,6 +436,8 @@ def monte_carlo(
     """
     if reps < 1:
         raise ValueError("need at least one replication")
+    if base_seed < 0:
+        raise ValueError("base_seed must be nonnegative")
     _require_valid_alpha_and_b(alpha, h, b)
     replicate = partial(
         _replicate, spec=spec, base_seed=base_seed, kernel=kernel or KernelSpec(), h=h, b=b,

@@ -270,6 +270,40 @@ def test_non_finite_result_exits_2_with_one_document(tmp_path, y_of, error, comm
     assert proc.stderr == ""  # no numpy floating-point warnings
 
 
+@pytest.fixture(scope="module")
+def kappa4_lines(tmp_path_factory):
+    """The lines of ``pdd simulate --n 2000 --seed 1 --kappa 4``."""
+    path = tmp_path_factory.mktemp("data") / "kappa4.csv"
+    assert main(["simulate", "--n", "2000", "--seed", "1", "--kappa", "4", "--out", str(path)]) == 0
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "row, column, commands, error",
+    [
+        # w1 at d = 0.0179: the right side's Schur complement is not finite
+        (8, "w1", [estimate_args], "weak_instrument"),
+        # d: the gaussian design of the right side is not finite
+        (1, "d", [estimate_args, lambda path, *extra: ("rdd", "--data", str(path),
+         "--cutoff", "0", *extra)], "singular_support"),
+    ],
+)  # fmt: skip
+def test_a_non_finite_design_exits_2_with_one_document(
+    tmp_path, kappa4_lines, row, column, commands, error
+):
+    header, *rows = kappa4_lines
+    cells = rows[row - 1].split(",")
+    cells[header.split(",").index(column)] = "1e308"
+    rows[row - 1] = ",".join(cells)
+    path = tmp_path / "broken.csv"
+    path.write_text("\n".join([header, *rows]) + "\n")
+    extra = () if column == "w1" else ("--kernel", "gaussian", "--bandwidth", "0.5")
+    for command in commands:
+        code, out, err, _ = _run_in_process(list(command(path, *extra)), tmp_path / "none")
+        assert (code, err) == (2, ""), err
+        assert json.loads(out)["error"] == error  # one document: trailing data would raise
+
+
 def test_exit_code_3_on_non_utf8_config(tmp_path, sim_csv):
     config = tmp_path / "latin1.conf"
     config.write_bytes(b"cutoff = 0\n# caf\xe9\n")
@@ -349,6 +383,17 @@ def test_a_simulated_draw_that_overflows_exits_64_and_writes_nothing(tmp_path, f
     out = tmp_path / "sim.csv"
     assert _run_in_process(argv, out) == (64, "", message, None)
     assert _run_in_process([*argv, "--out", str(out)], out) == (64, "", message, None)
+
+
+def test_a_negative_seed_exits_64_naming_the_field_and_writes_nothing(tmp_path):
+    out = tmp_path / "sim.csv"
+    message = "pdd: seed must be nonnegative\n"
+    for argv in (
+        ["simulate", "--seed", "-1"],
+        ["simulate", "--seed", "-1", "--out", str(out)],
+        ["mc", "--seed", "-2", "--reps", "3"],
+    ):
+        assert _run_in_process(argv, out) == (64, "", message, None), argv
 
 
 def test_a_study_whose_draws_overflow_exits_64_and_names_the_column(tmp_path):
@@ -1004,6 +1049,15 @@ CSV_TEXT = st.one_of(
     command=st.sampled_from(["estimate", "rdd", "fuzzy"]),
     bandwidth=st.sampled_from([None, "0.5", "2"]),
 )
+# a placebo treatment of 1e308 at the cutoff: the right side's Schur
+# complement is not finite, which its conditioning test rejects
+@example(
+    data=b"d,y,w1,z1\n0,0,0,1e308\n"
+    + "".join(f"{d},0,0,0\n" for d in ["0"] * 5 + ["1", "0.25"] + ["0"] * 5 + ["-0.125", "-0.25"])
+    .encode(),
+    command="estimate",
+    bandwidth=None,
+)  # fmt: skip
 def test_any_input_bytes_keep_the_exit_code_contract(tmp_path_factory, data, command, bandwidth):
     path = tmp_path_factory.mktemp("fuzz") / "in.csv"
     path.write_bytes(data)

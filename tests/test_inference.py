@@ -518,12 +518,12 @@ def test_support_rows_put_the_left_side_first_in_order(rng, kind, h, b):
 def test_cut_skips_the_copy_only_for_a_sample_already_partitioned(rng, kind, h, b):
     kernel = KernelSpec(kind)
     sample = _local_sample(rng)
-    cut, k = _cut(sample, CUTOFF, max(h, b), kernel)
-    assert cut is not sample
-    again, k_again = _cut(cut, CUTOFF, max(h, b), kernel)
-    assert again is cut and k_again == k
-    inner, _ = _cut(cut, CUTOFF, min(h, b), kernel)
-    assert (inner is cut) == (kind == "gaussian" or h == b)
+    cut, k, S = _cut(sample, CUTOFF, max(h, b), kernel)
+    assert cut is not sample and S is not None
+    again, k_again, S_again = _cut(cut, CUTOFF, max(h, b), kernel)
+    assert again is cut and k_again == k and S_again is None
+    inner, _, S_inner = _cut(cut, CUTOFF, min(h, b), kernel)
+    assert (inner is cut) == (kind == "gaussian" or h == b) == (S_inner is None)
 
 
 ROBUST_FIELDS = (
@@ -554,7 +554,9 @@ def test_shuffling_the_rows_moves_no_output(rng, kind, h, b):
     a = rng.random(sample.n) < 0.2 + 0.6 * (sample.d >= CUTOFF)
     sample = replace(sample, a=a.astype(float))
     base = _every_output(sample, kernel, h, b)
-    shuffled = _every_output(sample.take(rng.permutation(sample.n)), kernel, h, b)
+    order = rng.permutation(sample.n)
+    shuffled = replace(sample, **{name: getattr(sample, name)[order] for name in "dyWZa"})
+    shuffled = _every_output(shuffled, kernel, h, b)
     for name, value in base.items():
         gap = abs(shuffled[name] - value) / max(abs(value), 1e-300)
         assert gap <= 1e-12, (name, value, shuffled[name])
@@ -901,21 +903,28 @@ def test_a_cached_design_holds_no_per_row_array(rng):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
-    from pdd.inference import _cut_outcomes
-
     kernel = KernelSpec(kind)
-    sample = _local_sample(rng)
-    cut, k, S = _cut_outcomes(sample, CUTOFF, 0.5, kernel)
-    reference, k_reference = _cut(sample, CUTOFF, 0.5, kernel)
-    assert k == k_reference and cut.a is None
-    for name in "dyWZ":
-        np.testing.assert_array_equal(getattr(cut, name), getattr(reference, name))
-    np.testing.assert_array_equal(S, np.vstack([cut.y, cut.W.T]))
-    assert np.shares_memory(cut.y, S) and np.shares_memory(cut.W, S)
-    # a sample already cut keeps its rows, and only its outcomes are stacked
-    again, k_again, S_again = _cut_outcomes(cut, CUTOFF, 0.5, kernel)
-    assert k_again == k and np.shares_memory(again.d, cut.d)
-    assert np.shares_memory(again.W, S_again) and not np.shares_memory(S_again, S)
+    sharp = _local_sample(rng)
+    fuzzy = replace(sharp, a=(rng.random(sharp.n) < 0.5).astype(float))
+    rows, k_rows = _cut_rows(sharp.d, CUTOFF, 0.5, kernel)  # d is shuffled: never the identity
+    for sample in (sharp, fuzzy):
+        cut, k, S = _cut(sample, CUTOFF, 0.5, kernel)
+        q = sample.q
+        assert k == k_rows and S.shape == (1 + q + (sample.a is not None), rows.size)
+        # each column is the fancy-indexed reference
+        for name in "dyWZ":
+            np.testing.assert_array_equal(getattr(cut, name), getattr(sample, name)[rows])
+        np.testing.assert_array_equal(S[: 1 + q], np.vstack([cut.y, cut.W.T]))
+        assert np.shares_memory(cut.y, S) and np.shares_memory(cut.W, S)
+        assert cut.Z.flags.f_contiguous
+        if sample.a is None:
+            assert cut.a is None
+        else:  # a fuzzy sample's treatment is the row after the placebo outcomes
+            np.testing.assert_array_equal(S[1 + q], sample.a[rows])
+            assert np.shares_memory(cut.a, S) and np.array_equal(cut.a, S[1 + q])
+        # a sample already cut comes back as it is, with no stack
+        again, k_again, S_again = _cut(cut, CUTOFF, 0.5, kernel)
+        assert again is cut and k_again == k and S_again is None
 
 
 # ------------------------------------------- the point estimate in a forked child

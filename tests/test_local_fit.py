@@ -380,3 +380,32 @@ def test_a_failed_check_keeps_no_design_and_a_copy_starts_empty(rng):
     # the kept designs are neither compared nor printed
     assert replace(w) == w and w._designs and not replace(w)._designs
     assert "_designs" not in repr(w)
+
+
+def test_a_non_finite_matrix_has_reciprocal_condition_zero(rng):
+    from pdd.local_fit import _schur_rcond, reciprocal_condition
+
+    stack, cross = rng.standard_normal((2, 5, 2, 2))
+    stack[1, 0, 1], stack[3, 1, 1] = np.nan, -np.inf
+    finite, broken = [0, 2, 4], [1, 3]
+
+    def plain_svd(m):  # the singular values with no guard
+        return np.linalg.svd(m, compute_uv=False)
+
+    s, raw = plain_svd(stack[finite]), plain_svd(cross[finite])
+    rcond = reciprocal_condition(stack)
+    assert rcond[broken].tolist() == [0.0, 0.0]
+    np.testing.assert_array_equal(rcond[finite], s[:, -1] / s[:, 0])
+    schur = _schur_rcond(stack, cross)
+    assert schur[broken].tolist() == [0.0, 0.0]
+    np.testing.assert_array_equal(schur[finite], s[:, -1] / np.maximum(s[:, 0], raw[:, 0]))
+    # a non-finite cross-moment also gives 0, beside a finite complement
+    swapped = _schur_rcond(cross, stack)
+    assert swapped[broken].tolist() == [0.0, 0.0]
+    np.testing.assert_array_equal(swapped[finite], raw[:, -1] / np.maximum(raw[:, 0], s[:, 0]))
+    # one matrix gives a float
+    for i in range(5):
+        one = reciprocal_condition(stack[i])
+        assert type(one) is float and one == rcond[i]
+        one = _schur_rcond(stack[i], cross[i])
+        assert type(one) is float and one == schur[i]

@@ -149,6 +149,21 @@ def test_the_truth_bins_the_whole_draw(kappa):
         assert dgp_truth(spec, oracle_n=oracle_n) == truth, design
 
 
+def test_a_negative_seed_is_rejected_by_name_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(MC, "_draw_stage", no_draw)
+    monkeypatch.setattr(MC, "_running_variable", no_draw)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        DgpSpec(n=10, seed=-1)
+    spec = DgpSpec(n=10, seed=0)
+    with pytest.raises(ValueError, match="^base_seed must be nonnegative$"):
+        monte_carlo(spec, 3, -1)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        dgp_truth(spec, seed=-1)
+
+
 def _binned_jump(cols, cutoff, width):
     """The jump of the mean of ``u`` at ``cutoff``: on each side, the means
     of the bins at distances (0, width) and (width, 2 width) extrapolated
@@ -467,19 +482,20 @@ def test_block_size_moves_no_output_beyond_rounding(monkeypatch, workers):
 
 
 def _block(cuts):
-    """``(d, S, Z, counts)`` of a block of cut samples ``(sample, k)``, their
-    rows one after another; a treatment ``a`` is the last row of ``S``.
+    """``(d, S, Z, counts)`` of a block of cuts ``(sample, k, S)``
+    (``estimator._cut``), their rows one after another; a treatment ``a`` is
+    the last row of ``S``.
     """
     columns = np.hstack([
-        np.vstack([s.d, s.y, s.W.T, *([] if s.a is None else [s.a]), s.Z.T]) for s, _ in cuts
+        np.vstack([s.d, s.y, s.W.T, *([] if s.a is None else [s.a]), s.Z.T]) for s, *_ in cuts
     ])  # fmt: skip
     q = cuts[0][0].q
-    counts = np.array([c for sample, k in cuts for c in (k, sample.n - k)])
+    counts = np.array([c for sample, k, _ in cuts for c in (k, sample.n - k)])
     return columns[0], columns[1:-q], columns[-q:], counts
 
 
 def _fit_block(cuts, *args):
-    """``fit_block`` of cut samples ``(sample, k)``."""
+    """``fit_block`` of cuts ``(sample, k, S)``."""
     return pdd.inference.fit_block(*_block(cuts), *args)
 
 
@@ -613,7 +629,7 @@ def test_a_treatment_without_a_jump_fails_its_replication_as_estimate_fuzzy_does
     d, S, Z, counts = _block(cuts)
     assert pdd.inference.fit_block(d, S, Z, counts, 0.0, h, h, kernel, 300, 0.05)[0].all()
     spec = DgpSpec(n=300, seed=0, design="fuzzy_homogeneous")
-    block = [(i, k, cut.n, h[i], h[i]) for i, (cut, k) in enumerate(cuts)]
+    block = [(i, k, cut.n, h[i], h[i]) for i, (cut, k, _) in enumerate(cuts)]
     results = MC._fit_replications(block, np.vstack([d, S, Z]), spec, kernel, 0.05)
     assert sorted(results) == [0, 2]
     with pytest.raises(WeakFirstStage):
@@ -632,7 +648,7 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
 
     spec, kernel = DgpSpec(n=5000, seed=0, kappa=4.0), KernelSpec()
     cuts, hs = [], []
-    while sum(cut.n for cut, _ in cuts) < 120_000:
+    while sum(cut.n for cut, *_ in cuts) < 120_000:
         sample = simulate(replace(spec, seed=len(cuts)))
         h = rule_of_thumb_bandwidth(sample.d)
         cuts.append(pdd.estimator._cut(sample, 0.0, h, kernel))
@@ -649,7 +665,7 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
         finally:
             tracemalloc.stop()
         assert ok.all()
-    assert 3500 < sum(cut.n for cut, _ in cuts[:3]) < 4500
+    assert 3500 < sum(cut.n for cut, *_ in cuts[:3]) < 4500
     assert peaks[1] < 2 * peaks[0]
 
 
