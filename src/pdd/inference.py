@@ -20,14 +20,19 @@ one place an inverse is taken).
 
 Each formula is written once, for one side or a stack of sides ``(..., k,
 k)``, and serves two callers. Every sum over rows is a fixed-order segment
-sum of per-row products (``local_fit._sums``), so no BLAS thread count
-changes a result. ``bias_corrected_estimate`` cuts the sample to the rows
-within ``max(h, b)`` of the cutoff, left side first, by the one gather of
-rows (``estimator._cut``, which copies each column once, the outcomes into
-the stack ``S`` that the cut sample views, and leaves a sample already in
-that form as it is), and sums each side's moments as one segment of that
-side's rows; at ``b = h`` a side's linear and quadratic fits share one
-moment pass. ``n`` and ``v_bc`` still refer to the whole sample. The point
+sum of per-row products (``local_fit._reduce``), so no BLAS thread count
+changes a result. Two table functions make every pass over a side's rows,
+in a single fit and in a block alike: ``_moment_rows`` sums the moments at
+``h`` and at ``b`` and the support extremes, and after the solves
+``_variance_rows`` sums the stacked form and the variance terms, forming
+the side's two row maps (``_row_form``) a window of rows at a time. At ``b
+= h`` one pair of coordinates and weights serves both fits.
+``bias_corrected_estimate`` cuts the sample to the rows within ``max(h,
+b)`` of the cutoff, left side first, by the one gather of rows
+(``estimator._cut``, which copies each column once, the outcomes into the
+stack ``S`` that the cut sample views, and leaves a sample already in that
+form as it is), and each side's passes read one segment of that side's
+rows. ``n`` and ``v_bc`` still refer to the whole sample. The point
 estimate (``estimate_sharp``) and the two sides' corrections read nothing
 of each other until they are combined, so where the cut holds at least
 ``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
@@ -37,18 +42,19 @@ the same bit for bit; where it cannot be made, dies, raises or sends
 nothing (``_forked.take``), this process fits the point estimate on the
 whole sample, whose cut at ``h`` is the child's, and its error, met first
 by one process, is raised before a side's. ``fit_block``, which
-``simulate.monte_carlo`` calls for both designs, sums the moments of many
-replications' cut samples with one segment per side, a window of rows at a
-time, and passes the stacks to the same helpers. A side summed alone and in
-a block then rounds alike. Its outcome stack may hold rows after ``[y, W]``,
-such as a fuzzy design's treatment, whose jumps it fits and returns and
-which enter nothing else.
+``simulate.monte_carlo`` calls for both designs, runs the same two tables
+over many replications' cut samples with one segment per side, a window of
+rows at a time, and passes the stacks to the same helpers. A side summed
+alone and in a block then rounds alike. Its outcome stack may hold rows
+after ``[y, W]``, such as a fuzzy design's treatment, whose jumps it fits
+and returns and which enter nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
@@ -74,8 +80,7 @@ from .kernels import (
 from .local_fit import (
     GRAM_RCOND_MIN,
     SCHUR_RCOND_MIN,
-    _chunks,
-    _design,
+    _checked_gram,
     _design_rows,
     _distinct,
     _extreme_rows,
@@ -83,15 +88,13 @@ from .local_fit import (
     _inside_rows,
     _instrument_rows,
     _joint_solve,
-    _nested_designs,
-    _product_sums,
     _reduce,
     _repeated,
-    _rows_of,
-    _schur_complement,
+    _require_aligned,
+    _require_some_weight,
+    _require_support,
     _schur_rcond,
-    _sums,
-    _weighted_design,
+    _support,
     reciprocal_condition,
 )
 
@@ -121,15 +124,24 @@ def rule_of_thumb_bandwidth(d: np.ndarray) -> float:
 class SideCorrection:
     """Per-side bias-correction ingredients for a stack of outcome columns.
 
-    ``weight_row`` maps any outcome column to its bias-corrected intercept:
-    the sum of ``weight_row * s`` is the local linear intercept minus the
-    estimated curvature bias. ``matrix_row`` is row 0 of the literal correction matrix
+    ``intercepts``, ``curvatures``, ``bias`` and ``intercepts_bc`` are
+    aligned with the outcome stack's columns. ``n_effective`` counts the
+    positive weights at ``h`` and ``kish_size`` is their Kish effective
+    sample size ``(sum w)^2 / sum w^2``.
+
+    ``weight_map`` and ``matrix_map`` are the five coefficients
+    (``_row_form``) of two per-row maps. ``weight_row`` maps any outcome
+    column to its bias-corrected intercept: the sum of ``weight_row * s``
+    is the local linear intercept minus the estimated curvature bias.
+    ``matrix_row`` is row 0 of the literal correction matrix
     (``correction_matrix``), the same map times ``n * h`` built along an
-    independent path; the stacked equivalence check applies it. ``intercepts``,
-    ``curvatures``, ``bias`` and ``intercepts_bc`` are aligned with the
-    outcome stack's columns.
-    ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
-    is their Kish effective sample size ``(sum w)^2 / sum w^2``.
+    independent path; the stacked equivalence check applies it.
+    ``coordinates`` holds the arrays the side's fits were summed from, not
+    copies: the scaled coordinate and the weights at ``h`` and at ``b``, or
+    the one pair that serves both at ``b = h`` (``_fits``). A row map is
+    formed from them only on request: a window of rows at a time by the
+    variance pass (``_variance_rows``), or whole by ``weight_row`` and
+    ``matrix_row``.
     """
 
     n: int
@@ -140,9 +152,33 @@ class SideCorrection:
     curvatures: np.ndarray
     bias: np.ndarray
     intercepts_bc: np.ndarray
-    weight_row: np.ndarray
-    matrix_row: np.ndarray
     curvature_load: float
+    weight_map: np.ndarray
+    matrix_map: np.ndarray
+    coordinates: tuple = field(repr=False, compare=False)
+
+    @property
+    def weight_row(self) -> np.ndarray:
+        return self._row(self.weight_map)
+
+    @property
+    def matrix_row(self) -> np.ndarray:
+        return self._row(self.matrix_map)
+
+    def _row(self, coefficients) -> np.ndarray:
+        """The row map of ``coefficients`` over the side's rows, formed on
+        each call.
+        """
+        u, w_h, v, w_b = _fits(self.coordinates, slice(None))
+        return _row_form(coefficients, _design_rows(w_h, u, 1), _design_rows(w_b, v, 2))
+
+
+def _fits(coordinates, rows) -> list[np.ndarray]:
+    """``(u, weights at h, v, weights at b)`` of a range of rows of one
+    side's coordinates. Where one pair serves both fits (``b = h``), both
+    places hold the same two arrays, as the table functions test.
+    """
+    return [x[rows] for x in coordinates] * (4 // len(coordinates))
 
 
 def side_correction(
@@ -182,57 +218,144 @@ def side_correction_from_weights(
     return _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, False)
 
 
-def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, same: bool):
+def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shared: bool):
     """``side_correction_from_weights``, told whether the two fits are one
-    (``same``), as they are at ``b = h``: then their moments are summed
-    once, the linear fit's power sums and ``R'KS`` read off the first rows
-    of the quadratic fit's, the same products summed alike, so bit for bit
-    the separate sums.
+    (``shared``), as they are at ``b = h``: then one pair of coordinates
+    and weights serves both, and the linear fit's power sums and ``R'KS``
+    are the first rows of the quadratic fit's, the same products summed
+    alike, so bit for bit the separate sums.
+
+    One pass (``_moments``) sums the side's moments at ``h`` and at ``b``,
+    the support test's extremes and the Kish size's sums. The quadratic
+    fit's third support value is looked for in a short pass of its own
+    (``local_fit._support``) after the linear fit's checks, so the checks
+    raise in the fits' order: support at ``h``, Gram at ``h``, support at
+    ``b``, Gram at ``b``.
     """
-    S = np.asarray(S, dtype=float)
-    if S.ndim == 1:
-        S = S[:, None]
+    S = np.atleast_2d(np.asarray(S, dtype=float).T)  # one row per outcome column
     if basis_main.degree != 1 or basis_bias.degree != 2:
         raise ValueError("need a degree-1 main basis and a degree-2 bias basis")
     if weights_main.side != weights_bias.side:
         raise ValueError("weights were built for different sides")
-    n, h, b = S.shape[0], weights_main.bandwidth, weights_bias.bandwidth
-    design2 = _design(weights_bias, basis_bias)
-    if same:
-        (gram1, powers1, _), (gram2, _, _) = _nested_designs(weights_main, basis_main, basis_bias)
-        design1 = design2
-        gs = _product_sums(design2, S.T, [0], n)[0]
-        rks = gs[:2]
-    else:
-        gram1, powers1, _ = _weighted_design(weights_main, basis_main)
-        gram2 = _weighted_design(weights_bias, basis_bias)[0]
-        design1 = _design(weights_main, basis_main)
-        rks, gs = (_product_sums(design, S.T, [0], n)[0] for design in (design1, design2))
-    coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, n, h, b)
-    intercepts = coef[0]
-    weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, n)
+    _require_aligned(weights_main, basis_main)
+    _require_aligned(weights_bias, basis_bias)
+    _require_some_weight(weights_main, 2)
+    n, h, b = S.shape[1], weights_main.bandwidth, weights_bias.bandwidth
+    u, w_h, v, w_b = basis_main.u, weights_main.weights, basis_bias.u, weights_bias.weights
+    coordinates = (v, w_b) if shared else (u, w_h, v, w_b)
+    fits = partial(_fits, coordinates)
+    mu, mv, rks, gs, lo_h, hi_h, lo_b, hi_b, squares, w_lo, w_hi = _moments(fits, S, None, n, [0])
+    _require_support(weights_main, _support(u, w_h, lo_h, hi_h, 2), 2)
+    gram1 = _checked_gram(weights_main, mu[0], 1)[0]
+    _require_support(weights_bias, _support(v, w_b, lo_b, hi_b, 3), 3)
+    gram2 = _checked_gram(weights_bias, mv[0], 2)[0]
+    terms = _side_terms(gram1, mu[0], rks[0], gram2, gs[0], n, h, b)
+    coef, curves, bias, load, stacked, weight = terms
+    # the Kish size is exactly the count where every positive weight is equal
+    count, total = weights_main.n_positive, mu[0, 0]
+    kish = float(count) if w_lo[0] == w_hi[0] else float(total**2 / squares[0])
     return SideCorrection(
         n=n,
-        n_effective=weights_main.n_positive,
-        kish_size=_kish_size(weights_main),
+        n_effective=count,
+        kish_size=kish,
         bandwidth=float(h),
-        intercepts=intercepts,
+        intercepts=coef[0],
         curvatures=curves,
         bias=bias,
-        intercepts_bc=intercepts - bias,
-        weight_row=weight_row,
-        matrix_row=matrix_row,
+        intercepts_bc=coef[0] - bias,
         curvature_load=float(load),
+        weight_map=weight,
+        matrix_map=stacked,
+        coordinates=coordinates,
     )
 
 
-def _kish_size(weights) -> float:
-    """Kish size ``(sum w)^2 / sum w^2``, exactly the count for equal weights (window)."""
-    w, n = weights.weights, weights.n_positive
-    if np.count_nonzero(w == w.max()) == n:
-        return float(n)
-    total, squares = _sums(lambda rows: np.stack([w[rows], w[rows] * w[rows]]), w.size, [0])[0]
-    return float(total**2 / squares)
+def _moments(fits, S, Z, m: int, starts):
+    """One pass of ``_moment_rows`` over the segments of ``m`` rows:
+    ``(mu, mv, R'KS at h, R'KS at b, lo_h, hi_h, lo_b, hi_b, *rest)``, each
+    with a leading axis of segments. ``mu`` and ``mv`` are the power sums
+    at ``h`` and at ``b``, ``lo``/``hi`` the extremes of the positively
+    weighted coordinates, and ``rest`` holds ``(Z'KS, Z'KR, positive weight
+    count)`` with placebo treatment rows ``Z`` and the Kish size's ``(sum
+    w^2, smallest and largest positive weight)`` without them. Where one
+    pair serves both fits, the linear fit's sums are the first rows of the
+    quadratic fit's.
+    """
+    mv, RKS, gs, lo_b, hi_b, *rest = _reduce(partial(_moment_rows, fits, S, Z), m, starts)
+    mu, lo_h, hi_h = rest[3:] or (mv[:, :4], lo_b, hi_b)
+    GS = gs if rest[3:] else np.concatenate([RKS, gs], axis=1)
+    return mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *rest[:3]
+
+
+def _moment_rows(fits, S, Z, rows):
+    """The first pass's tables on a range of rows, one after another (each
+    summed before the next is formed), from ``fits(rows)`` (``_fits``) and
+    outcome rows ``S``:
+    - the power rows ``K v^k``, k <= 4, at ``b``, whose sums are ``R'KR``
+      at ``b``; ``K R x S`` at ``h`` and the rest of it at ``b``; the
+      extremes of ``v`` (``_extreme_rows``);
+    - with placebo treatment rows ``Z``, the instrumented solve's tables
+      (``_instrument_rows``) and the positive weights at ``h``; without,
+      the squared weights and the extremes of the positive weights at ``h``;
+    - unless one pair serves both fits, the power rows ``K u^k``, k <= 3,
+      and the extremes of ``u`` at ``h``.
+    """
+    u, w_h, v, w_b = fits(rows)
+    s = S[:, rows]
+    kv = _design_rows(w_b, v, 4)  # K R at b is kv[:3]
+    ku = kv if u is v else _design_rows(w_h, u, 3)
+    yield np.add, kv
+    yield np.add, ku[:2, None] * s[None]
+    yield np.add, (kv[2:3] if u is v else kv[:3])[:, None] * s[None]  # the rest of R'KS at b
+    yield from _extreme_rows(v, w_b)
+    if Z is None:
+        yield np.add, w_h * w_h
+        yield from _extreme_rows(w_h, w_h)
+    else:
+        yield from _instrument_rows(ku[:2], s, Z[:, rows])
+        yield np.add, w_h > 0.0
+    if u is not v:
+        yield np.add, ku
+        yield from _extreme_rows(u, w_h)
+
+
+def _variance_rows(fits, S, stacked, weight, centre, bounds, rows):
+    """The second pass's tables on a range of rows, one after another, from
+    ``fits(rows)`` (``_fits``) and outcome rows ``S``: each outcome times
+    the stacked form's row, and its squared residual about ``centre`` under
+    the weight row, the two row maps formed from their coefficients
+    ``stacked`` and ``weight`` over these rows only (``_row_form``); then,
+    where ``bounds`` are given, whether each ``v`` lies strictly between
+    them (``_inside_rows``). ``stacked``, ``weight``, ``centre`` and
+    ``bounds`` are functions of the row range (``local_fit._repeated``).
+    """
+    u, w_h, v, w_b = fits(rows)
+    kv = _design_rows(w_b, v, 2)
+    ku = kv[:2] if u is v else _design_rows(w_h, u, 1)
+    s = S[:, rows]
+    yield np.add, _row_form(stacked(rows), ku, kv) * s
+    yield np.add, np.square((s - centre(rows)) * _row_form(weight(rows), ku, kv))
+    if bounds is not None:
+        yield np.logical_or, _inside_rows(v, w_b, *bounds(rows))
+
+
+def _side_sums(S, corr: SideCorrection) -> list[np.ndarray]:
+    """``(stacked, squares)`` of one side's outcome rows ``S`` ``(1 + q,
+    n)`` in one pass of ``_variance_rows``: each outcome's sum of products
+    with the side's matrix row, and of squared residuals about its
+    bias-corrected intercept under its weight row.
+    """
+    maps = (corr.matrix_map, corr.weight_map, corr.intercepts_bc)
+    at = (_repeated(x[:, None], [0], corr.n) for x in maps)
+    tables = partial(_variance_rows, partial(_fits, corr.coordinates), S, *at, None)
+    return [x[0] for x in _reduce(tables, corr.n, [0])]
+
+
+def _variance(combo, squares, n, h):
+    """``n * h`` times the sum over sides of each outcome's squared residual
+    sum in ``squares`` weighted by ``combo^2``, for one sample or a stack.
+    """
+    return n * h * sum(np.vecdot(combo**2, side) for side in squares)
 
 
 def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
@@ -241,7 +364,7 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     (``R'KR`` and ``R'KS``): the outcomes' scaled linear coefficients, their
     curvatures ``2 m2`` and biases ``h^2 / 2 * load * curvature``, the
     curvature load ``e0' (R'KR)^{-1} R'K u^2``, and the coefficients
-    ``(..., 5)`` of two per-row maps (``_row_forms``). One is the stacked
+    ``(..., 5)`` of two per-row maps (``_row_form``). One is the stacked
     form's row (``correction_matrix``); the other is the variance's weight
     row, the intercept row ``e0' (R'KR)^{-1}`` at ``h`` minus ``(h / b)^2``
     times the load times the row ``e2' (R'KR)^{-1}`` at ``b``, which applied
@@ -266,26 +389,14 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     return coef, curvatures, 0.5 * (hh * hh) * ll * curvatures, load, stacked, weight
 
 
-def _row_forms(cs, design1, design2, m: int) -> np.ndarray:
-    """The per-row maps ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
-    + c[4] K v^2`` at ``b`` over ``m`` rows, one row of the result for each
-    ``c`` in ``cs``, from the design rows of both fits
-    (``local_fit._rows_of``); each ``c`` holds five coefficients, or five
-    rows of one coefficient per row. They are formed a chunk of rows at a
-    time, so their temporaries stay in cache, and each chunk's design rows
-    are formed once for all of them; where both fits are one
-    (``design1 is design2``) they are formed once for both.
+def _row_form(c, k1, k2) -> np.ndarray:
+    """The per-row map ``c[0] K + c[1] K u`` at ``h`` minus ``c[2] K + c[3] K v
+    + c[4] K v^2`` at ``b``, from the design rows ``k1`` and ``k2`` of both
+    fits over the same rows (``local_fit._design_rows``); ``c`` holds five
+    coefficients, or five rows of one coefficient per row.
     """
-    out = np.empty((len(cs), m))
-    cs = [np.reshape(c, (5, -1)) for c in cs]
-    for rows in _chunks(m):
-        k2 = _rows_of(design2, rows)
-        k1 = k2 if design1 is design2 else _rows_of(design1, rows)
-        for line, c in zip(out, cs):
-            cr = c[:, rows] if c.shape[1] > 1 else c
-            at_b = cr[2] * k2[0] + cr[3] * k2[1] + cr[4] * k2[2]
-            line[rows] = cr[0] * k1[0] + cr[1] * k1[1] - at_b
-    return out
+    c = np.reshape(c, (5, -1))
+    return c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
 
 
 def correction_matrix(
@@ -308,13 +419,6 @@ def correction_matrix(
     g2_inv = np.linalg.inv(gram_quadratic)[..., 2, :]
     load = np.vecdot(g1_inv, u2_moment)
     return np.concatenate([g1_inv, (ratio * load)[..., None] * g2_inv], axis=-1)
-
-
-def _squared_residuals(weight_row, S, centre) -> np.ndarray:
-    """Each outcome's ``(weight_row * (s - centre))^2`` on rows of outcome
-    rows ``S``: the per-row terms of a side's variance.
-    """
-    return np.square((S - centre) * weight_row)
 
 
 def _interval(tau_bc, v_bc, n, h, alpha: float):
@@ -344,15 +448,11 @@ def robust_variance(
     and cross-covariances between outcome columns are omitted by
     construction.
     """
-    total = 0.0
-    for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus)):
-        S, centre = np.asarray(S).T, corr.intercepts_bc[:, None]
-
-        def squares(rows):
-            return _squared_residuals(corr.weight_row[rows], S[:, rows], centre)
-
-        total += float(np.vecdot(combo**2, _sums(squares, S.shape[-1], [0])[0]))
-    return n * corr_plus.bandwidth * total
+    squares = (
+        _side_sums(np.atleast_2d(np.asarray(S, dtype=float).T), corr)[1]
+        for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus))
+    )
+    return float(_variance(combo, squares, n, corr_plus.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -444,19 +544,17 @@ def bias_corrected_estimate(
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
-    # a side's matrix row is n * h times its weight row, n its own row count
-    right, left = (
-        _product_sums(corr.matrix_row[None], S[:, rows], [0], corr.n)[0, 0] / corr.n
-        for corr, rows in ((corr_plus, plus), (corr_minus, minus))
+    (right, squares_right), (left, squares_left) = (
+        _side_sums(S[:, rows], corr) for corr, rows in ((corr_plus, plus), (corr_minus, minus))
     )
+    # a side's matrix row is n * h times its weight row, n its own row count
     _require_equivalent(
         tau_bc,
-        float(np.vecdot(combo, right - left)) / h,
+        float(np.vecdot(combo, right / corr_plus.n - left / corr_minus.n)) / h,
         "componentwise bias correction",
         "stacked matrix form",
     )
-    sides = S[:, plus].T, S[:, minus].T
-    v_bc = robust_variance(*sides, corr_plus, corr_minus, combo, n)
+    v_bc = float(_variance(combo, (squares_right, squares_left), n, h))
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se, lower, upper = map(float, _interval(tau_bc, v_bc, n, corr_plus.bandwidth, alpha))
@@ -524,14 +622,15 @@ def fit_block(
     Each side of each sample is one segment of the rows, and every per-row
     table (coordinates, weights, design rows, products, each side's
     coefficients repeated over its rows, row forms and residual squares) is
-    formed one window of rows at a time by the single fit's row functions
+    formed one window of rows at a time by the single fit's table functions
     and summed by ``local_fit._reduce``, which sums each segment as the
     single fit sums that side; only the input columns and the per-side
-    stacks span the block. The first pass sums the moments and the support
-    extremes, the second, after the solves, the stacked form, the variance
-    terms (each outcome's residual about its side's bias-corrected
-    intercept, as in ``robust_variance``) and the support test's inner
-    values. A side that fails a check gets the identity in place of its
+    stacks span the block. The first pass (``_moment_rows``) sums the
+    moments, the instrumented solve's cross-moments and the support
+    extremes, the second (``_variance_rows``), after the solves, the
+    stacked form, the variance terms (each outcome's residual about its
+    side's bias-corrected intercept, as in ``robust_variance``) and the
+    support test's inner values. A side that fails a check gets the identity in place of its
     systems (``_identity_unless``); where ``b <= h`` a sample's single fit
     sums the same rows, so the two agree exactly.
 
@@ -552,36 +651,18 @@ def fit_block(
     # fit: the linear fit's sums are the first rows of the quadratic fit's
     shared = np.array_equal(h, b)
 
-    def fit_rows(rows):
-        """``(u, weights at h, v, weights at b)`` of a range of rows."""
-        fits = []
+    def fits(rows):
+        """``(u, weights at h, v, weights at b)`` of a range of rows, as
+        ``_fits`` gives them.
+        """
+        out = []
         for bandwidth in (at_b,) if shared else (at_h, at_b):
             per_row = bandwidth(rows)
             u = _offsets(d[rows], cutoff, per_row)
-            fits += [u, _weights_at(kernel, u.copy(), per_row)]
-        return fits * 2 if shared else fits
+            out += [u, _weights_at(kernel, u.copy(), per_row)]
+        return out * 2 if shared else out
 
-    def moment_rows(rows):  # each table is summed before the next is formed
-        u, wh, v, wb = fit_rows(rows)
-        s = S[:, rows]
-        kv = _design_rows(wb, v, 4)  # the power rows at b; K R at b is kv[:3]
-        ku = kv if shared else _design_rows(wh, u, 3)
-        yield kv
-        yield from _instrument_rows(ku[:2], s, Z[:, rows])
-        yield (kv[2:3] if shared else kv[:3])[:, None] * s[None]  # the rest of R'KS at b
-        yield wh > 0.0
-        yield from _extreme_rows(v, wb)
-        if not shared:
-            yield ku
-            yield from _extreme_rows(u, wh)
-
-    extremes = (np.minimum, np.maximum)
-    ufuncs = (*(np.add,) * 6, *extremes)
-    mv, RKS, ZKS, ZKR, gs, positives, lo_b, hi_b, *linear = _reduce(
-        moment_rows, m, starts, ufuncs if shared else (*ufuncs, np.add, *extremes)
-    )
-    mu, lo_h, hi_h = linear or (mv[:, :4], lo_b, hi_b)
-    GS = np.concatenate([RKS, gs], axis=1) if shared else gs  # R'KS at b
+    mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, ZKS, ZKR, positives = _moments(fits, S, Z, m, starts)
 
     # the support test's third value at b is looked for in the second pass
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
@@ -595,7 +676,7 @@ def fit_block(
     # the instrumented solve of each side; a side that is not ok solves the
     # identity, its cross-moment blocks zeroed
     RKW, ZKW = RKS[:, :, 1 : 1 + q], ZKS[:, :, 1 : 1 + q]
-    ok &= _schur_rcond(_schur_complement(A, RKW, ZKR, ZKW), ZKW) >= SCHUR_RCOND_MIN
+    ok &= _schur_rcond(A, RKW, ZKR, ZKW) >= SCHUR_RCOND_MIN
     ZKW = _identity_unless(ok, ZKW)
     RKW, ZKR = (np.where(ok[:, None, None], x, 0.0) for x in (RKW, ZKR))
     alpha0, gamma = _joint_solve(A, RKW, ZKR, ZKW, RKS[:, :, 0], ZKS[:, :, 0])
@@ -615,23 +696,12 @@ def fit_block(
         for x in (*row_coefs, intercepts_bc, np.stack([lo_b, hi_b], axis=1))
     )
 
-    def variance_rows(rows):  # each table is summed before the next is formed
-        u, wh, v, wb = fit_rows(rows)
-        kv = _design_rows(wb, v, 2)
-        ku = kv[:2] if shared else _design_rows(wh, u, 1)
-        s = S[: 1 + q, rows]
-        yield _row_forms((stacked_at(rows),), ku, kv, kv.shape[-1])[0] * s
-        weight_row = _row_forms((weight_at(rows),), ku, kv, kv.shape[-1])[0]
-        yield _squared_residuals(weight_row, s, centre_at(rows))
-        yield _inside_rows(v, wb, *bounds_at(rows))
-
-    stacked, per_outcome, inside = _reduce(
-        variance_rows, m, starts, (np.add, np.add, np.logical_or)
-    )
+    tables = partial(_variance_rows, fits, S[: 1 + q], stacked_at, weight_at, centre_at, bounds_at)
+    stacked, per_outcome, inside = _reduce(tables, m, starts)
     ok &= _distinct(lo_b, hi_b, inside) >= 3
     stacked /= counts[:, None]
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
-    v_bc = n * h * sum(np.vecdot(combo**2, per_outcome[side]) for side in (right, left))
+    v_bc = _variance(combo, (per_outcome[right], per_outcome[left]), n, h)
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)
     ok &= np.isfinite(v_bc)

@@ -159,10 +159,6 @@ class SidedWeights:
     n_positive: int
     _designs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def positive(self) -> np.ndarray:
-        return self.weights > 0.0
-
 
 def sided_weights(
     d: np.ndarray, cutoff: float, h: float, side: str, kernel: KernelSpec
@@ -171,7 +167,7 @@ def sided_weights(
 
     A side with too few positively weighted observations for a fit, such as
     an empty ``d`` from a sample cut to an empty window, is rejected by the
-    fit's support test (``local_fit._distinct_support``).
+    fit's support test (``local_fit._support``).
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")

@@ -7,8 +7,9 @@ taken by ``_reduce`` (``_sums`` for a single table): products are rows of
 numpy's fixed-order pairwise sum. No BLAS product runs over rows, so no
 thread count changes a moment. A single fit sums one segment per side;
 ``inference.fit_block`` sums one segment per side of each sample of a Monte
-Carlo block, through the same helpers (``_power_moments``,
-``_product_sums``, ``_instrument_rows`` and the support test's rows).
+Carlo block, through the same helpers (``_design_rows``,
+``_instrument_rows`` and the support test's rows). A table function yields
+each table with the ufunc that reduces it.
 
 Every table is formed and reduced one window of rows at a time
 (``_windows``), for one segment or many: a window packs whole segments, up
@@ -23,7 +24,7 @@ once for all of its products. A row formed over a window equals the same
 row formed over the whole side, and a row of products sums the same in a
 taller table: where a linear and a quadratic fit share weights and ``u`` (a
 bias bandwidth equal to the main one), the linear fit's sums are read off
-the quadratic fit's (``_nested_designs``).
+the quadratic fit's (``inference._moment_rows``).
 
 The systems are small and dense and solved by a pivoted factorisation;
 singularity is detected through reciprocal condition numbers, not through
@@ -32,16 +33,16 @@ condition 0 (``_singular_values``), so a non-finite design fails the same
 test a singular one does: a single fit raises SingularSupport or
 WeakInstrument, and ``inference.fit_block`` counts the sample as failed.
 ``_weighted_design`` keeps one checked design ``(R'KR, power sums,
-rcond)`` per pair of weights and basis, so a side's fits share the support
-test and the SVD; it holds no per-row array.
+rcond)`` per pair of weights and basis, summed in one pass with the support
+test's extremes, so a side's point fits share the support test and the
+SVD; it holds no per-row array.
 
 Each check and each step of the instrumented solve is written once, for one
 side or a stack of sides, and ``inference.fit_block`` calls the same
 helpers: the support test's rows and count (``_extreme_rows``,
-``_inside_rows`` and ``_distinct``, which ``_distinct_support`` combines),
-the conditioning tests ``reciprocal_condition`` and ``_schur_rcond``, the
-Schur complement ``_schur_complement`` and the joint system
-``_joint_solve``.
+``_inside_rows`` and ``_distinct``, which ``_distinct_support`` and
+``_support`` combine), the conditioning tests ``reciprocal_condition`` and
+``_schur_rcond`` and the joint system ``_joint_solve``.
 """
 
 from __future__ import annotations
@@ -78,18 +79,25 @@ def reciprocal_condition(m: np.ndarray):
     return _smallest_over(s, s[..., 0])
 
 
-def _schur_rcond(schur: np.ndarray, cross_raw: np.ndarray):
-    """Scale-aware reciprocal condition of the instrumented cross-moment, or
-    an array of them for stacks of matrices; 0 where the complement or the
-    cross-moment holds a non-finite value (``_singular_values``).
+def _schur_rcond(gram, rkw, zkr, zkw):
+    """Scale-aware reciprocal condition of the Schur complement ``Z'KW -
+    Z'KR (R'KR)^{-1} R'KW`` of the joint system, the instrumented
+    cross-moment, for one side or a stack of sides; 0 where the complement
+    or ``Z'KW`` holds a non-finite value (``_singular_values``).
 
-    The smallest singular value of the Schur complement is measured against
-    the larger of its own top singular value and that of the unresidualised
-    cross-moment, so a uniformly collapsed complement (including the 1x1
-    case, whose plain condition number is always 1) is still detected.
+    The complement's smallest singular value is measured against the
+    largest of its own top singular value, that of ``Z'KW``, and the size
+    ``|Z'KR| |R'KW| / |R'KR|`` (Frobenius norms) of the term it subtracts,
+    taken from that term's factors. So a uniformly collapsed complement is
+    still detected: the 1x1 case, whose plain condition number is always 1,
+    and the case where both terms are zero but for rounding, ``Z'KW``
+    exactly 0 and ``Z'KR`` orthogonal to ``(R'KR)^{-1} R'KW``, while their
+    factors are not.
     """
-    s, raw = _singular_values(schur, cross_raw)
-    return _smallest_over(s, np.maximum(s[..., 0], raw[..., 0]))
+    s, raw = _singular_values(zkw - zkr @ np.linalg.solve(gram, rkw), zkw)
+    size = partial(np.linalg.norm, axis=(-2, -1))
+    term = size(zkr) * size(rkw) / size(gram)
+    return _smallest_over(s, np.maximum(np.maximum(s[..., 0], raw[..., 0]), term))
 
 
 def _singular_values(*stacks) -> np.ndarray:
@@ -154,19 +162,23 @@ def _distinct_support(x: np.ndarray, w: np.ndarray, starts, need: int) -> np.nda
     without gathering the positively weighted rows, equal extremes give one
     value and a value strictly between them a third (``_distinct``). A
     segment with no positive weight counts 0; every segment holds at least
-    one row.
+    one row. A fit takes the extremes from its moment pass and looks for the
+    third value in a pass of its own (``_third_value``).
     """
-    m = x.size
-    ufuncs = (np.minimum, np.maximum)
-    lo, hi = _reduce(lambda rows: _extreme_rows(x[rows], w[rows]), m, starts, ufuncs)
-    if need == 2:
-        return _distinct(lo, hi)
-    bounds = _repeated(np.stack([lo, hi]), starts, m)
+    lo, hi = _reduce(lambda rows: _extreme_rows(x[rows], w[rows]), x.size, starts)
+    return _distinct(lo, hi, None if need == 2 else _third_value(x, w, starts, lo, hi))
+
+
+def _third_value(x: np.ndarray, w: np.ndarray, starts, lo, hi) -> np.ndarray:
+    """Whether each segment holds a positively weighted ``x`` strictly
+    between its extremes ``lo`` and ``hi`` (``_inside_rows``).
+    """
+    bounds = _repeated(np.stack([lo, hi]), starts, x.size)
 
     def inside(rows):
-        return (_inside_rows(x[rows], w[rows], *bounds(rows)),)
+        yield np.logical_or, _inside_rows(x[rows], w[rows], *bounds(rows))
 
-    return _distinct(lo, hi, _reduce(inside, m, starts, (np.logical_or,))[0])
+    return _reduce(inside, x.size, starts)[0]
 
 
 def _extreme_rows(x: np.ndarray, w: np.ndarray):
@@ -175,8 +187,8 @@ def _extreme_rows(x: np.ndarray, w: np.ndarray):
     extremes of its positively weighted ``x``, ``lo > hi`` where none is.
     """
     positive = w > 0.0
-    yield np.where(positive, x, np.inf)
-    yield np.where(positive, x, -np.inf)
+    yield np.minimum, np.where(positive, x, np.inf)
+    yield np.maximum, np.where(positive, x, -np.inf)
 
 
 def _inside_rows(x: np.ndarray, w: np.ndarray, lo, hi) -> np.ndarray:
@@ -199,41 +211,32 @@ def _weighted_design(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """The checked weighted design of one side: ``(R'KR, powers, rcond)``.
 
-    ``powers`` holds the sums of ``K u^k`` for k <= degree + 2
-    (``_power_moments``). Raises ValueError if weights and basis come from
-    different samples, bandwidths or cutoffs, and SingularSupport if the
-    support is too thin or ``R'KR`` has reciprocal condition below
-    ``GRAM_RCOND_MIN``. A design that passes is kept on ``weights`` and
-    returned again for the same basis object; the entry holds the basis, so
-    its id is not reused meanwhile. The design rows themselves are formed
-    where they are summed (``_design``).
+    ``powers`` holds the sums of ``K u^k`` for k <= degree + 2, the Gram
+    matrix's entries (``_hankel``) and, at degree 1, ``R'K u^2``; the pass
+    that sums them also takes the support test's extremes. Raises ValueError
+    if weights and basis come from different samples, bandwidths or
+    cutoffs, and SingularSupport if the support is too thin or ``R'KR`` has
+    reciprocal condition below ``GRAM_RCOND_MIN``. A design that passes is
+    kept on ``weights`` and returned again for the same basis object; the
+    entry holds the basis, so its id is not reused meanwhile. The design
+    rows themselves are formed where they are summed (``_design``).
     """
     entry = weights._designs.get(id(basis))
     if entry is not None:
         return entry[1]
     _require_aligned(weights, basis)
-    need = basis.degree + 1
-    _require_support(weights, _support_count(weights, basis.u, need), need)
-    powers = _power_moments(weights.weights, basis.u, [0], basis.degree)[0]
-    design = _checked_gram(weights, powers, basis.degree)
+    w, u, degree = weights.weights, basis.u, basis.degree
+    _require_some_weight(weights, degree + 1)
+
+    def tables(rows):
+        yield np.add, _design_rows(w, u, degree + 2, rows)
+        yield from _extreme_rows(u[rows], w[rows])
+
+    powers, lo, hi = _reduce(tables, w.size, [0])
+    _require_support(weights, _support(u, w, lo, hi, degree + 1), degree + 1)
+    design = _checked_gram(weights, powers[0], degree)
     weights._designs[id(basis)] = (basis, design)
     return design
-
-
-def _nested_designs(weights: SidedWeights, linear: ScaledBasis, quadratic: ScaledBasis):
-    """``_weighted_design`` of a linear and a quadratic basis of the same
-    scaled coordinate on the same weights, from one support test and one
-    pass of power sums: the linear design's sums are the first four of the
-    quadratic's, the same products summed alike. The checks raise the same
-    errors, in the same order, as the two ``_weighted_design`` calls.
-    """
-    _require_aligned(weights, linear)
-    distinct = _support_count(weights, quadratic.u, 3)  # a count below 3 is exact
-    _require_support(weights, distinct, 2)
-    powers = _power_moments(weights.weights, quadratic.u, [0], 2)[0]
-    design = _checked_gram(weights, powers[:4], 1)
-    _require_support(weights, distinct, 3)
-    return design, _checked_gram(weights, powers, 2)
 
 
 def _require_aligned(weights: SidedWeights, basis: ScaledBasis) -> None:
@@ -243,10 +246,22 @@ def _require_aligned(weights: SidedWeights, basis: ScaledBasis) -> None:
         raise ValueError("weights and basis use different bandwidth or cutoff")
 
 
-def _support_count(weights: SidedWeights, u: np.ndarray, need: int) -> int:
-    """``_distinct_support`` of one side's positively weighted ``u``."""
-    w = weights.weights
-    return int(_distinct_support(u, w, [0], need)[0]) if weights.n_positive else 0
+def _require_some_weight(weights: SidedWeights, need: int) -> None:
+    """Raise the support test's SingularSupport for a side with no positive
+    weight, whose rows, possibly none, no pass need visit.
+    """
+    if not weights.n_positive:
+        _require_support(weights, 0, need)
+
+
+def _support(x: np.ndarray, w: np.ndarray, lo, hi, need: int) -> int:
+    """The support test's count, up to ``need`` (2 or 3), of one side's
+    positively weighted ``x`` from their extremes ``lo`` and ``hi``
+    (``_extreme_rows``, one-element arrays), looking for a third value only
+    where one is needed and the extremes differ.
+    """
+    inside = _third_value(x, w, [0], lo, hi) if need == 3 and lo[0] < hi[0] else None
+    return int(_distinct(lo, hi, inside)[0])
 
 
 def _require_support(weights: SidedWeights, distinct: int, need: int) -> None:
@@ -288,21 +303,9 @@ def _design_rows(w: np.ndarray, u: np.ndarray, degree: int, rows=slice(None)) ->
 
 def _design(weights: SidedWeights, basis: ScaledBasis):
     """The design rows of one side as a function of a row range, which the
-    moment tables call for each chunk (``_rows_of``).
+    moment tables call for each window of rows.
     """
     return partial(_design_rows, weights.weights, basis.u, basis.degree)
-
-
-def _rows_of(table, rows) -> np.ndarray:
-    """Rows ``rows`` of a per-row table ``(p, n)``, given as an array or as a
-    function of a row range that forms them (``_design``).
-    """
-    return table(rows) if callable(table) else table[..., rows]
-
-
-def _chunks(m: int) -> list[slice]:
-    """The ranges of at most ``CHUNK_ROWS`` rows that cover ``m`` rows."""
-    return [slice(i, i + CHUNK_ROWS) for i in range(0, m, CHUNK_ROWS)]
 
 
 def _windows(starts, m: int):
@@ -332,13 +335,13 @@ def _windows(starts, m: int):
     return windows, first, split
 
 
-def _reduce(tables, m: int, starts, ufuncs) -> list[np.ndarray]:
+def _reduce(tables, m: int, starts) -> list[np.ndarray]:
     """The one reduction over rows of every fit: for each segment of ``m``
-    rows, the reduction by ``ufuncs[t]`` of each row of table t, where
-    ``tables(rows)`` forms the tables' columns for a range of rows, each
-    ``(..., rows)``, one after another. Returns one ``(segments, ...)``
-    array per table. Segment i runs from row ``starts[i]`` to the next start
-    and holds at least one row.
+    rows, the reduction of each row of each table by that table's ufunc,
+    where ``tables(rows)`` yields ``(ufunc, table)`` pairs, each table the
+    columns ``(..., rows)`` of a range of rows, one after another. Returns
+    one ``(segments, ...)`` array per table. Segment i runs from row
+    ``starts[i]`` to the next start and holds at least one row.
 
     The tables are built one window at a time (``_windows``), so no table
     outlives its window. Each row of a table is reduced over each piece of
@@ -352,11 +355,15 @@ def _reduce(tables, m: int, starts, ufuncs) -> list[np.ndarray]:
     windows, first, split = _windows(starts, m)
     parts = []
     for rows, local in windows:
-        formed = iter(tables(rows))  # each table is freed once reduced
-        parts.append([f.reduceat(next(formed), local, axis=-1) for f in ufuncs])
+        parts.append([])
+        for f, table in tables(rows):
+            parts[-1].append((f, f.reduceat(table, local, axis=-1)))
+            del table  # freed before the next table is formed
     out = []
-    for f, part in zip(ufuncs, zip(*parts)):
-        result = part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
+    for reduced in zip(*parts):
+        f, result = reduced[0]
+        if len(reduced) > 1:
+            result = np.concatenate([r for _, r in reduced], axis=-1)
         if split:
             joined, result = result, result[..., first]
             for i, a, b in split:
@@ -370,12 +377,12 @@ def _sums(table, m: int, starts) -> np.ndarray:
     ``(..., rows)``, as ``(segments, ...)``: ``_reduce`` of one table by
     numpy's pairwise sum.
     """
-    return _reduce(lambda rows: (table(rows),), m, starts, (np.add,))[0]
+    return _reduce(lambda rows: [(np.add, table(rows))], m, starts)[0]
 
 
 def _repeated(per_segment: np.ndarray, starts, m: int):
     """Per-segment values ``(..., segments)`` repeated over the rows of their
-    segments, as a function of a row range (``_rows_of``). A range within
+    segments, as a function of a row range. A range within
     one segment gets that segment's column alone, which broadcasts.
     """
     starts = np.asarray(starts).tolist()
@@ -391,14 +398,6 @@ def _repeated(per_segment: np.ndarray, starts, m: int):
     return over
 
 
-def _power_moments(w: np.ndarray, u: np.ndarray, starts, degree: int) -> np.ndarray:
-    """The sums of ``K u^k`` for k <= degree + 2 over each segment,
-    ``(segments, degree + 3)``: the Gram matrix's entries (``_hankel``) and,
-    at degree 1, ``R'K u^2``.
-    """
-    return _sums(partial(_design_rows, w, u, degree + 2), w.size, starts)
-
-
 def _hankel(powers: np.ndarray, degree: int) -> np.ndarray:
     """The Gram matrices ``R'KR`` from power sums ``(..., >= 2 degree + 1)``:
     entry (i, j) is the sum of ``K u^(i + j)``.
@@ -406,29 +405,16 @@ def _hankel(powers: np.ndarray, degree: int) -> np.ndarray:
     return powers[..., np.add.outer(range(degree + 1), range(degree + 1))]
 
 
-def _product_sums(a, b, starts, m: int) -> np.ndarray:
-    """The sums of every product ``a[i] * b[j]`` of two per-row tables of
-    ``m`` rows over each segment, ``(segments, len(a), len(b))``. Each table
-    is an array or a function of a row range (``_rows_of``).
-    """
-
-    def products(rows):
-        return _rows_of(a, rows)[:, None] * _rows_of(b, rows)[None]
-
-    return _sums(products, m, starts)
-
-
 def _instrument_rows(kr: np.ndarray, S: np.ndarray, Z: np.ndarray):
-    """The product tables of the instrumented solve on a range of rows, one
-    after another: ``K R x S``, ``K Z x S`` and ``Z x K R``, from its
+    """The product tables the instrumented solve adds to ``K R x S`` on a
+    range of rows, one after another: ``K Z x S`` and ``Z x K R``, from its
     degree-1 design rows ``K R``, outcome rows ``S = [y, W]`` and placebo
-    treatment rows ``Z``, each formed once. Their sums (``_reduce``) are
-    ``R'KS``, ``Z'KS`` and ``Z'KR``; each table is summed before the next is
-    formed, so a chunk holds one of them at a time.
+    treatment rows ``Z``. Their sums (``_reduce``) are ``Z'KS`` and
+    ``Z'KR``; each table is summed before the next is formed, so a chunk
+    holds one of them at a time.
     """
-    yield kr[:, None] * S[None]
-    yield (kr[0] * Z)[:, None] * S[None]
-    yield Z[:, None] * kr[None]
+    yield np.add, (kr[0] * Z)[:, None] * S[None]
+    yield np.add, Z[:, None] * kr[None]
 
 
 def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> LocalFit:
@@ -447,9 +433,9 @@ def local_poly_fit(s: np.ndarray, weights: SidedWeights, basis: ScaledBasis) -> 
         (reciprocal condition below ``GRAM_RCOND_MIN``).
     """
     gram, _, rcond = _weighted_design(weights, basis)
-    s = np.asarray(s, dtype=float)[None]
-    rks = _product_sums(_design(weights, basis), s, [0], s.shape[-1])[0]
-    return LocalFit(coef_scaled=np.linalg.solve(gram, rks)[:, 0], gram_rcond=rcond)
+    s, design = np.asarray(s, dtype=float), _design(weights, basis)
+    rks = _sums(lambda rows: design(rows) * s[rows], s.size, [0])[0]
+    return LocalFit(coef_scaled=np.linalg.solve(gram, rks), gram_rcond=rcond)
 
 
 def local_iv_fit(
@@ -507,10 +493,12 @@ def local_iv_fit(
     design = _design(weights, basis)
 
     def products(rows):
-        return _instrument_rows(design(rows), outcomes(rows), Z.T[:, rows])
+        kr, s = design(rows), outcomes(rows)
+        yield np.add, kr[:, None] * s[None]
+        yield from _instrument_rows(kr, s, Z.T[:, rows])
 
-    rks, zks, zkr = (m[0] for m in _reduce(products, y.size, [0], (np.add,) * 3))
-    schur_rcond = _schur_rcond(_schur_complement(gram, rks[:, 1:], zkr, zks[:, 1:]), zks[:, 1:])
+    rks, zks, zkr = (m[0] for m in _reduce(products, y.size, [0]))
+    schur_rcond = _schur_rcond(gram, rks[:, 1:], zkr, zks[:, 1:])
     if schur_rcond < SCHUR_RCOND_MIN:
         raise WeakInstrument(
             f"weak placebo proxy on the {weights.side} side "
@@ -523,13 +511,6 @@ def local_iv_fit(
         gamma=gamma,
         schur_rcond=schur_rcond,
     )
-
-
-def _schur_complement(gram, rkw, zkr, zkw) -> np.ndarray:
-    """The Schur complement ``Z'KW - Z'KR (R'KR)^{-1} R'KW`` of the joint
-    system, for one side or a stack of sides; ``_schur_rcond`` measures it.
-    """
-    return zkw - zkr @ np.linalg.solve(gram, rkw)
 
 
 def _joint_solve(gram, rkw, zkr, zkw, rky, zky) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,18 @@ def random_dataset(rng: np.random.Generator, n: int = 200, q: int = 1) -> Sample
     return Sample(d=d, y=y, W=W, Z=Z)
 
 
+#: A 16-row file whose right side's Schur complement is zero but for
+#: rounding: ``Z'KW`` is exactly 0, as its one nonzero placebo treatment sits
+#: at ``d = 0``, where the placebo outcome is 0, and the line through that
+#: outcome's two support points on the right is 0 there, so ``Z'KR (R'KR)^-1
+#: R'KW`` is 0 in exact arithmetic
+SCHUR_ROUNDING_CSV = (
+    b"d,y,w1,z1\n1,0,0,0\n-0.5,0,0,0\n2,0,0,0\n0.0625,0,1,0\n-0.125,0,0,0\n"
+    + b"0,0,0,0\n" * 10
+    + b"0,0,0,2\n"
+)
+
+
 def residualize(s: np.ndarray, w: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Residuals of ``s`` from its weighted least-squares fit on ``rows``.
 

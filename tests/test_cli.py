@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import pdd
 from pdd.cli import _make_parser, dumps, main
-from conftest import assert_no_children, draw_stage_dying_at
+from conftest import SCHUR_ROUNDING_CSV, assert_no_children, draw_stage_dying_at
 
 SHARP_KEYS = [
     "estimate",
@@ -302,6 +302,16 @@ def test_a_non_finite_design_exits_2_with_one_document(
         code, out, err, _ = _run_in_process(list(command(path, *extra)), tmp_path / "none")
         assert (code, err) == (2, ""), err
         assert json.loads(out)["error"] == error  # one document: trailing data would raise
+
+
+def test_a_complement_zero_but_for_rounding_exits_2_as_a_weak_instrument(tmp_path):
+    # it read rcond 1, and the joint solve then raised numpy's "Singular
+    # matrix", which exited 64 on valid flags
+    path = tmp_path / "schur.csv"
+    path.write_bytes(SCHUR_ROUNDING_CSV)
+    code, out, err, _ = _run_in_process(list(estimate_args(path)), tmp_path / "none")
+    assert (code, err) == (2, ""), err
+    assert json.loads(out)["error"] == "weak_instrument"  # one document
 
 
 def test_exit_code_3_on_non_utf8_config(tmp_path, sim_csv):
@@ -1058,6 +1068,8 @@ CSV_TEXT = st.one_of(
     command="estimate",
     bandwidth=None,
 )  # fmt: skip
+# a Schur complement zero but for rounding, where Z'KW is exactly 0
+@example(data=SCHUR_ROUNDING_CSV, command="estimate", bandwidth=None)
 def test_any_input_bytes_keep_the_exit_code_contract(tmp_path_factory, data, command, bandwidth):
     path = tmp_path_factory.mktemp("fuzz") / "in.csv"
     path.write_bytes(data)

@@ -164,6 +164,8 @@ def test_linear_means_leave_estimate_unchanged(rng):
 
 
 def test_side_correction_components(rng):
+    from pdd.inference import _side_sums
+
     sample = _dense_sample(rng)
     S = np.column_stack([sample.y, sample.W])
     corr = side_correction(sample.d, S, 0.0, 0.5, 0.7, TRIANGLE, "right")
@@ -174,6 +176,12 @@ def test_side_correction_components(rng):
     assert_allclose(
         corr.matrix_row / (corr.n * corr.bandwidth), corr.weight_row, rtol=1e-9, atol=1e-12
     )
+    # one pass of the second table, forming the rows a window at a time,
+    # sums what the whole rows give: the stacked form and the variance terms
+    stacked, squares = _side_sums(S.T, corr)
+    assert_allclose(stacked, corr.matrix_row @ S, rtol=1e-12)
+    residuals = (S - corr.intercepts_bc) * corr.weight_row[:, None]
+    assert_allclose(squares, np.sum(residuals**2, axis=0), rtol=1e-12)
 
 
 def test_weight_row_structure_at_equal_bandwidths(rng):
@@ -194,6 +202,9 @@ def test_weight_row_structure_at_equal_bandwidths(rng):
     rebuilt = linear_row - corr.curvature_load * coefficient_row(2, 2)
     assert_allclose(corr.weight_row, rebuilt, rtol=1e-12, atol=1e-15)
     assert_allclose(linear_row @ S, corr.intercepts, rtol=1e-10)
+    # both fits read one pair of coordinates and weights, those at b
+    assert len(corr.coordinates) == 2
+    assert_allclose(corr.coordinates[1], w.weights, rtol=0.0)
 
 
 def test_correction_reduces_bias_on_simulated_scenario():
@@ -778,20 +789,26 @@ def _full_length_sums(table):
     """The row sums of a full-length table ``(p, m)``, taken ``CHUNK_ROWS``
     rows at a time and the chunks' sums pairwise.
     """
-    from pdd.local_fit import _chunks
+    from pdd.local_fit import CHUNK_ROWS
 
-    parts = [np.add.reduceat(table[:, rows], [0], axis=-1) for rows in _chunks(table.shape[1])]
+    chunks = range(0, table.shape[1], CHUNK_ROWS)
+    parts = [np.add.reduceat(table[:, i : i + CHUNK_ROWS], [0], axis=-1) for i in chunks]
     return np.add.reduce(np.stack(parts, axis=-1), axis=-1)[:, 0]
 
 
 def test_chunk_formed_moments_equal_the_full_length_formula(rng):
-    from pdd.inference import _row_forms
-    from pdd.local_fit import CHUNK_ROWS, _design, _power_moments, _product_sums
+    # the one moment pass, its tables formed a window of rows at a time,
+    # sums what the full-length tables give, and a row map formed a window
+    # at a time is the full-length row
+    from functools import partial
+
+    from pdd.inference import _fits, _moments, _row_form
+    from pdd.local_fit import CHUNK_ROWS, _weighted_design
 
     m = 3 * CHUNK_ROWS + 1234
     d = rng.uniform(0.0, 2.0, m)
     S = rng.standard_normal((3, m))
-    designs, full = [], []
+    coordinates, full = [], []
     for degree, h in ((1, 0.5), (2, 0.8)):
         weights = sided_weights(d, 0.0, h, "right", GAUSSIAN)
         basis = scaled_basis(d, 0.0, h, degree)
@@ -802,20 +819,22 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
             krows[k + 1] = krows[k] * u
         top = krows[degree] * u
         powers = _full_length_sums(np.vstack([krows, top, top * u]))
-        assert np.array_equal(_power_moments(w, u, [0], degree)[0], powers)
+        assert np.array_equal(_weighted_design(weights, basis)[1], powers)
         rks = _full_length_sums((krows[:, None] * S[None]).reshape(-1, m))
-        got = _product_sums(_design(weights, basis), S, [0], m)[0]
-        assert np.array_equal(got, rks.reshape(degree + 1, 3))
-        designs.append(_design(weights, basis))
-        full.append(krows)
-    k1, k2 = full
-    cs = rng.standard_normal(5), rng.standard_normal((5, m))
-    expected = [
-        c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2]) for c in cs
-    ]
-    assert np.array_equal(_row_forms(cs, *designs, m), expected)
-    for c, row in zip(cs, expected):
-        assert np.array_equal(_row_forms((c,), *designs, m)[0], row)
+        coordinates += [u, w]
+        full.append((krows, powers, rks.reshape(degree + 1, 3)))
+    (k1, powers1, rks1), (k2, powers2, rks2) = full
+    mu, mv, RKS, GS = (x[0] for x in _moments(partial(_fits, coordinates), S, None, m, [0])[:4])
+    assert np.array_equal(mu, powers1) and np.array_equal(mv, powers2)
+    assert np.array_equal(RKS, rks1) and np.array_equal(GS, rks2)
+    for c in rng.standard_normal(5), rng.standard_normal((5, m)):
+        expected = c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
+        assert np.array_equal(_row_form(c, k1, k2), expected)
+        windows = [slice(i, i + 4096) for i in range(0, m, 4096)]
+        pieces = [
+            _row_form(c[:, rows] if c.ndim == 2 else c, k1[:, rows], k2[:, rows]) for rows in windows
+        ]
+        assert np.array_equal(np.concatenate(pieces), expected)
 
 
 @pytest.mark.parametrize("kind, bound", [("gaussian", 72), ("triangle", 14)])
@@ -841,11 +860,14 @@ def test_a_fit_allocates_few_bytes_per_row(kind, bound):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
-    # the linear fit's power sums and R'KS are read off the quadratic fit's;
-    # they must equal the separately summed ones bit for bit, over a side
-    # longer than a chunk and over the segments of a block
-    from pdd.inference import _row_forms, _side_terms
-    from pdd.local_fit import CHUNK_ROWS, _design, _hankel, _power_moments, _product_sums
+    # at b = h one pair of coordinates serves both fits, and the linear
+    # fit's power sums and R'KS are read off the quadratic fit's; they must
+    # equal the separately summed ones bit for bit, over a side longer than
+    # a chunk and over the segments of a block
+    from functools import partial
+
+    from pdd.inference import _fits, _moments, _row_form, _side_terms
+    from pdd.local_fit import CHUNK_ROWS, _design_rows, _hankel, _sums, _weighted_design
 
     kernel = KernelSpec(kind)
     m, h = 2 * CHUNK_ROWS + 777, 0.45
@@ -858,22 +880,26 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
         scaled_basis(d, 0.0, h, 2),
     )
     w, u = weights.weights, basis1.u
-    powers1, powers2 = _power_moments(w, u, [0], 1)[0], _power_moments(w, u, [0], 2)[0]
-    assert np.array_equal(powers2[:4], powers1)
-    design1, design2 = _design(weights, basis1), _design(weights, basis2)
-    rks, gs = (_product_sums(design, S.T, [0], m)[0] for design in (design1, design2))
-    assert np.array_equal(gs[:2], rks)
-    gram1, gram2 = _hankel(powers1, 1), _hankel(powers2, 2)
-    coef, curves, bias, load, stacked, weight = _side_terms(gram1, powers1, rks, gram2, gs, m, h, h)
+    shared = _moments(partial(_fits, (u, w)), S.T, None, m, [0])
+    apart = _moments(partial(_fits, (u, w, u, w)), S.T, None, m, [0])
+    assert len(shared) == len(apart) == 11
+    for one, two in zip(shared, apart):
+        assert np.array_equal(one, two)
+    mu, mv, rks, gs = (x[0] for x in shared[:4])
+    # the point estimate's designs sum the same powers
+    assert np.array_equal(_weighted_design(weights, basis1)[1], mu)
+    assert np.array_equal(_weighted_design(weights, basis2)[1], mv)
+    coef, curves, bias, load, stacked, weight = _side_terms(
+        _hankel(mu, 1), mu, rks, _hankel(mv, 2), gs, m, h, h
+    )
     assert np.array_equal(corr.intercepts, coef[0]) and np.array_equal(corr.curvatures, curves)
     assert np.array_equal(corr.bias, bias) and corr.curvature_load == load
-    weight_row, matrix_row = _row_forms((weight, stacked), design1, design2, m)
-    assert np.array_equal(corr.weight_row, weight_row)
-    assert np.array_equal(corr.matrix_row, matrix_row)
+    k1, k2 = _design_rows(w, u, 1), _design_rows(w, u, 2)
+    assert np.array_equal(corr.weight_row, _row_form(weight, k1, k2))
+    assert np.array_equal(corr.matrix_row, _row_form(stacked, k1, k2))
 
     # the block's moments: one segment per side of three samples
     from pdd.kernels import _offsets, _weights_at
-    from pdd.local_fit import _design_rows
 
     counts = np.array([40, 61, 1, 77, 30, 52])
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
@@ -881,22 +907,80 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     x = rng.uniform(-0.5, 0.5, counts.sum())
     u = _offsets(x, 0.0, per_row)
     w = _weights_at(kernel, u.copy(), per_row)
-    mu, mv = _power_moments(w, u, starts, 1), _power_moments(w, u, starts, 2)
-    assert np.array_equal(mv[:, :4], mu)
-    ku, kv = _design_rows(w, u, 1), _design_rows(w, u, 2)
-    assert np.array_equal(kv[:2], ku)
     outcomes = rng.standard_normal((3, x.size))
-    block_rks = _product_sums(ku, outcomes, starts, x.size)
-    assert np.array_equal(_product_sums(kv, outcomes, starts, x.size)[:, :2], block_rks)
+    Z = rng.standard_normal((1, x.size))
+    shared = _moments(partial(_fits, (u, w)), outcomes, Z, x.size, starts)
+    apart = _moments(partial(_fits, (u, w, u, w)), outcomes, Z, x.size, starts)
+    for one, two in zip(shared, apart):
+        assert np.array_equal(one, two)
+    mu = _sums(partial(_design_rows, w, u, 3), x.size, starts)
+    assert np.array_equal(shared[0], mu)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ratio", [0.6, 1.0, 1.5])
+def test_rows_formed_on_request_equal_the_full_length_formula(rng, kind, ratio):
+    # a correction keeps each row map's coefficients, not the row: the row
+    # formed on request is the map applied to whole-length design rows
+    from pdd.local_fit import CHUNK_ROWS
+
+    kernel = KernelSpec(kind)
+    m, h, b = CHUNK_ROWS + 999, 0.5, 0.5 * ratio
+    d = rng.uniform(0.0, 0.6, m)
+    corr = side_correction(d, rng.standard_normal((m, 2)), 0.0, h, b, kernel, "right")
+    (w_h, u), (w_b, v) = (
+        (sided_weights(d, 0.0, x, "right", kernel).weights, scaled_basis(d, 0.0, x, 1).u)
+        for x in (h, b)
+    )
+    k1, k2 = (w_h, w_h * u), (w_b, w_b * v, w_b * v * v)
+    for c, row in ((corr.weight_map, corr.weight_row), (corr.matrix_map, corr.matrix_row)):
+        expected = c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
+        assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize(
+    "u, h, b, message",
+    [
+        # one value within h, and two within b
+        ([0.1, 0.1, 0.1, 0.25, 0.5, 0.7], 0.2, 0.3, r"^1 distinct .* least 2, so bandwidth 0.2 "),
+        # two values 1e-9 apart within h and within b
+        ([0.5, 0.5 + 1e-9, 0.5, 0.85, 0.9], 0.6, 0.55, r"^singular local linear design"),
+        # spread values within h, two within b
+        ([0.1, 0.2, 0.1, 0.2, 0.5, 0.7], 1.0, 0.3, r"^2 distinct .* at least 3, so bandwidth 0.3 "),
+        # spread values within h, three values 1e-6 apart within b
+        ([0.01, 0.01 + 1e-6, 0.01 + 2e-6, 0.3, 0.6, 0.9], 1.0, 0.02, r"^singular local quadratic"),
+    ],
+)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_correction_raises_its_support_errors_in_the_fits_order(rng, u, h, b, message, side):
+    # at b != h the checks run as the fits do: support at h, Gram at h,
+    # support at b, Gram at b; each case also fails every later check
+    d = np.asarray(u) if side == "right" else -np.asarray(u)
+    S = rng.standard_normal((d.size, 2))
+    w_h, w_b = (sided_weights(d, 0.0, x, side, WINDOW) for x in (h, b))
+    basis1, basis2 = scaled_basis(d, 0.0, h, 1), scaled_basis(d, 0.0, b, 2)
+    with pytest.raises(SingularSupport, match=message) as raised:
+        pdd.side_correction_from_weights(S, w_h, basis1, w_b, basis2)
+    assert f"{side} side" in str(raised.value)
 
 
 def test_a_cached_design_holds_no_per_row_array(rng):
+    # a correction refers to its side's coordinates and weights, and holds
+    # no other per-row array; the point estimate's kept designs hold none
+    from dataclasses import fields
+
     d = rng.uniform(0.0, 1.0, 5000)
     S = rng.standard_normal((5000, 2))
     w_h, w_b = (sided_weights(d, 0.0, x, "right", GAUSSIAN) for x in (0.3, 0.5))
     basis_h, basis_b = scaled_basis(d, 0.0, 0.3, 1), scaled_basis(d, 0.0, 0.5, 2)
-    pdd.side_correction_from_weights(S, w_h, basis_h, w_b, basis_b)
-    for weights in (w_h, w_b):
+    corr = pdd.side_correction_from_weights(S, w_h, basis_h, w_b, basis_b)
+    own = (basis_h.u, w_h.weights, basis_b.u, w_b.weights)
+    assert len(corr.coordinates) == 4 and all(x is y for x, y in zip(corr.coordinates, own))
+    for field in fields(corr):
+        if field.name != "coordinates":
+            assert d.size not in np.shape(getattr(corr, field.name)), field.name
+    for weights, basis in ((w_h, basis_h), (w_b, basis_b)):
+        local_poly_fit(S[:, 0], weights, basis)
         ((_, design),) = weights._designs.values()
         assert all(d.size not in np.shape(x) for x in design)
 

@@ -12,8 +12,8 @@ from pdd import (
     side_correction_from_weights,
     sided_weights,
 )
-from pdd.local_fit import CHUNK_ROWS, _chunks, _distinct_support, _sums
-from conftest import residualize
+from pdd.local_fit import CHUNK_ROWS, _distinct_support, _sums
+from conftest import SCHUR_ROUNDING_CSV, residualize
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -81,7 +81,7 @@ def test_residualize_zero_weight_entries_flagged_zero():
     w, basis = _setup(d, 0.0, 1.0, "right", WINDOW)
     resid = residualize(s, w.weights, basis.rows)
     assert resid[0] == 0.0 and resid[1] == 0.0
-    assert not w.positive[0] and not w.positive[1]
+    assert not w.weights[0] > 0.0 and not w.weights[1] > 0.0
 
 
 def test_weighted_residual_orthogonality(rng):
@@ -164,7 +164,10 @@ def test_a_segment_sums_alike_alone_and_among_others(rng):
     reordered = _sums(lambda rows: shuffled[:, rows], m, shuffled_starts)
     for i, (start, length) in enumerate(zip(starts, lengths)):
         alone = table[:, start : start + length]
-        chunks = [np.add.reduceat(alone[:, rows], [0], axis=-1) for rows in _chunks(length)]
+        chunks = [
+            np.add.reduceat(alone[:, i : i + CHUNK_ROWS], [0], axis=-1)
+            for i in range(0, length, CHUNK_ROWS)
+        ]
         expected = np.add.reduce(np.stack(chunks, axis=-1), axis=-1)[:, 0]
         assert np.array_equal(_sums(lambda rows: alone[:, rows], length, [0])[0], expected)
         assert np.array_equal(together[i], expected)
@@ -386,6 +389,8 @@ def test_a_non_finite_matrix_has_reciprocal_condition_zero(rng):
     from pdd.local_fit import _schur_rcond, reciprocal_condition
 
     stack, cross = rng.standard_normal((2, 5, 2, 2))
+    rkw, zkr = rng.standard_normal((2, 5, 2, 2))
+    gram = np.eye(2) + 0.1 * rng.standard_normal((5, 2, 2))
     stack[1, 0, 1], stack[3, 1, 1] = np.nan, -np.inf
     finite, broken = [0, 2, 4], [1, 3]
 
@@ -396,16 +401,39 @@ def test_a_non_finite_matrix_has_reciprocal_condition_zero(rng):
     rcond = reciprocal_condition(stack)
     assert rcond[broken].tolist() == [0.0, 0.0]
     np.testing.assert_array_equal(rcond[finite], s[:, -1] / s[:, 0])
-    schur = _schur_rcond(stack, cross)
-    assert schur[broken].tolist() == [0.0, 0.0]
-    np.testing.assert_array_equal(schur[finite], s[:, -1] / np.maximum(s[:, 0], raw[:, 0]))
-    # a non-finite cross-moment also gives 0, beside a finite complement
-    swapped = _schur_rcond(cross, stack)
-    assert swapped[broken].tolist() == [0.0, 0.0]
-    np.testing.assert_array_equal(swapped[finite], raw[:, -1] / np.maximum(raw[:, 0], s[:, 0]))
-    # one matrix gives a float
+
+    def schur_by_hand(i, zkw):
+        c = plain_svd(zkw[i] - zkr[i] @ np.linalg.solve(gram[i], rkw[i]))
+        term = np.linalg.norm(zkr[i]) * np.linalg.norm(rkw[i]) / np.linalg.norm(gram[i])
+        return c[-1] / max(c[0], plain_svd(zkw[i])[0], term)
+
+    # a non-finite cross-moment gives 0, and so does a non-finite term of
+    # the complement beside a finite cross-moment
+    broken_rkw = rkw.copy()
+    broken_rkw[broken] = np.nan
+    for zkw, rkw_in in ((stack, rkw), (cross, broken_rkw)):
+        schur = _schur_rcond(gram, rkw_in, zkr, zkw)
+        assert schur[broken].tolist() == [0.0, 0.0]
+        assert_allclose(schur[finite], [schur_by_hand(i, zkw) for i in finite], rtol=1e-13)
+        # one matrix gives a float
+        for i in range(5):
+            one = _schur_rcond(gram[i], rkw_in[i], zkr[i], zkw[i])
+            assert type(one) is float and one == schur[i]
     for i in range(5):
         one = reciprocal_condition(stack[i])
         assert type(one) is float and one == rcond[i]
-        one = _schur_rcond(stack[i], cross[i])
-        assert type(one) is float and one == schur[i]
+
+
+def test_a_complement_zero_but_for_rounding_is_a_weak_instrument():
+    # the 1x1 complement is rounding alone; measured against its own size
+    # and Z'KW's it read rcond 1, and the joint solve then met a singular
+    # system
+    from io import BytesIO
+
+    from pdd import rule_of_thumb_bandwidth
+
+    d, y, w1, z1 = np.loadtxt(BytesIO(SCHUR_ROUNDING_CSV), delimiter=",", skiprows=1).T
+    right = d >= 0.0
+    weights, basis = _setup(d[right], 0.0, rule_of_thumb_bandwidth(d), "right", TRIANGLE)
+    with pytest.raises(WeakInstrument, match="right side"):
+        local_iv_fit(y[right], w1[right], z1[right], weights, basis)

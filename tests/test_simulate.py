@@ -17,7 +17,9 @@ from pdd import (
     DgpSpec,
     KernelSpec,
     PddError,
+    Sample,
     WeakFirstStage,
+    WeakInstrument,
     bias_corrected_estimate,
     dgp_truth,
     estimate_fuzzy,
@@ -585,6 +587,44 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
             assert got == want
         for value, expected in zip(got, want):
             assert abs(value - expected) <= 1e-12 * max(1.0, abs(value), abs(expected))
+
+
+def test_a_complement_zero_but_for_rounding_fails_its_side_of_a_stack(monkeypatch):
+    # on the right of the middle sample W is a line through 0 at d = 0, and
+    # Z is nonzero only there, so Z'KW is exactly 0 and so, in exact
+    # arithmetic, is Z'KR (R'KR)^-1 R'KW: the complement is rounding alone.
+    # The stacked Schur test reads that side near 0 and every other side
+    # within the gate, and the block counts the replication as failed where
+    # the single fit raises WeakInstrument
+    from pdd.local_fit import SCHUR_RCOND_MIN
+
+    rng = np.random.default_rng(12)
+    samples = [random_dataset(rng, n=300) for _ in range(3)]
+    left = samples[1].d < 0.0
+    right = np.array([0.0, 0.0, 0.0625, 0.3625, 0.425, 0.55, 0.65])
+    samples[1] = Sample(
+        d=np.concatenate([samples[1].d[left], right]),
+        y=np.concatenate([samples[1].y[left], rng.standard_normal(right.size)]),
+        W=np.concatenate([samples[1].W[left, 0], 3.0 * right])[:, None],
+        Z=np.concatenate([samples[1].Z[left, 0], [2.0], np.zeros(right.size - 1)])[:, None],
+    )
+    h, kernel = np.array([0.5, 1.0, 0.6]), KernelSpec("triangle")
+    with pytest.raises(WeakInstrument, match="right side"):
+        bias_corrected_estimate(samples[1], 0.0, h[1], h[1], kernel)
+    rconds = []
+    real = pdd.inference._schur_rcond
+
+    def recorded(*moments):
+        rconds.append(real(*moments))
+        return rconds[-1]
+
+    monkeypatch.setattr(pdd.inference, "_schur_rcond", recorded)
+    cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
+    ok = _fit_block(cuts, 0.0, h, h, kernel, 300, 0.05)[0]
+    assert ok.tolist() == [True, False, True]
+    (rcond,) = rconds  # the left then the right side of each sample
+    assert rcond[3] < SCHUR_RCOND_MIN
+    assert np.all(np.delete(rcond, 3) >= SCHUR_RCOND_MIN)
 
 
 def _with_treatment(sample, rng, jump=0.6):
