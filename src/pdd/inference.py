@@ -26,7 +26,10 @@ in a single fit and in a block alike: ``_moment_rows`` sums the moments at
 ``h`` and at ``b`` and the support extremes, and after the solves
 ``_variance_rows`` sums the stacked form and the variance terms, forming
 the side's two row maps (``_row_form``) a window of rows at a time. At ``b
-= h`` one pair of coordinates and weights serves both fits.
+= h`` one pair of coordinates and weights serves both fits. A single side
+runs both passes within ``side_correction``, which keeps their sums and no
+row (``SideCorrection``), so each side's coordinates and weights are freed
+before the next side's are formed.
 ``bias_corrected_estimate`` cuts the sample to the rows within ``max(h,
 b)`` of the cutoff, left side first, by the one gather of rows
 (``estimator._cut``, which copies each column once, the outcomes into the
@@ -37,11 +40,12 @@ estimate (``estimate_sharp``) and the two sides' corrections read nothing
 of each other until they are combined, so where the cut holds at least
 ``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
 a forked child fits the point estimate while this process corrects both
-sides. The child runs the same code on the same memory, so every output is
-the same bit for bit; where it cannot be made, dies, raises or sends
-nothing (``_forked.take``), this process fits the point estimate on the
-whole sample, whose cut at ``h`` is the child's, and its error, met first
-by one process, is raised before a side's. ``fit_block``, which
+sides, running both passes of each. The child runs the same code on the
+same memory, so every output is the same bit for bit; where it cannot be
+made, dies, raises or sends nothing (``_forked.take``), this process fits
+the point estimate on the whole sample, whose cut at ``h`` is the child's,
+and its error, met first by one process, is raised before a side's.
+``fit_block``, which
 ``simulate.monte_carlo`` calls for both designs, runs the same two tables
 over many replications' cut samples with one segment per side, a window of
 rows at a time, and passes the stacks to the same helpers. A side summed
@@ -53,7 +57,7 @@ and returns and which enter nothing else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from statistics import NormalDist
 
@@ -124,24 +128,23 @@ def rule_of_thumb_bandwidth(d: np.ndarray) -> float:
 class SideCorrection:
     """Per-side bias-correction ingredients for a stack of outcome columns.
 
-    ``intercepts``, ``curvatures``, ``bias`` and ``intercepts_bc`` are
-    aligned with the outcome stack's columns. ``n_effective`` counts the
-    positive weights at ``h`` and ``kish_size`` is their Kish effective
-    sample size ``(sum w)^2 / sum w^2``.
+    ``intercepts``, ``curvatures``, ``bias``, ``intercepts_bc``, ``stacked``
+    and ``squares`` are aligned with the outcome stack's columns.
+    ``n_effective`` counts the positive weights at ``h`` and ``kish_size``
+    is their Kish effective sample size ``(sum w)^2 / sum w^2``.
 
     ``weight_map`` and ``matrix_map`` are the five coefficients
-    (``_row_form``) of two per-row maps. ``weight_row`` maps any outcome
-    column to its bias-corrected intercept: the sum of ``weight_row * s``
-    is the local linear intercept minus the estimated curvature bias.
-    ``matrix_row`` is row 0 of the literal correction matrix
+    (``_row_form``) of two per-row maps. The weight row maps any outcome
+    column to its bias-corrected intercept: the sum of the row times the
+    column is the local linear intercept minus the estimated curvature
+    bias. The matrix row is row 0 of the literal correction matrix
     (``correction_matrix``), the same map times ``n * h`` built along an
-    independent path; the stacked equivalence check applies it.
-    ``coordinates`` holds the arrays the side's fits were summed from, not
-    copies: the scaled coordinate and the weights at ``h`` and at ``b``, or
-    the one pair that serves both at ``b = h`` (``_fits``). A row map is
-    formed from them only on request: a window of rows at a time by the
-    variance pass (``_variance_rows``), or whole by ``weight_row`` and
-    ``matrix_row``.
+    independent path. The side's second pass (``_variance_rows``) forms both
+    rows a window at a time and keeps only their sums: ``stacked``, each
+    outcome's sum of products with the matrix row, which the stacked
+    equivalence check applies, and ``squares``, each outcome's sum of
+    squared residuals about ``intercepts_bc`` under the weight row, which
+    enter the variance. A correction holds no per-row array.
     """
 
     n: int
@@ -155,22 +158,8 @@ class SideCorrection:
     curvature_load: float
     weight_map: np.ndarray
     matrix_map: np.ndarray
-    coordinates: tuple = field(repr=False, compare=False)
-
-    @property
-    def weight_row(self) -> np.ndarray:
-        return self._row(self.weight_map)
-
-    @property
-    def matrix_row(self) -> np.ndarray:
-        return self._row(self.matrix_map)
-
-    def _row(self, coefficients) -> np.ndarray:
-        """The row map of ``coefficients`` over the side's rows, formed on
-        each call.
-        """
-        u, w_h, v, w_b = _fits(self.coordinates, slice(None))
-        return _row_form(coefficients, _design_rows(w_h, u, 1), _design_rows(w_b, v, 2))
+    stacked: np.ndarray
+    squares: np.ndarray
 
 
 def _fits(coordinates, rows) -> list[np.ndarray]:
@@ -230,7 +219,9 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     fit's third support value is looked for in a short pass of its own
     (``local_fit._support``) after the linear fit's checks, so the checks
     raise in the fits' order: support at ``h``, Gram at ``h``, support at
-    ``b``, Gram at ``b``.
+    ``b``, Gram at ``b``. After the solves one more pass
+    (``_variance_rows``) sums the stacked form and the variance terms, so
+    the side's coordinates and weights are freed when it returns.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float).T)  # one row per outcome column
     if basis_main.degree != 1 or basis_bias.degree != 2:
@@ -244,7 +235,7 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     u, w_h, v, w_b = basis_main.u, weights_main.weights, basis_bias.u, weights_bias.weights
     coordinates = (v, w_b) if shared else (u, w_h, v, w_b)
     fits = partial(_fits, coordinates)
-    mu, mv, rks, gs, lo_h, hi_h, lo_b, hi_b, squares, w_lo, w_hi = _moments(fits, S, None, n, [0])
+    mu, mv, rks, gs, lo_h, hi_h, lo_b, hi_b, w2, w_lo, w_hi = _moments(fits, S, None, n, [0])
     _require_support(weights_main, _support(u, w_h, lo_h, hi_h, 2), 2)
     gram1 = _checked_gram(weights_main, mu[0], 1)[0]
     _require_support(weights_bias, _support(v, w_b, lo_b, hi_b, 3), 3)
@@ -253,7 +244,10 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     coef, curves, bias, load, stacked, weight = terms
     # the Kish size is exactly the count where every positive weight is equal
     count, total = weights_main.n_positive, mu[0, 0]
-    kish = float(count) if w_lo[0] == w_hi[0] else float(total**2 / squares[0])
+    kish = float(count) if w_lo[0] == w_hi[0] else float(total**2 / w2[0])
+    centre = coef[0] - bias  # the bias-corrected intercepts
+    at = (_repeated(x[:, None], [0], n) for x in (stacked, weight, centre))
+    (products,), (squares,) = _reduce(partial(_variance_rows, fits, S, *at, None), n, [0])
     return SideCorrection(
         n=n,
         n_effective=count,
@@ -262,11 +256,12 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
         intercepts=coef[0],
         curvatures=curves,
         bias=bias,
-        intercepts_bc=coef[0] - bias,
+        intercepts_bc=centre,
         curvature_load=float(load),
         weight_map=weight,
         matrix_map=stacked,
-        coordinates=coordinates,
+        stacked=products,
+        squares=squares,
     )
 
 
@@ -337,18 +332,6 @@ def _variance_rows(fits, S, stacked, weight, centre, bounds, rows):
     yield np.add, np.square((s - centre(rows)) * _row_form(weight(rows), ku, kv))
     if bounds is not None:
         yield np.logical_or, _inside_rows(v, w_b, *bounds(rows))
-
-
-def _side_sums(S, corr: SideCorrection) -> list[np.ndarray]:
-    """``(stacked, squares)`` of one side's outcome rows ``S`` ``(1 + q,
-    n)`` in one pass of ``_variance_rows``: each outcome's sum of products
-    with the side's matrix row, and of squared residuals about its
-    bias-corrected intercept under its weight row.
-    """
-    maps = (corr.matrix_map, corr.weight_map, corr.intercepts_bc)
-    at = (_repeated(x[:, None], [0], corr.n) for x in maps)
-    tables = partial(_variance_rows, partial(_fits, corr.coordinates), S, *at, None)
-    return [x[0] for x in _reduce(tables, corr.n, [0])]
 
 
 def _variance(combo, squares, n, h):
@@ -446,13 +429,15 @@ def robust_variance(
     as in the robust bias correction of Calonico, Cattaneo & Titiunik
     (2014). Cross-side terms vanish, as the weight supports are disjoint,
     and cross-covariances between outcome columns are omitted by
-    construction.
+    construction. The squared residuals are those each correction summed
+    from its own rows (``SideCorrection.squares``), so no row is read
+    again; raises ValueError where ``S_plus`` or ``S_minus`` has a row count
+    other than its correction's ``n``.
     """
-    squares = (
-        _side_sums(np.atleast_2d(np.asarray(S, dtype=float).T), corr)[1]
-        for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus))
-    )
-    return float(_variance(combo, squares, n, corr_plus.bandwidth))
+    for S, corr in ((S_plus, corr_plus), (S_minus, corr_minus)):
+        if np.shape(S)[0] != corr.n:
+            raise ValueError(f"{np.shape(S)[0]} outcome rows for a correction of {corr.n} rows")
+    return float(_variance(combo, (corr_plus.squares, corr_minus.squares), n, corr_plus.bandwidth))
 
 
 @dataclass(frozen=True)
@@ -462,7 +447,7 @@ class RobustEstimate:
     ``se`` is ``sqrt(v_bc / (n h))``. ``tau_pdd_bc`` is the componentwise
     result, checked against the stacked matrix form: the combination weights
     ``(1, -gamma_1, ..., -gamma_q)`` applied to the difference of the two
-    sides' ``SideCorrection.matrix_row`` times the outcome columns.
+    sides' matrix rows times the outcome columns (``SideCorrection.stacked``).
     ``degenerate_ci`` flags a zero-variance interval. ``n_left`` and
     ``n_right`` count each side's positive weights at ``h`` and
     ``kish_left`` and ``kish_right`` are their Kish effective sample sizes
@@ -529,10 +514,9 @@ def bias_corrected_estimate(
         elif sample.q:
             point = estimate_sharp(cut, cutoff, h, kernel)
         del cut  # only the point estimate reads the cut placebo treatments
-        plus, minus = slice(k, None), slice(None, k)
         try:
-            corr_plus = side_correction(d[plus], S[:, plus].T, cutoff, h, b, kernel, "right")
-            corr_minus = side_correction(d[minus], S[:, minus].T, cutoff, h, b, kernel, "left")
+            corr_plus = side_correction(d[k:], S[:, k:].T, cutoff, h, b, kernel, "right")
+            corr_minus = side_correction(d[:k], S[:, :k].T, cutoff, h, b, kernel, "left")
         finally:
             # taken even where a side raised: one process would meet the
             # point estimate's error first. Where the child failed, this
@@ -544,17 +528,15 @@ def bias_corrected_estimate(
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
-    (right, squares_right), (left, squares_left) = (
-        _side_sums(S[:, rows], corr) for corr, rows in ((corr_plus, plus), (corr_minus, minus))
-    )
     # a side's matrix row is n * h times its weight row, n its own row count
+    stacked = corr_plus.stacked / corr_plus.n - corr_minus.stacked / corr_minus.n
     _require_equivalent(
         tau_bc,
-        float(np.vecdot(combo, right / corr_plus.n - left / corr_minus.n)) / h,
+        float(np.vecdot(combo, stacked)) / h,
         "componentwise bias correction",
         "stacked matrix form",
     )
-    v_bc = float(_variance(combo, (squares_right, squares_left), n, h))
+    v_bc = float(_variance(combo, (corr_plus.squares, corr_minus.squares), n, h))
     if not math.isfinite(v_bc):
         raise NonFiniteResult(f"the variance {v_bc!r} is not finite")
     se, lower, upper = map(float, _interval(tau_bc, v_bc, n, corr_plus.bandwidth, alpha))
@@ -628,11 +610,12 @@ def fit_block(
     stacks span the block. The first pass (``_moment_rows``) sums the
     moments, the instrumented solve's cross-moments and the support
     extremes, the second (``_variance_rows``), after the solves, the
-    stacked form, the variance terms (each outcome's residual about its
-    side's bias-corrected intercept, as in ``robust_variance``) and the
-    support test's inner values. A side that fails a check gets the identity in place of its
-    systems (``_identity_unless``); where ``b <= h`` a sample's single fit
-    sums the same rows, so the two agree exactly.
+    stacked form, the variance terms (each outcome's squared residual about
+    its side's bias-corrected intercept, as a correction sums them in
+    ``SideCorrection.squares``) and the support test's inner values. A side
+    that fails a check gets the identity in place of its systems
+    (``_identity_unless``); where ``b <= h`` a sample's single fit sums the
+    same rows, so the two agree exactly.
 
     Returns ``(ok, tau_pdd, tau_rdd, tau_pdd_bc, se, ci_lower, ci_upper)``
     over the samples, ``tau_rdd`` ``(samples, rows of S)`` holding the local

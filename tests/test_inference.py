@@ -136,6 +136,19 @@ def _dense_sample(rng, n=400, jump=0.9):
     return Sample(d=d, y=y, W=W, Z=Z)
 
 
+def _rows_of(corr, d, cutoff, h, b, kernel, side):
+    """A correction's weight row and matrix row, formed whole from its two
+    maps' coefficients on the side's own design rows at ``h`` and at ``b``.
+    """
+    from pdd.inference import _row_form
+    from pdd.local_fit import _design_rows
+
+    w_h, w_b = (sided_weights(d, cutoff, x, side, kernel).weights for x in (h, b))
+    k1 = _design_rows(w_h, scaled_basis(d, cutoff, h, 1).u, 1)
+    k2 = _design_rows(w_b, scaled_basis(d, cutoff, b, 2).u, 2)
+    return _row_form(corr.weight_map, k1, k2), _row_form(corr.matrix_map, k1, k2)
+
+
 def test_quadratic_exactness_of_bias_correction(rng):
     # Noiseless outcome with quadratic conditional mean on each side: the
     # curvature estimate is exact so the corrected jump equals the truth.
@@ -164,30 +177,34 @@ def test_linear_means_leave_estimate_unchanged(rng):
 
 
 def test_side_correction_components(rng):
-    from pdd.inference import _side_sums
-
     sample = _dense_sample(rng)
     S = np.column_stack([sample.y, sample.W])
     corr = side_correction(sample.d, S, 0.0, 0.5, 0.7, TRIANGLE, "right")
+    weight_row, matrix_row = _rows_of(corr, sample.d, 0.0, 0.5, 0.7, TRIANGLE, "right")
     # the weight row reproduces the componentwise numbers
-    assert_allclose(corr.weight_row @ S, corr.intercepts_bc, rtol=1e-9)
+    assert_allclose(weight_row @ S, corr.intercepts_bc, rtol=1e-9)
     assert_allclose(corr.intercepts - corr.bias, corr.intercepts_bc, rtol=1e-12)
     # the literal matrix row agrees with the weight row
-    assert_allclose(
-        corr.matrix_row / (corr.n * corr.bandwidth), corr.weight_row, rtol=1e-9, atol=1e-12
-    )
-    # one pass of the second table, forming the rows a window at a time,
+    assert_allclose(matrix_row / (corr.n * corr.bandwidth), weight_row, rtol=1e-9, atol=1e-12)
+    # the correction's second pass, forming the rows a window at a time,
     # sums what the whole rows give: the stacked form and the variance terms
-    stacked, squares = _side_sums(S.T, corr)
-    assert_allclose(stacked, corr.matrix_row @ S, rtol=1e-12)
-    residuals = (S - corr.intercepts_bc) * corr.weight_row[:, None]
-    assert_allclose(squares, np.sum(residuals**2, axis=0), rtol=1e-12)
+    assert_allclose(corr.stacked, matrix_row @ S, rtol=1e-12)
+    residuals = (S - corr.intercepts_bc) * weight_row[:, None]
+    assert_allclose(corr.squares, np.sum(residuals**2, axis=0), rtol=1e-12)
 
 
-def test_weight_row_structure_at_equal_bandwidths(rng):
+def test_weight_row_structure_at_equal_bandwidths(rng, monkeypatch):
     # With b = h the corrected weights are the plain intercept weights minus
     # the curvature load times the quadratic-coefficient weights; dropping the
     # curvature term recovers the uncorrected estimator exactly.
+    read = []  # the coordinates each of the correction's passes reads
+    fits = pdd.inference._fits
+
+    def recorded(coordinates, rows):
+        read.append(coordinates)
+        return fits(coordinates, rows)
+
+    monkeypatch.setattr(pdd.inference, "_fits", recorded)
     sample = _dense_sample(rng)
     S = np.column_stack([sample.y, sample.W])
     corr = side_correction(sample.d, S, 0.0, 0.6, 0.6, TRIANGLE, "right")
@@ -200,11 +217,12 @@ def test_weight_row_structure_at_equal_bandwidths(rng):
 
     linear_row = coefficient_row(1, 0)
     rebuilt = linear_row - corr.curvature_load * coefficient_row(2, 2)
-    assert_allclose(corr.weight_row, rebuilt, rtol=1e-12, atol=1e-15)
+    weight_row, _ = _rows_of(corr, sample.d, 0.0, 0.6, 0.6, TRIANGLE, "right")
+    assert_allclose(weight_row, rebuilt, rtol=1e-12, atol=1e-15)
     assert_allclose(linear_row @ S, corr.intercepts, rtol=1e-10)
     # both fits read one pair of coordinates and weights, those at b
-    assert len(corr.coordinates) == 2
-    assert_allclose(corr.coordinates[1], w.weights, rtol=0.0)
+    assert read and all(len(x) == 2 for x in read)
+    assert_allclose(read[0][1], w.weights, rtol=0.0)
 
 
 def test_correction_reduces_bias_on_simulated_scenario():
@@ -292,6 +310,22 @@ def test_variance_zero_for_constant_outcomes():
     minus = side_correction(d, S, 0.0, 0.7, 0.7, TRIANGLE, "left")
     v = robust_variance(S, S, plus, minus, np.array([1.0, -0.5]), len(S))
     assert_allclose(v, 0.0, atol=1e-20)
+
+
+def test_robust_variance_refuses_rows_other_than_its_corrections(rng):
+    # the squared residuals are those each correction summed from its own
+    # rows, so outcome rows of another count are refused, not cut to n
+    sample = random_dataset(rng, n=200, q=1)
+    S = np.column_stack([sample.y, sample.W])
+    plus = side_correction(sample.d, S, 0.0, 0.8, 1.0, TRIANGLE, "right")
+    minus = side_correction(sample.d, S, 0.0, 0.8, 1.0, TRIANGLE, "left")
+    combo = np.array([1.0, -0.5])
+    v = robust_variance(S, S, plus, minus, combo, len(S))
+    assert v == len(S) * 0.8 * sum(np.vecdot(combo**2, x.squares) for x in (plus, minus))
+    longer = np.vstack([S, S[:50]])
+    for S_plus, S_minus in ((longer, S), (S, longer), (S, S[:150])):
+        with pytest.raises(ValueError, match="^(250|150) outcome rows for a correction of 200 "):
+            robust_variance(S_plus, S_minus, plus, minus, combo, len(S))
 
 
 def test_degenerate_interval_flagged():
@@ -584,11 +618,11 @@ def test_side_correction_on_one_side_equals_the_full_sample_call(rng, kind, h, b
     for side, on_side in (("left", sample.d < CUTOFF), ("right", sample.d >= CUTOFF)):
         full = side_correction(sample.d, S, CUTOFF, h, b, kernel, side)
         own = side_correction(sample.d[on_side], S[on_side], CUTOFF, h, b, kernel, side)
-        assert np.all(full.weight_row[~on_side] == 0.0)
-        scale = np.abs(own.weight_row).max()
-        assert_allclose(
-            own.weight_row, full.weight_row[on_side], rtol=1e-12, atol=1e-12 * scale
-        )
+        full_row = _rows_of(full, sample.d, CUTOFF, h, b, kernel, side)[0]
+        own_row = _rows_of(own, sample.d[on_side], CUTOFF, h, b, kernel, side)[0]
+        assert np.all(full_row[~on_side] == 0.0)
+        scale = np.abs(own_row).max()
+        assert_allclose(own_row, full_row[on_side], rtol=1e-12, atol=1e-12 * scale)
         assert_allclose(own.intercepts_bc, full.intercepts_bc, rtol=1e-12)
         assert own.n_effective == full.n_effective
 
@@ -837,21 +871,38 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
         assert np.array_equal(np.concatenate(pieces), expected)
 
 
-@pytest.mark.parametrize("kind, bound", [("gaussian", 72), ("triangle", 14)])
-def test_a_fit_allocates_few_bytes_per_row(kind, bound):
+@pytest.mark.parametrize(
+    "kind, bound, ratio, one_worker",
+    [
+        pytest.param("gaussian", 72, 1.0, False, id="gaussian-72"),
+        pytest.param("triangle", 14, 1.0, False, id="triangle-14"),
+        pytest.param("gaussian", 72, 1.0, True, id="gaussian-72-one-worker"),
+        pytest.param("triangle", 14, 1.0, True, id="triangle-14-one-worker"),
+        *(
+            pytest.param("gaussian", 60, ratio, one, id=f"gaussian-60-b{ratio:g}h{name}")
+            for ratio in (2.0, 0.5)
+            for one, name in ((False, ""), (True, "-one-worker"))
+        ),
+    ],
+)
+def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, one_worker):
     # full-length K R tables on each side's weights, a second copy of the
     # outcome columns and the cut placebo treatments kept through the bias
     # correction took about 118 bytes per row with the gaussian kernel; a
     # stored basis of (1, u) columns, full-length temporaries of the cut and
     # the support test, and separate moment passes at b = h took 80.8
-    # (gaussian) and 16.0 (triangle)
+    # (gaussian) and 16.0 (triangle). At b = 2h and b = h / 2 each side's
+    # four coordinate arrays, kept until both sides' variance passes had
+    # run, took 65.9 (gaussian), forked or not
     import tracemalloc
 
+    if one_worker:
+        monkeypatch.setattr(pdd._forked, "workers", lambda tasks: 1)
     sample = pdd.simulate(DgpSpec(n=200_000, seed=1, kappa=4))
     h = rule_of_thumb_bandwidth(sample.d)
     tracemalloc.start()
     try:
-        bias_corrected_estimate(sample, 0.0, h, h, KernelSpec(kind))
+        bias_corrected_estimate(sample, 0.0, h, h * ratio, KernelSpec(kind))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -895,8 +946,8 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     assert np.array_equal(corr.intercepts, coef[0]) and np.array_equal(corr.curvatures, curves)
     assert np.array_equal(corr.bias, bias) and corr.curvature_load == load
     k1, k2 = _design_rows(w, u, 1), _design_rows(w, u, 2)
-    assert np.array_equal(corr.weight_row, _row_form(weight, k1, k2))
-    assert np.array_equal(corr.matrix_row, _row_form(stacked, k1, k2))
+    assert np.array_equal(_row_form(corr.weight_map, k1, k2), _row_form(weight, k1, k2))
+    assert np.array_equal(_row_form(corr.matrix_map, k1, k2), _row_form(stacked, k1, k2))
 
     # the block's moments: one segment per side of three samples
     from pdd.kernels import _offsets, _weights_at
@@ -921,7 +972,8 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
 @pytest.mark.parametrize("ratio", [0.6, 1.0, 1.5])
 def test_rows_formed_on_request_equal_the_full_length_formula(rng, kind, ratio):
     # a correction keeps each row map's coefficients, not the row: the row
-    # formed on request is the map applied to whole-length design rows
+    # formed from them on the side's design rows is the map applied to
+    # whole-length design rows
     from pdd.local_fit import CHUNK_ROWS
 
     kernel = KernelSpec(kind)
@@ -933,9 +985,36 @@ def test_rows_formed_on_request_equal_the_full_length_formula(rng, kind, ratio):
         for x in (h, b)
     )
     k1, k2 = (w_h, w_h * u), (w_b, w_b * v, w_b * v * v)
-    for c, row in ((corr.weight_map, corr.weight_row), (corr.matrix_map, corr.matrix_row)):
+    rows = _rows_of(corr, d, 0.0, h, b, kernel, "right")
+    for c, row in zip((corr.weight_map, corr.matrix_map), rows):
         expected = c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
         assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ratio", [0.6, 1.0, 1.5])
+def test_a_correction_sums_its_stacked_form_and_squares_as_the_full_length_formula(
+    rng, kind, ratio
+):
+    # the second pass, run within the correction a window of rows at a
+    # time, sums what the whole-length rows give, built from the kernel
+    # itself over a side longer than a chunk
+    from pdd.local_fit import CHUNK_ROWS
+
+    kernel = KernelSpec(kind)
+    m, h, b = CHUNK_ROWS + 999, 0.5, 0.5 * ratio
+    d = rng.uniform(0.0, 0.6, m)
+    S = 2.0 + rng.standard_normal((m, 3))
+    corr = side_correction(d, S, 0.0, h, b, kernel, "right")
+    (w_h, u), (w_b, v) = ((kernel_value(kernel, d / x) / x, d / x) for x in (h, b))
+    k1, k2 = (w_h, w_h * u), (w_b, w_b * v, w_b * v * v)
+    weight_row, matrix_row = (
+        c[0] * k1[0] + c[1] * k1[1] - (c[2] * k2[0] + c[3] * k2[1] + c[4] * k2[2])
+        for c in (corr.weight_map, corr.matrix_map)
+    )
+    assert_allclose(corr.stacked, matrix_row @ S, rtol=1e-12)
+    residuals = (S - corr.intercepts_bc) * weight_row[:, None]
+    assert_allclose(corr.squares, np.sum(residuals**2, axis=0), rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -965,8 +1044,8 @@ def test_a_correction_raises_its_support_errors_in_the_fits_order(rng, u, h, b, 
 
 
 def test_a_cached_design_holds_no_per_row_array(rng):
-    # a correction refers to its side's coordinates and weights, and holds
-    # no other per-row array; the point estimate's kept designs hold none
+    # a correction holds a few numbers per outcome column and row map, and
+    # no per-row array; the point estimate's kept designs hold none
     from dataclasses import fields
 
     d = rng.uniform(0.0, 1.0, 5000)
@@ -974,11 +1053,8 @@ def test_a_cached_design_holds_no_per_row_array(rng):
     w_h, w_b = (sided_weights(d, 0.0, x, "right", GAUSSIAN) for x in (0.3, 0.5))
     basis_h, basis_b = scaled_basis(d, 0.0, 0.3, 1), scaled_basis(d, 0.0, 0.5, 2)
     corr = pdd.side_correction_from_weights(S, w_h, basis_h, w_b, basis_b)
-    own = (basis_h.u, w_h.weights, basis_b.u, w_b.weights)
-    assert len(corr.coordinates) == 4 and all(x is y for x, y in zip(corr.coordinates, own))
     for field in fields(corr):
-        if field.name != "coordinates":
-            assert d.size not in np.shape(getattr(corr, field.name)), field.name
+        assert np.size(getattr(corr, field.name)) <= 5 * S.shape[1], field.name
     for weights, basis in ((w_h, basis_h), (w_b, basis_b)):
         local_poly_fit(S[:, 0], weights, basis)
         ((_, design),) = weights._designs.values()
