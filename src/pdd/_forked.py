@@ -1,16 +1,15 @@
 """Worker processes made by ``os.fork``, each streaming results through a pipe.
 
 ``simulate.monte_carlo`` and ``io.load_csv``/``io.write_csv`` split their
-work across one process per available CPU with these helpers, and
-``inference.bias_corrected_estimate`` fits a large sample's point estimate
-in one child while it bias-corrects both sides itself. A child
-inherits the caller's memory, so it needs no arguments sent; it sends each
-item its producer yields, pickled, through its own pipe, and leaves through
-``os._exit``. The caller reads a worker's items only through ``take``,
-which computes in the calling process whatever the worker fails to deliver:
-where it was never made, died, raised or sent nothing. So every result and
-every error is the one a single process gives. The caller ends every child
-through ``stop`` before it returns, so no child outlives the call.
+work across one process per available CPU with these helpers; a single fit
+runs in one process. A child inherits the caller's memory, so it needs no
+arguments sent; it sends each item its producer yields, pickled, through
+its own pipe, and leaves through ``os._exit``. The caller reads a worker's
+items only through ``take``, which computes in the calling process whatever
+the worker fails to deliver: where it was never made, died, raised or sent
+nothing. So every result and every error is the one a single process gives.
+The caller ends every child through ``stop`` before it returns, so no child
+outlives the call.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ T = TypeVar("T")
 
 #: Rows of work each worker process must get before work is split: the
 #: drawn rows (``reps * n``) of each range of a ``simulate.monte_carlo``
-#: study, and the cut rows of an ``inference.bias_corrected_estimate`` whose
-#: point estimate a child fits. Below about this many, forking a worker and
-#: reading back its results costs more than the work it takes off the
-#: calling process.
+#: study. Below about this many, forking a worker and reading back its
+#: results costs more than the work it takes off the calling process.
 WORKER_ROWS = 1 << 17
 
 #: The length that opens each item's pickle in a pipe.

@@ -35,23 +35,20 @@ b)`` of the cutoff, left side first, by the one gather of rows
 (``estimator._cut``, which copies each column once, the outcomes into the
 stack ``S`` that the cut sample views, and leaves a sample already in that
 form as it is), and each side's passes read one segment of that side's
-rows. ``n`` and ``v_bc`` still refer to the whole sample. The point
-estimate (``estimate_sharp``) and the two sides' corrections read nothing
-of each other until they are combined, so where the cut holds at least
-``_forked.WORKER_ROWS`` rows and a second CPU is free (``_forked.workers``)
-a forked child fits the point estimate while this process corrects both
-sides, running both passes of each. The child runs the same code on the
-same memory, so every output is the same bit for bit; where it cannot be
-made, dies, raises or sends nothing (``_forked.take``), this process fits
-the point estimate on the whole sample, whose cut at ``h`` is the child's,
-and its error, met first by one process, is raised before a side's.
-``fit_block``, which
-``simulate.monte_carlo`` calls for both designs, runs the same two tables
-over many replications' cut samples with one segment per side, a window of
-rows at a time, and passes the stacks to the same helpers. A side summed
-alone and in a block then rounds alike. Its outcome stack may hold rows
-after ``[y, W]``, such as a fuzzy design's treatment, whose jumps it fits
-and returns and which enter nothing else.
+rows. ``n`` and ``v_bc`` still refer to the whole sample.
+``fit_block``, which ``simulate.monte_carlo`` calls for both designs, runs
+the same two tables over many replications' cut samples with one segment
+per side, a window of rows at a time, and passes the stacks to the same
+helpers, which give the point estimate too. A side summed alone and in a
+block then rounds alike. Its outcome stack may hold rows after ``[y, W]``,
+such as a fuzzy design's treatment, whose jumps it fits and returns and
+which enter nothing else. A cut of at least ``ENGINE_ROWS`` rows with
+placebo columns is fitted by ``fit_block`` as a block of one sample, in
+this process: its two passes per side replace the point estimate's and
+both corrections' passes, and the result is the per-fit path's
+(``bias_corrected_estimate`` says where bit for bit). Where the engine
+flags the sample, the per-fit path runs on the same cut to raise its
+error.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import _forked
 from .errors import NonFiniteResult
 from .estimator import (
     DiscontinuityEstimate,
@@ -101,6 +97,11 @@ from .local_fit import (
     _support,
     reciprocal_condition,
 )
+
+#: Cut rows from which ``bias_corrected_estimate`` with placebo columns fits
+#: its sample as a block of one (``fit_block``); a smaller cut takes the
+#: per-fit path of ``estimate_sharp`` and two ``side_correction`` calls.
+ENGINE_ROWS = 1 << 17
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
 RULE_OF_THUMB_CONSTANT = 1.84
@@ -242,9 +243,8 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     gram2 = _checked_gram(weights_bias, mv[0], 2)[0]
     terms = _side_terms(gram1, mu[0], rks[0], gram2, gs[0], n, h, b)
     coef, curves, bias, load, stacked, weight = terms
-    # the Kish size is exactly the count where every positive weight is equal
-    count, total = weights_main.n_positive, mu[0, 0]
-    kish = float(count) if w_lo[0] == w_hi[0] else float(total**2 / w2[0])
+    count = weights_main.n_positive
+    kish = float(_kish(count, mu[:, 0], w2, w_lo, w_hi)[0])
     centre = coef[0] - bias  # the bias-corrected intercepts
     at = (_repeated(x[:, None], [0], n) for x in (stacked, weight, centre))
     (products,), (squares,) = _reduce(partial(_variance_rows, fits, S, *at, None), n, [0])
@@ -267,19 +267,22 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
 
 def _moments(fits, S, Z, m: int, starts):
     """One pass of ``_moment_rows`` over the segments of ``m`` rows:
-    ``(mu, mv, R'KS at h, R'KS at b, lo_h, hi_h, lo_b, hi_b, *rest)``, each
-    with a leading axis of segments. ``mu`` and ``mv`` are the power sums
-    at ``h`` and at ``b``, ``lo``/``hi`` the extremes of the positively
-    weighted coordinates, and ``rest`` holds ``(Z'KS, Z'KR, positive weight
-    count)`` with placebo treatment rows ``Z`` and the Kish size's ``(sum
-    w^2, smallest and largest positive weight)`` without them. Where one
-    pair serves both fits, the linear fit's sums are the first rows of the
-    quadratic fit's.
+    ``(mu, mv, R'KS at h, R'KS at b, lo_h, hi_h, lo_b, hi_b, sum w^2,
+    w_lo, w_hi, *instrument)``, each with a leading axis of segments.
+    ``mu`` and ``mv`` are the power sums at ``h`` and at ``b``, ``lo``/``hi``
+    the extremes of the positively weighted coordinates, ``sum w^2``,
+    ``w_lo`` and ``w_hi`` the Kish size's sums of the weights at ``h``
+    (``_kish``), and ``instrument``, with placebo treatment rows ``Z``
+    only, ``(Z'KS, Z'KR, positive weight count)``. Where one pair serves
+    both fits, the linear fit's sums are the first rows of the quadratic
+    fit's.
     """
-    mv, RKS, gs, lo_b, hi_b, *rest = _reduce(partial(_moment_rows, fits, S, Z), m, starts)
-    mu, lo_h, hi_h = rest[3:] or (mv[:, :4], lo_b, hi_b)
-    GS = gs if rest[3:] else np.concatenate([RKS, gs], axis=1)
-    return mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *rest[:3]
+    tables = _reduce(partial(_moment_rows, fits, S, Z), m, starts)
+    (mv, RKS, gs, lo_b, hi_b, *kish), tail = tables[:8], tables[8:]
+    instrument, apart = (tail[:3], tail[3:]) if Z is not None else ((), tail)
+    mu, lo_h, hi_h = apart or (mv[:, :4], lo_b, hi_b)
+    GS = gs if apart else np.concatenate([RKS, gs], axis=1)
+    return mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *kish, *instrument
 
 
 def _moment_rows(fits, S, Z, rows):
@@ -288,10 +291,10 @@ def _moment_rows(fits, S, Z, rows):
     outcome rows ``S``:
     - the power rows ``K v^k``, k <= 4, at ``b``, whose sums are ``R'KR``
       at ``b``; ``K R x S`` at ``h`` and the rest of it at ``b``; the
-      extremes of ``v`` (``_extreme_rows``);
+      extremes of ``v`` (``_extreme_rows``); the squared weights and the
+      extremes of the positive weights at ``h``;
     - with placebo treatment rows ``Z``, the instrumented solve's tables
-      (``_instrument_rows``) and the positive weights at ``h``; without,
-      the squared weights and the extremes of the positive weights at ``h``;
+      (``_instrument_rows``) and the positive weights at ``h``;
     - unless one pair serves both fits, the power rows ``K u^k``, k <= 3,
       and the extremes of ``u`` at ``h``.
     """
@@ -303,10 +306,9 @@ def _moment_rows(fits, S, Z, rows):
     yield np.add, ku[:2, None] * s[None]
     yield np.add, (kv[2:3] if u is v else kv[:3])[:, None] * s[None]  # the rest of R'KS at b
     yield from _extreme_rows(v, w_b)
-    if Z is None:
-        yield np.add, w_h * w_h
-        yield from _extreme_rows(w_h, w_h)
-    else:
+    yield np.add, w_h * w_h
+    yield from _extreme_rows(w_h, w_h)
+    if Z is not None:
         yield from _instrument_rows(ku[:2], s, Z[:, rows])
         yield np.add, w_h > 0.0
     if u is not v:
@@ -332,6 +334,18 @@ def _variance_rows(fits, S, stacked, weight, centre, bounds, rows):
     yield np.add, np.square((s - centre(rows)) * _row_form(weight(rows), ku, kv))
     if bounds is not None:
         yield np.logical_or, _inside_rows(v, w_b, *bounds(rows))
+
+
+def _kish(count, total, squares, lo, hi):
+    """The Kish effective sample size ``(sum w)^2 / sum w^2`` of one side or
+    a stack of sides from their positive weight count, ``sum w``, ``sum
+    w^2`` and the extremes of the positive weights: exactly the count where
+    every positive weight is equal. ``float_power`` squares with the C
+    library's ``pow`` elementwise, as a numpy scalar's ``**`` does.
+    """
+    with np.errstate(all="ignore"):  # the ratio is read only where the weights differ
+        ratio = np.float_power(total, 2) / squares
+    return np.where(lo == hi, count, ratio)
 
 
 def _variance(combo, squares, n, h):
@@ -490,41 +504,32 @@ def bias_corrected_estimate(
     the result is the plain local linear jump of ``y`` with the same bias
     correction, variance and check, and ``point`` is None.
 
-    A cut of at least ``_forked.WORKER_ROWS`` rows with placebo columns has
-    its point estimate fitted in a forked child while this process corrects
-    both sides, on Linux with more than one available CPU and no other
-    Python thread. Where the child fails, this process fits the point
-    estimate on the whole sample without its treatment column, which
-    ``estimate_sharp`` cuts at ``h`` to the child's rows. The results, and
-    the error raised where both raise (the point estimate's), are those of
-    one process; no child outlives the call.
+    A cut of at least ``ENGINE_ROWS`` rows with placebo columns and rows on
+    both sides is fitted by ``fit_block`` as a block of one sample: two
+    passes over each side's rows give the point estimate, the corrections
+    and the variance. Where ``b <= h``, or with the gaussian kernel, whose
+    cut is every row, its results are the per-fit path's bit for bit; where
+    a compact kernel's ``b > h``, the point estimate sums the zero-weight
+    rows out to ``b`` too, and the two agree up to rounding. Where the
+    engine flags the sample, the per-fit path runs on the same cut and
+    raises its error; so does a cut with a side without rows.
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
-    plain = replace(sample, a=None)  # its point estimate fits no first stage
-    cut, k, S = _cut(plain, cutoff, max(h, b), kernel)
+    # the point estimate fits no first stage
+    cut, k, S = _cut(replace(sample, a=None), cutoff, max(h, b), kernel)
     if S is None:
         S = np.vstack([cut.y, cut.W.T])
-    d, point = cut.d, None
-    workers: list[_forked.Worker | None] = []
-    try:
-        if sample.q and d.size >= _forked.WORKER_ROWS and _forked.workers(2) > 1:
-            # a child fits the point estimate while this process corrects both sides
-            _forked.fork_each(workers, [lambda: (estimate_sharp(cut, cutoff, h, kernel),)])
-        elif sample.q:
-            point = estimate_sharp(cut, cutoff, h, kernel)
-        del cut  # only the point estimate reads the cut placebo treatments
-        try:
-            corr_plus = side_correction(d[k:], S[:, k:].T, cutoff, h, b, kernel, "right")
-            corr_minus = side_correction(d[:k], S[:, :k].T, cutoff, h, b, kernel, "left")
-        finally:
-            # taken even where a side raised: one process would meet the
-            # point estimate's error first. Where the child failed, this
-            # process fits the whole sample, whose cut at h is the child's
-            if workers:
-                point = _forked.take(workers, 1, lambda: estimate_sharp(plain, cutoff, h, kernel))
-    finally:
-        _forked.stop(workers)
+    if sample.q and cut.n >= ENGINE_ROWS and 0 < k < cut.n:
+        counts, hs, bs = np.array([k, cut.n - k]), np.array([h]), np.array([b])
+        fit = fit_block(cut.d, S, cut.Z.T, counts, cutoff, hs, bs, kernel, n, alpha)
+        if fit.ok[0]:
+            return _first_estimate(fit, n)
+    d = cut.d
+    point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
+    del cut  # only the point estimate reads the cut placebo treatments
+    corr_plus = side_correction(d[k:], S[:, k:].T, cutoff, h, b, kernel, "right")
+    corr_minus = side_correction(d[:k], S[:, :k].T, cutoff, h, b, kernel, "left")
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
@@ -557,6 +562,45 @@ def bias_corrected_estimate(
     )
 
 
+def _first_estimate(fit: BlockFit, n: int) -> RobustEstimate:
+    """The ``RobustEstimate`` of a block's first sample, cut from a sample
+    of ``n`` rows, with its point estimate; the block's outcome stack holds
+    ``[y, W]``.
+    """
+    (n_left, n_right), (kish_left, kish_right) = fit.n_positive[0].tolist(), fit.kish_size[0]
+    (schur_left, schur_right), (alpha_minus, alpha_plus) = fit.schur_rcond[0], fit.alpha0[0]
+    point = DiscontinuityEstimate(
+        tau_rdd_y=float(fit.jumps[0, 0]),
+        tau_rdd_w=fit.jumps[0, 1:],
+        gamma_minus=fit.gamma[0, 0],
+        gamma_plus=fit.gamma[0, 1],
+        tau_pdd=float(fit.tau_pdd[0]),
+        tau_pdd_iv_form=float(fit.tau_pdd_iv_form[0]),
+        alpha_plus_0=float(alpha_plus),
+        alpha_minus_0=float(alpha_minus),
+        n_left=n_left,
+        n_right=n_right,
+        schur_rcond_left=float(schur_left),
+        schur_rcond_right=float(schur_right),
+    )
+    v_bc = float(fit.v_bc[0])
+    return RobustEstimate(
+        tau_pdd=point.tau_pdd,
+        tau_pdd_bc=float(fit.tau_pdd_bc[0]),
+        v_bc=v_bc,
+        se=float(fit.se[0]),
+        ci_lower=float(fit.ci_lower[0]),
+        ci_upper=float(fit.ci_upper[0]),
+        n=n,
+        n_left=n_left,
+        n_right=n_right,
+        kish_left=float(kish_left),
+        kish_right=float(kish_right),
+        degenerate_ci=not v_bc > 0.0,
+        point=point,
+    )
+
+
 def rdd_robust_estimate(
     d: np.ndarray,
     y: np.ndarray,
@@ -575,6 +619,39 @@ def rdd_robust_estimate(
     return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha)
 
 
+@dataclass(frozen=True)
+class BlockFit:
+    """``fit_block``'s results, one entry or row per sample of the block.
+    A field of one value per side, ``(samples, 2, ...)``, holds the left
+    side's first.
+
+    ``ok`` is False exactly where the single fit raises
+    (``test_block_fit_agrees_with_the_single_fit`` checks both ways), so a
+    sample that is not ok has failed and its other values mean nothing.
+    ``jumps``, ``(samples, rows of S)``, holds the local linear jump of
+    every row of the outcome stack. The rest are the single fit's values of
+    the same names (``RobustEstimate`` and ``DiscontinuityEstimate``):
+    ``gamma``, ``alpha0`` and ``schur_rcond`` of each side's instrumented
+    solve, and ``n_positive`` and ``kish_size``, each side's positive
+    weights at ``h`` and their Kish size.
+    """
+
+    ok: np.ndarray
+    tau_pdd: np.ndarray
+    tau_pdd_iv_form: np.ndarray
+    jumps: np.ndarray
+    gamma: np.ndarray
+    alpha0: np.ndarray
+    schur_rcond: np.ndarray
+    n_positive: np.ndarray
+    kish_size: np.ndarray
+    tau_pdd_bc: np.ndarray
+    v_bc: np.ndarray
+    se: np.ndarray
+    ci_lower: np.ndarray
+    ci_upper: np.ndarray
+
+
 @np.errstate(all="ignore")  # a sample that fails a check is counted as failed
 def fit_block(
     d: np.ndarray,
@@ -587,9 +664,9 @@ def fit_block(
     kernel: KernelSpec,
     n: int,
     alpha: float,
-) -> tuple[np.ndarray, ...]:
+) -> BlockFit:
     """``bias_corrected_estimate`` of a block of samples in two passes over
-    their rows.
+    their rows: a Monte Carlo study's replications, or one large sample.
 
     ``d``, the outcome rows ``S = [y, W, ...]`` and the placebo treatment
     rows ``Z`` ``(q, rows)`` hold the samples one after another,
@@ -608,21 +685,15 @@ def fit_block(
     and summed by ``local_fit._reduce``, which sums each segment as the
     single fit sums that side; only the input columns and the per-side
     stacks span the block. The first pass (``_moment_rows``) sums the
-    moments, the instrumented solve's cross-moments and the support
-    extremes, the second (``_variance_rows``), after the solves, the
-    stacked form, the variance terms (each outcome's squared residual about
-    its side's bias-corrected intercept, as a correction sums them in
-    ``SideCorrection.squares``) and the support test's inner values. A side
-    that fails a check gets the identity in place of its systems
-    (``_identity_unless``); where ``b <= h`` a sample's single fit sums the
-    same rows, so the two agree exactly.
-
-    Returns ``(ok, tau_pdd, tau_rdd, tau_pdd_bc, se, ci_lower, ci_upper)``
-    over the samples, ``tau_rdd`` ``(samples, rows of S)`` holding the local
-    linear jump of every row of ``S``. ``ok`` is False exactly where the
-    single fit raises (``test_block_fit_agrees_with_the_single_fit`` checks
-    both ways), so a sample that is not ok has failed and its other values
-    mean nothing.
+    moments, the instrumented solve's cross-moments, the support extremes
+    and the Kish size's sums, the second (``_variance_rows``), after the
+    solves, the stacked form, the variance terms (each outcome's squared
+    residual about its side's bias-corrected intercept, as a correction
+    sums them in ``SideCorrection.squares``) and the support test's inner
+    values. A side that fails a check gets the identity in place of its
+    systems (``_identity_unless``). Where ``b <= h`` a sample's single fit
+    sums the same rows, so the two agree exactly; so they do with the
+    gaussian kernel, whose cut is every row.
     """
     q, m = Z.shape
     samples = len(h)
@@ -645,7 +716,9 @@ def fit_block(
             out += [u, _weights_at(kernel, u.copy(), per_row)]
         return out * 2 if shared else out
 
-    mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, ZKS, ZKR, positives = _moments(fits, S, Z, m, starts)
+    mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *kish, ZKS, ZKR, positives = _moments(
+        fits, S, Z, m, starts
+    )
 
     # the support test's third value at b is looked for in the second pass
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
@@ -659,7 +732,8 @@ def fit_block(
     # the instrumented solve of each side; a side that is not ok solves the
     # identity, its cross-moment blocks zeroed
     RKW, ZKW = RKS[:, :, 1 : 1 + q], ZKS[:, :, 1 : 1 + q]
-    ok &= _schur_rcond(A, RKW, ZKR, ZKW) >= SCHUR_RCOND_MIN
+    schur_rcond = _schur_rcond(A, RKW, ZKR, ZKW)
+    ok &= schur_rcond >= SCHUR_RCOND_MIN
     ZKW = _identity_unless(ok, ZKW)
     RKW, ZKR = (np.where(ok[:, None, None], x, 0.0) for x in (RKW, ZKR))
     alpha0, gamma = _joint_solve(A, RKW, ZKR, ZKW, RKS[:, :, 0], ZKS[:, :, 0])
@@ -688,7 +762,26 @@ def fit_block(
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)
     ok &= np.isfinite(v_bc)
-    return ok, tau_pdd, coef[right, 0] - coef[left, 0], tau_bc, se, lower, upper
+
+    def sides(x):  # one value per side, the left side's first
+        return x.reshape(samples, 2, *x.shape[1:])
+
+    return BlockFit(
+        ok=ok,
+        tau_pdd=tau_pdd,
+        tau_pdd_iv_form=tau_iv,
+        jumps=coef[right, 0] - coef[left, 0],
+        gamma=sides(gamma),
+        alpha0=sides(alpha0),
+        schur_rcond=sides(schur_rcond),
+        n_positive=sides(positives),
+        kish_size=sides(_kish(positives, mu[:, 0], *kish)),
+        tau_pdd_bc=tau_bc,
+        v_bc=v_bc,
+        se=se,
+        ci_lower=lower,
+        ci_upper=upper,
+    )
 
 
 def _identity_unless(ok: np.ndarray, stack: np.ndarray) -> np.ndarray:

@@ -299,9 +299,12 @@ class McReport:
 
     Point-estimate rows cover the placebo-adjusted estimate, its
     bias-corrected version, and the naive unadjusted discontinuity of the
-    outcome. ``coverage`` is the fraction of intervals containing tau0;
-    fuzzy runs report first-stage and ratio statistics instead of interval
-    columns.
+    outcome. ``coverage`` is the fraction of intervals containing tau0,
+    and ``coverage_se`` its Monte Carlo standard error at the nominal level,
+    ``sqrt(alpha (1 - alpha) / kept)`` over the ``kept`` replications that
+    did not fail: unlike the plug-in form at the observed coverage, it is
+    not 0 where every interval covers. Fuzzy runs report first-stage and
+    ratio statistics instead of interval columns.
     """
 
     design: str
@@ -326,6 +329,7 @@ class McReport:
     sd_bc: float | None = None
     mean_se: float | None = None
     coverage: float | None = None
+    coverage_se: float | None = None
     mean_first_stage: float | None = None
     spec: dict[str, Any] = field(default_factory=dict)
 
@@ -361,6 +365,7 @@ class McReport:
             }
             out["mean_se"] = self.mean_se
             out["coverage"] = self.coverage
+            out["coverage_se"] = self.coverage_se
         if self.mean_first_stage is not None:
             out["mean_first_stage"] = self.mean_first_stage
         out["spec"] = dict(self.spec)
@@ -486,6 +491,7 @@ def monte_carlo(
         sd_bc=sd_bc,
         mean_se=float(np.mean(ses)),
         coverage=float(np.mean(covered)),
+        coverage_se=math.sqrt(alpha * (1.0 - alpha) / covered.size),
     )
 
 
@@ -591,16 +597,17 @@ def _fit_replications(
     """
     counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
     _, _, _, hs, bs = zip(*block)
-    ok, tau, jumps, tau_bc, se, lower, upper = fit_block(
+    fit = fit_block(
         columns[0], columns[1:-1], columns[-1:], counts, spec.cutoff, np.array(hs),
         np.array(bs), kernel, spec.n, alpha,
     )  # fmt: skip
-    naive = jumps[:, 0]
+    ok, tau, naive = fit.ok, fit.tau_pdd, fit.jumps[:, 0]
     if spec.design == "sharp":
-        rest = (tau_bc, se, (lower <= spec.tau0) & (spec.tau0 <= upper))
+        covered = (fit.ci_lower <= spec.tau0) & (spec.tau0 <= fit.ci_upper)
+        rest = (fit.tau_pdd_bc, fit.se, covered)
     else:
-        first = jumps[:, -1]
-        ok &= _strong_first_stage(first)
+        first = fit.jumps[:, -1]
+        ok = ok & _strong_first_stage(first)
         with np.errstate(all="ignore"):  # a failed replication's ratios mean nothing
             tau, naive = tau / first, naive / first
         rest = (first,)

@@ -95,10 +95,8 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def workers(monkeypatch):
     """``workers(k)`` makes every later ``monte_carlo``, ``load_csv`` and
-    ``write_csv`` call of the test split its work across k processes, and
-    every later ``bias_corrected_estimate`` of a large enough cut fit its
-    point estimate in a child where k > 1, through the one helper that
-    counts them.
+    ``write_csv`` call of the test split its work across k processes,
+    through the one helper that counts them.
     """
 
     def force(count: int) -> None:

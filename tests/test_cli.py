@@ -640,6 +640,7 @@ def test_mc_subcommand_runs():
     doc = json.loads(proc.stdout)
     assert doc["reps"] == 6
     assert "coverage" in doc
+    assert doc["coverage_se"] == math.sqrt(0.05 * 0.95 / (6 - doc["n_failed"]))
     assert doc["spec"]["kappa"] == 2
 
 

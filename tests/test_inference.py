@@ -1,10 +1,9 @@
-import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pdd
-import pdd._forked
 from pdd import (
     EquivalenceBreach,
     KernelSpec,
@@ -871,21 +869,16 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
         assert np.array_equal(np.concatenate(pieces), expected)
 
 
+@pytest.mark.parametrize("engine_rows", [1, 1 << 62], ids=["engine", "per-fit"])
 @pytest.mark.parametrize(
-    "kind, bound, ratio, one_worker",
+    "kind, bound, ratio",
     [
-        pytest.param("gaussian", 72, 1.0, False, id="gaussian-72"),
-        pytest.param("triangle", 14, 1.0, False, id="triangle-14"),
-        pytest.param("gaussian", 72, 1.0, True, id="gaussian-72-one-worker"),
-        pytest.param("triangle", 14, 1.0, True, id="triangle-14-one-worker"),
-        *(
-            pytest.param("gaussian", 60, ratio, one, id=f"gaussian-60-b{ratio:g}h{name}")
-            for ratio in (2.0, 0.5)
-            for one, name in ((False, ""), (True, "-one-worker"))
-        ),
+        pytest.param("gaussian", 72, 1.0, id="gaussian-72"),
+        pytest.param("triangle", 14, 1.0, id="triangle-14"),
+        *(pytest.param("gaussian", 60, r, id=f"gaussian-60-b{r:g}h") for r in (2.0, 0.5)),
     ],
 )
-def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, one_worker):
+def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, engine_rows):
     # full-length K R tables on each side's weights, a second copy of the
     # outcome columns and the cut placebo treatments kept through the bias
     # correction took about 118 bytes per row with the gaussian kernel; a
@@ -893,11 +886,10 @@ def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, one_
     # the support test, and separate moment passes at b = h took 80.8
     # (gaussian) and 16.0 (triangle). At b = 2h and b = h / 2 each side's
     # four coordinate arrays, kept until both sides' variance passes had
-    # run, took 65.9 (gaussian), forked or not
+    # run, took 65.9 (gaussian). Each bound holds on both paths
     import tracemalloc
 
-    if one_worker:
-        monkeypatch.setattr(pdd._forked, "workers", lambda tasks: 1)
+    monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", engine_rows)
     sample = pdd.simulate(DgpSpec(n=200_000, seed=1, kappa=4))
     h = rule_of_thumb_bandwidth(sample.d)
     tracemalloc.start()
@@ -1087,22 +1079,31 @@ def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
         assert again is cut and k_again == k and S_again is None
 
 
-# ------------------------------------------- the point estimate in a forked child
+# ------------------------------------- a large fit in the block engine
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """The pids that call ``os.fork`` in the test, in which every cut is
-    large enough for the point estimate to be fitted in a child."""
-    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", 1)
-    calls, fork = [], os.fork
+def engine(monkeypatch):
+    """``engine(True)`` makes every later ``bias_corrected_estimate`` of the
+    test with placebo columns fit its cut in ``fit_block``, and
+    ``engine(False)`` on the per-fit path, by the threshold of cut rows. It
+    returns the list of the engine fits' ``ok``, one per call of
+    ``fit_block``. No fit may call ``os.fork``.
+    """
+    fitted, real = [], pdd.inference.fit_block
 
-    def counted_fork():
-        calls.append(os.getpid())
-        return fork()
+    def recorded(*args):
+        fit = real(*args)
+        fitted.append(bool(fit.ok[0]))
+        return fit
 
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
+    def force(on: bool) -> list[bool]:
+        monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", 1 if on else 1 << 62)
+        return fitted
+
+    monkeypatch.setattr(pdd.inference, "fit_block", recorded)
+    monkeypatch.setattr(os, "fork", _failing(AssertionError("a fit called os.fork")))
+    return force
 
 
 def _robust_outcome(sample, h, b, kernel=TRIANGLE):
@@ -1131,119 +1132,113 @@ def _failing(error):
 @pytest.mark.parametrize("q", [1, 2])
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
-def test_a_point_estimate_fitted_in_a_child_gives_the_same_bits(rng, workers, forks, kind, h, b, q):
+def test_the_engine_gives_the_per_fit_bits(rng, engine, kind, h, b, q):
+    # where b <= h, and with the gaussian kernel, whose cut is every row,
+    # both paths sum the same rows in the same order; a compact kernel's
+    # point estimate at b > h also sums the zero-weight rows out to b in the
+    # engine, and the two agree up to rounding
     sample, kernel = random_dataset(rng, 400, q), KernelSpec(kind)
-    workers(1)
+    engine(False)
     want = _robust_outcome(sample, h, b, kernel)
-    assert isinstance(want, dict) and forks == []
-    workers(2)
-    assert _robust_outcome(sample, h, b, kernel) == want
-    assert forks == [os.getpid()]
-    assert_no_children()
-
-
-@pytest.mark.parametrize("fails", ["point", "side", "both"])
-def test_a_split_fit_raises_the_error_one_process_raises(rng, monkeypatch, workers, forks, fails):
-    # one process fits the point estimate first, so its error wins where both fail
-    point_error = WeakInstrument("the point estimate failed")
-    side_error = SingularSupport("a side failed")
-    if fails != "side":
-        monkeypatch.setattr(pdd.inference, "estimate_sharp", _failing(point_error))
-    if fails != "point":
-        monkeypatch.setattr(pdd.inference, "side_correction", _failing(side_error))
-    want = side_error if fails == "side" else point_error
-    sample = random_dataset(rng, 400, 1)
-    for count in (1, 2):
-        workers(count)
-        assert _robust_outcome(sample, 0.5, 0.5) == (type(want), str(want))
-        assert_no_children()
-    assert forks == [os.getpid()]
-
-
-def test_a_point_estimate_that_fails_on_the_data_raises_at_any_worker_count(rng, workers, forks):
-    sample = random_dataset(rng, 400, 1)
-    sample = replace(sample, Z=np.zeros_like(sample.Z))  # no instrument at all
-    workers(1)
-    want = _robust_outcome(sample, 0.5, 0.5)
-    assert want[0] is WeakInstrument
-    workers(2)
-    assert _robust_outcome(sample, 0.5, 0.5) == want
-    assert forks == [os.getpid()]
-    assert_no_children()
-
-
-@pytest.mark.parametrize("failure", ["fork", "pipe", "dies", "raises"])
-def test_a_child_that_fails_leaves_the_point_estimate_to_this_process(
-    rng, monkeypatch, workers, forks, failure
-):
-    # this process fits the whole sample where the child would have fitted
-    # its cut at max(h, b): the same bits at every kernel and (h, b), b > h
-    # and b < h too
-    sample = random_dataset(rng, 400, 2)
-    cases = [(KernelSpec(kind), h, b) for kind in KINDS for h, b in BANDWIDTH_PAIRS]
-    workers(1)
-    wants = [_robust_outcome(sample, h, b, kernel) for kernel, h, b in cases]
-    assert all(isinstance(want, dict) for want in wants)
-    parent, real = os.getpid(), pdd.inference.estimate_sharp
-
-    def fail_in_the_child(*args):
-        if os.getpid() != parent:
-            if failure == "dies":
-                os._exit(9)
-            raise RuntimeError("the child failed")
-        return real(*args)
-
-    if failure in ("fork", "pipe"):
-        monkeypatch.setattr(os, failure, _failing(OSError(errno.EAGAIN, "refused")))
+    fitted = engine(True)
+    got = _robust_outcome(sample, h, b, kernel)
+    assert isinstance(want, dict) and fitted == [True]
+    if b <= h or kind == "gaussian":
+        assert got == want
     else:
-        monkeypatch.setattr(pdd.inference, "estimate_sharp", fail_in_the_child)
-    workers(2)
-    for (kernel, h, b), want in zip(cases, wants):
-        assert _robust_outcome(sample, h, b, kernel) == want, (kernel.kind, h, b)
-    assert len(forks) == (0 if failure in ("fork", "pipe") else len(cases))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if value is None or isinstance(value, (bool, int)):
+                assert got[name] == value, name
+            else:
+                assert_allclose(got[name], value, rtol=1e-12, atol=0.0, err_msg=name)
     assert_no_children()
 
 
-def test_a_child_that_is_not_made_leaves_no_first_stage_to_this_process(
-    rng, monkeypatch, workers, forks
+def _failing_sample(rng, check):
+    """A sample whose fit at ``h = 0.5`` and ``b = 0.3`` fails ``check``."""
+    sample = random_dataset(rng, 400, 1)
+    d, right = sample.d, sample.d >= 0.0
+    alternate = np.arange(sample.n) % 2
+    if check == "support at h":  # one value within h on the right
+        return replace(sample, d=np.where(right & (d < 0.5), 0.25, d))
+    if check in ("support at b", "the point estimate, then a side"):  # two values within b
+        thin = replace(sample, d=np.where(right & (d < 0.3), 0.05 + 0.15 * alternate, d))
+        if check == "support at b":
+            return thin
+        return replace(thin, Z=np.where(right[:, None], thin.Z, 0.0))  # no instrument on the left
+    if check == "Gram":  # two values 1e-9 apart within h on the right
+        return replace(sample, d=np.where(right & (d < 0.5), 0.2 + 1e-9 * alternate, d))
+    if check == "instrument":
+        return replace(sample, Z=np.zeros_like(sample.Z))
+    if check == "variance":
+        return replace(sample, y=sample.y * 1e160)
+    return replace(sample, d=np.abs(d))  # no row on the left
+
+
+@pytest.mark.parametrize(
+    "check, error, message",
+    [
+        pytest.param(check, error, message, id=check)
+        for check, error, message in (
+            ("support at h", SingularSupport, r"^1 distinct .* right side; .* 2, so bandwidth 0.5"),
+            ("support at b", SingularSupport, r"^2 distinct .* right side; .* 3, so bandwidth 0.3"),
+            ("Gram", SingularSupport, r"^singular local linear design on the right side"),
+            ("instrument", WeakInstrument, r"^weak placebo proxy on the right side"),
+            ("the point estimate, then a side", WeakInstrument, r"^weak placebo proxy on the left"),
+            ("variance", NonFiniteResult, r"^the variance"),
+            ("an empty side", SingularSupport, r"^0 distinct .* left side"),
+        )
+    ],
+)
+def test_each_failing_check_raises_the_per_fit_error_on_the_engine_path(
+    rng, engine, check, error, message
 ):
-    # the cut a child fits holds no treatment column, so the whole sample
-    # this process fits in its place drops its own
+    # the engine flags the sample, and the per-fit path, run on the same
+    # cut, raises its error in its order: the point estimate's before a
+    # side's, the right side's before the left's. A cut with a side
+    # without rows never reaches the engine
+    sample = _failing_sample(rng, check)
+    engine(False)
+    with np.errstate(all="ignore"):  # an overflowing variance warns on its way
+        want = _robust_outcome(sample, 0.5, 0.3)
+        fitted = engine(True)
+        got = _robust_outcome(sample, 0.5, 0.3)
+    assert want[0] is error and re.match(message, want[1]), want
+    assert got == want
+    assert fitted == ([] if check == "an empty side" else [False])
+    assert_no_children()
+
+
+def test_the_engine_fits_no_first_stage_of_a_sample_with_a_treatment(rng, engine):
+    # the robust estimate's point estimate drops the sample's treatment on
+    # both paths: only estimate_fuzzy fits the first stage
     sample = random_dataset(rng, 400, 1)
     a = rng.random(sample.n) < 0.2 + 0.6 * (sample.d >= 0.0)
     sample = replace(sample, a=a.astype(float))
-    workers(1)
+    engine(False)
     want = _robust_outcome(sample, 0.6, 0.6)
     assert want["point.tau_rdd_a"] is None
-    monkeypatch.setattr(os, "pipe", _failing(OSError(errno.EAGAIN, "refused")))
-    workers(2)
-    assert _robust_outcome(sample, 0.6, 0.6) == want
-    assert forks == []
+    fitted = engine(True)
+    assert _robust_outcome(sample, 0.6, 0.6) == want and fitted == [True]
     assert_no_children()
 
 
-def test_no_child_is_forked_for_a_small_cut_without_placebo_columns_or_beside_a_thread(
-    rng, monkeypatch, forks
+def test_only_a_cut_of_engine_rows_with_placebo_columns_takes_the_engine(
+    rng, monkeypatch, engine
 ):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert pdd.inference.ENGINE_ROWS == 1 << 17
     sample = random_dataset(rng, 400, 1)
-    want = _robust_outcome(sample, 0.5, 0.5)
-    assert forks  # with two CPUs or more and no other thread, it forks
-    forks.clear()
+    rows = _cut(sample, 0.0, 0.5, TRIANGLE)[0].n
+    fitted = engine(True)
     rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.5, TRIANGLE)
-    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", sample.n + 1)
+    assert fitted == []  # no placebo columns
+    monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", rows + 1)
+    want = _robust_outcome(sample, 0.5, 0.5)
+    assert fitted == []
+    monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", rows)
     assert _robust_outcome(sample, 0.5, 0.5) == want
-    monkeypatch.setattr(pdd._forked, "WORKER_ROWS", 1)
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        assert _robust_outcome(sample, 0.5, 0.5) == want
-    finally:
-        done.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert forks == []
+    assert fitted == [True]
     assert_no_children()
 
 

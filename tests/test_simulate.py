@@ -4,7 +4,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -346,6 +346,7 @@ def _per_rep_report(spec, reps, base_seed, kernel, h=None, b=None, skip=()):
         est_bc, se, covered = rest
         summaries.append((("mean_estimate_bc", "bias_bc", "rmse_bc", "sd_bc"), est_bc))
         out.update(coverage=float(np.mean(covered)), mean_se=float(np.mean(se)))
+        out["coverage_se"] = math.sqrt(0.05 * 0.95 / len(kept))  # at the default alpha
     for names, values in summaries:
         out.update(zip(names, MC._summary(values, spec.tau0)))
     out.update(mean_h=float(np.mean(hs)), mean_b=float(np.mean(bs)))
@@ -524,7 +525,8 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
         return real_agree(a, b)
 
     monkeypatch.setattr(pdd.inference, "_agree", recorded)
-    ok, tau, jumps, tau_bc, se, lower, upper = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    fit = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    ok, tau, tau_bc = fit.ok, fit.tau_pdd, fit.tau_pdd_bc
     assert ok.tolist() == [True, True, False, False, False, True]
     # both equivalence checks ran, each over every replication of the block
     checked = [value for pair in compared for value in pair if value is tau or value is tau_bc]
@@ -536,7 +538,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
             continue
         est = bias_corrected_estimate(sample, 0.0, h[i], b[i], kernel)
         want = (est.tau_pdd, est.point.tau_rdd_y, est.tau_pdd_bc, est.se, est.ci_lower, est.ci_upper)
-        got = (tau[i], jumps[i, 0], tau_bc[i], se[i], lower[i], upper[i])
+        got = (tau[i], fit.jumps[i, 0], tau_bc[i], fit.se[i], fit.ci_lower[i], fit.ci_upper[i])
         assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -571,8 +573,9 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
-    ok, tau, jumps, *values = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
-    values = (tau, jumps[:, 0], *values)
+    fit = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
+    ok = fit.ok
+    values = (fit.tau_pdd, fit.jumps[:, 0], fit.tau_pdd_bc, fit.se, fit.ci_lower, fit.ci_upper)
     for i, sample in enumerate(samples):
         try:
             with np.errstate(all="ignore"):
@@ -620,7 +623,7 @@ def test_a_complement_zero_but_for_rounding_fails_its_side_of_a_stack(monkeypatc
 
     monkeypatch.setattr(pdd.inference, "_schur_rcond", recorded)
     cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
-    ok = _fit_block(cuts, 0.0, h, h, kernel, 300, 0.05)[0]
+    ok = _fit_block(cuts, 0.0, h, h, kernel, 300, 0.05).ok
     assert ok.tolist() == [True, False, True]
     (rcond,) = rconds  # the left then the right side of each sample
     assert rcond[3] < SCHUR_RCOND_MIN
@@ -648,15 +651,19 @@ def test_a_treatment_row_of_S_is_fitted_and_moves_no_sharp_output(q):
     h, b = np.array([0.5, 0.5, 0.45]), np.array([0.5, 0.4, 0.7])
     cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
     d, S, Z, counts = _block(cuts)
-    ok, tau, jumps, *rest = pdd.inference.fit_block(d, S, Z, counts, 0.0, h, b, kernel, 300, 0.05)
+    fuzzy = pdd.inference.fit_block(d, S, Z, counts, 0.0, h, b, kernel, 300, 0.05)
     sharp = pdd.inference.fit_block(d, S[:-1], Z, counts, 0.0, h, b, kernel, 300, 0.05)
-    assert ok.tolist() == sharp[0].tolist() == [True, False, True]
-    for got, want in zip((tau, jumps[:, :-1], *rest), sharp[1:]):
-        assert np.array_equal(got[ok], want[ok])
-    assert jumps.shape == (3, 2 + q)
+    ok = fuzzy.ok
+    assert ok.tolist() == sharp.ok.tolist() == [True, False, True]
+    for name in (field.name for field in fields(fuzzy)):
+        got, want = getattr(fuzzy, name), getattr(sharp, name)
+        if name == "jumps":
+            got = got[:, :-1]
+        assert np.array_equal(got[ok], want[ok]), name
+    assert fuzzy.jumps.shape == (3, 2 + q)
     for i in (0, 2):
         point = estimate_fuzzy(samples[i], 0.0, h[i], kernel)
-        assert abs(jumps[i, -1] - point.tau_rdd_a) <= 1e-12
+        assert abs(fuzzy.jumps[i, -1] - point.tau_rdd_a) <= 1e-12
 
 
 def test_a_treatment_without_a_jump_fails_its_replication_as_estimate_fuzzy_does():
@@ -667,7 +674,7 @@ def test_a_treatment_without_a_jump_fails_its_replication_as_estimate_fuzzy_does
     h = np.array([0.5, 0.5, 0.6])
     cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
     d, S, Z, counts = _block(cuts)
-    assert pdd.inference.fit_block(d, S, Z, counts, 0.0, h, h, kernel, 300, 0.05)[0].all()
+    assert pdd.inference.fit_block(d, S, Z, counts, 0.0, h, h, kernel, 300, 0.05).ok.all()
     spec = DgpSpec(n=300, seed=0, design="fuzzy_homogeneous")
     block = [(i, k, cut.n, h[i], h[i]) for i, (cut, k, _) in enumerate(cuts)]
     results = MC._fit_replications(block, np.vstack([d, S, Z]), spec, kernel, 0.05)
@@ -700,7 +707,7 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
         pdd.inference.fit_block(*args)  # warm up
         tracemalloc.start()
         try:
-            ok = pdd.inference.fit_block(*args)[0]
+            ok = pdd.inference.fit_block(*args).ok
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -745,9 +752,33 @@ def test_fuzzy_report_fields():
     report = monte_carlo(spec, reps=10, base_seed=3)
     assert report.mean_first_stage is not None
     assert abs(report.mean_first_stage - 0.6) < 0.05
-    assert report.coverage is None and report.mean_se is None
+    assert report.coverage is None and report.mean_se is None and report.coverage_se is None
     mapping = report.to_mapping()
     assert "mean_first_stage" in mapping and "coverage" not in mapping
+    assert "coverage_se" not in mapping
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_the_coverage_se_is_binomial_at_the_nominal_level_over_the_kept_replications(
+    monkeypatch, alpha
+):
+    # sqrt(alpha (1 - alpha) / kept), which stays positive where every
+    # interval covers, as the plug-in sqrt(p (1 - p) / kept) does not; the
+    # third replication's stacked check fails, so 5 of 6 are kept
+    real_matrix = pdd.inference.correction_matrix
+
+    def shifted(*args):
+        coefficients = real_matrix(*args).copy()
+        coefficients[2 * 2 + 1 if coefficients.ndim == 2 else ...] *= 1.0 + 1e-6
+        return coefficients
+
+    monkeypatch.setattr(pdd.inference, "correction_matrix", shifted)
+    report = monte_carlo(DgpSpec(n=2000, seed=0, kappa=4.0), 6, 31, alpha=alpha)
+    assert (report.reps, report.n_failed) == (6, 1)
+    assert report.coverage == 1.0 and report.coverage_se == math.sqrt(alpha * (1 - alpha) / 5)
+    mapping = report.to_mapping()
+    assert list(mapping)[list(mapping).index("coverage") + 1] == "coverage_se"
+    assert mapping["coverage_se"] == report.coverage_se
 
 
 # ------------------------------------------------- studies split across workers
