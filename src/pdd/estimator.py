@@ -49,7 +49,8 @@ class DiscontinuityEstimate:
     the same number computed through the instrumented form and is retained as
     a diagnostic. ``tau_rdd_a``, the treatment's discontinuity (the fuzzy
     first stage), is set wherever the sample carries a treatment column;
-    ``fuzzy_estimate`` is set by fuzzy runs only.
+    ``fuzzy_estimate`` is set by fuzzy runs only. ``inference.fit_block``
+    fills the fields with one entry or row per sample of its block.
     """
 
     tau_rdd_y: float

@@ -40,12 +40,15 @@ rows. ``n`` and ``v_bc`` still refer to the whole sample.
 the same two tables over many replications' cut samples with one segment
 per side, a window of rows at a time, and passes the stacks to the same
 helpers, which give the point estimate too. A side summed alone and in a
-block then rounds alike. Its outcome stack may hold rows after ``[y, W]``,
-such as a fuzzy design's treatment, whose jumps it fits and returns and
-which enter nothing else. A cut of at least ``ENGINE_ROWS`` rows with
-placebo columns is fitted by ``fit_block`` as a block of one sample, in
-this process: its two passes per side replace the point estimate's and
-both corrections' passes, and the result is the per-fit path's
+block then rounds alike. It returns the single fit's own result types,
+``RobustEstimate`` and its point estimate, with one entry per sample in
+each field. Its outcome stack may hold rows after ``[y, W]``, such as a
+fuzzy design's treatment, whose jumps it fits and returns as the point
+estimate's ``tau_rdd_a`` and which enter nothing else. A cut of at least
+``ENGINE_ROWS`` rows with placebo columns is fitted by ``fit_block`` as a
+block of one sample, in this process: its two passes per side replace the
+point estimate's and both corrections' passes, and the result, the
+block's sample 0 (``_sample``), is the per-fit path's
 (``bias_corrected_estimate`` says where bit for bit). Where the engine
 flags the sample, the per-fit path runs on the same cut to raise its
 error.
@@ -54,7 +57,7 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import partial
 from statistics import NormalDist
 
@@ -466,6 +469,8 @@ class RobustEstimate:
     ``n_right`` count each side's positive weights at ``h`` and
     ``kish_left`` and ``kish_right`` are their Kish effective sample sizes
     ``(sum w)^2 / sum w^2``, far below the count for the gaussian kernel.
+    ``fit_block`` fills every field, ``point``'s too, with one entry or row
+    per sample of its block.
     """
 
     tau_pdd: float
@@ -522,9 +527,9 @@ def bias_corrected_estimate(
         S = np.vstack([cut.y, cut.W.T])
     if sample.q and cut.n >= ENGINE_ROWS and 0 < k < cut.n:
         counts, hs, bs = np.array([k, cut.n - k]), np.array([h]), np.array([b])
-        fit = fit_block(cut.d, S, cut.Z.T, counts, cutoff, hs, bs, kernel, n, alpha)
-        if fit.ok[0]:
-            return _first_estimate(fit, n)
+        ok, fit = fit_block(cut.d, S, cut.Z.T, counts, cutoff, hs, bs, kernel, n, alpha)
+        if ok[0]:
+            return _sample(fit, 0)
     d = cut.d
     point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
     del cut  # only the point estimate reads the cut placebo treatments
@@ -562,43 +567,20 @@ def bias_corrected_estimate(
     )
 
 
-def _first_estimate(fit: BlockFit, n: int) -> RobustEstimate:
-    """The ``RobustEstimate`` of a block's first sample, cut from a sample
-    of ``n`` rows, with its point estimate; the block's outcome stack holds
-    ``[y, W]``.
+def _sample(stack, i: int):
+    """Sample ``i`` of a stack of results, one entry or row per sample
+    (``fit_block``): a number as a Python scalar, a vector as a row view, a
+    nested result taken alike and None as None.
     """
-    (n_left, n_right), (kish_left, kish_right) = fit.n_positive[0].tolist(), fit.kish_size[0]
-    (schur_left, schur_right), (alpha_minus, alpha_plus) = fit.schur_rcond[0], fit.alpha0[0]
-    point = DiscontinuityEstimate(
-        tau_rdd_y=float(fit.jumps[0, 0]),
-        tau_rdd_w=fit.jumps[0, 1:],
-        gamma_minus=fit.gamma[0, 0],
-        gamma_plus=fit.gamma[0, 1],
-        tau_pdd=float(fit.tau_pdd[0]),
-        tau_pdd_iv_form=float(fit.tau_pdd_iv_form[0]),
-        alpha_plus_0=float(alpha_plus),
-        alpha_minus_0=float(alpha_minus),
-        n_left=n_left,
-        n_right=n_right,
-        schur_rcond_left=float(schur_left),
-        schur_rcond_right=float(schur_right),
-    )
-    v_bc = float(fit.v_bc[0])
-    return RobustEstimate(
-        tau_pdd=point.tau_pdd,
-        tau_pdd_bc=float(fit.tau_pdd_bc[0]),
-        v_bc=v_bc,
-        se=float(fit.se[0]),
-        ci_lower=float(fit.ci_lower[0]),
-        ci_upper=float(fit.ci_upper[0]),
-        n=n,
-        n_left=n_left,
-        n_right=n_right,
-        kish_left=float(kish_left),
-        kish_right=float(kish_right),
-        degenerate_ci=not v_bc > 0.0,
-        point=point,
-    )
+
+    def take(x):
+        if x is None:
+            return None
+        if is_dataclass(x):
+            return _sample(x, i)
+        return x[i] if x.ndim > 1 else x[i].item()
+
+    return replace(stack, **{f.name: take(getattr(stack, f.name)) for f in fields(stack)})
 
 
 def rdd_robust_estimate(
@@ -619,39 +601,6 @@ def rdd_robust_estimate(
     return bias_corrected_estimate(sample, cutoff, h, b, kernel, alpha)
 
 
-@dataclass(frozen=True)
-class BlockFit:
-    """``fit_block``'s results, one entry or row per sample of the block.
-    A field of one value per side, ``(samples, 2, ...)``, holds the left
-    side's first.
-
-    ``ok`` is False exactly where the single fit raises
-    (``test_block_fit_agrees_with_the_single_fit`` checks both ways), so a
-    sample that is not ok has failed and its other values mean nothing.
-    ``jumps``, ``(samples, rows of S)``, holds the local linear jump of
-    every row of the outcome stack. The rest are the single fit's values of
-    the same names (``RobustEstimate`` and ``DiscontinuityEstimate``):
-    ``gamma``, ``alpha0`` and ``schur_rcond`` of each side's instrumented
-    solve, and ``n_positive`` and ``kish_size``, each side's positive
-    weights at ``h`` and their Kish size.
-    """
-
-    ok: np.ndarray
-    tau_pdd: np.ndarray
-    tau_pdd_iv_form: np.ndarray
-    jumps: np.ndarray
-    gamma: np.ndarray
-    alpha0: np.ndarray
-    schur_rcond: np.ndarray
-    n_positive: np.ndarray
-    kish_size: np.ndarray
-    tau_pdd_bc: np.ndarray
-    v_bc: np.ndarray
-    se: np.ndarray
-    ci_lower: np.ndarray
-    ci_upper: np.ndarray
-
-
 @np.errstate(all="ignore")  # a sample that fails a check is counted as failed
 def fit_block(
     d: np.ndarray,
@@ -664,7 +613,7 @@ def fit_block(
     kernel: KernelSpec,
     n: int,
     alpha: float,
-) -> BlockFit:
+) -> tuple[np.ndarray, RobustEstimate]:
     """``bias_corrected_estimate`` of a block of samples in two passes over
     their rows: a Monte Carlo study's replications, or one large sample.
 
@@ -677,6 +626,15 @@ def fit_block(
     after the first ``1 + q``, such as a fuzzy design's treatment ``a``, is
     fitted like ``y`` but enters neither the instrumented solves, nor the
     combination, nor the checks, nor the variance.
+
+    Returns ``(ok, fit)``: ``fit`` is the single fit's ``RobustEstimate``
+    with one entry, or one row, per sample in every field, its point
+    estimate likewise (``_sample`` takes one sample of it). The point
+    estimate's ``tau_rdd_a`` holds the jump of the row of ``S`` after ``[y,
+    W]``, the fuzzy first stage, or is None where ``S`` has no such row.
+    ``ok`` is False exactly where the single fit raises
+    (``test_block_fit_agrees_with_the_single_fit`` checks both ways), so a
+    sample that is not ok has failed and its values mean nothing.
 
     Each side of each sample is one segment of the rows, and every per-row
     table (coordinates, weights, design rows, products, each side's
@@ -691,9 +649,9 @@ def fit_block(
     residual about its side's bias-corrected intercept, as a correction
     sums them in ``SideCorrection.squares``) and the support test's inner
     values. A side that fails a check gets the identity in place of its
-    systems (``_identity_unless``). Where ``b <= h`` a sample's single fit
-    sums the same rows, so the two agree exactly; so they do with the
-    gaussian kernel, whose cut is every row.
+    systems (``_identity_unless``), solved at ``n = h = b = 1``. Where ``b
+    <= h`` a sample's single fit sums the same rows, so the two agree
+    exactly; so they do with the gaussian kernel, whose cut is every row.
     """
     q, m = Z.shape
     samples = len(h)
@@ -724,8 +682,11 @@ def fit_block(
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
     A, G = _hankel(mu, 1), _hankel(mv, 2)  # R'KR at h and at b
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
+    # a side that is not ok solves the identity at n = h = b = 1, whose
+    # correction matrix stays invertible where n h or n b overflows
     A, G = _identity_unless(ok, A), _identity_unless(ok, G)
-    coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, counts, h_seg, b_seg)
+    sizes = (np.where(ok, x, 1) for x in (counts, h_seg, b_seg))
+    coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, *sizes)
     beta = coef[:, 0, : 1 + q]  # the intercepts of y and W; later rows are only fitted
     intercepts_bc = beta - bias[:, : 1 + q]
 
@@ -763,24 +724,37 @@ def fit_block(
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)
     ok &= np.isfinite(v_bc)
 
-    def sides(x):  # one value per side, the left side's first
-        return x.reshape(samples, 2, *x.shape[1:])
-
-    return BlockFit(
-        ok=ok,
+    jumps = coef[right, 0] - coef[left, 0]
+    kish_size = _kish(positives, mu[:, 0], *kish)
+    point = DiscontinuityEstimate(
+        tau_rdd_y=jumps[:, 0],
+        tau_rdd_w=jumps[:, 1 : 1 + q],
+        gamma_minus=gamma[left],
+        gamma_plus=gamma[right],
         tau_pdd=tau_pdd,
         tau_pdd_iv_form=tau_iv,
-        jumps=coef[right, 0] - coef[left, 0],
-        gamma=sides(gamma),
-        alpha0=sides(alpha0),
-        schur_rcond=sides(schur_rcond),
-        n_positive=sides(positives),
-        kish_size=sides(_kish(positives, mu[:, 0], *kish)),
+        alpha_plus_0=alpha0[right],
+        alpha_minus_0=alpha0[left],
+        n_left=positives[left],
+        n_right=positives[right],
+        schur_rcond_left=schur_rcond[left],
+        schur_rcond_right=schur_rcond[right],
+        tau_rdd_a=jumps[:, 1 + q] if len(S) > 1 + q else None,
+    )
+    return ok, RobustEstimate(
+        tau_pdd=tau_pdd,
         tau_pdd_bc=tau_bc,
         v_bc=v_bc,
         se=se,
         ci_lower=lower,
         ci_upper=upper,
+        n=np.full(samples, n),
+        n_left=positives[left],
+        n_right=positives[right],
+        kish_left=kish_size[left],
+        kish_right=kish_size[right],
+        degenerate_ci=~(v_bc > 0.0),
+        point=point,
     )
 
 

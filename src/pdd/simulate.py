@@ -587,26 +587,28 @@ def _fit_replications(
     """Fit a block of replications ``(r, k, cut rows, h, b)`` whose cut
     samples fill ``columns`` (``d``, ``y``, ``w``, the fuzzy design's ``a``,
     ``z``) one after another, each with its ``k`` left rows first, in one
-    ``fit_block`` call. A replication the block flags fails, as its single
-    fit would, and so does a fuzzy one whose first stage, the jump of ``a``,
-    is too weak to divide by. Returns, for each replication that did not
-    fail, its estimate, naive discontinuity, ``h``, ``b``, then the first
+    ``fit_block`` call, whose result holds one entry per replication in
+    each field. A replication the block flags fails, as its single fit
+    would, and so does a fuzzy one whose first stage, the point estimate's
+    ``tau_rdd_a``, is too weak to divide by. The naive discontinuity is the
+    point estimate's ``tau_rdd_y``. Returns, for each replication that did
+    not fail, its estimate, naive discontinuity, ``h``, ``b``, then the first
     stage (fuzzy, which divides the two estimates) or the bias-corrected
     estimate, standard error and whether the interval covers ``tau0``
     (sharp).
     """
     counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
     _, _, _, hs, bs = zip(*block)
-    fit = fit_block(
+    ok, fit = fit_block(
         columns[0], columns[1:-1], columns[-1:], counts, spec.cutoff, np.array(hs),
         np.array(bs), kernel, spec.n, alpha,
     )  # fmt: skip
-    ok, tau, naive = fit.ok, fit.tau_pdd, fit.jumps[:, 0]
+    tau, naive = fit.tau_pdd, fit.point.tau_rdd_y
     if spec.design == "sharp":
         covered = (fit.ci_lower <= spec.tau0) & (spec.tau0 <= fit.ci_upper)
         rest = (fit.tau_pdd_bc, fit.se, covered)
     else:
-        first = fit.jumps[:, -1]
+        first = fit.point.tau_rdd_a
         ok = ok & _strong_first_stage(first)
         with np.errstate(all="ignore"):  # a failed replication's ratios mean nothing
             tau, naive = tau / first, naive / first

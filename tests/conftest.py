@@ -1,5 +1,6 @@
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,18 @@ def random_dataset(rng: np.random.Generator, n: int = 200, q: int = 1) -> Sample
         + 0.5 * rng.standard_normal(n)
     )
     return Sample(d=d, y=y, W=W, Z=Z)
+
+
+def estimate_fields(est) -> dict:
+    """Every field of a ``RobustEstimate``, and of its point estimate as
+    ``point.<name>`` with vectors as lists, so two results compare by ``==``.
+    """
+    out = {f.name: getattr(est, f.name) for f in fields(est) if f.name != "point"}
+    out.update(
+        (f"point.{f.name}", np.asarray(getattr(est.point, f.name)).tolist())
+        for f in fields(est.point)
+    )
+    return out
 
 
 #: A 16-row file whose right side's Schur complement is zero but for

@@ -414,11 +414,13 @@ def test_a_study_whose_draws_overflow_exits_64_and_names_the_column(tmp_path):
     )  # fmt: skip
     message = "pdd: the drawn column y is not finite: the scenario overflows\n"
     assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", message)
-    # a study whose every replication fails for a finite reason still exits 2
-    argv = ["mc", "--n", "200", "--seed", "0", "--reps", "3", "--bandwidth", "1e-9"]
-    code, out, err, _ = _run_in_process(argv, tmp_path / "none")
-    assert (code, err) == (2, "")
-    assert json.loads(out) == {"error": "pdd_error", "detail": "all 3 replications failed"}
+    # a study whose every replication fails for a finite reason still exits
+    # 2, also where a side's row count times the bias bandwidth overflows
+    for bandwidth in (["--bandwidth", "1e-9"], ["--bias-bandwidth", "1e308"]):
+        argv = ["mc", "--n", "200", "--seed", "0", "--reps", "3", *bandwidth]
+        code, out, err, _ = _run_in_process(argv, tmp_path / "none")
+        assert (code, err) == (2, ""), bandwidth
+        assert json.loads(out) == {"error": "pdd_error", "detail": "all 3 replications failed"}
 
 
 def test_config_file_merging(tmp_path, sim_csv):

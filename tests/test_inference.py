@@ -36,7 +36,7 @@ from pdd import (
 from pdd.cli import main
 from pdd.estimator import _cut
 from pdd.kernels import _cut_rows
-from conftest import assert_no_children, local_linear_jump, random_dataset
+from conftest import assert_no_children, estimate_fields, local_linear_jump, random_dataset
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -1093,9 +1093,9 @@ def engine(monkeypatch):
     fitted, real = [], pdd.inference.fit_block
 
     def recorded(*args):
-        fit = real(*args)
-        fitted.append(bool(fit.ok[0]))
-        return fit
+        ok, fit = real(*args)
+        fitted.append(bool(ok[0]))
+        return ok, fit
 
     def force(on: bool) -> list[bool]:
         monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", 1 if on else 1 << 62)
@@ -1107,19 +1107,13 @@ def engine(monkeypatch):
 
 
 def _robust_outcome(sample, h, b, kernel=TRIANGLE):
-    """``bias_corrected_estimate``'s fields at cutoff 0, its point estimate's
-    as lists, or the type and message of its error."""
+    """``bias_corrected_estimate``'s fields at cutoff 0 (``estimate_fields``),
+    or the type and message of its error."""
     try:
         est = bias_corrected_estimate(sample, 0.0, h, b, kernel)
     except Exception as exc:
         return type(exc), str(exc)
-    fields = {name: getattr(est, name) for name in est.__dataclass_fields__ if name != "point"}
-    point = est.point
-    fields.update(
-        (f"point.{name}", np.asarray(getattr(point, name)).tolist())
-        for name in point.__dataclass_fields__
-    )
-    return fields
+    return estimate_fields(est)
 
 
 def _failing(error):
@@ -1155,8 +1149,14 @@ def test_the_engine_gives_the_per_fit_bits(rng, engine, kind, h, b, q):
     assert_no_children()
 
 
+#: The bandwidths ``(h, b)`` at which a check fails, where not ``(0.5, 0.3)``:
+#: a side's row count times ``b``, or ``h``, overflows
+_OVERFLOWING = {"n b overflows": (0.5, 1e307), "n h overflows": (1e307, 1e307)}
+
+
 def _failing_sample(rng, check):
-    """A sample whose fit at ``h = 0.5`` and ``b = 0.3`` fails ``check``."""
+    """A sample whose fit at ``h = 0.5`` and ``b = 0.3``, or at the
+    bandwidths ``_OVERFLOWING`` names, fails ``check``."""
     sample = random_dataset(rng, 400, 1)
     d, right = sample.d, sample.d >= 0.0
     alternate = np.arange(sample.n) % 2
@@ -1173,6 +1173,8 @@ def _failing_sample(rng, check):
         return replace(sample, Z=np.zeros_like(sample.Z))
     if check == "variance":
         return replace(sample, y=sample.y * 1e160)
+    if check in _OVERFLOWING:  # healthy, but at these bandwidths a Gram's powers underflow
+        return sample
     return replace(sample, d=np.abs(d))  # no row on the left
 
 
@@ -1188,6 +1190,8 @@ def _failing_sample(rng, check):
             ("the point estimate, then a side", WeakInstrument, r"^weak placebo proxy on the left"),
             ("variance", NonFiniteResult, r"^the variance"),
             ("an empty side", SingularSupport, r"^0 distinct .* left side"),
+            ("n b overflows", SingularSupport, r"^singular local quadratic design on the right"),
+            ("n h overflows", SingularSupport, r"^singular local linear design on the right"),
         )
     ],
 )
@@ -1197,13 +1201,14 @@ def test_each_failing_check_raises_the_per_fit_error_on_the_engine_path(
     # the engine flags the sample, and the per-fit path, run on the same
     # cut, raises its error in its order: the point estimate's before a
     # side's, the right side's before the left's. A cut with a side
-    # without rows never reaches the engine
-    sample = _failing_sample(rng, check)
+    # without rows never reaches the engine. A side that fails a check
+    # solves the identity in the engine, also where n h or n b overflows
+    sample, (h, b) = _failing_sample(rng, check), _OVERFLOWING.get(check, (0.5, 0.3))
     engine(False)
     with np.errstate(all="ignore"):  # an overflowing variance warns on its way
-        want = _robust_outcome(sample, 0.5, 0.3)
+        want = _robust_outcome(sample, h, b)
         fitted = engine(True)
-        got = _robust_outcome(sample, 0.5, 0.3)
+        got = _robust_outcome(sample, h, b)
     assert want[0] is error and re.match(message, want[1]), want
     assert got == want
     assert fitted == ([] if check == "an empty side" else [False])
