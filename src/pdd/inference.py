@@ -13,8 +13,10 @@ bias-corrected discontinuity of Calonico, Cattaneo & Titiunik (2014).
 Two paths give the bias-corrected estimate and are compared on every run
 (EquivalenceBreach): the componentwise one solves the moment systems
 (``_side_terms``), and the stacked one applies row 0 of each side's literal
-correction matrix, built from explicit inverses (``correction_matrix``, the
-one place an inverse is taken).
+correction matrix, built from the same raw moments with explicit inverses
+(``correction_matrix``, the one place an inverse is taken). Both rows are
+at the fit's own scale, one map computed two ways, so each side's stacked
+sum is its bias-corrected intercept.
 ``_interval`` holds the standard error and the Wald interval, and
 ``estimator._point_forms`` the two forms of the point estimate.
 
@@ -142,13 +144,13 @@ class SideCorrection:
     column to its bias-corrected intercept: the sum of the row times the
     column is the local linear intercept minus the estimated curvature
     bias. The matrix row is row 0 of the literal correction matrix
-    (``correction_matrix``), the same map times ``n * h`` built along an
-    independent path. The side's second pass (``_variance_rows``) forms both
-    rows a window at a time and keeps only their sums: ``stacked``, each
-    outcome's sum of products with the matrix row, which the stacked
-    equivalence check applies, and ``squares``, each outcome's sum of
-    squared residuals about ``intercepts_bc`` under the weight row, which
-    enter the variance. A correction holds no per-row array.
+    (``correction_matrix``), the same map built along an independent path.
+    The side's second pass (``_variance_rows``) forms both rows a window at
+    a time and keeps only their sums: ``stacked``, each outcome's sum of
+    products with the matrix row, which the stacked equivalence check
+    applies, and ``squares``, each outcome's sum of squared residuals about
+    ``intercepts_bc`` under the weight row, which enter the variance. A
+    correction holds no per-row array.
     """
 
     n: int
@@ -244,7 +246,7 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     gram1 = _checked_gram(weights_main, mu[0], 1)[0]
     _require_support(weights_bias, _support(v, w_b, lo_b, hi_b, 3), 3)
     gram2 = _checked_gram(weights_bias, mv[0], 2)[0]
-    terms = _side_terms(gram1, mu[0], rks[0], gram2, gs[0], n, h, b)
+    terms = _side_terms(gram1, mu[0], rks[0], gram2, gs[0], h, b)
     coef, curves, bias, load, stacked, weight = terms
     count = weights_main.n_positive
     kish = float(_kish(count, mu[:, 0], w2, w_lo, w_hi)[0])
@@ -358,8 +360,8 @@ def _variance(combo, squares, n, h):
     return n * h * sum(np.vecdot(combo**2, side) for side in squares)
 
 
-def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
-    """From the moments of a side of ``n`` rows, or of a stack of sides, at
+def _side_terms(gram1, powers1, rks, gram2, gs, h, b):
+    """From the moments of a side, or of a stack of sides, at
     ``h`` (``R'KR``, the power sums ``K u^k`` and ``R'KS``) and at ``b``
     (``R'KR`` and ``R'KS``): the outcomes' scaled linear coefficients, their
     curvatures ``2 m2`` and biases ``h^2 / 2 * load * curvature``, the
@@ -372,8 +374,8 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
 
     Each outcome column and each row has a solve of its own, as in
     ``local_poly_fit``: LAPACK rounds a one-column solve unlike a column of
-    a wider one. ``n``, ``h`` and ``b`` are scalars or one per side, and
-    powers are products, so a side rounds alike alone and in a stack.
+    a wider one. ``h`` and ``b`` are scalars or one per side, and powers
+    are products, so a side rounds alike alone and in a stack.
     """
     rku2 = powers1[..., 2:4]
     coef = np.linalg.solve(gram1[..., None, :, :], np.swapaxes(rks, -1, -2)[..., None])
@@ -381,10 +383,10 @@ def _side_terms(gram1, powers1, rks, gram2, gs, n, h, b):
     e0_row = np.linalg.solve(gram1, [[1.0], [0.0]])[..., 0]
     e2_row = np.linalg.solve(gram2, [[0.0], [0.0], [1.0]])[..., 0]
     load = np.vecdot(e0_row, rku2)
-    hh, bb, ll, nh, nb = (np.asarray(x)[..., None] for x in (h, b, load, n * h, n * b))
+    hh, bb, ll = (np.asarray(x)[..., None] for x in (h, b, load))
     curvatures = 2.0 * np.vecdot(e2_row[..., :, None], gs, axis=-2) / (bb * bb)
     r = h / b
-    stacked = correction_matrix(gram1 / nh[..., None], rku2 / nh, gram2 / nb[..., None], r * r * r)
+    stacked = correction_matrix(gram1, rku2, gram2, r * r)
     weight = np.concatenate([e0_row, hh * hh / (bb * bb) * ll * e2_row], axis=-1)
     return coef, curvatures, 0.5 * (hh * hh) * ll * curvatures, load, stacked, weight
 
@@ -409,11 +411,12 @@ def correction_matrix(
     coefficients: the first two applied to the side's ``K R`` rows at ``h``
     minus the last three applied to its ``K R`` rows at ``b``.
 
-    Applied to an outcome column and divided by ``n * h`` the row gives the
-    bias-corrected intercept. It is built from the normalised moments
-    (``gram_*`` and ``u2_moment`` over ``n`` times their bandwidth) with
-    explicit inverses and ``ratio = (h / b)^3``, sharing no arithmetic with
-    the componentwise path. Row 1, the slope row, enters no estimate.
+    Applied to an outcome column the row gives the side's bias-corrected
+    intercept, as the weight row of ``_side_terms`` does. It is built from
+    the raw moments, ``R'KR`` at ``h`` (``gram_linear``), ``R'K u^2``
+    (``u2_moment``) and ``R'KR`` at ``b`` (``gram_quadratic``), with
+    explicit inverses and ``ratio = (h / b)^2``, sharing no solve with the
+    componentwise path. Row 1, the slope row, enters no estimate.
     """
     g1_inv = np.linalg.inv(gram_linear)[..., 0, :]
     g2_inv = np.linalg.inv(gram_quadratic)[..., 2, :]
@@ -538,11 +541,9 @@ def bias_corrected_estimate(
     combo = np.concatenate([[1.0], [] if point is None else -point.gamma_minus])
     jump = float(corr_plus.intercepts[0] - corr_minus.intercepts[0])
     tau_bc = float(np.vecdot(combo, corr_plus.intercepts_bc - corr_minus.intercepts_bc))
-    # a side's matrix row is n * h times its weight row, n its own row count
-    stacked = corr_plus.stacked / corr_plus.n - corr_minus.stacked / corr_minus.n
     _require_equivalent(
         tau_bc,
-        float(np.vecdot(combo, stacked)) / h,
+        float(np.vecdot(combo, corr_plus.stacked - corr_minus.stacked)),
         "componentwise bias correction",
         "stacked matrix form",
     )
@@ -649,9 +650,10 @@ def fit_block(
     residual about its side's bias-corrected intercept, as a correction
     sums them in ``SideCorrection.squares``) and the support test's inner
     values. A side that fails a check gets the identity in place of its
-    systems (``_identity_unless``), solved at ``n = h = b = 1``. Where ``b
-    <= h`` a sample's single fit sums the same rows, so the two agree
-    exactly; so they do with the gaussian kernel, whose cut is every row.
+    systems (``_identity_unless``), solved at its own ``h`` and ``b``.
+    Where ``b <= h`` a sample's single fit sums the same rows, so the two
+    agree exactly; so they do with the gaussian kernel, whose cut is every
+    row.
     """
     q, m = Z.shape
     samples = len(h)
@@ -682,11 +684,8 @@ def fit_block(
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
     A, G = _hankel(mu, 1), _hankel(mv, 2)  # R'KR at h and at b
     ok &= (reciprocal_condition(A) >= GRAM_RCOND_MIN) & (reciprocal_condition(G) >= GRAM_RCOND_MIN)
-    # a side that is not ok solves the identity at n = h = b = 1, whose
-    # correction matrix stays invertible where n h or n b overflows
     A, G = _identity_unless(ok, A), _identity_unless(ok, G)
-    sizes = (np.where(ok, x, 1) for x in (counts, h_seg, b_seg))
-    coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, *sizes)
+    coef, _, bias, _, *row_coefs = _side_terms(A, mu, RKS, G, GS, h_seg, b_seg)
     beta = coef[:, 0, : 1 + q]  # the intercepts of y and W; later rows are only fitted
     intercepts_bc = beta - bias[:, : 1 + q]
 
@@ -717,8 +716,7 @@ def fit_block(
     tables = partial(_variance_rows, fits, S[: 1 + q], stacked_at, weight_at, centre_at, bounds_at)
     stacked, per_outcome, inside = _reduce(tables, m, starts)
     ok &= _distinct(lo_b, hi_b, inside) >= 3
-    stacked /= counts[:, None]
-    tau_stacked = np.vecdot(combo, stacked[right] - stacked[left]) / h
+    tau_stacked = np.vecdot(combo, stacked[right] - stacked[left])
     v_bc = _variance(combo, (per_outcome[right], per_outcome[left]), n, h)
     se, lower, upper = _interval(tau_bc, v_bc, n, h, alpha)
     ok = ok[left] & ok[right] & _agree(tau_pdd, tau_iv) & _agree(tau_bc, tau_stacked)

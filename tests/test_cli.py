@@ -8,6 +8,7 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import pdd
 from pdd.cli import _make_parser, dumps, main
-from conftest import SCHUR_ROUNDING_CSV, assert_no_children, draw_stage_dying_at
+from conftest import SCHUR_ROUNDING_CSV, assert_no_children, draw_stage_dying_at, random_dataset
 
 SHARP_KEYS = [
     "estimate",
@@ -312,6 +313,30 @@ def test_a_complement_zero_but_for_rounding_exits_2_as_a_weak_instrument(tmp_pat
     code, out, err, _ = _run_in_process(list(estimate_args(path)), tmp_path / "none")
     assert (code, err) == (2, ""), err
     assert json.loads(out)["error"] == "weak_instrument"  # one document
+
+
+def test_any_data_scale_keeps_the_exit_code_contract(tmp_path, rng):
+    # one 400-row file with d scaled by 10^k, k = -300, -280, ..., 300, fitted
+    # by rdd at the rule-of-thumb bandwidth and by rdd and estimate at half
+    # the scale. The flags are valid, so every run exits 0 or 2 with one
+    # document, also where the moments, whose weights are K(u) / h, or h^2
+    # leave the normal range
+    sample = random_dataset(rng, 400, 1)
+    path = tmp_path / "scaled.csv"
+    runs = 0
+    for k in range(-300, 301, 20):
+        scale = float(f"1e{k}")
+        with path.open("w", newline="") as fh:
+            pdd.write_csv(replace(sample, d=sample.d * scale), fh)
+        bandwidth = ["--bandwidth", repr(0.5 * scale)]
+        rdd = ["rdd", "--data", str(path), "--cutoff", "0"]
+        for argv in (rdd, rdd + bandwidth, list(estimate_args(path, *bandwidth))):
+            code, out, err, _ = _run_in_process(argv, tmp_path / "none")
+            assert code in (0, 2) and err == "", (k, argv, err)
+            doc = json.loads(out)  # exactly one document: trailing data would raise
+            assert ("error" in doc) == (code != 0), (k, argv, doc)
+            runs += 1
+    assert runs == 93
 
 
 def test_exit_code_3_on_non_utf8_config(tmp_path, sim_csv):

@@ -182,8 +182,8 @@ def test_side_correction_components(rng):
     # the weight row reproduces the componentwise numbers
     assert_allclose(weight_row @ S, corr.intercepts_bc, rtol=1e-9)
     assert_allclose(corr.intercepts - corr.bias, corr.intercepts_bc, rtol=1e-12)
-    # the literal matrix row agrees with the weight row
-    assert_allclose(matrix_row / (corr.n * corr.bandwidth), weight_row, rtol=1e-9, atol=1e-12)
+    # the literal matrix row is the weight row, built along another path
+    assert_allclose(matrix_row, weight_row, rtol=1e-9, atol=1e-12)
     # the correction's second pass, forming the rows a window at a time,
     # sums what the whole rows give: the stacked form and the variance terms
     assert_allclose(corr.stacked, matrix_row @ S, rtol=1e-12)
@@ -933,7 +933,7 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     assert np.array_equal(_weighted_design(weights, basis1)[1], mu)
     assert np.array_equal(_weighted_design(weights, basis2)[1], mv)
     coef, curves, bias, load, stacked, weight = _side_terms(
-        _hankel(mu, 1), mu, rks, _hankel(mv, 2), gs, m, h, h
+        _hankel(mu, 1), mu, rks, _hankel(mv, 2), gs, h, h
     )
     assert np.array_equal(corr.intercepts, coef[0]) and np.array_equal(corr.curvatures, curves)
     assert np.array_equal(corr.bias, bias) and corr.curvature_load == load
@@ -1149,9 +1149,15 @@ def test_the_engine_gives_the_per_fit_bits(rng, engine, kind, h, b, q):
     assert_no_children()
 
 
-#: The bandwidths ``(h, b)`` at which a check fails, where not ``(0.5, 0.3)``:
-#: a side's row count times ``b``, or ``h``, overflows
-_OVERFLOWING = {"n b overflows": (0.5, 1e307), "n h overflows": (1e307, 1e307)}
+#: The bandwidths ``(h, b)`` at which a check fails, where not ``(0.5, 0.3)``.
+#: At ``b``, or ``h``, of 1e307 the weights ``K(u) / h`` are near the end of
+#: the normal range and a Gram's powers underflow. On ``d`` scaled by 1e200,
+#: the norms that scale the Schur complement's rcond underflow, so it reads 0
+_OVERFLOWING = {
+    "n b overflows": (0.5, 1e307),
+    "n h overflows": (1e307, 1e307),
+    "scale 1e200": (0.5e200, 0.5e200),
+}
 
 
 def _failing_sample(rng, check):
@@ -1173,6 +1179,8 @@ def _failing_sample(rng, check):
         return replace(sample, Z=np.zeros_like(sample.Z))
     if check == "variance":
         return replace(sample, y=sample.y * 1e160)
+    if check == "scale 1e200":
+        return replace(sample, d=sample.d * 1e200)
     if check in _OVERFLOWING:  # healthy, but at these bandwidths a Gram's powers underflow
         return sample
     return replace(sample, d=np.abs(d))  # no row on the left
@@ -1192,6 +1200,7 @@ def _failing_sample(rng, check):
             ("an empty side", SingularSupport, r"^0 distinct .* left side"),
             ("n b overflows", SingularSupport, r"^singular local quadratic design on the right"),
             ("n h overflows", SingularSupport, r"^singular local linear design on the right"),
+            ("scale 1e200", WeakInstrument, r"^weak placebo proxy on the right side"),
         )
     ],
 )
@@ -1202,7 +1211,7 @@ def test_each_failing_check_raises_the_per_fit_error_on_the_engine_path(
     # cut, raises its error in its order: the point estimate's before a
     # side's, the right side's before the left's. A cut with a side
     # without rows never reaches the engine. A side that fails a check
-    # solves the identity in the engine, also where n h or n b overflows
+    # solves the identity in the engine, at its own h and b
     sample, (h, b) = _failing_sample(rng, check), _OVERFLOWING.get(check, (0.5, 0.3))
     engine(False)
     with np.errstate(all="ignore"):  # an overflowing variance warns on its way
