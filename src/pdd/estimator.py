@@ -69,28 +69,25 @@ class DiscontinuityEstimate:
     fuzzy_estimate: float | None = None
 
 
-def _cut(
-    sample: Sample, cutoff: float, reach: float, kernel: KernelSpec
-) -> tuple[Sample, int, np.ndarray | None]:
-    """``(cut, k, S)``: ``sample`` cut to the rows within ``reach`` of the
-    cutoff, left side first (``kernels._cut_rows``), the number ``k`` of its
-    left rows, and its outcome stack ``S = [y, W, a]``, one row per column
-    (``a`` only where the sample has one), the row layout
-    ``inference.fit_block`` reads. Each column is gathered once: ``cut.y``,
-    ``cut.W`` and ``cut.a`` are views of ``S``, and ``cut.Z`` is
-    column-major. A sample already in that form is returned as it is,
-    without a copy, and ``S`` is None.
+def _cut(sample: Sample, rows: np.ndarray | None) -> tuple[Sample, np.ndarray | None]:
+    """``(cut, S)``: ``sample`` cut to ``rows``, its rows within a reach of
+    the cutoff, left side first (``kernels._cut_rows``), and the cut's
+    outcome stack ``S = [y, W, a]``, one row per column (``a`` only where the
+    sample has one), the row layout ``inference.fit_block`` reads. Each
+    column is gathered once: ``cut.y``, ``cut.W`` and ``cut.a`` are views of
+    ``S``, and ``cut.Z`` is column-major. Where ``rows`` is None the sample
+    is already in that form and is returned as it is, without a copy, and
+    ``S`` is None.
     """
-    rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
     if rows is None:
-        return sample, k, None
+        return sample, None
     q, treatment = sample.q, () if sample.a is None else (sample.a,)
     S, Z = np.empty((1 + q + len(treatment), rows.size)), np.empty((q, rows.size))
     for out, column in zip((*S, *Z), (sample.y, *sample.W.T, *treatment, *sample.Z.T)):
         np.take(column, rows, out=out, mode="clip")  # in range; "clip" writes to out directly
     a = S[1 + q] if treatment else None
     cut = Sample(np.take(sample.d, rows), S[0], S[1 : 1 + q].T, Z.T, a, sample.dropped_rows)
-    return cut, k, S
+    return cut, S
 
 
 def _sides(
@@ -132,6 +129,7 @@ def _require_equivalent(a: float, b: float, first: str, second: str) -> None:
         )
 
 
+@np.errstate(all="ignore")
 def estimate_sharp(
     sample: Sample, cutoff: float, h: float, kernel: KernelSpec
 ) -> DiscontinuityEstimate:
@@ -142,6 +140,8 @@ def estimate_sharp(
     instrumented form, and verifies that they agree. Only rows the kernel can
     weight at ``h`` enter the fits, and each side's fits read only its own
     rows. A sample already cut at ``h`` by ``_cut`` is not copied again.
+    Every non-finite value fails a check with the package's error, so
+    numpy's floating-point warnings are not raised.
 
     A treatment column ``a``, where the sample has one, is fitted as one more
     outcome on the same cut, weights and basis: its discontinuity is
@@ -149,7 +149,8 @@ def estimate_sharp(
     """
     if sample.q < 1:
         raise ValueError("placebo outcome and treatment columns are required")
-    sample, k, _ = _cut(sample, cutoff, h, kernel)
+    rows, k = _cut_rows(sample.d, cutoff, h, kernel)
+    sample, _ = _cut(sample, rows)
     (w_minus, basis_minus), (w_plus, basis_plus) = _sides(sample.d, k, cutoff, h, kernel)
     sides = (slice(k, None), w_plus, basis_plus), (slice(None, k), w_minus, basis_minus)
 

@@ -31,13 +31,19 @@ the side's two row maps (``_row_form``) a window of rows at a time. At ``b
 = h`` one pair of coordinates and weights serves both fits. A single side
 runs both passes within ``side_correction``, which keeps their sums and no
 row (``SideCorrection``), so each side's coordinates and weights are freed
-before the next side's are formed.
+before the next side's are formed. Both passes read their rows through
+one reader (``_views``, ``_in_place``), which gives a window's running
+variable, outcome rows and placebo treatment rows.
 ``bias_corrected_estimate`` cuts the sample to the rows within ``max(h,
-b)`` of the cutoff, left side first, by the one gather of rows
+b)`` of the cutoff, left side first, deciding the rows once
+(``kernels._cut_rows``), and each side's passes read one segment of that
+side's rows. Where the engine below fits a cut that keeps every row, as
+the gaussian kernel's does, it reads the sample's own columns in place, a
+run of windows at a time, so nothing is copied whole. Every other cut, and
+each cut of the per-fit path, is read from its one gather of rows
 (``estimator._cut``, which copies each column once, the outcomes into the
 stack ``S`` that the cut sample views, and leaves a sample already in that
-form as it is), and each side's passes read one segment of that side's
-rows. ``n`` and ``v_bc`` still refer to the whole sample.
+form as it is). ``n`` and ``v_bc`` still refer to the whole sample.
 ``fit_block``, which ``simulate.monte_carlo`` calls for both designs, runs
 the same two tables over many replications' cut samples with one segment
 per side, a window of rows at a time, and passes the stacks to the same
@@ -76,7 +82,9 @@ from .estimator import (
 )
 from .io import Sample, _require_valid_alpha_and_b
 from .kernels import (
+    CHUNK_ROWS,
     KernelSpec,
+    _cut_rows,
     _offsets,
     _weights_at,
     scaled_basis,
@@ -107,6 +115,11 @@ from .local_fit import (
 #: its sample as a block of one (``fit_block``); a smaller cut takes the
 #: per-fit path of ``estimate_sharp`` and two ``side_correction`` calls.
 ENGINE_ROWS = 1 << 17
+
+#: Rows an in-place read (``_in_place``) takes at once: a run of a few
+#: windows, so each column is gathered a long stretch at a time into one
+#: reused buffer, of about 2 MB with one placebo column.
+RUN_ROWS = 4 * CHUNK_ROWS
 
 #: Constant of the fallback bandwidth rule ``h = 1.84 * sd(d) * n^(-1/5)``.
 RULE_OF_THUMB_CONSTANT = 1.84
@@ -166,6 +179,50 @@ class SideCorrection:
     matrix_map: np.ndarray
     stacked: np.ndarray
     squares: np.ndarray
+
+
+def _views(d, S, Z=None):
+    """The reader of rows stored in cut order: ``read(rows)`` gives the
+    views ``(d, S, Z)`` of a range of rows of the running variable, the
+    outcome rows and the placebo treatment rows, each None where not given.
+    A Monte Carlo block, a gathered cut and a single side read their rows so.
+    """
+
+    def read(rows):
+        return tuple(None if x is None else x[..., rows] for x in (d, S, Z))
+
+    return read
+
+
+def _in_place(sample: Sample, order: np.ndarray | None):
+    """The reader, as ``_views`` gives one, of ``sample``'s rows in cut
+    order, ``order`` (``kernels._cut_rows``, None where the sample is
+    already in it), for a cut that keeps every row: nothing is copied whole.
+
+    ``(d, S, Z)`` with ``S = [y, W]`` are views of one buffer, into which
+    each column's ``RUN_ROWS`` rows from the start of a range are gathered
+    at once, where the buffer does not hold the range. A pass reads its
+    ranges in order, so each run of windows costs one take per column. The
+    views are laid out as a gathered cut's, so every table is formed, and
+    summed, alike; they hold until the next run is gathered, and a table
+    function reads them only while it forms its window's tables.
+    """
+    columns, split = (sample.d, sample.y, *sample.W.T, *sample.Z.T), 2 + sample.q
+    buffer = np.empty((len(columns), min(RUN_ROWS, sample.n)))
+    held = [0, 0]  # the cut rows the buffer holds
+
+    def read(rows):
+        if not held[0] <= rows.start <= rows.stop <= held[1]:
+            held[:] = rows.start, min(rows.start + RUN_ROWS, sample.n)
+            for out, column in zip(buffer[:, : held[1] - held[0]], columns):
+                if order is None:
+                    out[:] = column[held[0] : held[1]]
+                else:  # in range; "clip" writes to out directly
+                    np.take(column, order[held[0] : held[1]], out=out, mode="clip")
+        window = buffer[:, rows.start - held[0] : rows.stop - held[0]]
+        return window[0], window[1:split], window[split:]
+
+    return read
 
 
 def _fits(coordinates, rows) -> list[np.ndarray]:
@@ -240,8 +297,8 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     n, h, b = S.shape[1], weights_main.bandwidth, weights_bias.bandwidth
     u, w_h, v, w_b = basis_main.u, weights_main.weights, basis_bias.u, weights_bias.weights
     coordinates = (v, w_b) if shared else (u, w_h, v, w_b)
-    fits = partial(_fits, coordinates)
-    mu, mv, rks, gs, lo_h, hi_h, lo_b, hi_b, w2, w_lo, w_hi = _moments(fits, S, None, n, [0])
+    fits, read = partial(_fits, coordinates), _views(None, S)
+    mu, mv, rks, gs, lo_h, hi_h, lo_b, hi_b, w2, w_lo, w_hi = _moments(fits, read, n, [0])
     _require_support(weights_main, _support(u, w_h, lo_h, hi_h, 2), 2)
     gram1 = _checked_gram(weights_main, mu[0], 1)[0]
     _require_support(weights_bias, _support(v, w_b, lo_b, hi_b, 3), 3)
@@ -252,7 +309,7 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     kish = float(_kish(count, mu[:, 0], w2, w_lo, w_hi)[0])
     centre = coef[0] - bias  # the bias-corrected intercepts
     at = (_repeated(x[:, None], [0], n) for x in (stacked, weight, centre))
-    (products,), (squares,) = _reduce(partial(_variance_rows, fits, S, *at, None), n, [0])
+    (products,), (squares,) = _reduce(partial(_variance_rows, fits, read, *at, None), n, [0])
     return SideCorrection(
         n=n,
         n_effective=count,
@@ -270,30 +327,32 @@ def _side_correction(S, weights_main, basis_main, weights_bias, basis_bias, shar
     )
 
 
-def _moments(fits, S, Z, m: int, starts):
-    """One pass of ``_moment_rows`` over the segments of ``m`` rows:
+def _moments(fits, read, m: int, starts, instrument: bool = False):
+    """One pass of ``_moment_rows`` over the segments of ``m`` rows, read by
+    ``read`` (``_views``), which gives placebo treatment rows exactly where
+    ``instrument`` holds:
     ``(mu, mv, R'KS at h, R'KS at b, lo_h, hi_h, lo_b, hi_b, sum w^2,
     w_lo, w_hi, *instrument)``, each with a leading axis of segments.
     ``mu`` and ``mv`` are the power sums at ``h`` and at ``b``, ``lo``/``hi``
     the extremes of the positively weighted coordinates, ``sum w^2``,
     ``w_lo`` and ``w_hi`` the Kish size's sums of the weights at ``h``
-    (``_kish``), and ``instrument``, with placebo treatment rows ``Z``
-    only, ``(Z'KS, Z'KR, positive weight count)``. Where one pair serves
-    both fits, the linear fit's sums are the first rows of the quadratic
-    fit's.
+    (``_kish``), and ``instrument``, with placebo treatment rows only,
+    ``(Z'KS, Z'KR, positive weight count)``. Where one pair serves both
+    fits, the linear fit's sums are the first rows of the quadratic fit's.
     """
-    tables = _reduce(partial(_moment_rows, fits, S, Z), m, starts)
+    tables = _reduce(partial(_moment_rows, fits, read), m, starts)
     (mv, RKS, gs, lo_b, hi_b, *kish), tail = tables[:8], tables[8:]
-    instrument, apart = (tail[:3], tail[3:]) if Z is not None else ((), tail)
+    instrument, apart = (tail[:3], tail[3:]) if instrument else ((), tail)
     mu, lo_h, hi_h = apart or (mv[:, :4], lo_b, hi_b)
     GS = gs if apart else np.concatenate([RKS, gs], axis=1)
     return mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *kish, *instrument
 
 
-def _moment_rows(fits, S, Z, rows):
+def _moment_rows(fits, read, rows):
     """The first pass's tables on a range of rows, one after another (each
     summed before the next is formed), from ``fits(rows)`` (``_fits``) and
-    outcome rows ``S``:
+    the outcome rows ``S`` and placebo treatment rows ``Z`` of
+    ``read(rows)`` (``_views``):
     - the power rows ``K v^k``, k <= 4, at ``b``, whose sums are ``R'KR``
       at ``b``; ``K R x S`` at ``h`` and the rest of it at ``b``; the
       extremes of ``v`` (``_extreme_rows``); the squared weights and the
@@ -304,7 +363,7 @@ def _moment_rows(fits, S, Z, rows):
       and the extremes of ``u`` at ``h``.
     """
     u, w_h, v, w_b = fits(rows)
-    s = S[:, rows]
+    _, s, Z = read(rows)
     kv = _design_rows(w_b, v, 4)  # K R at b is kv[:3]
     ku = kv if u is v else _design_rows(w_h, u, 3)
     yield np.add, kv
@@ -314,18 +373,19 @@ def _moment_rows(fits, S, Z, rows):
     yield np.add, w_h * w_h
     yield from _extreme_rows(w_h, w_h)
     if Z is not None:
-        yield from _instrument_rows(ku[:2], s, Z[:, rows])
+        yield from _instrument_rows(ku[:2], s, Z)
         yield np.add, w_h > 0.0
     if u is not v:
         yield np.add, ku
         yield from _extreme_rows(u, w_h)
 
 
-def _variance_rows(fits, S, stacked, weight, centre, bounds, rows):
+def _variance_rows(fits, read, stacked, weight, centre, bounds, rows):
     """The second pass's tables on a range of rows, one after another, from
-    ``fits(rows)`` (``_fits``) and outcome rows ``S``: each outcome times
-    the stacked form's row, and its squared residual about ``centre`` under
-    the weight row, the two row maps formed from their coefficients
+    ``fits(rows)`` (``_fits``) and the outcome rows of ``read(rows)``
+    (``_views``) that ``centre`` covers: each such outcome times the stacked
+    form's row, and its squared residual about ``centre`` under the weight
+    row, the two row maps formed from their coefficients
     ``stacked`` and ``weight`` over these rows only (``_row_form``); then,
     where ``bounds`` are given, whether each ``v`` lies strictly between
     them (``_inside_rows``). ``stacked``, ``weight``, ``centre`` and
@@ -334,9 +394,10 @@ def _variance_rows(fits, S, stacked, weight, centre, bounds, rows):
     u, w_h, v, w_b = fits(rows)
     kv = _design_rows(w_b, v, 2)
     ku = kv[:2] if u is v else _design_rows(w_h, u, 1)
-    s = S[:, rows]
+    centres = centre(rows)
+    s = read(rows)[1][: len(centres)]
     yield np.add, _row_form(stacked(rows), ku, kv) * s
-    yield np.add, np.square((s - centre(rows)) * _row_form(weight(rows), ku, kv))
+    yield np.add, np.square((s - centres) * _row_form(weight(rows), ku, kv))
     if bounds is not None:
         yield np.logical_or, _inside_rows(v, w_b, *bounds(rows))
 
@@ -491,6 +552,7 @@ class RobustEstimate:
     point: DiscontinuityEstimate | None = None
 
 
+@np.errstate(all="ignore")  # every non-finite value fails a check with the package's error
 def bias_corrected_estimate(
     sample: Sample,
     cutoff: float,
@@ -515,7 +577,10 @@ def bias_corrected_estimate(
     A cut of at least ``ENGINE_ROWS`` rows with placebo columns and rows on
     both sides is fitted by ``fit_block`` as a block of one sample: two
     passes over each side's rows give the point estimate, the corrections
-    and the variance. Where ``b <= h``, or with the gaussian kernel, whose
+    and the variance. The engine reads a cut that keeps every row, the
+    gaussian kernel's or one whose reach covers every row, from the
+    sample's own columns in place (``_in_place``), and a subset of the rows
+    from its gathered copy (``estimator._cut``). Where ``b <= h``, or with the gaussian kernel, whose
     cut is every row, its results are the per-fit path's bit for bit; where
     a compact kernel's ``b > h``, the point estimate sums the zero-weight
     rows out to ``b`` too, and the two agree up to rounding. Where the
@@ -524,15 +589,24 @@ def bias_corrected_estimate(
     """
     _require_valid_alpha_and_b(alpha, h, b)
     n = sample.n
-    # the point estimate fits no first stage
-    cut, k, S = _cut(replace(sample, a=None), cutoff, max(h, b), kernel)
-    if S is None:
-        S = np.vstack([cut.y, cut.W.T])
-    if sample.q and cut.n >= ENGINE_ROWS and 0 < k < cut.n:
-        counts, hs, bs = np.array([k, cut.n - k]), np.array([h]), np.array([b])
-        ok, fit = fit_block(cut.d, S, cut.Z.T, counts, cutoff, hs, bs, kernel, n, alpha)
+    sample = replace(sample, a=None)  # the point estimate fits no first stage
+    rows, k = _cut_rows(sample.d, cutoff, max(h, b), kernel)
+    m = n if rows is None else rows.size
+    cut = None  # each gather frees the index of the rows it took
+    if sample.q and m >= ENGINE_ROWS and 0 < k < m:
+        if m == n:  # the cut keeps every row: the engine reads the sample in place
+            read = _in_place(sample, rows)
+        else:
+            (cut, S), rows = _cut(sample, rows), None
+            read = _views(cut.d, S, cut.Z.T)
+        counts, hs, bs = np.array([k, m - k]), np.array([h]), np.array([b])
+        ok, fit = fit_block(read, counts, cutoff, hs, bs, kernel, n, alpha)
         if ok[0]:
             return _sample(fit, 0)
+    if cut is None:
+        (cut, S), rows = _cut(sample, rows), None
+    if S is None:
+        S = np.vstack([cut.y, cut.W.T])
     d = cut.d
     point = estimate_sharp(cut, cutoff, h, kernel) if sample.q else None
     del cut  # only the point estimate reads the cut placebo treatments
@@ -604,9 +678,7 @@ def rdd_robust_estimate(
 
 @np.errstate(all="ignore")  # a sample that fails a check is counted as failed
 def fit_block(
-    d: np.ndarray,
-    S: np.ndarray,
-    Z: np.ndarray,
+    read,
     counts: np.ndarray,
     cutoff: float,
     h: np.ndarray,
@@ -618,14 +690,16 @@ def fit_block(
     """``bias_corrected_estimate`` of a block of samples in two passes over
     their rows: a Monte Carlo study's replications, or one large sample.
 
-    ``d``, the outcome rows ``S = [y, W, ...]`` and the placebo treatment
-    rows ``Z`` ``(q, rows)`` hold the samples one after another,
-    each cut to the rows within ``max(h, b)`` of the cutoff with its left
-    rows first, and ``counts`` the row counts of their sides, left then
-    right, each at least 1. ``h`` and ``b`` hold each sample's bandwidths
-    and ``n`` the size of the samples they were cut from. Each row of ``S``
-    after the first ``1 + q``, such as a fuzzy design's treatment ``a``, is
-    fitted like ``y`` but enters neither the instrumented solves, nor the
+    ``read`` gives a range of the block's rows (``_views``, or ``_in_place``
+    for one sample whose cut keeps every row): ``(d, S, Z)``, the running
+    variable, the outcome rows ``S = [y, W, ...]`` and the placebo treatment
+    rows ``Z`` ``(q, rows)`` of the samples one after another, each cut to
+    the rows within ``max(h, b)`` of the cutoff with its left rows first.
+    ``counts`` holds the row counts of their sides, left then right, each at
+    least 1. ``h`` and ``b`` hold each sample's bandwidths and ``n`` the
+    size of the samples they were cut from. Each row of ``S`` after the
+    first ``1 + q``, such as a fuzzy design's treatment ``a``, is fitted
+    like ``y`` but enters neither the instrumented solves, nor the
     combination, nor the checks, nor the variance.
 
     Returns ``(ok, fit)``: ``fit`` is the single fit's ``RobustEstimate``
@@ -643,20 +717,20 @@ def fit_block(
     formed one window of rows at a time by the single fit's table functions
     and summed by ``local_fit._reduce``, which sums each segment as the
     single fit sums that side; only the input columns and the per-side
-    stacks span the block. The first pass (``_moment_rows``) sums the
-    moments, the instrumented solve's cross-moments, the support extremes
-    and the Kish size's sums, the second (``_variance_rows``), after the
-    solves, the stacked form, the variance terms (each outcome's squared
-    residual about its side's bias-corrected intercept, as a correction
-    sums them in ``SideCorrection.squares``) and the support test's inner
-    values. A side that fails a check gets the identity in place of its
-    systems (``_identity_unless``), solved at its own ``h`` and ``b``.
-    Where ``b <= h`` a sample's single fit sums the same rows, so the two
-    agree exactly; so they do with the gaussian kernel, whose cut is every
-    row.
+    stacks span the block, and a sample read in place has no cut columns.
+    The first pass
+    (``_moment_rows``) sums the moments, the instrumented solve's
+    cross-moments, the support extremes and the Kish size's sums, the second
+    (``_variance_rows``), after the solves, the stacked form, the variance
+    terms (each outcome's squared residual about its side's bias-corrected
+    intercept, as a correction sums them in ``SideCorrection.squares``) and
+    the support test's inner values. A side that fails a check gets the
+    identity in place of its systems (``_identity_unless``), solved at its
+    own ``h`` and ``b``. Where ``b <= h`` a sample's single fit sums the
+    same rows, so the two agree exactly; so they do with the gaussian
+    kernel, whose cut is every row.
     """
-    q, m = Z.shape
-    samples = len(h)
+    m, samples = int(np.sum(counts)), len(h)
     starts = np.concatenate([[0], np.cumsum(counts[:-1])])
     left, right = slice(0, None, 2), slice(1, None, 2)
     h_seg, b_seg = np.repeat(h, 2), np.repeat(b, 2)
@@ -669,16 +743,17 @@ def fit_block(
         """``(u, weights at h, v, weights at b)`` of a range of rows, as
         ``_fits`` gives them.
         """
-        out = []
+        out, d = [], read(rows)[0]
         for bandwidth in (at_b,) if shared else (at_h, at_b):
             per_row = bandwidth(rows)
-            u = _offsets(d[rows], cutoff, per_row)
+            u = _offsets(d, cutoff, per_row)
             out += [u, _weights_at(kernel, u.copy(), per_row)]
         return out * 2 if shared else out
 
     mu, mv, RKS, GS, lo_h, hi_h, lo_b, hi_b, *kish, ZKS, ZKR, positives = _moments(
-        fits, S, Z, m, starts
+        fits, read, m, starts, instrument=True
     )
+    q = ZKR.shape[1]
 
     # the support test's third value at b is looked for in the second pass
     ok = (positives >= 2 + q) & (_distinct(lo_b, hi_b) >= 2) & (_distinct(lo_h, hi_h) >= 2)
@@ -713,7 +788,7 @@ def fit_block(
         for x in (*row_coefs, intercepts_bc, np.stack([lo_b, hi_b], axis=1))
     )
 
-    tables = partial(_variance_rows, fits, S[: 1 + q], stacked_at, weight_at, centre_at, bounds_at)
+    tables = partial(_variance_rows, fits, read, stacked_at, weight_at, centre_at, bounds_at)
     stacked, per_outcome, inside = _reduce(tables, m, starts)
     ok &= _distinct(lo_b, hi_b, inside) >= 3
     tau_stacked = np.vecdot(combo, stacked[right] - stacked[left])
@@ -737,7 +812,7 @@ def fit_block(
         n_right=positives[right],
         schur_rcond_left=schur_rcond[left],
         schur_rcond_right=schur_rcond[right],
-        tau_rdd_a=jumps[:, 1 + q] if len(S) > 1 + q else None,
+        tau_rdd_a=jumps[:, 1 + q] if jumps.shape[1] > 1 + q else None,
     )
     return ok, RobustEstimate(
         tau_pdd=tau_pdd,

@@ -15,7 +15,9 @@ gaussian kernel partitions every row. One decision, ``_cut_rows``, makes
 that cut for every caller: for the compact kernels it takes one support
 pass over ``d`` and splits only the kept rows by side, and it tells from
 them both whether a sample is already in that form and, if not, its
-partition.
+partition. A cut that keeps every row is not copied where the block engine
+fits it: the engine reads the sample in place, in the cut's order
+(``inference._in_place``).
 
 A basis is its scaled coordinate ``u``: a fit forms the powers ``K u^k`` it
 sums one chunk of rows at a time (``local_fit._design_rows``), so no per-row
@@ -91,7 +93,9 @@ def _cut_rows(d: np.ndarray, cutoff: float, reach: float, kernel: KernelSpec):
 
     ``rows`` indexes the left rows (``d < cutoff``) first and then the right
     rows, each side in its original order, and ``k`` counts the left rows, so
-    ``rows[:k]`` and ``rows[k:]`` are the two sides. The gaussian kernel
+    ``rows[:k]`` and ``rows[k:]`` are the two sides. ``estimator._cut``
+    gathers the rows of a cut; where they are every row, the block engine
+    reads the sample in this order instead (``inference._in_place``). The gaussian kernel
     keeps every row. The compact kernels keep the rows passing their own
     support test at ``reach``, ``|d - cutoff| / reach <= 1``. Correctly
     rounded division is monotone in the divisor, so every row inside the

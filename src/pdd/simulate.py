@@ -45,7 +45,7 @@ import numpy as np
 from . import _forked
 from .errors import PddError
 from .estimator import _strong_first_stage
-from .inference import fit_block, rule_of_thumb_bandwidth
+from .inference import _views, fit_block, rule_of_thumb_bandwidth
 from .io import Sample, _require_valid_alpha_and_b
 from .kernels import CHUNK_ROWS, KernelSpec, _cut_rows
 
@@ -600,7 +600,7 @@ def _fit_replications(
     counts = np.array([c for _, k, size, _, _ in block for c in (k, size - k)])
     _, _, _, hs, bs = zip(*block)
     ok, fit = fit_block(
-        columns[0], columns[1:-1], columns[-1:], counts, spec.cutoff, np.array(hs),
+        _views(columns[0], columns[1:-1], columns[-1:]), counts, spec.cutoff, np.array(hs),
         np.array(bs), kernel, spec.n, alpha,
     )  # fmt: skip
     tau, naive = fit.tau_pdd, fit.point.tau_rdd_y

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from pdd import Sample
+from pdd.estimator import _cut
+from pdd.kernels import _cut_rows
 
 
 def random_dataset(rng: np.random.Generator, n: int = 200, q: int = 1) -> Sample:
@@ -31,6 +33,16 @@ def random_dataset(rng: np.random.Generator, n: int = 200, q: int = 1) -> Sample
         + 0.5 * rng.standard_normal(n)
     )
     return Sample(d=d, y=y, W=W, Z=Z)
+
+
+def cut_at(sample: Sample, cutoff: float, reach: float, kernel) -> tuple:
+    """``(cut, k, S)``: ``sample`` cut to the rows ``kernels._cut_rows`` keeps
+    within ``reach`` (``estimator._cut``), its number ``k`` of left rows and
+    its outcome stack ``S``, None where the sample is already cut.
+    """
+    rows, k = _cut_rows(sample.d, cutoff, reach, kernel)
+    cut, S = _cut(sample, rows)
+    return cut, k, S
 
 
 def estimate_fields(est) -> dict:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,9 +35,14 @@ from pdd import (
     write_csv,
 )
 from pdd.cli import main
-from pdd.estimator import _cut
 from pdd.kernels import _cut_rows
-from conftest import assert_no_children, estimate_fields, local_linear_jump, random_dataset
+from conftest import (
+    assert_no_children,
+    cut_at,
+    estimate_fields,
+    local_linear_jump,
+    random_dataset,
+)
 
 TRIANGLE = KernelSpec("triangle")
 WINDOW = KernelSpec("window")
@@ -561,11 +567,11 @@ def test_support_rows_put_the_left_side_first_in_order(rng, kind, h, b):
 def test_cut_skips_the_copy_only_for_a_sample_already_partitioned(rng, kind, h, b):
     kernel = KernelSpec(kind)
     sample = _local_sample(rng)
-    cut, k, S = _cut(sample, CUTOFF, max(h, b), kernel)
+    cut, k, S = cut_at(sample, CUTOFF, max(h, b), kernel)
     assert cut is not sample and S is not None
-    again, k_again, S_again = _cut(cut, CUTOFF, max(h, b), kernel)
+    again, k_again, S_again = cut_at(cut, CUTOFF, max(h, b), kernel)
     assert again is cut and k_again == k and S_again is None
-    inner, _, S_inner = _cut(cut, CUTOFF, min(h, b), kernel)
+    inner, _, S_inner = cut_at(cut, CUTOFF, min(h, b), kernel)
     assert (inner is cut) == (kind == "gaussian" or h == b) == (S_inner is None)
 
 
@@ -834,7 +840,7 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
     # at a time is the full-length row
     from functools import partial
 
-    from pdd.inference import _fits, _moments, _row_form
+    from pdd.inference import _fits, _moments, _row_form, _views
     from pdd.local_fit import CHUNK_ROWS, _weighted_design
 
     m = 3 * CHUNK_ROWS + 1234
@@ -856,7 +862,8 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
         coordinates += [u, w]
         full.append((krows, powers, rks.reshape(degree + 1, 3)))
     (k1, powers1, rks1), (k2, powers2, rks2) = full
-    mu, mv, RKS, GS = (x[0] for x in _moments(partial(_fits, coordinates), S, None, m, [0])[:4])
+    moments = _moments(partial(_fits, coordinates), _views(None, S), m, [0])
+    mu, mv, RKS, GS = (x[0] for x in moments[:4])
     assert np.array_equal(mu, powers1) and np.array_equal(mv, powers2)
     assert np.array_equal(RKS, rks1) and np.array_equal(GS, rks2)
     for c in rng.standard_normal(5), rng.standard_normal((5, m)):
@@ -869,16 +876,29 @@ def test_chunk_formed_moments_equal_the_full_length_formula(rng):
         assert np.array_equal(np.concatenate(pieces), expected)
 
 
-@pytest.mark.parametrize("engine_rows", [1, 1 << 62], ids=["engine", "per-fit"])
+_PATHS = {"engine": 1, "per-fit": 1 << 62}
+
+
 @pytest.mark.parametrize(
-    "kind, bound, ratio",
+    "kind, bound, ratio, n, path",
     [
-        pytest.param("gaussian", 72, 1.0, id="gaussian-72"),
-        pytest.param("triangle", 14, 1.0, id="triangle-14"),
-        *(pytest.param("gaussian", 60, r, id=f"gaussian-60-b{r:g}h") for r in (2.0, 0.5)),
+        *(
+            pytest.param(kind, bound, ratio, 200_000, path, id=f"{name}-{path}")
+            for kind, bound, ratio, name in (
+                ("gaussian", 72, 1.0, "gaussian-72"),
+                ("triangle", 14, 1.0, "triangle-14"),
+                ("gaussian", 60, 2.0, "gaussian-60-b2h"),
+                ("gaussian", 60, 0.5, "gaussian-60-b0.5h"),
+            )
+            for path in _PATHS
+        ),
+        *(
+            pytest.param("gaussian", 20, r, 1_000_000, "engine", id=f"gaussian-20-b{r:g}h-1m-engine")
+            for r in (1.0, 2.0)
+        ),
     ],
 )
-def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, engine_rows):
+def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, n, path):
     # full-length K R tables on each side's weights, a second copy of the
     # outcome columns and the cut placebo treatments kept through the bias
     # correction took about 118 bytes per row with the gaussian kernel; a
@@ -886,11 +906,13 @@ def test_a_fit_allocates_few_bytes_per_row(monkeypatch, kind, bound, ratio, engi
     # the support test, and separate moment passes at b = h took 80.8
     # (gaussian) and 16.0 (triangle). At b = 2h and b = h / 2 each side's
     # four coordinate arrays, kept until both sides' variance passes had
-    # run, took 65.9 (gaussian). Each bound holds on both paths
+    # run, took 65.9 (gaussian). Each bound holds on both paths. The engine
+    # gathered a copy of every column of a gaussian cut, 40 bytes per row
+    # at 1M rows; read in place, the cut's index is most of what is left
     import tracemalloc
 
-    monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", engine_rows)
-    sample = pdd.simulate(DgpSpec(n=200_000, seed=1, kappa=4))
+    monkeypatch.setattr(pdd.inference, "ENGINE_ROWS", _PATHS[path])
+    sample = pdd.simulate(DgpSpec(n=n, seed=1, kappa=4))
     h = rule_of_thumb_bandwidth(sample.d)
     tracemalloc.start()
     try:
@@ -909,7 +931,7 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     # a chunk and over the segments of a block
     from functools import partial
 
-    from pdd.inference import _fits, _moments, _row_form, _side_terms
+    from pdd.inference import _fits, _moments, _row_form, _side_terms, _views
     from pdd.local_fit import CHUNK_ROWS, _design_rows, _hankel, _sums, _weighted_design
 
     kernel = KernelSpec(kind)
@@ -923,8 +945,8 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
         scaled_basis(d, 0.0, h, 2),
     )
     w, u = weights.weights, basis1.u
-    shared = _moments(partial(_fits, (u, w)), S.T, None, m, [0])
-    apart = _moments(partial(_fits, (u, w, u, w)), S.T, None, m, [0])
+    shared = _moments(partial(_fits, (u, w)), _views(None, S.T), m, [0])
+    apart = _moments(partial(_fits, (u, w, u, w)), _views(None, S.T), m, [0])
     assert len(shared) == len(apart) == 11
     for one, two in zip(shared, apart):
         assert np.array_equal(one, two)
@@ -952,8 +974,9 @@ def test_the_fits_at_b_equal_h_share_moments_equal_to_separate_sums(rng, kind):
     w = _weights_at(kernel, u.copy(), per_row)
     outcomes = rng.standard_normal((3, x.size))
     Z = rng.standard_normal((1, x.size))
-    shared = _moments(partial(_fits, (u, w)), outcomes, Z, x.size, starts)
-    apart = _moments(partial(_fits, (u, w, u, w)), outcomes, Z, x.size, starts)
+    read = _views(None, outcomes, Z)
+    shared = _moments(partial(_fits, (u, w)), read, x.size, starts, instrument=True)
+    apart = _moments(partial(_fits, (u, w, u, w)), read, x.size, starts, instrument=True)
     for one, two in zip(shared, apart):
         assert np.array_equal(one, two)
     mu = _sums(partial(_design_rows, w, u, 3), x.size, starts)
@@ -1060,7 +1083,7 @@ def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
     fuzzy = replace(sharp, a=(rng.random(sharp.n) < 0.5).astype(float))
     rows, k_rows = _cut_rows(sharp.d, CUTOFF, 0.5, kernel)  # d is shuffled: never the identity
     for sample in (sharp, fuzzy):
-        cut, k, S = _cut(sample, CUTOFF, 0.5, kernel)
+        cut, k, S = cut_at(sample, CUTOFF, 0.5, kernel)
         q = sample.q
         assert k == k_rows and S.shape == (1 + q + (sample.a is not None), rows.size)
         # each column is the fancy-indexed reference
@@ -1075,7 +1098,7 @@ def test_the_cut_sample_reads_its_outcomes_from_the_one_stack(rng, kind):
             np.testing.assert_array_equal(S[1 + q], sample.a[rows])
             assert np.shares_memory(cut.a, S) and np.array_equal(cut.a, S[1 + q])
         # a sample already cut comes back as it is, with no stack
-        again, k_again, S_again = _cut(cut, CUTOFF, 0.5, kernel)
+        again, k_again, S_again = cut_at(cut, CUTOFF, 0.5, kernel)
         assert again is cut and k_again == k and S_again is None
 
 
@@ -1123,20 +1146,56 @@ def _failing(error):
     return fail
 
 
-@pytest.mark.parametrize("q", [1, 2])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("h,b", BANDWIDTH_PAIRS)
-def test_the_engine_gives_the_per_fit_bits(rng, engine, kind, h, b, q):
+#: Inputs whose engine cut keeps every row, so that the engine reads the
+#: sample in place: ``(rows, q, order, kind, h, b)``. Each side of the
+#: shuffled gaussian samples spans several runs of ``inference.RUN_ROWS``;
+#: the window kernel's reach covers every row of ``d`` in ``[-1, 1]``; and a
+#: sample sorted by ``d`` is already cut, so each run is copied, not taken
+_IN_PLACE = {
+    **{
+        f"in-place-gaussian-b{r:g}h": (140_000, 1, "shuffled", "gaussian", 0.5, 0.5 * r)
+        for r in (1.0, 0.6, 1.7)
+    },
+    "in-place-window-reach-covers-every-row": (2000, 2, "shuffled", "window", 1.5, 1.2),
+    "in-place-sorted-gaussian": (140_000, 2, "sorted", "gaussian", 0.4, 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, q, order, kind, h, b",
+    [
+        *(
+            pytest.param(400, q, "shuffled", kind, h, b, id=f"{h}-{b}-{kind}-{q}")
+            for h, b in BANDWIDTH_PAIRS
+            for kind in KINDS
+            for q in (1, 2)
+        ),
+        *(pytest.param(*case, id=name) for name, case in _IN_PLACE.items()),
+    ],
+)
+def test_the_engine_gives_the_per_fit_bits(rng, engine, monkeypatch, rows, q, order, kind, h, b):
     # where b <= h, and with the gaussian kernel, whose cut is every row,
     # both paths sum the same rows in the same order; a compact kernel's
     # point estimate at b > h also sums the zero-weight rows out to b in the
-    # engine, and the two agree up to rounding
-    sample, kernel = random_dataset(rng, 400, q), KernelSpec(kind)
+    # engine, and the two agree up to rounding. A cut that keeps every row
+    # is read in place: the engine gathers no copy of the sample
+    sample, kernel = random_dataset(rng, rows, q), KernelSpec(kind)
+    if order == "sorted":
+        by_d = np.argsort(sample.d, kind="stable")
+        sample = Sample(sample.d[by_d], sample.y[by_d], sample.W[by_d], sample.Z[by_d])
     engine(False)
     want = _robust_outcome(sample, h, b, kernel)
-    fitted = engine(True)
+    fitted, gathered, cut = engine(True), [], pdd.inference._cut
+
+    def counted(*args):
+        gathered.append(args[1] is not None)
+        return cut(*args)
+
+    monkeypatch.setattr(pdd.inference, "_cut", counted)
     got = _robust_outcome(sample, h, b, kernel)
     assert isinstance(want, dict) and fitted == [True]
+    every_row = kind == "gaussian" or max(h, b) >= np.max(np.abs(sample.d))
+    assert gathered == ([] if every_row else [True])
     if b <= h or kind == "gaussian":
         assert got == want
     else:
@@ -1224,6 +1283,27 @@ def test_each_failing_check_raises_the_per_fit_error_on_the_engine_path(
     assert_no_children()
 
 
+@pytest.mark.parametrize(
+    "check, error", [("scale 1e200", WeakInstrument), ("variance", NonFiniteResult)]
+)
+def test_the_per_fit_path_raises_its_error_with_warnings_as_errors(rng, engine, check, error):
+    # the norms scaling the Schur complement's rcond underflow to 0 / 0, and
+    # squared residuals overflow, on their way to the package's errors; the
+    # per-fit path, like the engine and the CLI, raises no numpy warning
+    # for them, so warnings as errors leave its errors as they are. So does
+    # the point estimate alone
+    sample, (h, b) = _failing_sample(rng, check), _OVERFLOWING.get(check, (0.5, 0.3))
+    engine(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _robust_outcome(sample, h, b)
+        assert got[0] is error, got
+        if check == "scale 1e200":
+            with pytest.raises(WeakInstrument):
+                estimate_sharp(sample, 0.0, h, TRIANGLE)
+    assert_no_children()
+
+
 def test_the_engine_fits_no_first_stage_of_a_sample_with_a_treatment(rng, engine):
     # the robust estimate's point estimate drops the sample's treatment on
     # both paths: only estimate_fuzzy fits the first stage
@@ -1243,7 +1323,7 @@ def test_only_a_cut_of_engine_rows_with_placebo_columns_takes_the_engine(
 ):
     assert pdd.inference.ENGINE_ROWS == 1 << 17
     sample = random_dataset(rng, 400, 1)
-    rows = _cut(sample, 0.0, 0.5, TRIANGLE)[0].n
+    rows = cut_at(sample, 0.0, 0.5, TRIANGLE)[0].n
     fitted = engine(True)
     rdd_robust_estimate(sample.d, sample.y, 0.0, 0.5, 0.5, TRIANGLE)
     assert fitted == []  # no placebo columns

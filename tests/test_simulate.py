@@ -29,8 +29,14 @@ from pdd import (
     simulate,
 )
 from pdd.cli import main
-from pdd.inference import _sample
-from conftest import assert_no_children, draw_stage_dying_at, estimate_fields, random_dataset
+from pdd.inference import _sample, _views
+from conftest import (
+    assert_no_children,
+    cut_at,
+    draw_stage_dying_at,
+    estimate_fields,
+    random_dataset,
+)
 
 MC = sys.modules["pdd.simulate"]  # the module; ``pdd.simulate`` is the function
 
@@ -464,9 +470,9 @@ def test_block_size_moves_no_output_beyond_rounding(monkeypatch, workers):
     blocks = []
     real_block = MC.fit_block
 
-    def recorded(d, S, Z, counts, *args):
+    def recorded(read, counts, *args):
         blocks.append((counts[0::2] + counts[1::2]).tolist())
-        return real_block(d, S, Z, counts, *args)
+        return real_block(read, counts, *args)
 
     reports = []
     with monkeypatch.context() as patch:
@@ -487,7 +493,7 @@ def test_block_size_moves_no_output_beyond_rounding(monkeypatch, workers):
 
 def _block(cuts):
     """``(d, S, Z, counts)`` of a block of cuts ``(sample, k, S)``
-    (``estimator._cut``), their rows one after another; a treatment ``a`` is
+    (``conftest.cut_at``), their rows one after another; a treatment ``a`` is
     the last row of ``S``.
     """
     columns = np.hstack([
@@ -500,7 +506,8 @@ def _block(cuts):
 
 def _fit_block(cuts, *args):
     """``fit_block`` of cuts ``(sample, k, S)``."""
-    return pdd.inference.fit_block(*_block(cuts), *args)
+    d, S, Z, counts = _block(cuts)
+    return pdd.inference.fit_block(_views(d, S, Z), counts, *args)
 
 
 def _headline(est):
@@ -524,7 +531,7 @@ def test_block_fit_matches_single_fits_and_flags_what_they_reject(q, monkeypatch
     kernel = KernelSpec("triangle")
     h = np.array([0.5, 0.6, 0.5, 0.5, 0.15, 0.7])
     b = np.array([0.5, 0.9, 0.5, 0.5, 0.15, 0.6])
-    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    cuts = [cut_at(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
     compared = []
     real_agree = pdd.inference._agree
 
@@ -578,7 +585,7 @@ def test_block_fit_agrees_with_the_single_fit(seed, q, kind, b_over_h, defect):
     kernel = KernelSpec(kind)
     h = rng.uniform(0.25, 0.8, 3)
     b = h * np.array(b_over_h)
-    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    cuts = [cut_at(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
     ok, fit = _fit_block(cuts, 0.0, h, b, kernel, 300, 0.05)
     for i, sample in enumerate(samples):
         try:
@@ -625,7 +632,7 @@ def test_a_complement_zero_but_for_rounding_fails_its_side_of_a_stack(monkeypatc
         return rconds[-1]
 
     monkeypatch.setattr(pdd.inference, "_schur_rcond", recorded)
-    cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
+    cuts = [cut_at(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
     ok, _ = _fit_block(cuts, 0.0, h, h, kernel, 300, 0.05)
     assert ok.tolist() == [True, False, True]
     (rcond,) = rconds  # the left then the right side of each sample
@@ -652,10 +659,12 @@ def test_a_treatment_row_of_S_is_fitted_and_moves_no_sharp_output(q):
     samples[1] = _with_defect(samples[1], "no_instrument")
     kernel = KernelSpec("triangle")
     h, b = np.array([0.5, 0.5, 0.45]), np.array([0.5, 0.4, 0.7])
-    cuts = [pdd.estimator._cut(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
+    cuts = [cut_at(s, 0.0, max(hh, bb), kernel) for s, hh, bb in zip(samples, h, b)]
     d, S, Z, counts = _block(cuts)
-    ok, fuzzy = pdd.inference.fit_block(d, S, Z, counts, 0.0, h, b, kernel, 300, 0.05)
-    sharp_ok, sharp = pdd.inference.fit_block(d, S[:-1], Z, counts, 0.0, h, b, kernel, 300, 0.05)
+    ok, fuzzy = pdd.inference.fit_block(_views(d, S, Z), counts, 0.0, h, b, kernel, 300, 0.05)
+    sharp_ok, sharp = pdd.inference.fit_block(
+        _views(d, S[:-1], Z), counts, 0.0, h, b, kernel, 300, 0.05
+    )
     assert ok.tolist() == sharp_ok.tolist() == [True, False, True]
     assert sharp.point.tau_rdd_a is None
     for i in (0, 2):
@@ -673,9 +682,9 @@ def test_a_treatment_without_a_jump_fails_its_replication_as_estimate_fuzzy_does
     samples = [_with_treatment(random_dataset(rng, n=300), rng, jump) for jump in jumps]
     kernel = KernelSpec("triangle")
     h = np.array([0.5, 0.5, 0.6])
-    cuts = [pdd.estimator._cut(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
+    cuts = [cut_at(s, 0.0, hh, kernel) for s, hh in zip(samples, h)]
     d, S, Z, counts = _block(cuts)
-    ok, _ = pdd.inference.fit_block(d, S, Z, counts, 0.0, h, h, kernel, 300, 0.05)
+    ok, _ = pdd.inference.fit_block(_views(d, S, Z), counts, 0.0, h, h, kernel, 300, 0.05)
     assert ok.all()
     spec = DgpSpec(n=300, seed=0, design="fuzzy_homogeneous")
     block = [(i, k, cut.n, h[i], h[i]) for i, (cut, k, _) in enumerate(cuts)]
@@ -700,12 +709,13 @@ def test_a_block_fit_holds_a_few_windows_of_rows_whatever_its_size():
     while sum(cut.n for cut, *_ in cuts) < 120_000:
         sample = simulate(replace(spec, seed=len(cuts)))
         h = rule_of_thumb_bandwidth(sample.d)
-        cuts.append(pdd.estimator._cut(sample, 0.0, h, kernel))
+        cuts.append(cut_at(sample, 0.0, h, kernel))
         hs.append(h)
     peaks = []
     for reps in (3, len(cuts)):  # 3 cuts hold about 4k rows
         h = np.array(hs[:reps])
-        args = (*_block(cuts[:reps]), 0.0, h, h, kernel, spec.n, 0.05)
+        d, S, Z, counts = _block(cuts[:reps])
+        args = (_views(d, S, Z), counts, 0.0, h, h, kernel, spec.n, 0.05)
         pdd.inference.fit_block(*args)  # warm up
         tracemalloc.start()
         try:
